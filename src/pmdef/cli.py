@@ -33,11 +33,10 @@ from . import attacks as atk
 from . import defence as dfc
 from . import evaluation as ev
 from .datasets import Dataset, parse_cifar_binary, parse_idx, synth_dataset
-from .errors import ConfigError, PmdefError, UserError
+from .errors import ConfigError, DataError, ParseError, PmdefError, UserError
 from .models import ModelSpec, build_model, compose_defended, load_checkpoint, save_checkpoint
 from .seeding import derive_seed
 from .training import DefenceLossSpec, OptimizerConfig, train_classifier, train_defence
-from .errors import DataError
 
 log = logging.getLogger("pmdef")
 
@@ -187,7 +186,13 @@ def _write_scores_csv(scores: np.ndarray, path: Path) -> None:
 
 def _read_scores_csv(path: Path) -> np.ndarray:
     rows = Path(path).read_text(encoding="utf-8").strip().splitlines()[1:]
-    return np.asarray([float(r.split(",")[1]) for r in rows])
+    scores = []
+    for lineno, row in enumerate(rows, start=2):
+        try:
+            scores.append(float(row.split(",")[1]))
+        except (IndexError, ValueError):
+            raise ParseError(f"{path}:{lineno}: expected 'id,score', got {row!r}") from None
+    return np.asarray(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +203,6 @@ def _load_classifier(out: Path):
     model = load_checkpoint(_require_file(out / "classifier.ckpt", "train-classifier"))
     model.store.freeze_all()
     return model
-
-
-def _defence_tag(spec: DefenceLossSpec) -> str:
-    return spec.kind
 
 
 def _load_defence(out: Path, tag: str):
@@ -229,7 +230,7 @@ def cmd_train_defence(cfg: dict, seed: int, out: Path, workers: int) -> int:
     classifier = _load_classifier(out)
     artifacts = []
     for loss_spec in _defence_loss_specs(cfg):
-        tag = _defence_tag(loss_spec)
+        tag = loss_spec.kind
         ae_spec = ModelSpec.from_dict(cfg["autoencoder_spec"])
         ae = build_model(ae_spec, derive_seed(seed, "train-defence", tag, "init"))
         opt = _opt_config(cfg, "defence_opt", derive_seed(seed, "train-defence", tag, "shuffle"))
@@ -343,7 +344,7 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path, workers: int) -> int:
 def cmd_evaluate(cfg: dict, seed: int, out: Path, workers: int) -> int:
     _, test = load_datasets(cfg, seed)
     classifier = _load_classifier(out)
-    tags = cfg.get("report_defences") or [_defence_tag(s) for s in _defence_loss_specs(cfg)]
+    tags = cfg.get("report_defences") or [s.kind for s in _defence_loss_specs(cfg)]
     defences = {}
     for tag in tags:
         path = out / f"ae_{tag}.ckpt"
@@ -365,8 +366,11 @@ def cmd_evaluate(cfg: dict, seed: int, out: Path, workers: int) -> int:
     thresholds = None
     tpath = out / "threshold.json"
     if tpath.is_file():
-        info = json.loads(tpath.read_text(encoding="utf-8"))
-        thresholds = {info["defence"]: info["threshold"]}
+        try:
+            info = json.loads(tpath.read_text(encoding="utf-8"))
+            thresholds = {info["defence"]: float(info["threshold"])}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{tpath}: needs a JSON object with 'threshold' and 'defence': {exc!r}") from None
     rows = ev.accuracy_report(classifier, defences, attack_sets, (x_clean, y_clean), thresholds=thresholds)
     report_path = out / "report_accuracy.csv"
     ev.accuracy_report_to_csv(rows, report_path)

@@ -28,7 +28,7 @@ class DefenceVerdict:
     threshold: float
     flagged: bool
     label: int
-    source: str  # original | reconstructed | ensemble
+    source: str  # original | reconstructed
 
 
 @dataclass
@@ -57,19 +57,48 @@ class EnsembleSpec:
         return 1.0 - sum(m.weight for m in self.members)
 
 
+@dataclass(frozen=True)
+class DefenceOutputs:
+    """The two prediction distributions every defence decision derives from:
+    ``p`` = M(x) and ``q`` = M(AE(x)), one row per instance."""
+
+    p: np.ndarray
+    q: np.ndarray
+
+    def scores(self, metric: str = "kl", temperature: float | None = None) -> np.ndarray:
+        """Per-instance divergence between p and q; higher means more
+        suspicious. With a temperature, p is sharpened the same way the
+        training target was."""
+        if metric not in SCORE_METRICS:
+            raise ParameterError(f"score metric must be one of {SCORE_METRICS}, got {metric!r}")
+        p = self.p if temperature is None else temperature_scale(self.p, temperature)
+        if metric == "mse":
+            return ((p - self.q) ** 2).mean(axis=1)
+        return kl_rows(p, self.q)
+
+    def labels(self, threshold: float, metric: str = "kl", temperature: float | None = None) -> np.ndarray:
+        """Corrected labels: the reconstruction's label where score > threshold, else the classifier's."""
+        return np.where(self.scores(metric, temperature) > threshold, self.q.argmax(axis=1), self.p.argmax(axis=1))
+
+    def verdicts(self, threshold: float, metric: str = "kl", temperature: float | None = None) -> list[DefenceVerdict]:
+        scores = self.scores(metric, temperature)
+        flagged = scores > threshold
+        labels = np.where(flagged, self.q.argmax(axis=1), self.p.argmax(axis=1))
+        return [
+            DefenceVerdict(score=float(s), threshold=float(threshold), flagged=bool(f), label=int(lab),
+                           source="reconstructed" if f else "original")
+            for s, f, lab in zip(scores, flagged, labels)
+        ]
+
+
+def defence_outputs(classifier, ae, x: np.ndarray) -> DefenceOutputs:
+    """One classifier pass on x, one AE pass and one classifier pass on the reconstruction."""
+    return DefenceOutputs(classifier.predict_proba(x), classifier.predict_proba(ae.reconstruct(x)))
+
+
 def adversarial_score(classifier, ae, x: np.ndarray, metric: str = "kl", temperature: float | None = None) -> np.ndarray:
-    """Per-instance divergence between M(x) and M(AE(x)); higher means more
-    suspicious. With a temperature, the original-side distribution is
-    sharpened the same way the training target was."""
-    if metric not in SCORE_METRICS:
-        raise ParameterError(f"score metric must be one of {SCORE_METRICS}, got {metric!r}")
-    p = classifier.predict_proba(x)
-    q = classifier.predict_proba(ae.reconstruct(x))
-    if temperature is not None:
-        p = temperature_scale(p, temperature)
-    if metric == "mse":
-        return ((p - q) ** 2).mean(axis=1)
-    return kl_rows(p, q)
+    """Per-instance divergence between M(x) and M(AE(x)); see ``DefenceOutputs.scores``."""
+    return defence_outputs(classifier, ae, x).scores(metric, temperature)
 
 
 def calibrate_threshold(scores_normal, eps_fpr: float) -> float:
@@ -90,24 +119,8 @@ def calibrate_threshold(scores_normal, eps_fpr: float) -> float:
 
 
 def detect_and_correct(classifier, ae, x: np.ndarray, threshold: float, metric: str = "kl", temperature: float | None = None) -> list[DefenceVerdict]:
-    """Route each instance: below threshold keep the classifier's label,
-    above it take the label of the reconstruction."""
-    scores = adversarial_score(classifier, ae, x, metric=metric, temperature=temperature)
-    labels_orig = classifier.predict_class(x)
-    labels_recon = classifier.predict_class(ae.reconstruct(x))
-    out = []
-    for s, lo, lr in zip(scores, labels_orig, labels_recon):
-        flagged = bool(s > threshold)
-        out.append(
-            DefenceVerdict(
-                score=float(s),
-                threshold=float(threshold),
-                flagged=flagged,
-                label=int(lr if flagged else lo),
-                source="reconstructed" if flagged else "original",
-            )
-        )
-    return out
+    """Verdicts for a batch; see ``DefenceOutputs.verdicts``."""
+    return defence_outputs(classifier, ae, x).verdicts(threshold, metric, temperature)
 
 
 def corrected_labels(verdicts: list[DefenceVerdict]) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defence import adversarial_score, corrected_labels, detect_and_correct
+from .defence import DefenceOutputs, defence_outputs
 from .errors import DataError, ParameterError
 
 # per-kind corruption parameter tables, severity 1..5 (strictly monotone harm)
@@ -124,14 +124,14 @@ def accuracy_report(
     clean_acc = float((classifier.predict_class(x_clean) == y_clean).mean())
     rows = []
     for attack_name, (x_adv, y) in attack_sets.items():
+        p = classifier.predict_proba(x_adv)  # shared by every defence column
         row: dict[str, object] = {"attack": attack_name, "no_attack": clean_acc}
-        row["no_defence"] = float((classifier.predict_class(x_adv) == y).mean())
+        row["no_defence"] = float((p.argmax(axis=1) == y).mean())
         for name, ae in defences.items():
-            verdicts = detect_and_correct(classifier, ae, x_adv, -math.inf, metric=metric)
-            row[name] = float((corrected_labels(verdicts) == y).mean())
+            outputs = DefenceOutputs(p, classifier.predict_proba(ae.reconstruct(x_adv)))
+            row[name] = float((outputs.labels(-math.inf, metric) == y).mean())
             if thresholds and name in thresholds:
-                gated = detect_and_correct(classifier, ae, x_adv, thresholds[name], metric=metric)
-                row[f"{name}@detect"] = float((corrected_labels(gated) == y).mean())
+                row[f"{name}@detect"] = float((outputs.labels(thresholds[name], metric) == y).mean())
         rows.append(row)
     return rows
 
@@ -251,8 +251,9 @@ def drift_report(
     clean prediction form the harmful group; unchanged ones the not-harmful
     group. Severity 0 is the clean set itself."""
     kinds = list(kinds)
-    clean_pred = classifier.predict_class(x)
-    clean_scores = adversarial_score(classifier, ae, x, metric=metric, temperature=temperature)
+    clean = defence_outputs(classifier, ae, x)
+    clean_pred = clean.p.argmax(axis=1)
+    clean_scores = clean.scores(metric, temperature)
     rows = [
         DriftRow(
             severity=0,
@@ -274,8 +275,9 @@ def drift_report(
         total = 0
         for j, kind in enumerate(kinds):
             xc = corrupt_dataset(x, kind, sev, seed=seed * 1000 + sev * 10 + j)
-            pred = classifier.predict_class(xc)
-            scores = adversarial_score(classifier, ae, xc, metric=metric, temperature=temperature)
+            outputs = defence_outputs(classifier, ae, xc)
+            pred = outputs.p.argmax(axis=1)
+            scores = outputs.scores(metric, temperature)
             changed = pred != clean_pred
             harm_scores.append(scores[changed])
             safe_scores.append(scores[~changed])

@@ -229,12 +229,6 @@ class ParameterStore:
             for t in group.values():
                 t.requires_grad = False
 
-    def unfreeze_all(self) -> None:
-        self.frozen = set()
-        for group in self.params.values():
-            for t in group.values():
-                t.requires_grad = True
-
     def is_fully_frozen(self) -> bool:
         return set(self.params) == self.frozen
 
@@ -264,7 +258,20 @@ class ParameterStore:
         return h.digest()
 
 
-class Model:
+class Predictor:
+    """Numpy conveniences over a subclass's ``proba_t`` and ``logits_t``."""
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        return self.proba_t(Tensor(x)).data
+
+    def predict_logits(self, x: np.ndarray) -> np.ndarray:
+        return self.logits_t(Tensor(x)).data
+
+    def predict_class(self, x: np.ndarray) -> np.ndarray:
+        return self.predict_proba(x).argmax(axis=1)
+
+
+class Model(Predictor):
     """A spec bound to its parameters; executable with or without a tape."""
 
     def __init__(self, spec: ModelSpec, store: ParameterStore, seed: int | None = None):
@@ -382,17 +389,6 @@ class Model:
             )
         return ad.clip(self.forward_t(x), *DATA_DOMAIN)
 
-    # -- numpy conveniences ----------------------------------------------------
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return self.proba_t(Tensor(x)).data
-
-    def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        return self.logits_t(Tensor(x)).data
-
-    def predict_class(self, x: np.ndarray) -> np.ndarray:
-        return self.predict_proba(x).argmax(axis=1)
-
     def reconstruct(self, x: np.ndarray) -> np.ndarray:
         return self.reconstruct_t(Tensor(x)).data
 
@@ -476,7 +472,7 @@ def hidden_probe_forward(model: Model, probe: HiddenProbe, x: np.ndarray) -> np.
 # defended composition
 
 
-class DefendedModel:
+class DefendedModel(Predictor):
     """The composition classifier(AE(x)); differentiable end to end."""
 
     def __init__(self, classifier: Model, ae: Model):
@@ -505,15 +501,6 @@ class DefendedModel:
 
     def proba_t(self, x: Tensor) -> Tensor:
         return self.classifier.proba_t(self.ae.reconstruct_t(x))
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return self.proba_t(Tensor(x)).data
-
-    def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        return self.logits_t(Tensor(x)).data
-
-    def predict_class(self, x: np.ndarray) -> np.ndarray:
-        return self.predict_proba(x).argmax(axis=1)
 
 
 def compose_defended(classifier: Model, ae: Model) -> DefendedModel:

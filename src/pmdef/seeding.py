@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(root: int, *labels) -> int:
     h = hashlib.sha256()
@@ -19,7 +17,3 @@ def derive_seed(root: int, *labels) -> int:
         h.update(b"/")
         h.update(str(label).encode())
     return int.from_bytes(h.digest()[:8], "little")
-
-
-def derive_rng(root: int, *labels) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(root, *labels))

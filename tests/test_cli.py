@@ -165,6 +165,38 @@ def test_missing_classifier_artifact_exits_1(tmp_path, capsys):
     assert "classifier.ckpt" in capsys.readouterr().err
 
 
+def test_roc_malformed_score_csv_exits_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, out)
+    (out / "scores").mkdir(parents=True)
+    (out / "scores" / "clean_test.csv").write_text("id,score\n0,0.1\n1,0.2\n")
+    (out / "scores" / "fgsm02.csv").write_text("id,score\n0,0.3\n1,abc\n")
+    assert run_cli(["roc", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "fgsm02.csv:3" in err
+
+
+@pytest.fixture(scope="module")
+def attacked_run(tmp_path_factory):
+    """Config and output directory after train-classifier, train-defence and attack."""
+    tmp = tmp_path_factory.mktemp("attacked")
+    cfg = _write_config(tmp, tmp / "run")
+    for stage in ["train-classifier", "train-defence", "attack"]:
+        assert run_cli([stage, "--config", str(cfg)]) == 0, stage
+    return cfg, tmp / "run"
+
+
+@pytest.mark.parametrize(
+    "content", ["{not json", '{"threshold": 0.1}', '{"defence": "kl"}', '[0.1, "kl"]', '{"threshold": "x", "defence": "kl"}']
+)
+def test_evaluate_malformed_threshold_file_exits_1(attacked_run, capsys, content):
+    cfg, out = attacked_run
+    (out / "threshold.json").write_text(content)
+    assert run_cli(["evaluate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "threshold.json" in err
+
+
 def test_checkpoint_loadable_and_consistent_with_cli(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, out)

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from pmdef.autodiff import kl_rows
 from pmdef.defence import (
+    DefenceOutputs,
     DefenceVerdict,
     EnsembleMember,
     EnsembleSpec,
     adversarial_score,
     calibrate_threshold,
     corrected_labels,
+    defence_outputs,
     detect_and_correct,
     ensemble_predict,
     verdicts_to_csv,
@@ -172,6 +174,20 @@ def test_detect_flag_iff_score_above_threshold(toy_defence):
     for s, v in zip(scores, verdicts):
         assert v.flagged == (s > t)
         assert v.source == ("reconstructed" if v.flagged else "original")
+
+
+@pytest.mark.parametrize("metric,temperature", [("kl", None), ("mse", None), ("kl", 0.5)])
+def test_outputs_labels_agree_with_verdicts(toy_defence, metric, temperature):
+    clf, x, _ = toy_defence
+    ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
+    out = defence_outputs(clf, ae, x)
+    assert isinstance(out, DefenceOutputs)
+    scores = out.scores(metric, temperature)
+    assert np.array_equal(scores, adversarial_score(clf, ae, x, metric=metric, temperature=temperature))
+    t = float(np.median(scores))
+    verdicts = out.verdicts(t, metric, temperature)
+    assert np.array_equal(out.labels(t, metric, temperature), corrected_labels(verdicts))
+    assert verdicts == detect_and_correct(clf, ae, x, t, metric=metric, temperature=temperature)
 
 
 def test_verdict_csv_format(tmp_path, toy_defence):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmdef.defence import adversarial_score
+from pmdef.defence import adversarial_score, corrected_labels, detect_and_correct
 from pmdef.errors import DataError, ParameterError
 from pmdef.evaluation import (
     CORRUPTION_PARAMS,
@@ -18,7 +18,7 @@ from pmdef.evaluation import (
     ks_two_sample,
     roc_auc,
 )
-from pmdef.models import Dense, Flatten, ModelSpec, Relu, Reshape, Softmax, build_model
+from pmdef.models import Dense, Flatten, Model, ModelSpec, Relu, Reshape, Softmax, build_model
 from pmdef.training import OptimizerConfig, train_classifier
 from toys import identity_ae
 
@@ -222,6 +222,53 @@ def test_accuracy_report_identity_ae_equals_no_defence(small_image_classifier):
     rows = accuracy_report(clf, {"identity": ae}, {"noise": (noisy, y)}, (x, y))
     assert rows[0]["identity"] == rows[0]["no_defence"]
     assert rows[0]["no_attack"] == pytest.approx((clf.predict_class(x) == y).mean())
+
+
+def _perturbed_identity_ae(size, scale, seed):
+    ae = identity_ae(size)
+    ae.store.get(1)["w"].data[:] += np.random.default_rng(seed).normal(0.0, scale, ae.store.get(1)["w"].shape)
+    return ae
+
+
+@pytest.fixture
+def forwarded_rows(monkeypatch):
+    """Rows pushed through Model.forward_t, keyed by classifier / ae."""
+    rows = {"classifier": 0, "ae": 0}
+    forward_t = Model.forward_t
+
+    def counting(model, x, *args, **kwargs):
+        rows["classifier" if model.is_classifier else "ae"] += x.shape[0]
+        return forward_t(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_t", counting)
+    return rows
+
+
+def test_accuracy_report_one_pass_per_model_and_batch(small_image_classifier, forwarded_rows):
+    clf, x, y = small_image_classifier
+    n, m = 50, 30
+    defences = {"a": _perturbed_identity_ae(4, 0.2, 1), "b": identity_ae(4)}
+    accuracy_report(clf, defences, {"noise": (x[:n], y[:n])}, (x[-m:], y[-m:]), thresholds={"a": 0.01})
+    assert forwarded_rows == {"classifier": 3 * n + m, "ae": 2 * n}
+
+
+def test_drift_report_one_pass_per_model_and_set(small_image_classifier, forwarded_rows):
+    clf, x, y = small_image_classifier
+    kinds, severities = ("gaussian_noise", "contrast"), (1, 3)
+    drift_report(clf, identity_ae(4), x, y, kinds=kinds, severities=severities, seed=3)
+    scored_sets = 1 + len(kinds) * len(severities)
+    assert forwarded_rows == {"classifier": 2 * x.shape[0] * scored_sets, "ae": x.shape[0] * scored_sets}
+
+
+def test_accuracy_report_gated_column_matches_detect_and_correct(small_image_classifier):
+    clf, x, y = small_image_classifier
+    ae = _perturbed_identity_ae(4, 0.3, 2)
+    noisy = np.clip(x + 0.25 * np.sign(np.random.default_rng(3).normal(size=x.shape)), 0, 1)
+    t = float(np.quantile(adversarial_score(clf, ae, noisy), 0.9))
+    row = accuracy_report(clf, {"ae": ae}, {"noise": (noisy, y)}, (x, y), thresholds={"ae": t})[0]
+    gated = corrected_labels(detect_and_correct(clf, ae, noisy, t))
+    assert row["ae@detect"] == float((gated == y).mean())
+    assert len({row["no_defence"], row["ae"], row["ae@detect"]}) == 3  # the gate matters on this data
 
 
 def test_accuracy_report_csv(tmp_path, small_image_classifier):
