@@ -5,7 +5,9 @@ only when an input requires gradients, so inference pays no bookkeeping.
 The primitive set is deliberately small: just enough for little dense and
 convolutional networks, distribution-matching losses and input-gradient
 attacks. Every forward output is checked for NaN/Inf; overflow raises
-instead of propagating silently.
+instead of propagating silently. Nonsmooth ops (relu, clip, maximum_scalar,
+rowmax, maxpool2d) leave on the tape a way to compute their kink margin,
+which is evaluated only when ``Tape.min_kink_margin()`` asks for it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ContractError,
@@ -30,6 +33,7 @@ Array = np.ndarray
 KL_CLAMP = 1e-12          # lower clamp applied inside the KL log
 STD_FLOOR = 1e-6          # per-image standardization std floor
 _REL_FLOOR = 1e-8         # denominator floor for relative errors
+_COLS_BLOCK_BYTES = 1 << 18  # conv2d builds its im2col matrix in batch blocks of at most this size
 
 
 class Tensor:
@@ -129,14 +133,18 @@ class Tape:
 
     Single-owner: build the graph under ``with Tape() as tape`` and run
     ``backward(tape, loss)`` once. Tapes nest; ops record onto the innermost
-    one. ``kink_margins`` collects, per nonsmooth op, the distance of its
-    inputs to the nearest nondifferentiable point, which lets finite
-    difference harnesses reject samples too close to a kink.
+    one. ``kinks`` holds, per recorded nonsmooth op, a zero-argument callable
+    giving the distance of its inputs to the nearest nondifferentiable
+    point. The callables read the arrays the records already hold and run
+    only in ``min_kink_margin()``, so recording and ``backward`` compute no
+    margin; finite-difference harnesses call it to reject samples too close
+    to a kink. Every op output is finite-checked whether or not a tape is
+    active.
     """
 
     def __init__(self):
         self.records: list[_TapeRecord] = []
-        self.kink_margins: list[float] = []
+        self.kinks: list[Callable[[], float]] = []
         self._watched: dict[int, Tensor] = {}
 
     def __enter__(self) -> "Tape":
@@ -155,7 +163,8 @@ class Tape:
         self._watched[id(tensor)] = tensor
 
     def min_kink_margin(self) -> float:
-        return min(self.kink_margins, default=math.inf)
+        """Smallest kink margin over the recorded ops, computed now; inf when none."""
+        return min((kink() for kink in self.kinks), default=math.inf)
 
 
 def _check_finite(op: str, data: Array) -> None:
@@ -163,7 +172,7 @@ def _check_finite(op: str, data: Array) -> None:
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
-def _emit(op: str, inputs: tuple[Tensor, ...], out_data: Array, vjp, kink: float | None = None) -> Tensor:
+def _emit(op: str, inputs: tuple[Tensor, ...], out_data: Array, vjp, kink: Callable[[], float] | None = None) -> Tensor:
     out = Tensor(out_data)
     _check_finite(op, out.data)
     needs = any(t.requires_grad for t in inputs)
@@ -171,7 +180,7 @@ def _emit(op: str, inputs: tuple[Tensor, ...], out_data: Array, vjp, kink: float
     tape = _active_tape()
     if tape is not None and needs:
         if kink is not None:
-            tape.kink_margins.append(float(kink))
+            tape.kinks.append(kink)
         tape.records.append(_TapeRecord(op, inputs, out, vjp))
     return out
 
@@ -256,10 +265,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def relu(t: Tensor) -> Tensor:
     d = t.data
     mask = d > 0.0
-    kink = float(np.abs(d).min()) if d.size else math.inf
 
     def vjp(g):
         return (g * mask,)
+
+    def kink():
+        return float(np.abs(d).min()) if d.size else math.inf
 
     return _emit("relu", (t,), np.where(mask, d, 0.0), vjp, kink=kink)
 
@@ -289,10 +300,12 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
         raise ParameterError(f"clip bounds must satisfy lo < hi, got [{lo}, {hi}]")
     d = t.data
     mask = (d >= lo) & (d <= hi)
-    kink = float(min(np.abs(d - lo).min(), np.abs(d - hi).min())) if d.size else math.inf
 
     def vjp(g):
         return (g * mask,)
+
+    def kink():
+        return float(min(np.abs(d - lo).min(), np.abs(d - hi).min())) if d.size else math.inf
 
     return _emit("clip", (t,), np.clip(d, lo, hi), vjp, kink=kink)
 
@@ -300,10 +313,12 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
 def maximum_scalar(t: Tensor, c: float) -> Tensor:
     d = t.data
     mask = d >= c
-    kink = float(np.abs(d - c).min()) if d.size else math.inf
 
     def vjp(g):
         return (g * mask,)
+
+    def kink():
+        return float(np.abs(d - c).min()) if d.size else math.inf
 
     return _emit("maximum_scalar", (t,), np.maximum(d, c), vjp, kink=kink)
 
@@ -354,16 +369,18 @@ def rowmax(t: Tensor) -> Tensor:
     d = t.data
     arg = d.argmax(axis=1)
     rows = np.arange(d.shape[0])
-    kink = math.inf
-    if d.shape[1] >= 2:
-        part = np.partition(d, d.shape[1] - 2, axis=1)
-        kink = float((part[:, -1] - part[:, -2]).min())
     shape = t.shape
 
     def vjp(g):
         out = np.zeros(shape)
         out[rows, arg] = g
         return (out,)
+
+    def kink():
+        if d.shape[1] < 2:
+            return math.inf
+        part = np.partition(d, d.shape[1] - 2, axis=1)
+        return float((part[:, -1] - part[:, -2]).min())
 
     return _emit("rowmax", (t,), d[rows, arg], vjp, kink=kink)
 
@@ -430,8 +447,18 @@ def _conv_geometry(h: int, w: int, kh: int, kw: int, stride: int, padding: str):
     raise ParameterError(f"padding must be 'valid' or 'same', got {padding!r}")
 
 
+def _windows(a: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
+    """Read-only [n, oh, ow, c, kh, kw] view of the strided kh x kw windows of an NHWC array."""
+    return sliding_window_view(a, (kh, kw), axis=(1, 2))[:, : (oh - 1) * stride + 1 : stride, : (ow - 1) * stride + 1 : stride]
+
+
 def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
-    """Strided cross-correlation of an NHWC batch with [kh, kw, c_in, c_out] filters."""
+    """Strided cross-correlation of an NHWC batch with [kh, kw, c_in, c_out] filters.
+
+    One im2col GEMM per block of batch rows, the column matrix of a block
+    holding at most _COLS_BLOCK_BYTES. The vjp rebuilds the blocks instead
+    of keeping them on the tape.
+    """
     if x.ndim != 4 or filters.ndim != 4:
         raise DimensionError(f"conv2d expects NHWC input and 4-d filters, got {x.shape} and {filters.shape}")
     if x.shape[3] != filters.shape[2]:
@@ -441,28 +468,40 @@ def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid") 
     n, h, w, _ = x.shape
     kh, kw, cin, cout = filters.shape
     oh, ow, pt, pb, pl, pr = _conv_geometry(h, w, kh, kw, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if (pt or pb or pl or pr) else x.data
-    wd = filters.data
+    padded = bool(pt or pb or pl or pr)
+    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if padded else x.data
+    k = kh * kw * cin
+    w2 = filters.data.reshape(k, cout)
+    step = max(1, _COLS_BLOCK_BYTES // (oh * ow * k * 8))
 
-    out = np.zeros((n, oh, ow, cout))
-    views = []
-    for i in range(kh):
-        for j in range(kw):
-            v = xp[:, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride, :]
-            views.append(v)
-            out += np.tensordot(v, wd[i, j], axes=([3], [0]))
+    def blocks():
+        """(first batch row, [rows*oh*ow, kh*kw*c_in] column matrix) per block."""
+        win = _windows(xp, kh, kw, stride, oh, ow).transpose(0, 1, 2, 4, 5, 3)
+        for b in range(0, n, step):
+            yield b, win[b : b + step].reshape(-1, k)
+
+    out = np.empty((n, oh, ow, cout))
+    flat_out = out.reshape(-1, cout)
+    for b, cols in blocks():
+        np.matmul(cols, w2, out=flat_out[b * oh * ow : b * oh * ow + cols.shape[0]])
 
     def vjp(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(wd)
-        for idx in range(kh * kw):
-            i, j = divmod(idx, kw)
-            gxp[:, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride, :] += np.tensordot(
-                g, wd[i, j], axes=([3], [1])
-            )
-            gw[i, j] = np.tensordot(views[idx], g, axes=([0, 1, 2], [0, 1, 2]))
-        gx = gxp[:, pt : pt + h, pl : pl + w, :] if (pt or pb or pl or pr) else gxp
-        return gx, gw
+        g2 = g.reshape(-1, cout)
+        gw = np.zeros((k, cout))
+        gxp = np.zeros(xp.shape) if x.requires_grad else None
+        for b, cols in blocks():
+            gb = g2[b * oh * ow : b * oh * ow + cols.shape[0]]
+            gw += cols.T @ gb
+            if gxp is None:
+                continue
+            gcols = (gb @ w2.T).reshape(-1, oh, ow, kh, kw, cin)
+            batch = slice(b, b + step)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[batch, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride] += gcols[:, :, :, i, j]
+        if gxp is not None and padded:
+            gxp = gxp[:, pt : pt + h, pl : pl + w, :]
+        return gxp, gw.reshape(filters.shape)
 
     return _emit("conv2d", (x, filters), out, vjp)
 
@@ -478,25 +517,29 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         raise DimensionError(f"pool window {window} exceeds input {h}x{w}")
     oh = (h - window) // stride + 1
     ow = (w - window) // stride + 1
-    offsets = [(i, j) for i in range(window) for j in range(window)]
-    stack = np.stack(
-        [x.data[:, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride, :] for i, j in offsets],
-        axis=3,
-    )  # [n, oh, ow, window*window, c]
-    out = stack.max(axis=3)
-    arg = stack.argmax(axis=3)
-    k = len(offsets)
-    kink = math.inf
-    if k >= 2:
-        part = np.partition(stack, k - 2, axis=3)
-        kink = float((part[:, :, :, -1, :] - part[:, :, :, -2, :]).min())
-    shape = x.shape
+    k = window * window
+    d = x.data
+
+    def windows():
+        """[n, oh, ow, c, window*window] copy of every window, row-major within it."""
+        return _windows(d, window, window, stride, oh, ow).reshape(n, oh, ow, c, k)
+
+    flat = windows()
+    arg = flat.argmax(axis=-1)  # argmax returns the first maximum: the row-major tie rule
+    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
     def vjp(g):
-        gx = np.zeros(shape)
-        for m, (i, j) in enumerate(offsets):
-            gx[:, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride, :] += g * (arg == m)
-        return (gx,)
+        i, j = np.divmod(arg, window)
+        rows = np.arange(oh)[:, None, None] * stride + i
+        cols = np.arange(ow)[:, None] * stride + j
+        src = ((np.arange(n)[:, None, None, None] * h + rows) * w + cols) * c + np.arange(c)
+        return (np.bincount(src.ravel(), weights=g.ravel(), minlength=d.size).reshape(d.shape),)
+
+    def kink():
+        if k < 2:
+            return math.inf
+        part = np.partition(windows(), k - 2, axis=-1)
+        return float((part[..., -1] - part[..., -2]).min())
 
     return _emit("maxpool2d", (x,), out, vjp, kink=kink)
 

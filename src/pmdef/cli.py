@@ -449,7 +449,7 @@ def build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help="worker threads for attacks")
+        p.add_argument("--workers", type=int, default=1, help="worker threads for C&W attacks (default 1)")
     return parser
 
 

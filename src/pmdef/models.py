@@ -377,11 +377,6 @@ class Model(Predictor):
             raise ContractError(f"model {self.spec.name!r} has no softmax head")
         return self.forward_t(x, capture=layer_index)
 
-    def features(self, x: np.ndarray, layer_index: int) -> np.ndarray:
-        """Feature map after ``layer_index`` for a raw input batch."""
-        _, captured = self.forward_t(Tensor(x), capture=layer_index)
-        return captured.data
-
     def reconstruct_t(self, x: Tensor) -> Tensor:
         if self.output_shape != self.input_shape:
             raise DimensionError(
@@ -393,6 +388,20 @@ class Model(Predictor):
         return self.reconstruct_t(Tensor(x)).data
 
 
+def _param_shapes(spec: ModelSpec) -> dict[int, dict[str, tuple[int, ...]]]:
+    """Weight and bias shapes per parametric layer index, in layer order."""
+    shapes = infer_shapes(spec)  # raises SpecError on a chain break
+    out = {}
+    in_shape = spec.input_shape
+    for i, layer in enumerate(spec.layers):
+        if isinstance(layer, Dense):
+            out[i] = {"w": (in_shape[0], layer.units), "b": (layer.units,)}
+        elif isinstance(layer, Conv):
+            out[i] = {"w": (layer.kernel, layer.kernel, in_shape[2], layer.filters), "b": (layer.filters,)}
+        in_shape = shapes[i]
+    return out
+
+
 def build_model(spec: ModelSpec, seed: int) -> Model:
     """Deterministically initialize a model from (spec, seed).
 
@@ -400,24 +409,15 @@ def build_model(spec: ModelSpec, seed: int) -> Model:
     biases. The weight layout and draw order are fixed by the spec, so equal
     seeds give byte-identical parameters.
     """
-    shapes = infer_shapes(spec)  # raises SpecError on a chain break
     rng = np.random.default_rng(seed)
     store = ParameterStore()
-    in_shape = spec.input_shape
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Dense):
-            fan_in, fan_out = in_shape[0], layer.units
-            limit = np.sqrt(6.0 / fan_in) if _next_activation(spec.layers, i) == "relu" else np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-            store.add(i, w=Tensor(w, requires_grad=True), b=Tensor(np.zeros(fan_out), requires_grad=True))
-        elif isinstance(layer, Conv):
-            k, cin, cout = layer.kernel, in_shape[2], layer.filters
-            fan_in = k * k * cin
-            fan_out = k * k * cout
-            limit = np.sqrt(6.0 / fan_in) if _next_activation(spec.layers, i) == "relu" else np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, size=(k, k, cin, cout))
-            store.add(i, w=Tensor(w, requires_grad=True), b=Tensor(np.zeros(cout), requires_grad=True))
-        in_shape = shapes[i]
+    for i, shapes in _param_shapes(spec).items():
+        w_shape, b_shape = shapes["w"], shapes["b"]
+        fan_in = int(np.prod(w_shape[:-1]))  # dense: inputs; conv: k*k*c_in
+        fan_out = int(np.prod(w_shape[:-2])) * w_shape[-1]  # dense: units; conv: k*k*c_out
+        limit = np.sqrt(6.0 / fan_in) if _next_activation(spec.layers, i) == "relu" else np.sqrt(6.0 / (fan_in + fan_out))
+        w = rng.uniform(-limit, limit, size=w_shape)
+        store.add(i, w=Tensor(w, requires_grad=True), b=Tensor(np.zeros(b_shape), requires_grad=True))
     return Model(spec, store, seed=seed)
 
 
@@ -575,11 +575,8 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None) -> Model:
         groups.setdefault(int(e["layer"]), {})[e["name"]] = Tensor(arr.copy(), requires_grad=True)
     for idx, tensors in groups.items():
         store.add(idx, **tensors)
-    model = Model(spec, store, seed=header.get("seed"))
-    # sanity: parameter shapes must match what the spec would allocate
-    probe = build_model(spec, seed=0)
-    want = {(i, n): t.shape for i, n, t in probe.store.named_tensors()}
+    want = {(i, n): shape for i, group in _param_shapes(spec).items() for n, shape in group.items()}
     got = {(i, n): t.shape for i, n, t in store.named_tensors()}
     if want != got:
         raise MismatchError(f"{path}: weight shapes disagree with the spec")
-    return model
+    return Model(spec, store, seed=header.get("seed"))

@@ -266,38 +266,51 @@ def train_classifier(model: Model, x: np.ndarray, y: np.ndarray, cfg: OptimizerC
     )
 
 
+def _defence_targets(classifier: Model, x: np.ndarray, loss_spec: DefenceLossSpec, chunk: int) -> np.ndarray | None:
+    """The frozen classifier's target distribution per row of x for the kl
+    and kl_temperature losses (temperature-scaled for the latter), predicted
+    ``chunk`` rows at a time; None for the losses that take no precomputed
+    target."""
+    if loss_spec.kind not in ("kl", "kl_temperature"):
+        return None
+    target = np.concatenate([classifier.predict_proba(x[s : s + chunk]) for s in range(0, x.shape[0], chunk)])
+    if loss_spec.kind == "kl_temperature":
+        target = temperature_scale(target, loss_spec.temperature)
+    return target
+
+
 def _defence_batch_loss(
     ae: Model,
     classifier: Model,
     xb: np.ndarray,
     loss_spec: DefenceLossSpec,
     probe: HiddenProbe | None,
+    target: np.ndarray | None,
 ) -> Tensor:
-    """One tape-recorded defence loss value for a batch (tape must be active)."""
+    """One tape-recorded defence loss value for a batch (tape must be active).
+
+    ``target`` holds the batch's rows of ``_defence_targets``.
+    """
     xt = Tensor(xb)
     recon = ae.reconstruct_t(xt)
     if loss_spec.kind == "mse":
         diff = ad.sub(recon, xt)
         return ad.mean_all(ad.mul(diff, diff))
     if loss_spec.kind == "kl_hidden":
-        target = Tensor(classifier.predict_proba(xb))
+        p, feats_orig = classifier.proba_t_with_capture(xt, probe.source_layer)
         q, feats_recon = classifier.proba_t_with_capture(recon, probe.source_layer)
-        base = ad.kl_divergence(target, q)
-        feats_orig = Tensor(classifier.features(xb, probe.source_layer))
+        base = ad.kl_divergence(p, q)
         y_orig = probe_dist_t(probe, feats_orig)
         y_recon = probe_dist_t(probe, feats_recon)
         return ad.add(base, ad.mul_scalar(ad.kl_divergence(y_orig, y_recon), loss_spec.hidden_weight))
-    target_np = classifier.predict_proba(xb)
-    if loss_spec.kind == "kl_temperature":
-        target_np = temperature_scale(target_np, loss_spec.temperature)
-    return ad.kl_divergence(Tensor(target_np), classifier.proba_t(recon))
+    return ad.kl_divergence(Tensor(target), classifier.proba_t(recon))
 
 
 def defence_loss_value(ae: Model, classifier: Model, x: np.ndarray, loss_spec: DefenceLossSpec, probe: HiddenProbe | None = None) -> float:
     """Mean defence loss over a dataset, without touching any parameters."""
     if loss_spec.kind == "kl_hidden" and probe is None:
         raise ConfigError("kl_hidden loss needs the trained probe to evaluate")
-    return _defence_batch_loss(ae, classifier, x, loss_spec, probe).item()
+    return _defence_batch_loss(ae, classifier, x, loss_spec, probe, _defence_targets(classifier, x, loss_spec, max(1, x.shape[0]))).item()
 
 
 def train_defence(
@@ -336,6 +349,7 @@ def train_defence(
     epoch_losses: list[float] = []
     effective_lrs: list[float] = []
     t0 = time.perf_counter()
+    targets = _defence_targets(classifier, x, loss_spec, cfg.batch_size)
     from .models import save_checkpoint  # local import to avoid cycle noise
 
     for epoch in range(1, cfg.epochs + 1):
@@ -344,7 +358,8 @@ def train_defence(
         total = 0.0
         for batch in _iter_batches(n, cfg.batch_size, rng):
             with Tape() as tape:
-                loss = _defence_batch_loss(ae, classifier, x[batch], loss_spec, probe)
+                target = None if targets is None else targets[batch]
+                loss = _defence_batch_loss(ae, classifier, x[batch], loss_spec, probe, target)
             backward(tape, loss)
             opt.step(lr_scale)
             total += loss.item() * len(batch)

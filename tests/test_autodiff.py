@@ -125,6 +125,168 @@ def test_maxpool_tie_routes_first():
 
 
 # ---------------------------------------------------------------------------
+# conv2d and maxpool2d against nested-loop references
+
+
+def _naive_conv2d(x, k, stride, padding):
+    """Forward and a vjp for upstream g, one output pixel at a time."""
+    n, h, w, _ = x.shape
+    kh, kw, _, cout = k.shape
+    oh, ow, pt, pb, pl, pr = ad._conv_geometry(h, w, kh, kw, stride, padding)
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    out = np.zeros((n, oh, ow, cout))
+    for b in range(n):
+        for r in range(oh):
+            for c in range(ow):
+                patch = xp[b, r * stride : r * stride + kh, c * stride : c * stride + kw, :]
+                for o in range(cout):
+                    out[b, r, c, o] = np.sum(patch * k[:, :, :, o])
+
+    def vjp(g):
+        gxp = np.zeros_like(xp)
+        gk = np.zeros_like(k)
+        for b in range(n):
+            for r in range(oh):
+                for c in range(ow):
+                    patch = xp[b, r * stride : r * stride + kh, c * stride : c * stride + kw, :]
+                    for o in range(cout):
+                        gk[:, :, :, o] += g[b, r, c, o] * patch
+                        gxp[b, r * stride : r * stride + kh, c * stride : c * stride + kw, :] += g[b, r, c, o] * k[:, :, :, o]
+        return gxp[:, pt : pt + h, pl : pl + w, :], gk
+
+    return out, vjp
+
+
+def _naive_maxpool2d(x, window, stride):
+    n, h, w, ch = x.shape
+    oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
+    out = np.zeros((n, oh, ow, ch))
+    first = {}
+    for b in range(n):
+        for r in range(oh):
+            for c in range(ow):
+                for z in range(ch):
+                    best = None
+                    for i in range(window):
+                        for j in range(window):
+                            v = x[b, r * stride + i, c * stride + j, z]
+                            if best is None or v > best:
+                                best, first[b, r, c, z] = v, (r * stride + i, c * stride + j)
+                    out[b, r, c, z] = best
+
+    def vjp(g):
+        gx = np.zeros_like(x)
+        for (b, r, c, z), (i, j) in first.items():
+            gx[b, i, j, z] += g[b, r, c, z]
+        return gx
+
+    return out, vjp
+
+
+def _forward_and_vjp(f, *values):
+    leaves = [Tensor(v, requires_grad=True) for v in values]
+    with Tape() as tape:
+        out = f(*leaves)
+    g = np.random.default_rng(1).normal(size=out.shape)
+    grads = tape.records[-1].vjp(g)
+    return out.data, g, grads
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("cin", [1, 3])
+def test_conv2d_matches_nested_loop_reference(stride, padding, cin):
+    rng = np.random.default_rng(10 * stride + cin)
+    x = rng.normal(size=(5, 7, 6, cin))
+    k = rng.normal(size=(3, 3, cin, 2))
+    out, g, (gx, gk) = _forward_and_vjp(lambda a, b: ad.conv2d(a, b, stride, padding), x, k)
+    ref_out, ref_vjp = _naive_conv2d(x, k, stride, padding)
+    ref_gx, ref_gk = ref_vjp(g)
+    assert out.shape == ref_out.shape
+    assert np.abs(out - ref_out).max() <= 1e-12
+    assert np.abs(gx - ref_gx).max() <= 1e-12
+    assert np.abs(gk - ref_gk).max() <= 1e-12
+
+
+def test_conv2d_batch_spanning_several_im2col_blocks_matches_reference():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(40, 8, 8, 3))
+    k = rng.normal(size=(3, 3, 3, 2))
+    assert 2 * (ad._COLS_BLOCK_BYTES // (8 * 8 * 3 * 3 * 3 * 8)) < x.shape[0]  # three blocks or more
+    out, g, (gx, gk) = _forward_and_vjp(lambda a, b: ad.conv2d(a, b, 1, "same"), x, k)
+    ref_out, ref_vjp = _naive_conv2d(x, k, 1, "same")
+    ref_gx, ref_gk = ref_vjp(g)
+    assert np.abs(out - ref_out).max() <= 1e-12
+    assert np.abs(gx - ref_gx).max() <= 1e-12
+    assert np.abs(gk - ref_gk).max() <= 1e-12
+
+
+def test_conv2d_vjp_skips_input_gradient_of_a_constant_input():
+    x = Tensor(np.ones((2, 4, 4, 1)))
+    k = Tensor(np.ones((3, 3, 1, 2)), requires_grad=True)
+    with Tape() as tape:
+        out = ad.conv2d(x, k, 1, "same")
+    gx, gk = tape.records[-1].vjp(np.ones(out.shape))
+    assert gx is None
+    assert gk.shape == k.shape
+
+
+@pytest.mark.parametrize("window", [2, 3, 5])
+@pytest.mark.parametrize("stride_offset", [-1, 0, 1])
+def test_maxpool2d_matches_nested_loop_reference_with_ties(window, stride_offset):
+    stride = max(1, window + stride_offset)
+    rng = np.random.default_rng(window * 7 + stride)
+    x = rng.integers(0, 3, size=(2, 11, 12, 2)).astype(np.float64)  # many tied maxima
+    out, g, (gx,) = _forward_and_vjp(lambda a: ad.maxpool2d(a, window, stride), x)
+    ref_out, ref_vjp = _naive_maxpool2d(x, window, stride)
+    assert out.shape == ref_out.shape
+    assert np.abs(out - ref_out).max() <= 1e-12
+    assert np.abs(gx - ref_vjp(g)).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# kink margins
+
+
+def _margin(f, x):
+    with Tape() as tape:
+        f(Tensor(x, requires_grad=True))
+    return tape.min_kink_margin()
+
+
+def test_kink_margins_match_the_eager_formulas():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, 4))
+    assert _margin(ad.relu, x) == float(np.abs(x).min())
+    assert _margin(lambda t: ad.clip(t, -0.5, 0.5), x) == float(min(np.abs(x + 0.5).min(), np.abs(x - 0.5).min()))
+    assert _margin(lambda t: ad.maximum_scalar(t, 0.25), x) == float(np.abs(x - 0.25).min())
+    part = np.partition(x, 2, axis=1)
+    assert _margin(ad.rowmax, x) == float((part[:, -1] - part[:, -2]).min())
+    img = rng.normal(size=(2, 5, 5, 3))
+    stack = np.stack([img[:, i : i + 3 : 2, j : j + 3 : 2, :] for i in range(2) for j in range(2)], axis=3)
+    part = np.partition(stack, 2, axis=3)
+    assert _margin(lambda t: ad.maxpool2d(t, 2, 2), img) == float((part[:, :, :, -1, :] - part[:, :, :, -2, :]).min())
+    assert _margin(lambda t: ad.rowmax(ad.relu(t)), x) == min(_margin(ad.relu, x), _margin(ad.rowmax, np.maximum(x, 0.0)))
+    assert _margin(ad.tanh, x) == math.inf
+
+
+def test_taped_forward_and_backward_compute_no_kink_margin(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kink margin computed without being asked for")
+
+    monkeypatch.setattr(np, "partition", refuse)
+    monkeypatch.setattr(np, "abs", refuse)
+    x = Tensor(np.random.default_rng(3).normal(size=(2, 6, 6, 1)), requires_grad=True)
+    with Tape() as tape:
+        h = ad.maximum_scalar(ad.clip(ad.relu(ad.maxpool2d(x, 2, 2)), -1.0, 1.0), 0.1)
+        loss = ad.sum_all(ad.rowmax(ad.reshape(h, (2, 9))))
+    backward(tape, loss)
+    assert len(tape.kinks) == 5
+    with pytest.raises(AssertionError, match="without being asked"):
+        tape.min_kink_margin()
+
+
+# ---------------------------------------------------------------------------
 # softmax
 
 

@@ -69,6 +69,18 @@ def test_unknown_flag_exits_1_with_usage(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
+def test_workers_default_to_one_whatever_the_core_count(tmp_path, monkeypatch):
+    from pmdef import cli
+
+    seen = []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setitem(cli._COMMANDS, "attack", lambda cfg, seed, out, workers: seen.append(workers) or 0)
+    path = _write_config(tmp_path, tmp_path / "run")
+    assert run_cli(["attack", "--config", str(path)]) == 0
+    assert run_cli(["attack", "--config", str(path), "--workers", "3"]) == 0
+    assert seen == [1, 3]
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert run_cli(["transmogrify"]) == 1
     assert "usage" in capsys.readouterr().err.lower()

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -299,6 +301,27 @@ def test_checkpoint_spec_mismatch(tmp_path):
     other = image_ae_spec()
     with pytest.raises(MismatchError):
         load_checkpoint(path, expected_spec=other)
+
+
+def test_checkpoint_shapes_checked_against_the_spec_without_building_a_model(tmp_path, monkeypatch):
+    from pmdef import models
+
+    model = build_model(mlp_classifier_spec(dim=6, hidden=8), 0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    monkeypatch.setattr(models, "build_model", lambda *a, **k: pytest.fail("load_checkpoint built a model"))
+    assert load_checkpoint(path).store.byte_digest() == model.store.byte_digest()
+    blob = path.read_bytes()
+    pos = len(CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<I", blob[pos : pos + 4])
+    header = json.loads(blob[pos + 4 : pos + 4 + hlen])
+    entry = next(e for e in header["tensors"] if e["layer"] == 0 and e["name"] == "w")
+    entry["shape"] = entry["shape"][::-1]  # same byte count, transposed shape
+    payload = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "transposed.ckpt"
+    bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload + blob[pos + 4 + hlen :])
+    with pytest.raises(MismatchError, match="weight shapes"):
+        load_checkpoint(bad)
 
 
 def test_frozen_store_rejects_gradients_and_stays_fixed():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmdef.errors import ContractError, DataError, ParameterError
-from pmdef.models import Dense, ModelSpec, Relu, Softmax, build_model
+from pmdef.models import Dense, Model, ModelSpec, Relu, Softmax, build_model
 from pmdef.training import (
     Adam,
     DefenceLossSpec,
@@ -177,6 +177,33 @@ def test_hidden_loss_trains_probe_and_autoencoder():
     assert ae.store.byte_digest() != before
     assert probe is not None and probe.dim == 4
     assert all(np.isfinite(l) for l in report.epoch_losses)
+
+
+@pytest.mark.parametrize(
+    "spec, once, per_epoch",
+    [
+        (DefenceLossSpec(kind="kl"), 1, 1),
+        (DefenceLossSpec(kind="kl_temperature", temperature=0.5), 1, 1),
+        (DefenceLossSpec(kind="kl_hidden", probe=ProbeConfig(source_layer=1, dim=4)), 0, 2),
+        (DefenceLossSpec(kind="mse"), 0, 0),
+    ],
+)
+def test_defence_training_forwards_the_classifier_once_per_use(monkeypatch, spec, once, per_epoch):
+    """kl targets come from one pass over the dataset; each epoch forwards the
+    reconstructions, and kl_hidden also the originals, through the classifier."""
+    x, _, clf = _trained_toy_classifier()
+    rows = []
+    forward_t = Model.forward_t
+
+    def counting(model, t, *args, **kwargs):
+        if model is clf:
+            rows.append(t.shape[0])
+        return forward_t(model, t, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_t", counting)
+    epochs = 3
+    train_defence(build_model(mlp_ae_spec(dim=6), 4), clf, x, spec, OptimizerConfig(batch_size=8, epochs=epochs, seed=0))
+    assert sum(rows) == (once + per_epoch * epochs) * x.shape[0]
 
 
 def test_checkpoint_emission_during_defence_training(tmp_path):
