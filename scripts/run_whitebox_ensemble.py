@@ -59,6 +59,7 @@ def main() -> int:
         checkpoint_every=5, checkpoint_dir=out, checkpoint_prefix="ae_kl",
     )
 
+    ae.store.freeze_all()
     composed = compose_defended(clf, ae)
     batch = fgsm(composed, test.images, test.labels,
                  config=AttackConfig(kind="fgsm", epsilon=args.epsilon, target_mode="white_box"))
@@ -66,10 +67,11 @@ def main() -> int:
     single = (clf.predict_class(ae.reconstruct(batch.adversarials)) == test.labels).mean()
     print(f"attacked checkpoint corrected accuracy: {single:.4f}")
 
-    members = [
-        EnsembleMember(ae=load_checkpoint(out / f"ae_kl_epoch_{ep:03d}.ckpt"), weight=0.8 / 3)
-        for ep in (15, 20, 25)
-    ]
+    members = []
+    for ep in (15, 20, 25):
+        member = load_checkpoint(out / f"ae_kl_epoch_{ep:03d}.ckpt")
+        member.store.freeze_all()
+        members.append(EnsembleMember(ae=member, weight=0.8 / 3))
     votes = ensemble_predict(EnsembleSpec(members), clf, batch.adversarials)
     print(f"checkpoint-ensemble accuracy: {(votes == test.labels).mean():.4f}")
 

@@ -8,6 +8,12 @@ attacks. Every forward output is checked for NaN/Inf; overflow raises
 instead of propagating silently. Nonsmooth ops (relu, clip, maximum_scalar,
 rowmax, maxpool2d) leave on the tape a way to compute their kink margin,
 which is evaluated only when ``Tape.min_kink_margin()`` asks for it.
+
+Vjps compute a cotangent only for the inputs that require gradients and
+return None for the others (add and sub pass ``g`` itself to their first
+input, which costs nothing either), so frozen parameters (a fixed classifier
+under a trained autoencoder or an attack) and constants cost nothing in the
+reverse pass.
 """
 
 from __future__ import annotations
@@ -189,29 +195,39 @@ def _emit(op: str, inputs: tuple[Tensor, ...], out_data: Array, vjp, kink: Calla
 # elementwise and structural primitives
 
 
-def _trailing_axes(a: Tensor, b: Tensor) -> tuple[int, ...]:
-    """Axes summed to undo bias-style broadcasting of b over a's batch dims."""
-    if a.shape == b.shape:
-        return ()
-    if b.ndim < a.ndim and a.shape[a.ndim - b.ndim:] == b.shape:
-        return tuple(range(a.ndim - b.ndim))
-    raise DimensionError(f"shapes do not align for elementwise op: {a.shape} vs {b.shape}")
+def _check_broadcast(a: Tensor, b: Tensor) -> None:
+    """b must have a's shape or be broadcast bias-style over a's leading axes."""
+    if a.shape != b.shape and not (b.ndim < a.ndim and a.shape[a.ndim - b.ndim:] == b.shape):
+        raise DimensionError(f"shapes do not align for elementwise op: {a.shape} vs {b.shape}")
+
+
+def _sum_leading(g: Array, shape: tuple[int, ...]) -> Array:
+    """Sum g down to ``shape`` over the leading axes that broadcasting added.
+
+    One vector product over the flattened rows, ``ones(m) @ g2``: a fixed
+    summation order, and about ten times faster than ``g.sum(axis=...)``
+    over the leading axes of a conv bias gradient.
+    """
+    if g.shape == shape:
+        return g
+    g2 = g.reshape(-1, int(np.prod(shape)))
+    return (np.ones(g2.shape[0]) @ g2).reshape(shape)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    axes = _trailing_axes(a, b)
+    _check_broadcast(a, b)
 
     def vjp(g):
-        return g, g.sum(axis=axes) if axes else g
+        return g, (_sum_leading(g, b.shape) if b.requires_grad else None)
 
     return _emit("add", (a, b), a.data + b.data, vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    axes = _trailing_axes(a, b)
+    _check_broadcast(a, b)
 
     def vjp(g):
-        return g, -(g.sum(axis=axes) if axes else g)
+        return g, (-_sum_leading(g, b.shape) if b.requires_grad else None)
 
     return _emit("sub", (a, b), a.data - b.data, vjp)
 
@@ -222,7 +238,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return g * bd, g * ad
+        return (g * bd if a.requires_grad else None), (g * ad if b.requires_grad else None)
 
     return _emit("mul", (a, b), ad * bd, vjp)
 
@@ -257,22 +273,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if a.requires_grad else None), (ad.T @ g if b.requires_grad else None)
 
     return _emit("matmul", (a, b), ad @ bd, vjp)
 
 
 def relu(t: Tensor) -> Tensor:
     d = t.data
-    mask = d > 0.0
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (d > 0.0),)
 
     def kink():
         return float(np.abs(d).min()) if d.size else math.inf
 
-    return _emit("relu", (t,), np.where(mask, d, 0.0), vjp, kink=kink)
+    return _emit("relu", (t,), np.maximum(d, 0.0), vjp, kink=kink)
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -473,25 +488,25 @@ def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid") 
     k = kh * kw * cin
     w2 = filters.data.reshape(k, cout)
     step = max(1, _COLS_BLOCK_BYTES // (oh * ow * k * 8))
+    win = _windows(xp, kh, kw, stride, oh, ow).transpose(0, 1, 2, 4, 5, 3)
 
-    def blocks():
-        """(first batch row, [rows*oh*ow, kh*kw*c_in] column matrix) per block."""
-        win = _windows(xp, kh, kw, stride, oh, ow).transpose(0, 1, 2, 4, 5, 3)
-        for b in range(0, n, step):
-            yield b, win[b : b + step].reshape(-1, k)
+    def cols(b: int) -> Array:
+        """[rows*oh*ow, kh*kw*c_in] column matrix of the block of batch rows starting at b."""
+        return win[b : b + step].reshape(-1, k)
 
     out = np.empty((n, oh, ow, cout))
     flat_out = out.reshape(-1, cout)
-    for b, cols in blocks():
-        np.matmul(cols, w2, out=flat_out[b * oh * ow : b * oh * ow + cols.shape[0]])
+    for b in range(0, n, step):
+        np.matmul(cols(b), w2, out=flat_out[b * oh * ow : min(b + step, n) * oh * ow])
 
     def vjp(g):
         g2 = g.reshape(-1, cout)
-        gw = np.zeros((k, cout))
+        gw = np.zeros((k, cout)) if filters.requires_grad else None
         gxp = np.zeros(xp.shape) if x.requires_grad else None
-        for b, cols in blocks():
-            gb = g2[b * oh * ow : b * oh * ow + cols.shape[0]]
-            gw += cols.T @ gb
+        for b in range(0, n, step):
+            gb = g2[b * oh * ow : min(b + step, n) * oh * ow]
+            if gw is not None:
+                gw += cols(b).T @ gb
             if gxp is None:
                 continue
             gcols = (gb @ w2.T).reshape(-1, oh, ow, kh, kw, cin)
@@ -501,7 +516,7 @@ def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid") 
                     gxp[batch, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride] += gcols[:, :, :, i, j]
         if gxp is not None and padded:
             gxp = gxp[:, pt : pt + h, pl : pl + w, :]
-        return gxp, gw.reshape(filters.shape)
+        return gxp, (gw.reshape(filters.shape) if gw is not None else None)
 
     return _emit("conv2d", (x, filters), out, vjp)
 
@@ -603,14 +618,17 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
     nrows = rows.shape[0]
     p2 = np.atleast_2d(p.data)
     q2 = np.atleast_2d(q.data)
-    lp = np.log(np.maximum(p2, KL_CLAMP))
-    lq = np.log(np.maximum(q2, KL_CLAMP))
     p_shape, q_shape = p.shape, q.shape
 
     def vjp(g):
-        gp = (lp - lq + (p2 > KL_CLAMP)) * (g / nrows)
-        gq = np.where(q2 > KL_CLAMP, -p2 / np.maximum(q2, KL_CLAMP), 0.0) * (g / nrows)
-        return gp.reshape(p_shape), gq.reshape(q_shape)
+        gp = gq = None
+        if p.requires_grad:
+            lp = np.log(np.maximum(p2, KL_CLAMP))
+            lq = np.log(np.maximum(q2, KL_CLAMP))
+            gp = ((lp - lq + (p2 > KL_CLAMP)) * (g / nrows)).reshape(p_shape)
+        if q.requires_grad:
+            gq = (np.where(q2 > KL_CLAMP, -p2 / np.maximum(q2, KL_CLAMP), 0.0) * (g / nrows)).reshape(q_shape)
+        return gp, gq
 
     return _emit("kl_divergence", (p, q), np.asarray(rows.mean()), vjp)
 
@@ -624,7 +642,10 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, Array]:
 
     Returns a mapping for every gradient-requiring leaf (plus watched
     tensors); leaves the output never depended on get zero gradients. Also
-    stores each gradient in the tensor's ``grad`` slot.
+    stores each gradient in the tensor's ``grad`` slot. Vjps compute no
+    cotangent for inputs that do not require gradients and this loop skips
+    those inputs, so frozen parameters and constants cost nothing and their
+    ``grad`` stays untouched.
     """
     if output.size != 1:
         raise ContractError(f"backward requires a scalar output, got shape {output.shape}")

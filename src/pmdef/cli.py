@@ -206,7 +206,9 @@ def _load_classifier(out: Path):
 
 
 def _load_defence(out: Path, tag: str):
-    return load_checkpoint(_require_file(out / f"ae_{tag}.ckpt", "train-defence"))
+    model = load_checkpoint(_require_file(out / f"ae_{tag}.ckpt", "train-defence"))
+    model.store.freeze_all()
+    return model
 
 
 def cmd_train_classifier(cfg: dict, seed: int, out: Path, workers: int) -> int:
@@ -298,15 +300,23 @@ def _score_defence_tag(cfg: dict) -> str:
     return cfg.get("score_defence", "kl")
 
 
+def _score_temperature(cfg: dict, tag: str) -> float | None:
+    """Temperature the defence ``tag`` sharpened its training target with, so
+    that it is scored the way it was trained; None when untempered."""
+    return next((s.target_temperature for s in _defence_loss_specs(cfg) if s.kind == tag), None)
+
+
 def cmd_score(cfg: dict, seed: int, out: Path, workers: int) -> int:
     _, test = load_datasets(cfg, seed)
     classifier = _load_classifier(out)
-    ae = _load_defence(out, _score_defence_tag(cfg))
+    tag = _score_defence_tag(cfg)
+    ae = _load_defence(out, tag)
+    temperature = _score_temperature(cfg, tag)
     score_dir = out / "scores"
     score_dir.mkdir(exist_ok=True)
     artifacts = []
     clean_path = score_dir / "clean_test.csv"
-    _write_scores_csv(dfc.adversarial_score(classifier, ae, test.images), clean_path)
+    _write_scores_csv(dfc.adversarial_score(classifier, ae, test.images, temperature=temperature), clean_path)
     artifacts.append(clean_path)
     for entry in cfg.get("attacks", []):
         name = entry["name"]
@@ -314,7 +324,7 @@ def cmd_score(cfg: dict, seed: int, out: Path, workers: int) -> int:
         _require_file(batch_path, "attack")
         batch = atk.load_batch(batch_path)
         path = score_dir / f"{name}.csv"
-        _write_scores_csv(dfc.adversarial_score(classifier, ae, batch.adversarials), path)
+        _write_scores_csv(dfc.adversarial_score(classifier, ae, batch.adversarials, temperature=temperature), path)
         artifacts.append(path)
     write_manifest(out, "score", cfg, seed, artifacts)
     return 0
@@ -329,7 +339,7 @@ def cmd_calibrate(cfg: dict, seed: int, out: Path, workers: int) -> int:
     if size < 1 or size > train.n:
         raise ConfigError(f"calibration_size {size} outside [1, {train.n}]")
     x_cal = train.images[-size:]
-    scores = dfc.adversarial_score(classifier, ae, x_cal)
+    scores = dfc.adversarial_score(classifier, ae, x_cal, temperature=_score_temperature(cfg, tag))
     eps_fpr = float(cfg.get("eps_fpr", DEFAULT_EPS_FPR))
     t = dfc.calibrate_threshold(scores, eps_fpr)
     path = out / "threshold.json"
@@ -350,7 +360,7 @@ def cmd_evaluate(cfg: dict, seed: int, out: Path, workers: int) -> int:
         path = out / f"ae_{tag}.ckpt"
         if not path.is_file():
             raise ConfigError(f"requested defence column {tag!r} has no checkpoint at {path}")
-        defences[tag] = load_checkpoint(path)
+        defences[tag] = _load_defence(out, tag)
     attack_sets = {}
     subset = cfg.get("attack_subset")
     for entry in _attack_entries(cfg):
@@ -371,7 +381,8 @@ def cmd_evaluate(cfg: dict, seed: int, out: Path, workers: int) -> int:
             thresholds = {info["defence"]: float(info["threshold"])}
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{tpath}: needs a JSON object with 'threshold' and 'defence': {exc!r}") from None
-    rows = ev.accuracy_report(classifier, defences, attack_sets, (x_clean, y_clean), thresholds=thresholds)
+    temperature = _score_temperature(cfg, info["defence"]) if thresholds else None
+    rows = ev.accuracy_report(classifier, defences, attack_sets, (x_clean, y_clean), thresholds=thresholds, temperature=temperature)
     report_path = out / "report_accuracy.csv"
     ev.accuracy_report_to_csv(rows, report_path)
     artifacts = [report_path]
@@ -381,7 +392,7 @@ def cmd_evaluate(cfg: dict, seed: int, out: Path, workers: int) -> int:
         tag, t = next(iter(thresholds.items()))
         if tag in defences:
             for name, (x_adv, _y) in attack_sets.items():
-                verdicts = dfc.detect_and_correct(classifier, defences[tag], x_adv, t)
+                verdicts = dfc.detect_and_correct(classifier, defences[tag], x_adv, t, temperature=temperature)
                 vpath = verdict_dir / f"{name}__{tag}.csv"
                 dfc.verdicts_to_csv(verdicts, vpath)
                 artifacts.append(vpath)
@@ -394,13 +405,14 @@ def cmd_evaluate(cfg: dict, seed: int, out: Path, workers: int) -> int:
 def cmd_drift(cfg: dict, seed: int, out: Path, workers: int) -> int:
     _, test = load_datasets(cfg, seed)
     classifier = _load_classifier(out)
-    ae = _load_defence(out, _score_defence_tag(cfg))
+    tag = _score_defence_tag(cfg)
+    ae = _load_defence(out, tag)
     drift_cfg = cfg.get("drift", {})
     kinds = drift_cfg.get("kinds", list(ev.CORRUPTION_PARAMS))
     severities = drift_cfg.get("severities", list(ev.SEVERITIES))
     report = ev.drift_report(
         classifier, ae, test.images, test.labels, kinds=kinds, severities=severities,
-        seed=derive_seed(seed, "drift") % (2**31),
+        seed=derive_seed(seed, "drift") % (2**31), temperature=_score_temperature(cfg, tag),
     )
     jpath = out / "drift.json"
     cpath = out / "drift.csv"

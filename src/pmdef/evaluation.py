@@ -115,11 +115,13 @@ def accuracy_report(
     clean_set: tuple[np.ndarray, np.ndarray],
     thresholds: dict[str, float] | None = None,
     metric: str = "kl",
+    temperature: float | None = None,
 ) -> list[dict]:
     """One row per attack: clean accuracy, undefended accuracy, then one
     pure-correction column per defence (every instance routed through the
     autoencoder, threshold -inf). When a threshold is supplied for a defence,
-    a detection-gated column is added as well."""
+    a detection-gated column is added as well; it scores with ``temperature``,
+    the one the threshold was calibrated with."""
     x_clean, y_clean = clean_set
     clean_acc = float((classifier.predict_class(x_clean) == y_clean).mean())
     rows = []
@@ -131,7 +133,7 @@ def accuracy_report(
             outputs = DefenceOutputs(p, classifier.predict_proba(ae.reconstruct(x_adv)))
             row[name] = float((outputs.labels(-math.inf, metric) == y).mean())
             if thresholds and name in thresholds:
-                row[f"{name}@detect"] = float((outputs.labels(thresholds[name], metric) == y).mean())
+                row[f"{name}@detect"] = float((outputs.labels(thresholds[name], metric, temperature) == y).mean())
         rows.append(row)
     return rows
 

@@ -10,6 +10,7 @@ input shape back onto itself and its reconstructions are clamped to the
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -556,23 +557,30 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None) -> Model:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MismatchError(f"{path}: unreadable header: {exc}") from None
     pos += hlen
-    spec = ModelSpec.from_dict(header["spec"])
+    try:
+        spec = ModelSpec.from_dict(header["spec"])
+        entries = [
+            (int(e["layer"]), str(e["name"]), int(e["offset"]), int(e["nbytes"]), [int(s) for s in e["shape"]])
+            for e in header["tensors"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MismatchError(f"{path}: malformed checkpoint header: {exc!r}") from None
     if expected_spec is not None and spec != expected_spec:
         raise MismatchError(f"{path}: checkpoint spec {spec.name!r} does not match the expected spec {expected_spec.name!r}")
     store = ParameterStore()
     groups: dict[int, dict[str, Tensor]] = {}
-    total = sum(e["nbytes"] for e in header["tensors"])
+    total = sum(nbytes for _, _, _, nbytes, _ in entries)
     if len(blob) - pos != total:
         raise MismatchError(f"{path}: weight payload is {len(blob) - pos} bytes, header declares {total}")
-    for e in header["tensors"]:
-        start = pos + e["offset"]
-        end = start + e["nbytes"]
+    for layer, name, offset, nbytes, shape in entries:
+        if offset < 0 or min(shape, default=0) < 0 or nbytes != 8 * math.prod(shape):
+            raise MismatchError(f"{path}: block {layer}:{name} size disagrees with its shape")
+        start = pos + offset
+        end = start + nbytes
         if end > len(blob):
-            raise TruncationError(f"{path}: truncated weight block {e['layer']}:{e['name']}")
-        arr = np.frombuffer(blob[start:end], dtype="<f8").reshape([int(s) for s in e["shape"]])
-        if arr.size * 8 != e["nbytes"]:
-            raise MismatchError(f"{path}: block {e['layer']}:{e['name']} size disagrees with its shape")
-        groups.setdefault(int(e["layer"]), {})[e["name"]] = Tensor(arr.copy(), requires_grad=True)
+            raise TruncationError(f"{path}: truncated weight block {layer}:{name}")
+        arr = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape)
+        groups.setdefault(layer, {})[name] = Tensor(arr.copy(), requires_grad=True)
     for idx, tensors in groups.items():
         store.add(idx, **tensors)
     want = {(i, n): shape for i, group in _param_shapes(spec).items() for n, shape in group.items()}

@@ -105,6 +105,11 @@ class DefenceLossSpec:
         if self.kind == "kl_hidden" and self.probe is None:
             raise ConfigError("kl_hidden loss needs a probe config")
 
+    @property
+    def target_temperature(self) -> float | None:
+        """Temperature the classifier's target is sharpened with in training; None when it is not."""
+        return self.temperature if self.kind == "kl_temperature" else None
+
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "temperature": self.temperature, "hidden_weight": self.hidden_weight}
         if self.probe is not None:
@@ -274,8 +279,8 @@ def _defence_targets(classifier: Model, x: np.ndarray, loss_spec: DefenceLossSpe
     if loss_spec.kind not in ("kl", "kl_temperature"):
         return None
     target = np.concatenate([classifier.predict_proba(x[s : s + chunk]) for s in range(0, x.shape[0], chunk)])
-    if loss_spec.kind == "kl_temperature":
-        target = temperature_scale(target, loss_spec.temperature)
+    if loss_spec.target_temperature is not None:
+        target = temperature_scale(target, loss_spec.target_temperature)
     return target
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmdef import autodiff as ad
+from pmdef import cli
 from pmdef.attacks import (
     AttackConfig,
     cw_l2,
@@ -17,9 +18,9 @@ from pmdef.attacks import (
     slide,
     slide_direction,
 )
-from pmdef.autodiff import Tensor, grad_check
+from pmdef.autodiff import Tape, Tensor, backward, grad_check
 from pmdef.errors import ParameterError
-from pmdef.models import Dense, Flatten, ModelSpec, Relu, Reshape, Softmax, build_model, compose_defended
+from pmdef.models import Dense, Flatten, ModelSpec, Relu, Reshape, Softmax, build_model, compose_defended, save_checkpoint
 from pmdef.training import OptimizerConfig, train_classifier
 from toys import separable_data
 
@@ -282,6 +283,35 @@ def test_whitebox_gradients_flow_through_autoencoder():
 
     err = grad_check(f, Tensor(np.random.default_rng(8).random((1, 4)) * 0.5 + 0.25), 1e-5)
     assert err < 1e-4
+
+
+def test_backward_through_a_frozen_classifier_computes_no_parameter_cotangent(trained_toy):
+    _, x, y = trained_toy
+    model = build_model(ModelSpec("clf", (6,), (Dense(16), Relu(), Dense(3), Softmax())), 4)
+    model.store.freeze_all()
+    frozen = {id(t) for _, _, t in model.store.named_tensors()}
+    xt = Tensor(x[:8], requires_grad=True)
+    with Tape() as tape:
+        logits = model.logits_t(xt)
+        loss = ad.sum_all(ad.sub(ad.logsumexp(logits), ad.take_per_row(logits, y[:8])))
+    for rec in tape.records:
+        g = np.ones(rec.output.shape)
+        for t, gi in zip(rec.inputs, rec.vjp(g)):
+            if id(t) in frozen:
+                assert gi is None, rec.op
+    backward(tape, loss)
+    fgsm(model, x[:8], y[:8], config=AttackConfig(kind="fgsm", epsilon=0.2))
+    cw_l2(model, x[:4], config=AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=1, max_iter=3, lr=0.1))
+    assert all(t.grad is None for _, _, t in model.store.named_tensors())
+
+
+def test_whitebox_fgsm_leaves_the_loaded_defence_frozen(tmp_path, trained_toy):
+    model, x, y = trained_toy
+    save_checkpoint(build_model(ModelSpec("ae", (6,), (Dense(4), Relu(), Dense(6))), 3), tmp_path / "ae_kl.ckpt")
+    ae = cli._load_defence(tmp_path, "kl")
+    fgsm(compose_defended(model, ae), x[:8], y[:8], config=AttackConfig(kind="fgsm", epsilon=0.2))
+    assert ae.store.is_fully_frozen()
+    assert all(t.grad is None for _, _, t in ae.store.named_tensors())
 
 
 def test_batch_round_trip_persistence(tmp_path, trained_toy):

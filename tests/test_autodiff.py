@@ -245,6 +245,84 @@ def test_maxpool2d_matches_nested_loop_reference_with_ties(window, stride_offset
 
 
 # ---------------------------------------------------------------------------
+# frozen inputs: no cotangent for an input that does not require a gradient
+
+
+def _kl_reference_vjp(g, p, q):
+    n = p.shape[0]
+    lp, lq = np.log(np.maximum(p, ad.KL_CLAMP)), np.log(np.maximum(q, ad.KL_CLAMP))
+    gp = (lp - lq + (p > ad.KL_CLAMP)) * (g / n)
+    gq = np.where(q > ad.KL_CLAMP, -p / np.maximum(q, ad.KL_CLAMP), 0.0) * (g / n)
+    return gp, gq
+
+
+def _distributions(rng, shape):
+    raw = rng.random(shape) + 0.1
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+# name -> (op, input arrays from an rng, reference vjp(g, a, b) -> (ga, gb))
+BINARY_VJP_CASES = {
+    "matmul": (ad.matmul, lambda r: (r.normal(size=(5, 4)), r.normal(size=(4, 3))), lambda g, a, b: (g @ b.T, a.T @ g)),
+    "add": (ad.add, lambda r: (r.normal(size=(5, 4)), r.normal(size=4)), lambda g, a, b: (g, g.sum(axis=0))),
+    "add_4d": (ad.add, lambda r: (r.normal(size=(3, 4, 4, 2)), r.normal(size=2)), lambda g, a, b: (g, g.sum(axis=(0, 1, 2)))),
+    "sub": (ad.sub, lambda r: (r.normal(size=(5, 4)), r.normal(size=4)), lambda g, a, b: (g, -g.sum(axis=0))),
+    "sub_same_shape": (ad.sub, lambda r: (r.normal(size=(5, 4)), r.normal(size=(5, 4))), lambda g, a, b: (g, -g)),
+    "mul": (ad.mul, lambda r: (r.normal(size=(5, 4)), r.normal(size=(5, 4))), lambda g, a, b: (g * b, g * a)),
+    "conv2d": (
+        lambda x, k: ad.conv2d(x, k, 2, "same"),
+        lambda r: (r.normal(size=(3, 7, 6, 2)), r.normal(size=(3, 3, 2, 4))),
+        lambda g, x, k: _naive_conv2d(x, k, 2, "same")[1](g),
+    ),
+    "kl_divergence": (
+        ad.kl_divergence,
+        lambda r: (_distributions(r, (6, 5)), _distributions(r, (6, 5))),
+        _kl_reference_vjp,
+    ),
+}
+
+
+@pytest.mark.parametrize("frozen", [0, 1])
+@pytest.mark.parametrize("name", sorted(BINARY_VJP_CASES))
+def test_vjp_returns_no_cotangent_for_a_frozen_input(name, frozen):
+    op, make, reference = BINARY_VJP_CASES[name]
+    values = make(np.random.default_rng(len(name)))
+    inputs = [Tensor(v, requires_grad=i != frozen) for i, v in enumerate(values)]
+    with Tape() as tape:
+        out = op(*inputs)
+    g = np.random.default_rng(2).normal(size=out.shape)
+    grads = tape.records[-1].vjp(g)
+    ref = reference(g, *values)
+    # add/sub pass g itself through to their first input: no arithmetic to skip
+    assert grads[frozen] is None or (frozen == 0 and name.startswith(("add", "sub")) and grads[frozen] is g)
+    live = 1 - frozen
+    assert grads[live].shape == values[live].shape
+    assert np.abs(grads[live] - ref[live]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("x_shape,bias_shape", [((7, 5), (5,)), ((4, 6, 6, 3), (3,)), ((4, 6, 6, 3), (6, 3))])
+def test_broadcast_bias_gradient_matches_the_axis_sum_and_finite_differences(x_shape, bias_shape):
+    rng = np.random.default_rng(sum(x_shape))
+    x = Tensor(rng.normal(size=x_shape))
+    bias = Tensor(rng.normal(size=bias_shape), requires_grad=True)
+    with Tape() as tape:
+        out = ad.add(x, bias)
+    g = rng.normal(size=out.shape)
+    _, gb = tape.records[-1].vjp(g)
+    assert np.abs(gb - g.sum(axis=tuple(range(len(x_shape) - len(bias_shape))))).max() <= 1e-12
+    assert grad_check(lambda b: ad.sum_all(ad.mul(ad.add(x, b), ad.add(x, b))), bias) < 1e-6
+
+
+def test_relu_forward_equals_the_masked_select_on_exact_zeros():
+    d = np.random.default_rng(5).normal(size=(4, 5, 5, 2))
+    d[0] = 0.0
+    d[1, :, :, 0] = -0.0
+    out = ad.relu(Tensor(d)).data
+    assert np.array_equal(out, np.where(d > 0, d, 0.0))
+    assert (out >= 0.0).all()
+
+
+# ---------------------------------------------------------------------------
 # kink margins
 
 

@@ -1,11 +1,16 @@
+import csv
 import json
+import struct
 import sys
 
 import numpy as np
 import pytest
 
+from pmdef import cli
+from pmdef import defence as dfc
+from pmdef.attacks import load_batch
 from pmdef.cli import run_cli
-from pmdef.models import load_checkpoint
+from pmdef.models import CHECKPOINT_MAGIC, ModelSpec, build_model, load_checkpoint, save_checkpoint
 
 
 def _write_config(tmp_path, out_dir, **overrides):
@@ -216,3 +221,76 @@ def test_checkpoint_loadable_and_consistent_with_cli(tmp_path):
     model = load_checkpoint(out / "classifier.ckpt")
     assert model.spec.name == "clf"
     assert model.num_classes == 3
+
+
+def _rewrite_checkpoint_header(path, edit):
+    blob = path.read_bytes()
+    pos = len(CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<I", blob[pos : pos + 4])
+    header = edit(json.loads(blob[pos + 4 : pos + 4 + hlen]))
+    payload = json.dumps(header).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload + blob[pos + 4 + hlen :])
+
+
+def _without(*keys):
+    """Header edit that deletes header[keys[0]]...[keys[-1]]."""
+
+    def edit(header):
+        node = header
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return header
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda header: [header["spec"], header["tensors"]],
+        _without("spec"),
+        _without("tensors"),
+        _without("tensors", 0, "nbytes"),
+        _without("tensors", 0, "offset"),
+        _without("tensors", 0, "shape"),
+    ],
+    ids=["list", "no-spec", "no-tensors", "no-nbytes", "no-offset", "no-shape"],
+)
+def test_malformed_checkpoint_header_exits_1_naming_the_file(tmp_path, capsys, edit):
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, out)
+    out.mkdir()
+    ckpt = out / "classifier.ckpt"
+    save_checkpoint(build_model(ModelSpec.from_dict(json.loads(cfg.read_text())["classifier_spec"]), 0), ckpt)
+    _rewrite_checkpoint_header(ckpt, edit)
+    assert run_cli(["train-defence", "--config", str(cfg)]) == 1
+    assert "classifier.ckpt" in capsys.readouterr().err
+
+
+def test_tempered_defence_is_scored_calibrated_and_reported_with_its_temperature(tmp_path):
+    out = tmp_path / "run"
+    cfg = _write_config(
+        tmp_path, out, defence_losses=[{"kind": "kl_temperature", "temperature": 0.5}],
+        score_defence="kl_temperature", report_defences=["kl_temperature"], eps_fpr=0.3,
+    )
+    for stage in ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate"]:
+        assert run_cli([stage, "--config", str(cfg)]) == 0, stage
+    classifier = cli._load_classifier(out)
+    ae = cli._load_defence(out, "kl_temperature")
+    train, test = cli.load_datasets(json.loads(cfg.read_text()), 5)
+    tempered = dfc.adversarial_score(classifier, ae, test.images, temperature=0.5)
+    assert np.abs(tempered - dfc.adversarial_score(classifier, ae, test.images)).max() > 1e-6
+    assert np.array_equal(cli._read_scores_csv(out / "scores" / "clean_test.csv"), tempered)
+    cal = dfc.adversarial_score(classifier, ae, train.images[-60:], temperature=0.5)
+    threshold = json.loads((out / "threshold.json").read_text())["threshold"]
+    assert threshold == dfc.calibrate_threshold(cal, 0.3)
+    # the report's gated column and the verdict CSV of one evaluate run agree
+    labels = load_batch(out / "attacks" / "fgsm02.json").labels
+    with open(out / "verdicts" / "fgsm02__kl_temperature.csv", newline="") as fh:
+        verdicts = list(csv.DictReader(fh))
+    assert any(v["flagged"] == "1" for v in verdicts)
+    corrected = np.array([int(v["label"]) for v in verdicts])
+    with open(out / "report_accuracy.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert float(row["kl_temperature@detect"]) == float((corrected == labels).mean())
