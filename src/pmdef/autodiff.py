@@ -67,46 +67,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
-    def mean(self) -> "Tensor":
-        return mean_all(self)
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_scalar(neg(self), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return mul_scalar(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
 
 class _TapeRecord:
     __slots__ = ("op", "inputs", "output", "vjp")
@@ -675,13 +635,12 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, Array]:
     return result
 
 
-def _eval_scalar(f: Callable[[Tensor], Tensor], values: Array) -> float:
-    out = f(Tensor(values))
+def _scalar_value(out: Tensor, where: str) -> float:
     if out.size != 1:
         raise ContractError(f"grad_check function must return a scalar, got shape {out.shape}")
     v = out.item()
     if not math.isfinite(v):
-        raise EvaluationError("function value is not finite during finite differencing")
+        raise EvaluationError(f"function value is not finite {where}")
     return v
 
 
@@ -699,20 +658,16 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     with Tape() as tape:
         tape.watch(leaf)
         out = f(leaf)
-        if out.size != 1:
-            raise ContractError(f"grad_check function must return a scalar, got shape {out.shape}")
-        _eval_scalar_check = out.item()
-        if not math.isfinite(_eval_scalar_check):
-            raise EvaluationError("function value is not finite at the expansion point")
+        _scalar_value(out, "at the expansion point")
     analytic = backward(tape, out)[leaf].ravel()
     worst = 0.0
     flat = base.ravel()
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        fp = _eval_scalar(f, base)
+        fp = _scalar_value(f(Tensor(base)), "during finite differencing")
         flat[i] = orig - h
-        fm = _eval_scalar(f, base)
+        fm = _scalar_value(f(Tensor(base)), "during finite differencing")
         flat[i] = orig
         num = (fp - fm) / (2.0 * h)
         err = abs(num - analytic[i]) / max(abs(num), abs(analytic[i]), _REL_FLOOR)

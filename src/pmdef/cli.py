@@ -137,6 +137,12 @@ def _defence_loss_specs(cfg: dict) -> list[DefenceLossSpec]:
     return [DefenceLossSpec.from_dict(cfg.get("defence_loss", {"kind": "kl"}))]
 
 
+def _model_spec(cfg: dict, key: str) -> ModelSpec:
+    if key not in cfg:
+        raise ConfigError(f"config has no {key!r}")
+    return ModelSpec.from_dict(cfg[key])
+
+
 def _require_file(path: Path, hint: str) -> Path:
     if not path.is_file():
         raise UserError(f"missing required artifact {path}; run `{hint}` first")
@@ -212,9 +218,8 @@ def _load_defence(out: Path, tag: str):
 
 
 def cmd_train_classifier(cfg: dict, seed: int, out: Path, workers: int) -> int:
+    model = build_model(_model_spec(cfg, "classifier_spec"), derive_seed(seed, "train-classifier", "init"))
     train, test = load_datasets(cfg, seed)
-    spec = ModelSpec.from_dict(cfg["classifier_spec"])
-    model = build_model(spec, derive_seed(seed, "train-classifier", "init"))
     opt = _opt_config(cfg, "classifier_opt", derive_seed(seed, "train-classifier", "shuffle"))
     report = train_classifier(model, train.images, train.labels, opt)
     ckpt = out / "classifier.ckpt"
@@ -228,12 +233,12 @@ def cmd_train_classifier(cfg: dict, seed: int, out: Path, workers: int) -> int:
 
 
 def cmd_train_defence(cfg: dict, seed: int, out: Path, workers: int) -> int:
+    ae_spec = _model_spec(cfg, "autoencoder_spec")
     train, _ = load_datasets(cfg, seed)
     classifier = _load_classifier(out)
     artifacts = []
     for loss_spec in _defence_loss_specs(cfg):
         tag = loss_spec.kind
-        ae_spec = ModelSpec.from_dict(cfg["autoencoder_spec"])
         ae = build_model(ae_spec, derive_seed(seed, "train-defence", tag, "init"))
         opt = _opt_config(cfg, "defence_opt", derive_seed(seed, "train-defence", tag, "shuffle"))
         every = cfg.get("checkpoint_every", DEFAULT_CHECKPOINT_EVERY)

@@ -5,6 +5,13 @@ Layer vocabulary: dense, conv, maxpool, relu, dropout, flatten, softmax,
 reshape. A classifier spec ends in softmax; an autoencoder spec maps its
 input shape back onto itself and its reconstructions are clamped to the
 [0, 1] data domain.
+
+The layer table: each kind is one frozen dataclass deriving from ``Layer``
+and owns its spec fields, its shape rule ``out_shape`` (which also validates
+the fields), its ``param_shapes`` and its forward step ``apply``.
+``infer_shapes``, ``build_model`` and ``Model.forward_t`` make one call per
+layer with no per-kind branch, and the spec parser finds a class by its
+``kind``, so a new layer kind is one class.
 """
 
 from __future__ import annotations
@@ -12,13 +19,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import (
     CompositionError,
     ConfigError,
@@ -26,6 +33,7 @@ from .errors import (
     DimensionError,
     MagicError,
     MismatchError,
+    ParameterError,
     SpecError,
     TruncationError,
 )
@@ -35,94 +43,191 @@ DATA_DOMAIN = (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# layer descriptors
+# the layer table
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_positive_ints(where: str, **fields) -> None:
+    for name, value in fields.items():
+        if not _is_int(value) or value < 1:
+            raise SpecError(f"{where}: {name} must be a positive int, got {value!r}")
+
+
+def _check_rank(shape: tuple[int, ...], rank: int, where: str, expects: str) -> None:
+    if len(shape) != rank:
+        raise SpecError(f"{where}: expects {expects}, got {shape}")
 
 
 @dataclass(frozen=True)
-class Dense:
+class Layer:
+    """One layer kind; the defaults are a shape-preserving layer without
+    parameters. ``activation`` is what a weight layer before it feeds ("relu":
+    He init, "other": Glorot); None defers to the layers after it."""
+
+    kind: ClassVar[str]
+    activation: ClassVar[str | None] = None
+
+    def out_shape(self, shape: tuple[int, ...], where: str) -> tuple[int, ...]:
+        """Output shape (batch axis excluded) for input ``shape``; raises
+        SpecError naming ``where`` on a chain break or an invalid field."""
+        return shape
+
+    def param_shapes(self, in_shape: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
+        return {}
+
+    def apply(self, h: Tensor, params: dict[str, Tensor] | None, train: bool, rng: np.random.Generator | None) -> Tensor:
+        return h
+
+
+@dataclass(frozen=True)
+class Dense(Layer):
     units: int
-    kind: str = field(default="dense", init=False)
+    kind: ClassVar[str] = "dense"
+    activation: ClassVar[str] = "other"
+
+    def out_shape(self, shape, where):
+        _check_positive_ints(where, units=self.units)
+        _check_rank(shape, 1, where, "a flat input (insert flatten)")
+        return (self.units,)
+
+    def param_shapes(self, in_shape):
+        return {"w": (in_shape[0], self.units), "b": (self.units,)}
+
+    def apply(self, h, params, train, rng):
+        return ad.add(ad.matmul(h, params["w"]), params["b"])
 
 
 @dataclass(frozen=True)
-class Conv:
+class Conv(Layer):
     filters: int
     kernel: int
     stride: int = 1
     padding: str = "valid"
-    kind: str = field(default="conv", init=False)
+    kind: ClassVar[str] = "conv"
+    activation: ClassVar[str] = "other"
+
+    def out_shape(self, shape, where):
+        _check_positive_ints(where, filters=self.filters, kernel=self.kernel, stride=self.stride)
+        _check_rank(shape, 3, where, "an HWC input")
+        try:
+            oh, ow, *_ = ad._conv_geometry(shape[0], shape[1], self.kernel, self.kernel, self.stride, self.padding)
+        except (DimensionError, ParameterError) as exc:  # kernel larger than a valid-padded input, unknown padding
+            raise SpecError(f"{where}: {exc}") from None
+        return (oh, ow, self.filters)
+
+    def param_shapes(self, in_shape):
+        return {"w": (self.kernel, self.kernel, in_shape[2], self.filters), "b": (self.filters,)}
+
+    def apply(self, h, params, train, rng):
+        return ad.add(ad.conv2d(h, params["w"], self.stride, self.padding), params["b"])
 
 
 @dataclass(frozen=True)
-class MaxPool:
+class MaxPool(Layer):
     window: int
     stride: int
-    kind: str = field(default="maxpool", init=False)
+    kind: ClassVar[str] = "maxpool"
+
+    def out_shape(self, shape, where):
+        _check_positive_ints(where, window=self.window, stride=self.stride)
+        _check_rank(shape, 3, where, "an HWC input")
+        if self.window > min(shape[:2]):
+            raise SpecError(f"{where}: window {self.window} exceeds input {shape[:2]}")
+        return ((shape[0] - self.window) // self.stride + 1, (shape[1] - self.window) // self.stride + 1, shape[2])
+
+    def apply(self, h, params, train, rng):
+        return ad.maxpool2d(h, self.window, self.stride)
 
 
 @dataclass(frozen=True)
-class Relu:
-    kind: str = field(default="relu", init=False)
+class Relu(Layer):
+    kind: ClassVar[str] = "relu"
+    activation: ClassVar[str] = "relu"
+
+    def apply(self, h, params, train, rng):
+        return ad.relu(h)
 
 
 @dataclass(frozen=True)
-class Dropout:
+class Dropout(Layer):
     rate: float
-    kind: str = field(default="dropout", init=False)
+    kind: ClassVar[str] = "dropout"
+
+    def out_shape(self, shape, where):
+        if not (isinstance(self.rate, (int, float)) and not isinstance(self.rate, bool) and 0.0 <= self.rate < 1.0):
+            raise SpecError(f"{where}: rate must be a number in [0, 1), got {self.rate!r}")
+        return shape
+
+    def apply(self, h, params, train, rng):
+        if not train or self.rate == 0.0:
+            return h
+        if rng is None:
+            raise ContractError("dropout in training mode needs an rng")
+        return ad.dropout(h, self.rate, rng)
 
 
 @dataclass(frozen=True)
-class Flatten:
-    kind: str = field(default="flatten", init=False)
+class Flatten(Layer):
+    kind: ClassVar[str] = "flatten"
+
+    def out_shape(self, shape, where):
+        return (math.prod(shape),)
+
+    def apply(self, h, params, train, rng):
+        return ad.reshape(h, (h.shape[0], math.prod(h.shape[1:])))
 
 
 @dataclass(frozen=True)
-class Softmax:
-    kind: str = field(default="softmax", init=False)
+class Softmax(Layer):
+    kind: ClassVar[str] = "softmax"
+    activation: ClassVar[str] = "other"
+
+    def out_shape(self, shape, where):
+        _check_rank(shape, 1, where, "a flat class vector")
+        return shape
+
+    def apply(self, h, params, train, rng):
+        return ad.softmax(h, axis=-1)
 
 
 @dataclass(frozen=True)
-class Reshape:
+class Reshape(Layer):
     shape: tuple[int, ...]
-    kind: str = field(default="reshape", init=False)
+    kind: ClassVar[str] = "reshape"
+
+    def out_shape(self, shape, where):
+        if not (isinstance(self.shape, tuple) and self.shape and all(_is_int(s) and s > 0 for s in self.shape)):
+            raise SpecError(f"{where}: shape must be a non-empty list of positive ints, got {self.shape!r}")
+        if math.prod(self.shape) != math.prod(shape):
+            raise SpecError(f"{where}: cannot reshape {shape} to {self.shape}")
+        return self.shape
+
+    def apply(self, h, params, train, rng):
+        return ad.reshape(h, (h.shape[0], *self.shape))
 
 
-Layer = Dense | Conv | MaxPool | Relu | Dropout | Flatten | Softmax | Reshape
-
-_LAYER_TYPES = {
-    "dense": Dense,
-    "conv": Conv,
-    "maxpool": MaxPool,
-    "relu": Relu,
-    "dropout": Dropout,
-    "flatten": Flatten,
-    "softmax": Softmax,
-    "reshape": Reshape,
-}
+_LAYER_TYPES = {cls.kind: cls for cls in Layer.__subclasses__()}
 
 
 def layer_to_dict(layer: Layer) -> dict:
-    d = {"type": layer.kind}
-    for name in layer.__dataclass_fields__:
-        if name == "kind":
-            continue
-        value = getattr(layer, name)
-        d[name] = list(value) if isinstance(value, tuple) else value
-    return d
+    return {"type": layer.kind, **asdict(layer)}
 
 
-def layer_from_dict(d: dict) -> Layer:
-    d = dict(d)
-    kind = d.pop("type", None)
-    cls = _LAYER_TYPES.get(kind)
+def layer_from_dict(d: dict, where: str) -> Layer:
+    if not isinstance(d, dict):
+        raise SpecError(f"{where}: a layer must be an object, got {d!r}")
+    kind = d.get("type")
+    cls = _LAYER_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ConfigError(f"unknown layer type {kind!r}")
-    if kind == "reshape":
-        d["shape"] = tuple(int(v) for v in d["shape"])
+        raise ConfigError(f"{where}: unknown layer type {kind!r}")
+    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items() if k != "type"}
     try:
-        return cls(**d)
+        return cls(**fields)
     except TypeError as exc:
-        raise ConfigError(f"bad fields for layer {kind!r}: {exc}") from None
+        raise ConfigError(f"{where}: bad fields for layer {kind!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -144,67 +249,27 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
+        lists = isinstance(d, dict) and isinstance(d.get("input_shape"), list) and isinstance(d.get("layers"), list)
+        if not (lists and "name" in d):
+            raise SpecError(f"a model spec needs 'name', an 'input_shape' list and a 'layers' list, got {str(d)[:80]}")
         return ModelSpec(
             name=d["name"],
-            input_shape=tuple(int(v) for v in d["input_shape"]),
-            layers=tuple(layer_from_dict(l) for l in d["layers"]),
+            input_shape=tuple(d["input_shape"]),
+            layers=tuple(layer_from_dict(l, f"layer {i}") for i, l in enumerate(d["layers"])),
             standardize=bool(d.get("standardize", False)),
         )
 
 
 def infer_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
     """Per-layer output shapes (batch axis excluded); raises SpecError on a chain break."""
-    shape = tuple(int(s) for s in spec.input_shape)
-    if any(s <= 0 for s in shape):
-        raise SpecError(f"input shape must be positive, got {shape}")
+    shape = tuple(spec.input_shape)
+    if not (shape and all(_is_int(s) and s > 0 for s in shape)):
+        raise SpecError(f"input shape must be a non-empty list of positive ints, got {shape}")
     out = []
     for i, layer in enumerate(spec.layers):
-        where = f"layer {i} ({layer.kind})"
-        if isinstance(layer, Dense):
-            if len(shape) != 1:
-                raise SpecError(f"{where}: expects a flat input, got {shape}; insert flatten")
-            if layer.units < 1:
-                raise SpecError(f"{where}: units must be positive")
-            shape = (layer.units,)
-        elif isinstance(layer, Conv):
-            if len(shape) != 3:
-                raise SpecError(f"{where}: expects an HWC input, got {shape}")
-            try:
-                oh, ow, *_ = ad._conv_geometry(shape[0], shape[1], layer.kernel, layer.kernel, layer.stride, layer.padding)
-            except (DimensionError, Exception) as exc:
-                raise SpecError(f"{where}: {exc}") from None
-            shape = (oh, ow, layer.filters)
-        elif isinstance(layer, MaxPool):
-            if len(shape) != 3:
-                raise SpecError(f"{where}: expects an HWC input, got {shape}")
-            if layer.window > shape[0] or layer.window > shape[1]:
-                raise SpecError(f"{where}: window {layer.window} exceeds input {shape[:2]}")
-            shape = ((shape[0] - layer.window) // layer.stride + 1, (shape[1] - layer.window) // layer.stride + 1, shape[2])
-        elif isinstance(layer, Flatten):
-            shape = (int(np.prod(shape)),)
-        elif isinstance(layer, Reshape):
-            if int(np.prod(layer.shape)) != int(np.prod(shape)):
-                raise SpecError(f"{where}: cannot reshape {shape} to {layer.shape}")
-            shape = tuple(layer.shape)
-        elif isinstance(layer, Softmax):
-            if len(shape) != 1:
-                raise SpecError(f"{where}: softmax expects a flat class vector, got {shape}")
-        elif isinstance(layer, (Relu, Dropout)):
-            pass
-        else:  # pragma: no cover
-            raise SpecError(f"{where}: unhandled layer")
+        shape = layer.out_shape(shape, f"layer {i} ({layer.kind})")
         out.append(shape)
     return out
-
-
-def _next_activation(layers: tuple[Layer, ...], i: int) -> str:
-    """The activation the i-th parametric layer feeds into: 'relu' or 'other'."""
-    for layer in layers[i + 1 :]:
-        if isinstance(layer, Relu):
-            return "relu"
-        if isinstance(layer, (Dense, Conv, Softmax)):
-            return "other"
-    return "other"
 
 
 class ParameterStore:
@@ -234,20 +299,10 @@ class ParameterStore:
         return set(self.params) == self.frozen
 
     def trainable(self) -> list[Tensor]:
-        out = []
-        for idx in sorted(self.params):
-            if idx in self.frozen:
-                continue
-            for name in sorted(self.params[idx]):
-                out.append(self.params[idx][name])
-        return out
+        return [t for idx, _, t in self.named_tensors() if idx not in self.frozen]
 
     def named_tensors(self) -> list[tuple[int, str, Tensor]]:
-        out = []
-        for idx in sorted(self.params):
-            for name in sorted(self.params[idx]):
-                out.append((idx, name, self.params[idx][name]))
-        return out
+        return [(idx, name, group[name]) for idx, group in sorted(self.params.items()) for name in sorted(group)]
 
     def byte_digest(self) -> bytes:
         import hashlib
@@ -334,27 +389,7 @@ class Model(Predictor):
         captured = None
         end = len(self.spec.layers) if stop_before is None else stop_before
         for i, layer in enumerate(self.spec.layers[:end]):
-            if isinstance(layer, Dense):
-                p = self.store.get(i)
-                h = ad.add(ad.matmul(h, p["w"]), p["b"])
-            elif isinstance(layer, Conv):
-                p = self.store.get(i)
-                h = ad.add(ad.conv2d(h, p["w"], layer.stride, layer.padding), p["b"])
-            elif isinstance(layer, MaxPool):
-                h = ad.maxpool2d(h, layer.window, layer.stride)
-            elif isinstance(layer, Relu):
-                h = ad.relu(h)
-            elif isinstance(layer, Dropout):
-                if train and layer.rate > 0.0:
-                    if rng is None:
-                        raise ContractError("dropout in training mode needs an rng")
-                    h = ad.dropout(h, layer.rate, rng)
-            elif isinstance(layer, Flatten):
-                h = ad.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
-            elif isinstance(layer, Reshape):
-                h = ad.reshape(h, (h.shape[0], *layer.shape))
-            elif isinstance(layer, Softmax):
-                h = ad.softmax(h, axis=-1)
+            h = layer.apply(h, self.store.params.get(i), train, rng)
             if capture == i:
                 captured = h
         if capture is not None:
@@ -391,16 +426,8 @@ class Model(Predictor):
 
 def _param_shapes(spec: ModelSpec) -> dict[int, dict[str, tuple[int, ...]]]:
     """Weight and bias shapes per parametric layer index, in layer order."""
-    shapes = infer_shapes(spec)  # raises SpecError on a chain break
-    out = {}
-    in_shape = spec.input_shape
-    for i, layer in enumerate(spec.layers):
-        if isinstance(layer, Dense):
-            out[i] = {"w": (in_shape[0], layer.units), "b": (layer.units,)}
-        elif isinstance(layer, Conv):
-            out[i] = {"w": (layer.kernel, layer.kernel, in_shape[2], layer.filters), "b": (layer.filters,)}
-        in_shape = shapes[i]
-    return out
+    in_shapes = [spec.input_shape, *infer_shapes(spec)]  # raises SpecError on a chain break
+    return {i: shapes for i, layer in enumerate(spec.layers) if (shapes := layer.param_shapes(in_shapes[i]))}
 
 
 def build_model(spec: ModelSpec, seed: int) -> Model:
@@ -416,7 +443,8 @@ def build_model(spec: ModelSpec, seed: int) -> Model:
         w_shape, b_shape = shapes["w"], shapes["b"]
         fan_in = int(np.prod(w_shape[:-1]))  # dense: inputs; conv: k*k*c_in
         fan_out = int(np.prod(w_shape[:-2])) * w_shape[-1]  # dense: units; conv: k*k*c_out
-        limit = np.sqrt(6.0 / fan_in) if _next_activation(spec.layers, i) == "relu" else np.sqrt(6.0 / (fan_in + fan_out))
+        feeds = next((l.activation for l in spec.layers[i + 1 :] if l.activation), "other")
+        limit = np.sqrt(6.0 / fan_in) if feeds == "relu" else np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=w_shape)
         store.add(i, w=Tensor(w, requires_grad=True), b=Tensor(np.zeros(b_shape), requires_grad=True))
     return Model(spec, store, seed=seed)
@@ -563,7 +591,7 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None) -> Model:
             (int(e["layer"]), str(e["name"]), int(e["offset"]), int(e["nbytes"]), [int(s) for s in e["shape"]])
             for e in header["tensors"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SpecError, ConfigError) as exc:
         raise MismatchError(f"{path}: malformed checkpoint header: {exc!r}") from None
     if expected_spec is not None and spec != expected_spec:
         raise MismatchError(f"{path}: checkpoint spec {spec.name!r} does not match the expected spec {expected_spec.name!r}")

@@ -268,6 +268,64 @@ def test_malformed_checkpoint_header_exits_1_naming_the_file(tmp_path, capsys, e
     assert "classifier.ckpt" in capsys.readouterr().err
 
 
+def _clf_spec(*layers, **fields):
+    """The toy config's classifier spec (8x8x1 in, 3 classes) with ``layers`` before its head."""
+    head = [{"type": "flatten"}, {"type": "dense", "units": 3}, {"type": "softmax"}]
+    return {"name": "clf", "input_shape": [8, 8, 1], "layers": [*layers, *head], **fields}
+
+
+_FLAT_DENSE = {"type": "flatten"}, {"type": "dense", "units": 4}
+_AE_WITH_BAD_DROPOUT = {
+    "name": "ae", "input_shape": [8, 8, 1],
+    "layers": [{"type": "dropout", "rate": 1.5}, {"type": "flatten"}, {"type": "dense", "units": 64},
+               {"type": "reshape", "shape": [8, 8, 1]}],
+}
+# id: (config key, its malformed value or None to drop the key, text the error must contain)
+MALFORMED_SPECS = {
+    "reshape-without-shape": ("classifier_spec", _clf_spec({"type": "reshape"}), "layer 0"),
+    "reshape-shape-not-a-list": ("classifier_spec", _clf_spec({"type": "reshape", "shape": 5}), "layer 0"),
+    "reshape-negative-dims": ("classifier_spec", _clf_spec(*_FLAT_DENSE, {"type": "reshape", "shape": [-2, -2]}), "layer 2"),
+    "maxpool-stride-0": ("classifier_spec", _clf_spec({"type": "maxpool", "window": 2, "stride": 0}), "layer 0"),
+    "maxpool-window-0": ("classifier_spec", _clf_spec({"type": "maxpool", "window": 0, "stride": 1}), "layer 0"),
+    "conv-kernel-0": ("classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 0}), "layer 0"),
+    "conv-filters-0": ("classifier_spec", _clf_spec({"type": "conv", "filters": 0, "kernel": 2}), "layer 0"),
+    "conv-bad-padding": ("classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 2, "padding": "full"}), "layer 0"),
+    "dense-units-str": ("classifier_spec", _clf_spec({"type": "flatten"}, {"type": "dense", "units": "3"}), "layer 1"),
+    "dense-units-float": ("classifier_spec", _clf_spec({"type": "flatten"}, {"type": "dense", "units": 3.5}), "layer 1"),
+    "dense-units-bool": ("classifier_spec", _clf_spec({"type": "flatten"}, {"type": "dense", "units": True}), "layer 1"),
+    "dropout-rate-str": ("classifier_spec", _clf_spec({"type": "dropout", "rate": "x"}), "layer 0"),
+    "dropout-rate-1": ("classifier_spec", _clf_spec({"type": "dropout", "rate": 1.0}), "layer 0"),
+    "layer-not-an-object": ("classifier_spec", _clf_spec("relu"), "layer 0"),
+    "unknown-field": ("classifier_spec", _clf_spec({"type": "relu", "units": 3}), "layer 0"),
+    "spec-without-layers": ("classifier_spec", {"name": "clf", "input_shape": [8, 8, 1]}, "'layers'"),
+    "spec-not-an-object": ("classifier_spec", [1, 2], "'layers'"),
+    "input-shape-str": ("classifier_spec", _clf_spec(input_shape="ab"), "'input_shape'"),
+    "no-classifier-spec": ("classifier_spec", None, "classifier_spec"),
+    "no-autoencoder-spec": ("autoencoder_spec", None, "autoencoder_spec"),
+    "ae-dropout-rate-above-1": ("autoencoder_spec", _AE_WITH_BAD_DROPOUT, "layer 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_SPECS))
+def test_malformed_model_spec_exits_1_naming_the_layer_or_key(tmp_path, capsys, case):
+    key, value, needle = MALFORMED_SPECS[case]
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, out)
+    cfg = json.loads(cfg_path.read_text())
+    stage = "train-classifier" if key == "classifier_spec" else "train-defence"
+    if stage == "train-defence":  # a classifier on disk, so that only the autoencoder spec can be at fault
+        out.mkdir()
+        save_checkpoint(build_model(ModelSpec.from_dict(cfg["classifier_spec"]), 0), out / "classifier.ckpt")
+    if value is None:
+        del cfg[key]
+    else:
+        cfg[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli([stage, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err, err
+
+
 def test_tempered_defence_is_scored_calibrated_and_reported_with_its_temperature(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(

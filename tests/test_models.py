@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmdef import autodiff as ad
 from pmdef.autodiff import Tape, Tensor, backward, grad_check
@@ -16,9 +18,11 @@ from pmdef.errors import (
     MismatchError,
     SpecError,
     TruncationError,
+    UserError,
 )
 from pmdef.models import (
     CHECKPOINT_MAGIC,
+    _param_shapes,
     Conv,
     Dense,
     Dropout,
@@ -331,3 +335,128 @@ def test_frozen_store_rejects_gradients_and_stays_fixed():
     assert model.store.trainable() == []
     for _, _, t in model.store.named_tensors():
         assert not t.requires_grad
+
+
+# ---------------------------------------------------------------------------
+# the layer table
+
+
+TABLE_SPECS = {
+    "dense": ModelSpec("t", (5,), (Dense(4),)),
+    "conv-valid-1": ModelSpec("t", (7, 6, 2), (Conv(3, 3),)),
+    "conv-same-1": ModelSpec("t", (7, 6, 2), (Conv(3, 3, 1, "same"),)),
+    "conv-valid-2": ModelSpec("t", (7, 6, 2), (Conv(3, 3, 2, "valid"),)),
+    "conv-same-2": ModelSpec("t", (7, 6, 2), (Conv(3, 2, 2, "same"),)),
+    "maxpool": ModelSpec("t", (7, 6, 2), (MaxPool(3, 2),)),
+    "relu": ModelSpec("t", (5,), (Relu(),)),
+    "dropout": ModelSpec("t", (5,), (Dropout(0.5),)),
+    "flatten": ModelSpec("t", (3, 4, 2), (Flatten(),)),
+    "softmax": ModelSpec("t", (5,), (Softmax(),)),
+    "reshape": ModelSpec("t", (12,), (Reshape((3, 2, 2)),)),
+    "mnist-style": mnist_style_spec(),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_SPECS))
+def test_layer_table_shapes_match_what_forward_and_build_produce(name):
+    spec = TABLE_SPECS[name]
+    model = build_model(spec, 0)
+    x = Tensor(np.random.default_rng(0).random((3, *spec.input_shape)))
+    shapes = infer_shapes(spec)
+    for i in range(len(spec.layers)):
+        _, captured = model.forward_t(x, train=True, rng=np.random.default_rng(1), capture=i)
+        assert captured.shape == (3, *shapes[i]), (i, spec.layers[i])
+    stored = {i: {n: t.shape for n, t in group.items()} for i, group in model.store.params.items()}
+    assert _param_shapes(spec) == stored
+    assert sorted(stored) == [i for i, layer in enumerate(spec.layers) if layer.kind in ("dense", "conv")]
+
+
+# the benchmark's autoencoder spec; its header JSON and its seed-3 weights are
+# pinned so that a change to field order, defaults or the init draw order shows
+BENCH_AE_SPEC = {
+    "name": "blob_ae",
+    "input_shape": [20, 20, 1],
+    "standardize": False,
+    "layers": [
+        {"type": "conv", "filters": 8, "kernel": 3, "stride": 1, "padding": "same"},
+        {"type": "relu"},
+        {"type": "maxpool", "window": 5, "stride": 5},
+        {"type": "flatten"},
+        {"type": "dense", "units": 32},
+        {"type": "dense", "units": 128},
+        {"type": "relu"},
+        {"type": "dense", "units": 400},
+        {"type": "reshape", "shape": [20, 20, 1]},
+    ],
+}
+
+
+def test_spec_header_json_and_init_bytes_are_pinned():
+    spec = ModelSpec.from_dict(BENCH_AE_SPEC)
+    assert json.dumps(spec.to_dict(), sort_keys=True) == (
+        '{"input_shape": [20, 20, 1], "layers": [{"filters": 8, "kernel": 3, "padding": "same", "stride": 1, "type": "conv"}, '
+        '{"type": "relu"}, {"stride": 5, "type": "maxpool", "window": 5}, {"type": "flatten"}, {"type": "dense", "units": 32}, '
+        '{"type": "dense", "units": 128}, {"type": "relu"}, {"type": "dense", "units": 400}, '
+        '{"shape": [20, 20, 1], "type": "reshape"}], "name": "blob_ae", "standardize": false}'
+    )
+    assert ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+    assert build_model(spec, 3).store.byte_digest().hex() == "038de6882ec97a4c810f5ae80ffe1871fbb60071f4a6ade857171f35709d5704"
+
+
+def test_spec_fields_are_validated_when_the_model_is_built():
+    for layer in (Dropout(1.0), Dropout(-0.1), MaxPool(0, 1), MaxPool(2, 0)):
+        with pytest.raises(SpecError, match="layer 1"):
+            build_model(ModelSpec("bad", (4, 4, 1), (Relu(), layer)), 0)
+
+
+# Generated specs draw each field from values that are mostly valid, with
+# out-of-range and wrongly typed ones mixed in, so that a good share of them
+# builds and runs. Sizes stay small so that every spec the builder accepts
+# is cheap to build and run.
+_JUNK = st.sampled_from([None, "3", 3.5, True, [], {}, float("nan"), float("inf")])
+_MOSTLY = st.sampled_from([True] * 19 + [False])
+_INTS = [1, 1, 2, 2, 3, 4, 0, -1]
+_FIELDS = {
+    "dense": {"units": _INTS},
+    "conv": {"filters": _INTS, "kernel": _INTS, "stride": _INTS, "padding": ["valid", "same", "full", 1]},
+    "maxpool": {"window": _INTS, "stride": _INTS},
+    "relu": {},
+    "dropout": {"rate": [0.0, 0.3, 0.5, 0.99, 1.0, -0.1, 2]},
+    "flatten": {},
+    "softmax": {},
+    "reshape": {"shape": [[6], [12], [3, 2, 2], [2, 2, 1], [1, 4], [-2, -2], [], [0, 5]]},
+}
+_INPUT_SHAPES = [[6], [12], [4], [6, 6, 2], [5, 4, 1], [4, 4, 1], [], [0, 3], [-1]]
+
+
+@st.composite
+def _spec_dicts(draw):
+    def pick(good):
+        return draw(st.sampled_from(good) if draw(_MOSTLY) else _JUNK)
+
+    layers = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(sorted(_FIELDS)))
+        layer = {"type": kind, **{name: pick(good) for name, good in _FIELDS[kind].items() if draw(_MOSTLY)}}
+        if not draw(_MOSTLY):
+            keys, values = st.sampled_from(["type", "units", "kind"]), _JUNK | st.sampled_from(["pool", "dense"])
+            layer = draw(_JUNK | st.dictionaries(keys, values))
+        layers.append(layer)
+    spec = {"name": "fuzz", "input_shape": pick(_INPUT_SHAPES), "layers": layers if draw(_MOSTLY) else draw(_JUNK)}
+    for key in ("name", "input_shape", "layers"):
+        if not draw(_MOSTLY):
+            del spec[key]
+    if draw(st.booleans()):
+        spec["standardize"] = draw(st.booleans())
+    return spec if draw(_MOSTLY) else draw(_JUNK)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_spec_dicts())
+def test_spec_parser_builder_and_forward_raise_only_user_errors(d):
+    try:
+        model = build_model(ModelSpec.from_dict(d), 0)
+        x = Tensor(np.random.default_rng(0).random((2, *model.input_shape)))
+        model.forward_t(x, train=True, rng=np.random.default_rng(1))
+    except UserError:
+        pass
