@@ -1,64 +1,54 @@
 #!/usr/bin/env python3
 """Drift detection experiment with synthetic corruptions.
 
-Trains the defence on clean synthetic data, corrupts the test set with four
-corruption families at five severity levels, and prints per-severity scores
-for instances whose prediction flipped (harmful) versus stayed (not harmful),
-with the two-sample KS test between the groups.
+Trains the grey-box classifier and a KL defence through the pipeline CLI,
+runs its drift stage (four corruption families at five severity levels on
+the test set) and prints per-severity scores for instances whose prediction
+flipped (harmful) versus stayed (not harmful), with the two-sample KS test
+between the groups.
 """
 
 import argparse
+import json
 import sys
+import tempfile
 from pathlib import Path
 
-from pmdef.datasets import synth_dataset
-from pmdef.evaluation import drift_report
-from pmdef.models import (
-    Conv, Dense, Flatten, MaxPool, ModelSpec, Relu, Reshape, Softmax, build_model,
-)
-from pmdef.seeding import derive_seed
-from pmdef.training import DefenceLossSpec, OptimizerConfig, train_classifier, train_defence
+from run_greybox_experiment import default_config
+
+from pmdef.cli import run_cli
+
+
+def _fmt(value, spec: str) -> str:
+    return "n/a" if value is None else format(value, spec)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", required=True)
+    parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+
+    cfg = {
+        **default_config(args.out, args.seed),
+        "defence_losses": [{"kind": "kl"}],
+        "drift": {"kinds": ["gaussian_noise", "blur", "brightness", "contrast"], "severities": [1, 2, 3, 4, 5]},
+    }
+    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+        json.dump(cfg, fh)
+        cfg_path = fh.name
+    for stage in ["train-classifier", "train-defence", "drift"]:
+        code = run_cli([stage, "--config", cfg_path])
+        if code != 0:
+            print(f"stage {stage} failed with exit code {code}", file=sys.stderr)
+            return code
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed
-    size, classes = 20, 10
-
-    train = synth_dataset("blobs", 4000, size, classes, derive_seed(seed, "train"), noise=0.12, jitter=0.5)
-    test = synth_dataset("blobs", 1000, size, classes, derive_seed(seed, "test"), noise=0.12, jitter=0.5)
-    clf = build_model(
-        ModelSpec("clf", (size, size, 1), (Flatten(), Dense(128), Relu(), Dense(classes), Softmax())),
-        derive_seed(seed, "clf"),
-    )
-    train_classifier(clf, train.images, train.labels,
-                     OptimizerConfig(learning_rate=1e-3, batch_size=128, epochs=15, seed=derive_seed(seed, "clft")))
-    clf.store.freeze_all()
-    ae = build_model(
-        ModelSpec("ae", (size, size, 1), (
-            Conv(8, 3, 1, "same"), Relu(), MaxPool(5, 5), Flatten(),
-            Dense(32), Dense(128), Relu(), Dense(size * size), Reshape((size, size, 1)),
-        )),
-        derive_seed(seed, "ae"),
-    )
-    train_defence(ae, clf, train.images, DefenceLossSpec(kind="kl"),
-                  OptimizerConfig(learning_rate=2e-3, batch_size=64, epochs=30, seed=derive_seed(seed, "aet")))
-
-    report = drift_report(clf, ae, test.images, test.labels, seed=derive_seed(seed, "drift") % (2**31))
-    report.to_json(out / "drift.json")
-    report.to_csv(out / "drift.csv")
-    for row in report.rows:
-        harm = "n/a" if row.harmful_mean is None else f"{row.harmful_mean:.4f}"
-        safe = "n/a" if row.not_harmful_mean is None else f"{row.not_harmful_mean:.4f}"
-        p = "n/a" if row.ks_p is None else f"{row.ks_p:.2e}"
+    for row in json.loads((out / "drift.json").read_text(encoding="utf-8"))["rows"]:
         print(
-            f"severity {row.severity}: accuracy {row.accuracy:.4f}  "
-            f"harmful mean {harm} (n={row.n_harmful})  not-harmful mean {safe} (n={row.n_not_harmful})  ks p {p}"
+            f"severity {row['severity']}: accuracy {row['accuracy']:.4f}  "
+            f"harmful mean {_fmt(row['harmful_mean'], '.4f')} (n={row['n_harmful']})  "
+            f"not-harmful mean {_fmt(row['not_harmful_mean'], '.4f')} (n={row['n_not_harmful']})  "
+            f"ks p {_fmt(row['ks_p'], '.2e')}"
         )
     print(f"wrote {out / 'drift.json'} and {out / 'drift.csv'}")
     return 0

@@ -26,11 +26,17 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .errors import DataError, MagicError, MismatchError, ParameterError, TruncationError
+from .errors import DataError, MagicError, MismatchError, ParameterError, ParseError, TruncationError, UserError
+from .schema import from_dict
 from .training import Adam
 
 TARGET_MODES = ("grey_box", "white_box")
 LABEL_SOURCES = ("model", "true")
+KIND_FIELDS = {  # the fields each attack kind reads, as its batch file records them
+    "fgsm": ("epsilon",),
+    "slide": ("q", "gamma", "k", "eps_l1"),
+    "cw_l2": ("c_init", "binary_steps", "max_iter", "lr", "kappa"),
+}
 C_MAX = 1e10
 _CHUNK = 64  # fixed work unit so results do not depend on the worker count
 
@@ -56,7 +62,7 @@ class AttackConfig:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("fgsm", "slide", "cw_l2"):
+        if self.kind not in KIND_FIELDS:
             raise ParameterError(f"attack kind must be fgsm, slide or cw_l2, got {self.kind!r}")
         if self.target_mode not in TARGET_MODES:
             raise ParameterError(f"target mode must be one of {TARGET_MODES}, got {self.target_mode!r}")
@@ -86,18 +92,8 @@ class AttackConfig:
                 raise ParameterError(f"cw margin kappa must be >= 0, got {self.kappa}")
 
     def to_dict(self) -> dict:
-        base = {"kind": self.kind, "target_mode": self.target_mode, "seed": self.seed, "label_source": self.label_source}
-        if self.kind == "fgsm":
-            base["epsilon"] = self.epsilon
-        elif self.kind == "slide":
-            base.update(q=self.q, gamma=self.gamma, k=self.k, eps_l1=self.eps_l1)
-        else:
-            base.update(c_init=self.c_init, binary_steps=self.binary_steps, max_iter=self.max_iter, lr=self.lr, kappa=self.kappa)
-        return base
-
-    @staticmethod
-    def from_dict(d: dict) -> "AttackConfig":
-        return AttackConfig(**d)
+        keys = ("kind", "target_mode", "seed", "label_source", *KIND_FIELDS[self.kind])
+        return {k: getattr(self, k) for k in keys}
 
 
 @dataclass
@@ -387,29 +383,39 @@ def save_batch(batch: AdversarialBatch, json_path, bin_path=None) -> None:
 
 def load_batch(json_path) -> AdversarialBatch:
     json_path = Path(json_path)
-    with open(json_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    bin_path = json_path.parent / meta["bin_file"]
+    try:
+        meta = json.loads(json_path.read_text(encoding="utf-8"))
+        bin_path = json_path.parent / meta["bin_file"]
+        shape = tuple(int(s) for s in meta["shape"])
+        (o_off, o_len), (a_off, a_len) = (map(int, meta["blocks"][k]) for k in ("originals", "adversarials"))
+        rows = {k: np.asarray(meta[k], dtype=np.int64) for k in ("original_pred", "adversarial_pred", "success")}
+        labels = None if meta["labels"] is None else np.asarray(meta["labels"], dtype=np.int64)
+        norms = {k: np.asarray(v, dtype=np.float64) for k, v in meta["norms"].items()}
+        config = from_dict(AttackConfig, meta["config"], "config")
+        seed = meta["seed"]
+    except (ValueError, KeyError, TypeError, AttributeError, UserError) as exc:
+        raise ParseError(f"{json_path}: malformed attack batch: {exc!r}") from None
+    per_row = [*rows.values(), *norms.values(), *([] if labels is None else [labels])]
+    if any(a.shape != shape[:1] for a in per_row):
+        raise MismatchError(f"{json_path}: per-instance fields disagree with shape {shape}")
+    if not bin_path.is_file():
+        raise ParseError(f"{json_path}: its payload file {bin_path} is missing")
     raw = bin_path.read_bytes()
-    shape = tuple(meta["shape"])
     count = int(np.prod(shape))
-    o_off, o_len = meta["blocks"]["originals"]
-    a_off, a_len = meta["blocks"]["adversarials"]
     if len(raw) < max(o_off + o_len, a_off + a_len):
         raise TruncationError(f"{bin_path}: payload shorter than declared blocks")
     if o_len != count * 8 or a_len != count * 8:
         raise MismatchError(f"{bin_path}: block sizes disagree with shape {shape}")
     originals = np.frombuffer(raw[o_off : o_off + o_len], dtype="<f8").reshape(shape).copy()
     adversarials = np.frombuffer(raw[a_off : a_off + a_len], dtype="<f8").reshape(shape).copy()
-    config = AttackConfig.from_dict(meta["config"])
     return AdversarialBatch(
         originals=originals,
         adversarials=adversarials,
-        labels=None if meta["labels"] is None else np.asarray(meta["labels"], dtype=np.int64),
-        original_pred=np.asarray(meta["original_pred"], dtype=np.int64),
-        adversarial_pred=np.asarray(meta["adversarial_pred"], dtype=np.int64),
-        success=np.asarray(meta["success"], dtype=bool),
-        norms={k: np.asarray(v) for k, v in meta["norms"].items()},
+        labels=labels,
+        original_pred=rows["original_pred"],
+        adversarial_pred=rows["adversarial_pred"],
+        success=rows["success"].astype(bool),
+        norms=norms,
         config=config,
-        seed=meta["seed"],
+        seed=seed,
     )

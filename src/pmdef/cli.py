@@ -22,10 +22,11 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,13 +36,11 @@ from . import evaluation as ev
 from .datasets import Dataset, parse_cifar_binary, parse_idx, synth_dataset
 from .errors import ConfigError, DataError, ParseError, PmdefError, UserError
 from .models import ModelSpec, build_model, compose_defended, load_checkpoint, save_checkpoint
+from .schema import from_dict
 from .seeding import derive_seed
 from .training import DefenceLossSpec, OptimizerConfig, train_classifier, train_defence
 
 log = logging.getLogger("pmdef")
-
-DEFAULT_EPS_FPR = 0.05
-DEFAULT_CHECKPOINT_EVERY = 10
 
 
 class _UsageError(Exception):
@@ -60,7 +59,116 @@ def _setup_logging() -> None:
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# the experiment schema
+
+
+@dataclass
+class SynthData:
+    kind: ClassVar[str] = "synth"
+    synth_kind: str = "blobs"
+    image_size: int = 12
+    num_classes: int = 4
+    n_train: int = 800
+    n_test: int = 200
+    noise: float = 0.15
+    jitter: float = 1.0
+
+    def load(self, root_seed: int) -> tuple[Dataset, Dataset]:
+        common = dict(kind=self.synth_kind, image_size=self.image_size, num_classes=self.num_classes,
+                      noise=self.noise, jitter=self.jitter)
+        train = synth_dataset(n=self.n_train, seed=derive_seed(root_seed, "data", "train"), **common)
+        test = synth_dataset(n=self.n_test, seed=derive_seed(root_seed, "data", "test"), **common)
+        return train, test
+
+
+def _check_files(*paths: str) -> None:
+    for p in paths:
+        if not Path(p).is_file():
+            raise ConfigError(f"referenced dataset file missing: {p}")
+
+
+@dataclass
+class IdxData:
+    kind: ClassVar[str] = "idx"
+    train_images: str
+    train_labels: str
+    test_images: str
+    test_labels: str
+
+    def __post_init__(self):
+        _check_files(self.train_images, self.train_labels, self.test_images, self.test_labels)
+
+    def load(self, root_seed: int) -> tuple[Dataset, Dataset]:
+        train = parse_idx(self.train_images, self.train_labels, name="idx_train")
+        test = parse_idx(self.test_images, self.test_labels, name="idx_test")
+        return train, test
+
+
+@dataclass
+class CifarData:
+    kind: ClassVar[str] = "cifar"
+    train_files: list[str]
+    test_files: list[str]
+    standardize: bool = True
+
+    def __post_init__(self):
+        _check_files(*self.train_files, *self.test_files)
+
+    def load(self, root_seed: int) -> tuple[Dataset, Dataset]:
+        train = parse_cifar_binary(self.train_files, name="cifar_train", standardize=self.standardize)
+        test = parse_cifar_binary(self.test_files, name="cifar_test", standardize=self.standardize)
+        return train, test
+
+
+@dataclass
+class StageOptimizer(OptimizerConfig):
+    seed: int | None = None  # None: the stage derives one from the root seed
+
+
+@dataclass(kw_only=True)
+class AttackEntry(atk.AttackConfig):
+    name: str
+    ae: str = "kl"  # the defence a white-box attack targets
+    seed: int | None = None  # None: derived from the root seed and the name
+
+
+@dataclass
+class DriftConfig:
+    kinds: list[str] = field(default_factory=lambda: list(ev.CORRUPTION_PARAMS))
+    severities: list[int] = field(default_factory=lambda: list(ev.SEVERITIES))
+
+
+@dataclass
+class Experiment:
+    """The top-level keys of an experiment config; README lists which stage
+    reads which."""
+
+    seed: int
+    out: str | None = None
+    dataset: SynthData | IdxData | CifarData | None = None
+    classifier_spec: ModelSpec | None = None
+    autoencoder_spec: ModelSpec | None = None
+    classifier_opt: StageOptimizer = field(default_factory=StageOptimizer)
+    defence_opt: StageOptimizer = field(default_factory=StageOptimizer)
+    defence_losses: list[DefenceLossSpec] = field(default_factory=lambda: [DefenceLossSpec()])
+    checkpoint_every: int = 10
+    attacks: list[AttackEntry] = field(default_factory=list)
+    attack_subset: int | None = None
+    eps_fpr: float = 0.05
+    calibration_size: int | None = None
+    score_defence: str = "kl"
+    report_defences: list[str] | None = None
+    drift: DriftConfig = field(default_factory=DriftConfig)
+    raw: dict = field(init=False, default_factory=dict)  # the config as read, echoed by the manifests
+
+    def __post_init__(self):
+        names = [a.name for a in self.attacks]
+        if len(set(names)) != len(names):
+            raise ConfigError(f"attacks: every entry needs a unique 'name', got {names}")
+        if self.attack_subset is not None and self.attack_subset < 1:
+            raise ConfigError(f"attack_subset: must be >= 1, got {self.attack_subset}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every: must be >= 0, got {self.checkpoint_every}")
 
 
 def load_config(path) -> dict:
@@ -77,82 +185,38 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _resolve(cfg: dict, args) -> tuple[dict, int, Path]:
+def _resolve(cfg: dict, args) -> tuple[Experiment, Path]:
     if args.seed is not None:
         cfg = {**cfg, "seed": args.seed}
     if "seed" not in cfg:
         raise ConfigError("a seed is mandatory: set 'seed' in the config or pass --seed")
-    out = args.out or cfg.get("out")
+    exp = from_dict(Experiment, cfg)
+    exp.raw = cfg
+    out = args.out or exp.out
     if not out:
         raise ConfigError("an output directory is mandatory: set 'out' in the config or pass --out")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    _check_referenced_files(cfg)
-    return cfg, int(cfg["seed"]), out
+    return exp, out
 
 
-def _check_referenced_files(cfg: dict) -> None:
-    ds = cfg.get("dataset", {})
-    paths = []
-    if ds.get("kind") == "idx":
-        paths += [ds.get(k) for k in ("train_images", "train_labels", "test_images", "test_labels")]
-    elif ds.get("kind") == "cifar":
-        paths += list(ds.get("train_files", [])) + list(ds.get("test_files", []))
-    for p in paths:
-        if p is None or not Path(p).is_file():
-            raise ConfigError(f"referenced dataset file missing: {p}")
+def _required(exp: Experiment, key: str):
+    """A config value the running stage cannot do without."""
+    value = getattr(exp, key)
+    if not value:
+        raise ConfigError(f"this stage needs {key!r} in the config")
+    return value
 
 
-def load_datasets(cfg: dict, root_seed: int) -> tuple[Dataset, Dataset]:
-    ds = cfg.get("dataset")
-    if not isinstance(ds, dict) or "kind" not in ds:
-        raise ConfigError("config needs a 'dataset' object with a 'kind'")
-    kind = ds["kind"]
-    if kind == "synth":
-        common = dict(
-            kind=ds.get("synth_kind", "blobs"),
-            image_size=int(ds.get("image_size", 12)),
-            num_classes=int(ds.get("num_classes", 4)),
-            noise=float(ds.get("noise", 0.15)),
-            jitter=float(ds.get("jitter", 1.0)),
-        )
-        train = synth_dataset(n=int(ds.get("n_train", 800)), seed=derive_seed(root_seed, "data", "train"), **common)
-        test = synth_dataset(n=int(ds.get("n_test", 200)), seed=derive_seed(root_seed, "data", "test"), **common)
-        return train, test
-    if kind == "idx":
-        train = parse_idx(ds["train_images"], ds["train_labels"], name="idx_train")
-        test = parse_idx(ds["test_images"], ds["test_labels"], name="idx_test")
-        return train, test
-    if kind == "cifar":
-        standardize = bool(ds.get("standardize", True))
-        train = parse_cifar_binary(ds["train_files"], name="cifar_train", standardize=standardize)
-        test = parse_cifar_binary(ds["test_files"], name="cifar_test", standardize=standardize)
-        return train, test
-    raise ConfigError(f"unknown dataset kind {kind!r}")
-
-
-def _defence_loss_specs(cfg: dict) -> list[DefenceLossSpec]:
-    if "defence_losses" in cfg:
-        return [DefenceLossSpec.from_dict(d) for d in cfg["defence_losses"]]
-    return [DefenceLossSpec.from_dict(cfg.get("defence_loss", {"kind": "kl"}))]
-
-
-def _model_spec(cfg: dict, key: str) -> ModelSpec:
-    if key not in cfg:
-        raise ConfigError(f"config has no {key!r}")
-    return ModelSpec.from_dict(cfg[key])
+def _seeded(config, seed: int):
+    """``config`` with the stage-derived ``seed`` unless the config set one."""
+    return config if config.seed is not None else replace(config, seed=seed)
 
 
 def _require_file(path: Path, hint: str) -> Path:
     if not path.is_file():
         raise UserError(f"missing required artifact {path}; run `{hint}` first")
     return path
-
-
-def _opt_config(cfg: dict, key: str, seed: int) -> OptimizerConfig:
-    d = dict(cfg.get(key, {}))
-    d.setdefault("seed", seed)
-    return OptimizerConfig.from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +281,15 @@ def _load_defence(out: Path, tag: str):
     return model
 
 
-def cmd_train_classifier(cfg: dict, seed: int, out: Path, workers: int) -> int:
-    model = build_model(_model_spec(cfg, "classifier_spec"), derive_seed(seed, "train-classifier", "init"))
-    train, test = load_datasets(cfg, seed)
-    opt = _opt_config(cfg, "classifier_opt", derive_seed(seed, "train-classifier", "shuffle"))
+def _attack_inputs(exp: Experiment, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The test instances the attacks perturb: the first ``attack_subset``."""
+    return test.images[: exp.attack_subset], test.labels[: exp.attack_subset]
+
+
+def cmd_train_classifier(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+    model = build_model(_required(exp, "classifier_spec"), derive_seed(seed, "train-classifier", "init"))
+    train, test = _required(exp, "dataset").load(seed)
+    opt = _seeded(exp.classifier_opt, derive_seed(seed, "train-classifier", "shuffle"))
     report = train_classifier(model, train.images, train.labels, opt)
     ckpt = out / "classifier.ckpt"
     save_checkpoint(model, ckpt)
@@ -228,27 +297,26 @@ def cmd_train_classifier(cfg: dict, seed: int, out: Path, workers: int) -> int:
     report.to_jsonl(jsonl)
     test_acc = float((model.predict_class(test.images) == test.labels).mean())
     log.info("classifier trained: final loss %.4f, test accuracy %.4f", report.final_loss, test_acc)
-    write_manifest(out, "train-classifier", cfg, seed, [ckpt, jsonl])
+    write_manifest(out, "train-classifier", exp.raw, seed, [ckpt, jsonl])
     return 0
 
 
-def cmd_train_defence(cfg: dict, seed: int, out: Path, workers: int) -> int:
-    ae_spec = _model_spec(cfg, "autoencoder_spec")
-    train, _ = load_datasets(cfg, seed)
+def cmd_train_defence(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+    ae_spec = _required(exp, "autoencoder_spec")
+    train, _ = _required(exp, "dataset").load(seed)
     classifier = _load_classifier(out)
     artifacts = []
-    for loss_spec in _defence_loss_specs(cfg):
+    for loss_spec in exp.defence_losses:
         tag = loss_spec.kind
         ae = build_model(ae_spec, derive_seed(seed, "train-defence", tag, "init"))
-        opt = _opt_config(cfg, "defence_opt", derive_seed(seed, "train-defence", tag, "shuffle"))
-        every = cfg.get("checkpoint_every", DEFAULT_CHECKPOINT_EVERY)
+        opt = _seeded(exp.defence_opt, derive_seed(seed, "train-defence", tag, "shuffle"))
         report, _probe = train_defence(
             ae,
             classifier,
             train.images,
             loss_spec,
             opt,
-            checkpoint_every=every,
+            checkpoint_every=exp.checkpoint_every,
             checkpoint_dir=out,
             checkpoint_prefix=f"ae_{tag}",
         )
@@ -259,125 +327,90 @@ def cmd_train_defence(cfg: dict, seed: int, out: Path, workers: int) -> int:
         artifacts += [ckpt, jsonl]
         artifacts += sorted(out.glob(f"ae_{tag}_epoch_*.ckpt"))
         log.info("defence %s trained: final loss %.5f", tag, report.final_loss)
-    write_manifest(out, "train-defence", cfg, seed, artifacts)
+    write_manifest(out, "train-defence", exp.raw, seed, artifacts)
     return 0
 
 
-def _attack_entries(cfg: dict) -> list[dict]:
-    entries = cfg.get("attacks", [])
-    if not entries:
-        raise ConfigError("config has no 'attacks' list")
-    names = [e.get("name") for e in entries]
-    if None in names or len(set(names)) != len(names):
-        raise ConfigError("every attack entry needs a unique 'name'")
-    return entries
-
-
-def cmd_attack(cfg: dict, seed: int, out: Path, workers: int) -> int:
-    _, test = load_datasets(cfg, seed)
+def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+    _, test = _required(exp, "dataset").load(seed)
     classifier = _load_classifier(out)
-    subset = cfg.get("attack_subset")
-    x = test.images[: int(subset)] if subset else test.images
-    y = test.labels[: x.shape[0]]
+    x, y = _attack_inputs(exp, test)
     attack_dir = out / "attacks"
     attack_dir.mkdir(exist_ok=True)
     artifacts = []
-    for entry in _attack_entries(cfg):
-        entry = dict(entry)
-        name = entry.pop("name")
-        ae_tag = entry.pop("ae", "kl")
-        entry.setdefault("seed", derive_seed(seed, "attack", name))
-        config = atk.AttackConfig.from_dict(entry)
+    for entry in _required(exp, "attacks"):
+        config = _seeded(entry, derive_seed(seed, "attack", entry.name))
         if config.target_mode == "white_box":
-            target = compose_defended(classifier, _load_defence(out, ae_tag))
+            target = compose_defended(classifier, _load_defence(out, entry.ae))
         else:
             target = classifier
         batch = atk.run_attack(target, x, y, config=config, workers=workers)
-        json_path = attack_dir / f"{name}.json"
+        json_path = attack_dir / f"{entry.name}.json"
         atk.save_batch(batch, json_path)
-        artifacts += [json_path, attack_dir / f"{name}.bin"]
-        log.info("attack %s: success rate %.3f, mean l2 %.4f", name, batch.success.mean(), batch.norms["l2"].mean())
-    write_manifest(out, "attack", cfg, seed, artifacts)
+        artifacts += [json_path, attack_dir / f"{entry.name}.bin"]
+        log.info("attack %s: success rate %.3f, mean l2 %.4f", entry.name, batch.success.mean(), batch.norms["l2"].mean())
+    write_manifest(out, "attack", exp.raw, seed, artifacts)
     return 0
 
 
-def _score_defence_tag(cfg: dict) -> str:
-    return cfg.get("score_defence", "kl")
-
-
-def _score_temperature(cfg: dict, tag: str) -> float | None:
+def _score_temperature(exp: Experiment, tag: str) -> float | None:
     """Temperature the defence ``tag`` sharpened its training target with, so
     that it is scored the way it was trained; None when untempered."""
-    return next((s.target_temperature for s in _defence_loss_specs(cfg) if s.kind == tag), None)
+    return next((s.target_temperature for s in exp.defence_losses if s.kind == tag), None)
 
 
-def cmd_score(cfg: dict, seed: int, out: Path, workers: int) -> int:
-    _, test = load_datasets(cfg, seed)
+def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+    _, test = _required(exp, "dataset").load(seed)
     classifier = _load_classifier(out)
-    tag = _score_defence_tag(cfg)
+    tag = exp.score_defence
     ae = _load_defence(out, tag)
-    temperature = _score_temperature(cfg, tag)
+    temperature = _score_temperature(exp, tag)
     score_dir = out / "scores"
     score_dir.mkdir(exist_ok=True)
     artifacts = []
     clean_path = score_dir / "clean_test.csv"
     _write_scores_csv(dfc.adversarial_score(classifier, ae, test.images, temperature=temperature), clean_path)
     artifacts.append(clean_path)
-    for entry in cfg.get("attacks", []):
-        name = entry["name"]
-        batch_path = out / "attacks" / f"{name}.json"
-        _require_file(batch_path, "attack")
-        batch = atk.load_batch(batch_path)
-        path = score_dir / f"{name}.csv"
+    for entry in exp.attacks:
+        batch = atk.load_batch(_require_file(out / "attacks" / f"{entry.name}.json", "attack"))
+        path = score_dir / f"{entry.name}.csv"
         _write_scores_csv(dfc.adversarial_score(classifier, ae, batch.adversarials, temperature=temperature), path)
         artifacts.append(path)
-    write_manifest(out, "score", cfg, seed, artifacts)
+    write_manifest(out, "score", exp.raw, seed, artifacts)
     return 0
 
 
-def cmd_calibrate(cfg: dict, seed: int, out: Path, workers: int) -> int:
-    train, _ = load_datasets(cfg, seed)
+def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+    train, _ = _required(exp, "dataset").load(seed)
     classifier = _load_classifier(out)
-    tag = _score_defence_tag(cfg)
+    tag = exp.score_defence
     ae = _load_defence(out, tag)
-    size = int(cfg.get("calibration_size", min(1000, train.n)))
+    size = min(1000, train.n) if exp.calibration_size is None else exp.calibration_size
     if size < 1 or size > train.n:
         raise ConfigError(f"calibration_size {size} outside [1, {train.n}]")
     x_cal = train.images[-size:]
-    scores = dfc.adversarial_score(classifier, ae, x_cal, temperature=_score_temperature(cfg, tag))
-    eps_fpr = float(cfg.get("eps_fpr", DEFAULT_EPS_FPR))
-    t = dfc.calibrate_threshold(scores, eps_fpr)
+    scores = dfc.adversarial_score(classifier, ae, x_cal, temperature=_score_temperature(exp, tag))
+    t = dfc.calibrate_threshold(scores, exp.eps_fpr)
     path = out / "threshold.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"threshold": t, "eps_fpr": eps_fpr, "n": size, "defence": tag}, fh, sort_keys=True)
+        json.dump({"threshold": t, "eps_fpr": float(exp.eps_fpr), "n": size, "defence": tag}, fh, sort_keys=True)
         fh.write("\n")
-    log.info("threshold %.6g at eps_fpr %.3f over %d normal scores", t, eps_fpr, size)
-    write_manifest(out, "calibrate", cfg, seed, [path])
+    log.info("threshold %.6g at eps_fpr %.3f over %d normal scores", t, exp.eps_fpr, size)
+    write_manifest(out, "calibrate", exp.raw, seed, [path])
     return 0
 
 
-def cmd_evaluate(cfg: dict, seed: int, out: Path, workers: int) -> int:
-    _, test = load_datasets(cfg, seed)
+def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+    _, test = _required(exp, "dataset").load(seed)
     classifier = _load_classifier(out)
-    tags = cfg.get("report_defences") or [s.kind for s in _defence_loss_specs(cfg)]
-    defences = {}
-    for tag in tags:
-        path = out / f"ae_{tag}.ckpt"
-        if not path.is_file():
-            raise ConfigError(f"requested defence column {tag!r} has no checkpoint at {path}")
-        defences[tag] = _load_defence(out, tag)
+    tags = exp.report_defences or [s.kind for s in exp.defence_losses]
+    defences = {tag: _load_defence(out, tag) for tag in tags}
     attack_sets = {}
-    subset = cfg.get("attack_subset")
-    for entry in _attack_entries(cfg):
-        name = entry["name"]
-        batch_path = out / "attacks" / f"{name}.json"
-        _require_file(batch_path, "attack")
-        batch = atk.load_batch(batch_path)
+    for entry in _required(exp, "attacks"):
+        batch = atk.load_batch(_require_file(out / "attacks" / f"{entry.name}.json", "attack"))
         if batch.labels is None:
-            raise DataError(f"attack batch {name} carries no true labels; cannot compute accuracy")
-        attack_sets[name] = (batch.adversarials, batch.labels)
-    x_clean = test.images[: int(subset)] if subset else test.images
-    y_clean = test.labels[: x_clean.shape[0]]
+            raise DataError(f"attack batch {entry.name} carries no true labels; cannot compute accuracy")
+        attack_sets[entry.name] = (batch.adversarials, batch.labels)
     thresholds = None
     tpath = out / "threshold.json"
     if tpath.is_file():
@@ -386,8 +419,10 @@ def cmd_evaluate(cfg: dict, seed: int, out: Path, workers: int) -> int:
             thresholds = {info["defence"]: float(info["threshold"])}
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{tpath}: needs a JSON object with 'threshold' and 'defence': {exc!r}") from None
-    temperature = _score_temperature(cfg, info["defence"]) if thresholds else None
-    rows = ev.accuracy_report(classifier, defences, attack_sets, (x_clean, y_clean), thresholds=thresholds, temperature=temperature)
+    temperature = _score_temperature(exp, info["defence"]) if thresholds else None
+    rows = ev.accuracy_report(
+        classifier, defences, attack_sets, _attack_inputs(exp, test), thresholds=thresholds, temperature=temperature
+    )
     report_path = out / "report_accuracy.csv"
     ev.accuracy_report_to_csv(rows, report_path)
     artifacts = [report_path]
@@ -403,46 +438,42 @@ def cmd_evaluate(cfg: dict, seed: int, out: Path, workers: int) -> int:
                 artifacts.append(vpath)
     for row in rows:
         log.info("evaluate %s: %s", row["attack"], {k: v for k, v in row.items() if k != "attack"})
-    write_manifest(out, "evaluate", cfg, seed, artifacts)
+    write_manifest(out, "evaluate", exp.raw, seed, artifacts)
     return 0
 
 
-def cmd_drift(cfg: dict, seed: int, out: Path, workers: int) -> int:
-    _, test = load_datasets(cfg, seed)
+def cmd_drift(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+    _, test = _required(exp, "dataset").load(seed)
     classifier = _load_classifier(out)
-    tag = _score_defence_tag(cfg)
+    tag = exp.score_defence
     ae = _load_defence(out, tag)
-    drift_cfg = cfg.get("drift", {})
-    kinds = drift_cfg.get("kinds", list(ev.CORRUPTION_PARAMS))
-    severities = drift_cfg.get("severities", list(ev.SEVERITIES))
     report = ev.drift_report(
-        classifier, ae, test.images, test.labels, kinds=kinds, severities=severities,
-        seed=derive_seed(seed, "drift") % (2**31), temperature=_score_temperature(cfg, tag),
+        classifier, ae, test.images, test.labels, kinds=exp.drift.kinds, severities=exp.drift.severities,
+        seed=derive_seed(seed, "drift") % (2**31), temperature=_score_temperature(exp, tag),
     )
     jpath = out / "drift.json"
     cpath = out / "drift.csv"
     report.to_json(jpath)
     report.to_csv(cpath)
-    write_manifest(out, "drift", cfg, seed, [jpath, cpath])
+    write_manifest(out, "drift", exp.raw, seed, [jpath, cpath])
     return 0
 
 
-def cmd_roc(cfg: dict, seed: int, out: Path, workers: int) -> int:
+def cmd_roc(exp: Experiment, seed: int, out: Path, workers: int) -> int:
     artifacts = []
     clean_path = _require_file(out / "scores" / "clean_test.csv", "score")
     normal = _read_scores_csv(clean_path)
-    for entry in _attack_entries(cfg):
-        name = entry["name"]
-        spath = _require_file(out / "scores" / f"{name}.csv", "score")
+    for entry in _required(exp, "attacks"):
+        spath = _require_file(out / "scores" / f"{entry.name}.csv", "score")
         adv = _read_scores_csv(spath)
         curve = ev.roc_auc(normal, adv)
-        rpath = out / f"roc_{name}.json"
+        rpath = out / f"roc_{entry.name}.json"
         with open(rpath, "w", encoding="utf-8") as fh:
-            json.dump(curve.to_dict(), fh, sort_keys=True)
+            json.dump(asdict(curve), fh, sort_keys=True)
             fh.write("\n")
         artifacts.append(rpath)
-        log.info("roc %s: auc %.4f", name, curve.auc)
-    write_manifest(out, "roc", cfg, seed, artifacts)
+        log.info("roc %s: auc %.4f", entry.name, curve.auc)
+    write_manifest(out, "roc", exp.raw, seed, artifacts)
     return 0
 
 
@@ -475,22 +506,20 @@ def run_cli(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            parser.error(f"--workers must be >= 1, got {args.workers}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        cfg = load_config(args.config)
-        cfg, seed, out = _resolve(cfg, args)
-        return _COMMANDS[args.command](cfg, seed, out, max(1, args.workers))
+        exp, out = _resolve(load_config(args.config), args)
+        return _COMMANDS[args.command](exp, exp.seed, out, args.workers)
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except PmdefError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PmdefError, OSError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 2
 

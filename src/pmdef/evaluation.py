@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,9 +35,6 @@ class RocCurve:
     points: list[tuple[float, float]]  # (fpr, tpr), monotone from (0,0) to (1,1)
     auc: float
     thresholds: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"points": [list(p) for p in self.points], "auc": self.auc, "thresholds": self.thresholds}
 
 
 def roc_auc(scores_normal, scores_adversarial) -> RocCurve:
@@ -204,9 +201,6 @@ class DriftRow:
     ks_d: float | None
     ks_p: float | None
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 @dataclass
 class DriftReport:
@@ -215,7 +209,7 @@ class DriftReport:
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"kinds": self.kinds, "rows": [r.to_dict() for r in self.rows]}, fh, sort_keys=True, indent=1)
+            json.dump({"kinds": self.kinds, "rows": [asdict(r) for r in self.rows]}, fh, sort_keys=True, indent=1)
             fh.write("\n")
 
     def to_csv(self, path) -> None:
@@ -227,7 +221,7 @@ class DriftReport:
             ]
             writer.writerow(cols)
             for r in self.rows:
-                d = r.to_dict()
+                d = asdict(r)
                 writer.writerow(["" if d[c] is None else (d[c] if isinstance(d[c], int) else f"{d[c]:.17g}") for c in cols])
 
 
@@ -235,6 +229,24 @@ def _group_stats(scores: np.ndarray):
     if scores.size == 0:
         return None, None
     return float(scores.mean()), float(scores.std())
+
+
+def _drift_row(severity: int, harm: np.ndarray, safe: np.ndarray, accuracy: float) -> DriftRow:
+    hm, hs = _group_stats(harm)
+    sm, ss = _group_stats(safe)
+    ks_d, ks_p = ks_two_sample(harm, safe) if harm.size and safe.size else (None, None)
+    return DriftRow(
+        severity=int(severity),
+        n_harmful=int(harm.size),
+        n_not_harmful=int(safe.size),
+        harmful_mean=hm,
+        harmful_std=hs,
+        not_harmful_mean=sm,
+        not_harmful_std=ss,
+        accuracy=accuracy,
+        ks_d=ks_d,
+        ks_p=ks_p,
+    )
 
 
 def drift_report(
@@ -256,20 +268,7 @@ def drift_report(
     clean = defence_outputs(classifier, ae, x)
     clean_pred = clean.p.argmax(axis=1)
     clean_scores = clean.scores(metric, temperature)
-    rows = [
-        DriftRow(
-            severity=0,
-            n_harmful=0,
-            n_not_harmful=int(x.shape[0]),
-            harmful_mean=None,
-            harmful_std=None,
-            not_harmful_mean=_group_stats(clean_scores)[0],
-            not_harmful_std=_group_stats(clean_scores)[1],
-            accuracy=float((clean_pred == y).mean()),
-            ks_d=None,
-            ks_p=None,
-        )
-    ]
+    rows = [_drift_row(0, np.zeros(0), clean_scores, float((clean_pred == y).mean()))]
     for sev in severities:
         harm_scores = []
         safe_scores = []
@@ -285,26 +284,5 @@ def drift_report(
             safe_scores.append(scores[~changed])
             correct += int((pred == y).sum())
             total += xc.shape[0]
-        harm = np.concatenate(harm_scores)
-        safe = np.concatenate(safe_scores)
-        hm, hs = _group_stats(harm)
-        sm, ss = _group_stats(safe)
-        if harm.size and safe.size:
-            ks_d, ks_p = ks_two_sample(harm, safe)
-        else:
-            ks_d = ks_p = None
-        rows.append(
-            DriftRow(
-                severity=int(sev),
-                n_harmful=int(harm.size),
-                n_not_harmful=int(safe.size),
-                harmful_mean=hm,
-                harmful_std=hs,
-                not_harmful_mean=sm,
-                not_harmful_std=ss,
-                accuracy=correct / total,
-                ks_d=ks_d,
-                ks_p=ks_p,
-            )
-        )
+        rows.append(_drift_row(sev, np.concatenate(harm_scores), np.concatenate(safe_scores), correct / total))
     return DriftReport(kinds=kinds, rows=rows)

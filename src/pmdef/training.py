@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,36 +56,12 @@ class OptimizerConfig:
             raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        self.lr_schedule = tuple((int(e), float(f)) for e, f in self.lr_schedule)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "momentum": self.momentum,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "lr_schedule": [list(p) for p in self.lr_schedule],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "OptimizerConfig":
-        d = dict(d)
-        d["lr_schedule"] = tuple(tuple(p) for p in d.get("lr_schedule", ()))
-        return OptimizerConfig(**d)
 
 
 @dataclass
 class ProbeConfig:
     source_layer: int
     dim: int = 10
-
-    def to_dict(self) -> dict:
-        return {"source_layer": self.source_layer, "dim": self.dim}
 
 
 @dataclass
@@ -109,19 +85,6 @@ class DefenceLossSpec:
     def target_temperature(self) -> float | None:
         """Temperature the classifier's target is sharpened with in training; None when it is not."""
         return self.temperature if self.kind == "kl_temperature" else None
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "temperature": self.temperature, "hidden_weight": self.hidden_weight}
-        if self.probe is not None:
-            d["probe"] = self.probe.to_dict()
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "DefenceLossSpec":
-        d = dict(d)
-        if d.get("probe") is not None:
-            d["probe"] = ProbeConfig(**d["probe"])
-        return DefenceLossSpec(**d)
 
 
 @dataclass
@@ -226,6 +189,43 @@ def _iter_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
+def _fit(
+    kind: str, loss_spec, params: list[Tensor], cfg: OptimizerConfig, n: int, batch_loss, after_epoch=None
+) -> TrainReport:
+    """Shuffled mini-batch descent on ``batch_loss(batch, rng)`` (recorded on
+    a tape) over ``n`` rows; ``after_epoch(epoch)`` runs after each epoch."""
+    opt = make_optimizer(cfg, params)
+    rng = np.random.default_rng(cfg.seed)
+    epoch_losses: list[float] = []
+    effective_lrs: list[float] = []
+    t0 = time.perf_counter()
+    for epoch in range(1, cfg.epochs + 1):
+        lr_scale = _effective_lr_factor(cfg.lr_schedule, epoch - 1)
+        effective_lrs.append(cfg.learning_rate * lr_scale)
+        total = 0.0
+        for batch in _iter_batches(n, cfg.batch_size, rng):
+            with Tape() as tape:
+                loss = batch_loss(batch, rng)
+            backward(tape, loss)
+            opt.step(lr_scale)
+            total += loss.item() * len(batch)
+        mean_loss = total / n
+        if not np.isfinite(mean_loss):
+            raise DivergenceError(f"{kind} loss became non-finite at epoch {epoch}", epoch=epoch)
+        epoch_losses.append(mean_loss)
+        if after_epoch is not None:
+            after_epoch(epoch)
+    return TrainReport(
+        kind=kind,
+        seed=cfg.seed,
+        loss_spec=loss_spec,
+        epoch_losses=epoch_losses,
+        effective_lrs=effective_lrs,
+        final_loss=epoch_losses[-1] if epoch_losses else float("nan"),
+        wall_time_s=time.perf_counter() - t0,
+    )
+
+
 def train_classifier(model: Model, x: np.ndarray, y: np.ndarray, cfg: OptimizerConfig) -> TrainReport:
     """Minimize cross-entropy -ln M(x)[y] in place; shuffles per epoch."""
     y = np.asarray(y, dtype=np.int64)
@@ -237,38 +237,13 @@ def train_classifier(model: Model, x: np.ndarray, y: np.ndarray, cfg: OptimizerC
     params = model.store.trainable()
     if not params:
         raise ContractError("classifier has no trainable parameters")
-    opt = make_optimizer(cfg, params)
-    rng = np.random.default_rng(cfg.seed)
-    n = x.shape[0]
-    epoch_losses: list[float] = []
-    effective_lrs: list[float] = []
-    t0 = time.perf_counter()
-    for epoch in range(1, cfg.epochs + 1):
-        lr_scale = _effective_lr_factor(cfg.lr_schedule, epoch - 1)
-        effective_lrs.append(cfg.learning_rate * lr_scale)
-        total = 0.0
-        for batch in _iter_batches(n, cfg.batch_size, rng):
-            xb = Tensor(x[batch])
-            with Tape() as tape:
-                logits = model.logits_t(xb, train=True, rng=rng)
-                per = ad.sub(ad.logsumexp(logits), ad.take_per_row(logits, y[batch]))
-                loss = ad.mean_all(per)
-            backward(tape, loss)
-            opt.step(lr_scale)
-            total += loss.item() * len(batch)
-        mean_loss = total / n
-        if not np.isfinite(mean_loss):
-            raise DivergenceError(f"classifier loss became non-finite at epoch {epoch}", epoch=epoch)
-        epoch_losses.append(mean_loss)
-    return TrainReport(
-        kind="classifier",
-        seed=cfg.seed,
-        loss_spec="cross_entropy",
-        epoch_losses=epoch_losses,
-        effective_lrs=effective_lrs,
-        final_loss=epoch_losses[-1] if epoch_losses else float("nan"),
-        wall_time_s=time.perf_counter() - t0,
-    )
+
+    def batch_loss(batch, rng):
+        logits = model.logits_t(Tensor(x[batch]), train=True, rng=rng)
+        per = ad.sub(ad.logsumexp(logits), ad.take_per_row(logits, y[batch]))
+        return ad.mean_all(per)
+
+    return _fit("classifier", "cross_entropy", params, cfg, x.shape[0], batch_loss)
 
 
 def _defence_targets(classifier: Model, x: np.ndarray, loss_spec: DefenceLossSpec, chunk: int) -> np.ndarray | None:
@@ -348,39 +323,17 @@ def train_defence(
         params = params + probe.trainable()
     if not params:
         raise ContractError("autoencoder has no trainable parameters")
-    opt = make_optimizer(cfg, params)
-    rng = np.random.default_rng(cfg.seed)
-    n = x.shape[0]
-    epoch_losses: list[float] = []
-    effective_lrs: list[float] = []
-    t0 = time.perf_counter()
     targets = _defence_targets(classifier, x, loss_spec, cfg.batch_size)
     from .models import save_checkpoint  # local import to avoid cycle noise
 
-    for epoch in range(1, cfg.epochs + 1):
-        lr_scale = _effective_lr_factor(cfg.lr_schedule, epoch - 1)
-        effective_lrs.append(cfg.learning_rate * lr_scale)
-        total = 0.0
-        for batch in _iter_batches(n, cfg.batch_size, rng):
-            with Tape() as tape:
-                target = None if targets is None else targets[batch]
-                loss = _defence_batch_loss(ae, classifier, x[batch], loss_spec, probe, target)
-            backward(tape, loss)
-            opt.step(lr_scale)
-            total += loss.item() * len(batch)
-        mean_loss = total / n
-        if not np.isfinite(mean_loss):
-            raise DivergenceError(f"defence loss became non-finite at epoch {epoch}", epoch=epoch)
-        epoch_losses.append(mean_loss)
+    def batch_loss(batch, rng):
+        target = None if targets is None else targets[batch]
+        return _defence_batch_loss(ae, classifier, x[batch], loss_spec, probe, target)
+
+    def after_epoch(epoch):
         if checkpoint_every and checkpoint_dir is not None and epoch % checkpoint_every == 0:
             save_checkpoint(ae, Path(checkpoint_dir) / f"{checkpoint_prefix}_epoch_{epoch:03d}.ckpt")
-    report = TrainReport(
-        kind="defence",
-        seed=cfg.seed,
-        loss_spec=loss_spec.to_dict(),
-        epoch_losses=epoch_losses,
-        effective_lrs=effective_lrs,
-        final_loss=epoch_losses[-1] if epoch_losses else float("nan"),
-        wall_time_s=time.perf_counter() - t0,
-    )
+
+    echo = {k: v for k, v in asdict(loss_spec).items() if v is not None}  # no probe key without a probe
+    report = _fit("defence", echo, params, cfg, x.shape[0], batch_loss, after_epoch)
     return report, probe

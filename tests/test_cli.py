@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import struct
@@ -5,17 +6,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pmdef import cli
 from pmdef import defence as dfc
 from pmdef.attacks import load_batch
 from pmdef.cli import run_cli
+from pmdef.errors import UserError
 from pmdef.models import CHECKPOINT_MAGIC, ModelSpec, build_model, load_checkpoint, save_checkpoint
+from pmdef.schema import from_dict
 
 
-def _write_config(tmp_path, out_dir, **overrides):
+def _toy_config(out_dir) -> dict:
     size = 8
-    cfg = {
+    return {
         "seed": 5,
         "out": str(out_dir),
         "dataset": {
@@ -62,7 +67,10 @@ def _write_config(tmp_path, out_dir, **overrides):
         "calibration_size": 60,
         "report_defences": ["kl"],
     }
-    cfg.update(overrides)
+
+
+def _write_config(tmp_path, out_dir, **overrides):
+    cfg = {**_toy_config(out_dir), **overrides}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -84,6 +92,14 @@ def test_workers_default_to_one_whatever_the_core_count(tmp_path, monkeypatch):
     assert run_cli(["attack", "--config", str(path)]) == 0
     assert run_cli(["attack", "--config", str(path), "--workers", "3"]) == 0
     assert seen == [1, 3]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    path = _write_config(tmp_path, tmp_path / "run")
+    assert run_cli(["attack", "--config", str(path), "--workers", workers]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and "--workers" in err
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -214,6 +230,52 @@ def test_evaluate_malformed_threshold_file_exits_1(attacked_run, capsys, content
     assert "threshold.json" in err
 
 
+def _batch_edit(edit):
+    """Attack-batch rewrite that applies ``edit`` to the parsed metadata."""
+    return lambda text: json.dumps(edit(json.loads(text)))
+
+
+def _set(key, value, *path):
+    def edit(meta):
+        node = meta
+        for p in path:
+            node = node[p]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        return meta
+
+    return edit
+
+
+MALFORMED_BATCHES = {
+    "not-json": lambda text: "{not json",
+    "json-list": lambda text: "[1, 2]",
+    "no-bin-file": _batch_edit(_set("bin_file", None)),
+    "missing-bin-file": _batch_edit(_set("bin_file", "elsewhere.bin")),
+    "no-blocks": _batch_edit(_set("blocks", None)),
+    "string-labels": _batch_edit(_set("labels", "abc")),
+    "digit-string-labels": _batch_edit(_set("labels", "1")),
+    "unknown-config-key": _batch_edit(_set("bogus", 1, "config")),
+}
+
+
+@pytest.mark.parametrize("stage", ["score", "evaluate"])
+@pytest.mark.parametrize("case", list(MALFORMED_BATCHES))
+def test_malformed_attack_batch_exits_1_naming_the_file(attacked_run, capsys, stage, case):
+    cfg, out = attacked_run
+    batch = out / "attacks" / "fgsm02.json"
+    original = batch.read_text()
+    batch.write_text(MALFORMED_BATCHES[case](original))
+    try:
+        assert run_cli([stage, "--config", str(cfg)]) == 1
+    finally:
+        batch.write_text(original)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fgsm02.json" in err, err
+
+
 def test_checkpoint_loadable_and_consistent_with_cli(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, out)
@@ -336,7 +398,7 @@ def test_tempered_defence_is_scored_calibrated_and_reported_with_its_temperature
         assert run_cli([stage, "--config", str(cfg)]) == 0, stage
     classifier = cli._load_classifier(out)
     ae = cli._load_defence(out, "kl_temperature")
-    train, test = cli.load_datasets(json.loads(cfg.read_text()), 5)
+    train, test = from_dict(cli.Experiment, json.loads(cfg.read_text())).dataset.load(5)
     tempered = dfc.adversarial_score(classifier, ae, test.images, temperature=0.5)
     assert np.abs(tempered - dfc.adversarial_score(classifier, ae, test.images)).max() > 1e-6
     assert np.array_equal(cli._read_scores_csv(out / "scores" / "clean_test.csv"), tempered)
@@ -352,3 +414,91 @@ def test_tempered_defence_is_scored_calibrated_and_reported_with_its_temperature
     with open(out / "report_accuracy.csv", newline="") as fh:
         row = next(csv.DictReader(fh))
     assert float(row["kl_temperature@detect"]) == float((corrected == labels).mean())
+
+
+# id: (config edit, the stage run, the dotted key the error must start with)
+MALFORMED_CONFIGS = {
+    "n-train-str": (lambda c: c["dataset"].update(n_train="x"), "train-classifier", "dataset.n_train"),
+    "noise-str": (lambda c: c["dataset"].update(noise="x"), "train-classifier", "dataset.noise"),
+    "seed-str": (lambda c: c.update(seed="x"), "train-classifier", "seed"),
+    "attack-subset-str": (lambda c: c.update(attack_subset="x"), "attack", "attack_subset"),
+    "eps-fpr-str": (lambda c: c.update(eps_fpr="x"), "calibrate", "eps_fpr"),
+    "calibration-size-str": (lambda c: c.update(calibration_size="x"), "calibrate", "calibration_size"),
+    "optimizer-not-an-object": (lambda c: c.update(classifier_opt=5), "train-classifier", "classifier_opt"),
+    "epochs-str": (lambda c: c["classifier_opt"].update(epochs="x"), "train-classifier", "classifier_opt.epochs"),
+    "optimizer-unknown-key": (lambda c: c["defence_opt"].update(bogus=1), "train-defence", "defence_opt.bogus"),
+    "attack-unknown-key": (lambda c: c["attacks"][0].update(bogus=1), "attack", "attacks[0].bogus"),
+    "probe-unknown-key": (
+        lambda c: c.update(defence_losses=[{"kind": "kl_hidden", "probe": {"source_layer": 1, "bogus": 2}}]),
+        "train-defence", "defence_losses[0].probe.bogus",
+    ),
+    "defence-losses-not-a-list": (lambda c: c.update(defence_losses=5), "train-defence", "defence_losses"),
+    "checkpoint-every-str": (lambda c: c.update(checkpoint_every="x"), "train-defence", "checkpoint_every"),
+    "epsilon-str": (lambda c: c["attacks"][0].update(epsilon="x"), "attack", "attacks[0].epsilon"),
+    "attack-not-an-object": (lambda c: c.update(attacks=[5]), "attack", "attacks[0]"),
+    "drift-not-an-object": (lambda c: c.update(drift=5), "drift", "drift"),
+    "attack-without-name": (lambda c: c["attacks"][0].pop("name"), "score", "attacks[0].name"),
+    "attack-subset-negative": (lambda c: c.update(attack_subset=-5), "attack", "attack_subset"),
+    "checkpoint-every-negative": (lambda c: c.update(checkpoint_every=-1), "train-defence", "checkpoint_every"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CONFIGS))
+def test_malformed_config_exits_1_naming_the_key(tmp_path, capsys, case):
+    edit, stage, key = MALFORMED_CONFIGS[case]
+    cfg = _toy_config(tmp_path / "run")
+    edit(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli([stage, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: "), err
+
+
+def _fuzz_base(out_dir) -> dict:
+    return {**_toy_config(out_dir), "drift": {"kinds": ["blur"], "severities": [1, 2]}}
+
+
+_OBJECTS = ("dataset", "classifier_opt", "defence_opt", ("defence_losses", 0), ("attacks", 0), "drift")
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 300), st.floats(-2, 2, allow_nan=False), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def _mutated_configs(draw, out_dir):
+    """The toy config with one mutation at the top level or one level down."""
+    cfg = json.loads(json.dumps(_fuzz_base(out_dir)))
+    where = draw(st.sampled_from((None, *_OBJECTS)))
+    node = cfg if where is None else cfg[where] if isinstance(where, str) else cfg[where[0]][where[1]]
+    action = draw(st.sampled_from(("drop", "swap", "add")))
+    key = draw(st.sampled_from(sorted(node)))
+    if action == "drop":
+        del node[key]
+    elif action == "swap":
+        node[key] = draw(_JSON_VALUES.filter(lambda v: type(v) is not type(node[key])))
+    else:
+        node["unknown_" + draw(st.text(max_size=4))] = draw(_JSON_VALUES)
+    return cfg
+
+
+def _parse(cfg: dict):
+    return cli._resolve(cfg, argparse.Namespace(seed=None, out=None))
+
+
+def test_the_toy_config_parses(tmp_path):
+    exp, out = _parse(_fuzz_base(tmp_path / "run"))
+    assert out == tmp_path / "run"
+    assert exp.attacks[0].name == "fgsm02" and exp.attacks[0].seed is None and exp.dataset.n_train == 120
+    assert exp.drift.severities == [1, 2] and exp.classifier_spec.name == "clf"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_mutation_of_the_config_parses_or_raises_a_user_error(tmp_path, data):
+    cfg = data.draw(_mutated_configs(str(tmp_path / "run")))
+    try:
+        _parse(cfg)
+    except UserError:
+        pass
