@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Alternated parent/change pairs of the benchmark, with minor page faults per run.
+
+    python3 scripts/bench_pairs.py --parent /path/to/parent-checkout --change . \\
+        --workload report --seeds 101 102 103 104 105 --out BENCH.json
+
+For every seed, runs ``python3 perfbench/run.py --workload W --seed S
+--seconds T --trace 0`` once in each checkout, one after the other, and
+alternates from seed to seed which side goes first. Every run records its
+end-to-end metrics, ``correct``/``failed``, a digest of its artifact hashes
+and the minor and major page faults of the child process
+(``RUSAGE_CHILDREN``): train wall time moves with how often glibc hands
+freed pages back, so a wall figure is only read next to its fault count.
+
+The output file keeps the runs of every workload run into it so far; each
+invocation replaces the runs of its own workload and recomputes the
+summary: per metric and side the median and quartiles, and how many pairs
+the change won (lower is better for all three metrics).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+METRICS = ("wall_ref", "setup_s", "peak_rss_mb")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    wall_s = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    run = {"seed": seed, "exit": proc.returncode, "wall_s": round(wall_s, 3),
+           "minflt": after.ru_minflt - before.ru_minflt, "majflt": after.ru_majflt - before.ru_majflt}
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        run["error"] = proc.stderr.strip().splitlines()[-5:]
+        return run
+    printed = json.loads(lines[-1])
+    run.update(correct=printed["correct"], attempted=printed["attempted"], failed=printed["failed"])
+    run.update({m: printed["metrics"][m]["value"] for m in METRICS})
+    result = json.loads((checkout / "perfbench" / "_results" / f"{workload}-seed{seed}-trace0.json").read_text())
+    hashes = json.dumps(result["artifact_sha256"], sort_keys=True).encode()
+    run["artifacts_digest"] = hashlib.sha256(hashes).hexdigest()[:16]
+    return run
+
+
+def quartiles(values: list[float]) -> dict:
+    if not values:
+        return {}
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"q1": q1, "median": med, "q3": q3}
+
+
+def summarize(runs: list[dict]) -> dict:
+    parent = {r["seed"]: r for r in runs if r["side"] == "parent" and "wall_ref" in r}
+    change = {r["seed"]: r for r in runs if r["side"] == "change" and "wall_ref" in r}
+    seeds = sorted(set(parent) & set(change))
+    out = {"pairs": len(seeds),
+           "artifacts_identical": all(parent[s]["artifacts_digest"] == change[s]["artifacts_digest"] for s in seeds),
+           "all_correct": all(r.get("correct") and r.get("failed") == 0 for r in runs)}
+    for m in METRICS:
+        p = [parent[s][m] for s in seeds]
+        c = [change[s][m] for s in seeds]
+        out[m] = {"parent": quartiles(p), "change": quartiles(c),
+                  "change_won": sum(1 for a, b in zip(p, c) if b < a), "change_lost": sum(1 for a, b in zip(p, c) if b > a)}
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", choices=("train", "attack", "report"), required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    runs = []
+    for i, seed in enumerate(args.seeds):
+        sides = [("parent", args.parent), ("change", args.change)]
+        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+            run = {"side": side, "order": len(runs), **run_once(checkout.resolve(), args.workload, seed, args.seconds)}
+            runs.append(run)
+            print(json.dumps(run), flush=True)
+    doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0")
+    doc.setdefault("workloads", {})[args.workload] = {"seconds": args.seconds, "runs": runs, "summary": summarize(runs)}
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(json.dumps(doc["workloads"][args.workload]["summary"], indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,6 +14,12 @@ return None for the others (add and sub pass ``g`` itself to their first
 input, which costs nothing either), so frozen parameters (a fixed classifier
 under a trained autoencoder or an attack) and constants cost nothing in the
 reverse pass.
+
+Unrecorded forwards compute only their outputs; backward-only work lives in
+the vjp. Masks and normalised weights that only a vjp reads (relu, clip,
+maximum_scalar, logsumexp) are built inside it, and maxpool2d, whose
+recorded forward must keep its argmax, takes plain window maxima when
+``_recording_tape`` says no tape will record it.
 """
 
 from __future__ import annotations
@@ -134,17 +140,22 @@ class Tape:
 
 
 def _check_finite(op: str, data: Array) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"{op} produced non-finite values")
+
+
+def _recording_tape(inputs: tuple[Tensor, ...]) -> "Tape | None":
+    """The tape an op over ``inputs`` records onto: the innermost active one
+    when an input requires gradients, else None (the op is not recorded)."""
+    return _active_tape() if any(t.requires_grad for t in inputs) else None
 
 
 def _emit(op: str, inputs: tuple[Tensor, ...], out_data: Array, vjp, kink: Callable[[], float] | None = None) -> Tensor:
     out = Tensor(out_data)
     _check_finite(op, out.data)
-    needs = any(t.requires_grad for t in inputs)
-    out.requires_grad = needs
-    tape = _active_tape()
-    if tape is not None and needs:
+    out.requires_grad = any(t.requires_grad for t in inputs)
+    tape = _recording_tape(inputs)
+    if tape is not None:
         if kink is not None:
             tape.kinks.append(kink)
         tape.records.append(_TapeRecord(op, inputs, out, vjp))
@@ -174,13 +185,27 @@ def _sum_leading(g: Array, shape: tuple[int, ...]) -> Array:
     return (np.ones(g2.shape[0]) @ g2).reshape(shape)
 
 
+def _broadcast(op, ad: Array, bd: Array) -> Array:
+    """op(ad, bd) for a bd that _check_broadcast accepted.
+
+    A bias over a 4-d input is tiled to one whole row first, so numpy's
+    inner loop runs over the h*w*c elements of a row rather than over the c
+    channels of a pixel. Every element is the same single op either way.
+    """
+    if ad.ndim == 4 and bd.ndim < 4:
+        n = ad.shape[0]
+        tiled = np.tile(bd.ravel(), math.prod(ad.shape[1 : 4 - bd.ndim]))
+        return op(ad.reshape(n, tiled.size), tiled).reshape(ad.shape)
+    return op(ad, bd)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b)
 
     def vjp(g):
         return g, (_sum_leading(g, b.shape) if b.requires_grad else None)
 
-    return _emit("add", (a, b), a.data + b.data, vjp)
+    return _emit("add", (a, b), _broadcast(np.add, a.data, b.data), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -189,7 +214,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return g, (-_sum_leading(g, b.shape) if b.requires_grad else None)
 
-    return _emit("sub", (a, b), a.data - b.data, vjp)
+    return _emit("sub", (a, b), _broadcast(np.subtract, a.data, b.data), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -274,10 +299,9 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
     if not lo < hi:
         raise ParameterError(f"clip bounds must satisfy lo < hi, got [{lo}, {hi}]")
     d = t.data
-    mask = (d >= lo) & (d <= hi)
 
     def vjp(g):
-        return (g * mask,)
+        return (g * ((d >= lo) & (d <= hi)),)
 
     def kink():
         return float(min(np.abs(d - lo).min(), np.abs(d - hi).min())) if d.size else math.inf
@@ -287,10 +311,9 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
 
 def maximum_scalar(t: Tensor, c: float) -> Tensor:
     d = t.data
-    mask = d >= c
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (d >= c),)
 
     def kink():
         return float(np.abs(d - c).min()) if d.size else math.inf
@@ -380,10 +403,9 @@ def logsumexp(t: Tensor) -> Tensor:
     e = np.exp(d - m)
     s = e.sum(axis=-1, keepdims=True)
     y = (m + np.log(s)).squeeze(-1)
-    soft = e / s
 
     def vjp(g):
-        return (np.expand_dims(g, -1) * soft,)
+        return (np.expand_dims(g, -1) * (e / s),)
 
     return _emit("logsumexp", (t,), y, vjp)
 
@@ -482,7 +504,13 @@ def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid") 
 
 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Per-window maximum; backward routes to the first (row-major) argmax."""
+    """Per-window maximum; backward routes to the first (row-major) argmax.
+
+    Only a recorded forward keeps the argmax that its vjp routes by. An
+    unrecorded one folds the strided slice of each window offset into the
+    output with an in-place ``np.maximum``: no window copy, no argmax and
+    no gather, and the same maxima.
+    """
     if x.ndim != 4:
         raise DimensionError(f"maxpool2d expects NHWC input, got {x.shape}")
     if not isinstance(window, int) or window < 1 or not isinstance(stride, int) or stride < 1:
@@ -494,6 +522,15 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     ow = (w - window) // stride + 1
     k = window * window
     d = x.data
+    if _recording_tape((x,)) is None:
+        rows = slice(None, (oh - 1) * stride + 1, stride)
+        cols = slice(None, (ow - 1) * stride + 1, stride)
+        out = d[:, rows, cols].copy()
+        for i in range(window):
+            for j in range(window):
+                if i or j:
+                    np.maximum(out, d[:, i:, j:][:, rows, cols], out=out)
+        return _emit("maxpool2d", (x,), out, None)
 
     def windows():
         """[n, oh, ow, c, window*window] copy of every window, row-major within it."""

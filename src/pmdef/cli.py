@@ -24,7 +24,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar
 
@@ -236,7 +236,7 @@ def write_manifest(out: Path, stage: str, cfg: dict, seed: int, artifacts: list[
     for p in artifacts:
         rel = str(p.relative_to(out))
         if p.suffix == ".jsonl":
-            entries[rel] = {"unhashed": True, "bytes": p.stat().st_size}  # wall time inside
+            entries[rel] = {"unhashed": True}  # wall time inside, so neither hash nor size repeats
         else:
             entries[rel] = {"sha256": _sha256(p)}
     manifest = {"stage": stage, "seed": seed, "config": cfg, "artifacts": entries}
@@ -469,7 +469,7 @@ def cmd_roc(exp: Experiment, seed: int, out: Path, workers: int) -> int:
         curve = ev.roc_auc(normal, adv)
         rpath = out / f"roc_{entry.name}.json"
         with open(rpath, "w", encoding="utf-8") as fh:
-            json.dump(asdict(curve), fh, sort_keys=True)
+            json.dump(vars(curve), fh, sort_keys=True)
             fh.write("\n")
         artifacts.append(rpath)
         log.info("roc %s: auc %.4f", entry.name, curve.auc)

@@ -166,29 +166,30 @@ def synth_dataset(
         raise ParameterError(f"image size must be >= 8, got {image_size}")
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.arange(n) % num_classes).astype(np.int64)
-    yy, xx = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
     images = np.empty((n, image_size, image_size, 1))
+    pixels = images[..., 0]  # filled in place: no other array of the images' size until the noise
     if kind == "blobs":
         centers = _blob_centers(num_classes, image_size)
         sigma = image_size / 12.0
         # amplitude above the clip ceiling: blobs saturate into bright plateaus
         # that stay clearly brighter than any bounded pixel perturbation
         offsets = rng.normal(0.0, jitter, size=(n, 2))
-        for i in range(n):
-            cy, cx = centers[labels[i]] + offsets[i]
-            bump = 1.5 * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma**2))
-            images[i, :, :, 0] = bump
+        cy, cx = (centers[labels] + offsets).T[:, :, None]
+        grid = np.arange(image_size)
+        np.add(((grid - cy) ** 2)[:, :, None], ((grid - cx) ** 2)[:, None, :], out=pixels)
+        np.negative(pixels, out=pixels)
+        pixels /= 2.0 * sigma**2
+        np.exp(pixels, out=pixels)
+        pixels *= 1.5
     else:
         center = (image_size - 1) / 2.0
+        yy, xx = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
         dist = np.sqrt((yy - center) ** 2 + (xx - center) ** 2)
         r0 = image_size / 6.0
         max_extra = image_size / 2.0 - 2.0 - r0
         offsets = rng.normal(0.0, jitter * 0.3, size=n)
-        for i in range(n):
-            thickness = (labels[i] + 1) * max_extra / num_classes + offsets[i]
-            thickness = max(thickness, 0.6)
-            ring = ((dist >= r0) & (dist < r0 + thickness)).astype(np.float64) * 0.85
-            images[i, :, :, 0] = ring
+        thickness = np.maximum((labels + 1) * max_extra / num_classes + offsets, 0.6)
+        np.multiply((dist >= r0) & (dist < r0 + thickness[:, None, None]), 0.85, out=pixels)
     images += rng.normal(0.0, noise, size=images.shape)
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images, labels, name=name or f"synth_{kind}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -209,7 +209,7 @@ class DriftReport:
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"kinds": self.kinds, "rows": [asdict(r) for r in self.rows]}, fh, sort_keys=True, indent=1)
+            json.dump({"kinds": self.kinds, "rows": [vars(r) for r in self.rows]}, fh, sort_keys=True, indent=1)
             fh.write("\n")
 
     def to_csv(self, path) -> None:
@@ -221,7 +221,7 @@ class DriftReport:
             ]
             writer.writerow(cols)
             for r in self.rows:
-                d = asdict(r)
+                d = vars(r)
                 writer.writerow(["" if d[c] is None else (d[c] if isinstance(d[c], int) else f"{d[c]:.17g}") for c in cols])
 
 

@@ -244,6 +244,87 @@ def test_maxpool2d_matches_nested_loop_reference_with_ties(window, stride_offset
     assert np.abs(gx - ref_vjp(g)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("window", [2, 3, 5])
+@pytest.mark.parametrize("stride_offset", [-1, 0, 1])
+def test_unrecorded_maxpool2d_equals_the_recorded_one_and_the_reference_bit_for_bit(window, stride_offset):
+    stride = max(1, window + stride_offset)
+    rng = np.random.default_rng(window * 11 + stride)
+    x = rng.integers(0, 3, size=(3, 13, 11, 2)) * 0.7 - 0.3  # tied maxima; 13 and 11 divide by no window
+    x[0] = rng.normal(size=x.shape[1:])
+    recorded, _, _ = _forward_and_vjp(lambda a: ad.maxpool2d(a, window, stride), x)
+    ref_out, _ = _naive_maxpool2d(x, window, stride)
+    without_tape = ad.maxpool2d(Tensor(x, requires_grad=True), window, stride)
+    with Tape() as tape:
+        frozen_input = ad.maxpool2d(Tensor(x), window, stride)
+    assert tape.records == [] and tape.kinks == []
+    for out in (without_tape.data, frozen_input.data):
+        assert out.shape == ref_out.shape
+        assert out.tobytes() == ref_out.tobytes() == recorded.tobytes()
+
+
+def test_tape_free_maxpool2d_builds_no_window_view_and_the_recorded_one_keeps_the_first_argmax(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("window view built")
+
+    x = np.array([[2.0, 2.0, 0.0], [1.0, 2.0, 5.0], [2.0, 0.0, 5.0]]).reshape(1, 3, 3, 1)
+    monkeypatch.setattr(ad, "_windows", refuse)
+    out = ad.maxpool2d(Tensor(x, requires_grad=True), 2, 1)
+    assert np.array_equal(out.data.ravel(), [2.0, 5.0, 2.0, 5.0])
+    with Tape(), pytest.raises(AssertionError, match="window view built"):
+        ad.maxpool2d(Tensor(x, requires_grad=True), 2, 1)
+    monkeypatch.undo()
+    leaf = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum_all(ad.maxpool2d(leaf, 2, 1))
+    backward(tape, loss)
+    # ties go to the first row-major maximum of each window: (0, 0) and not (0, 1) or (1, 1) for
+    # the top-left window, (1, 1) and not (2, 0) for the bottom-left, (1, 2) and not (2, 2) for both right ones
+    assert np.array_equal(leaf.grad.reshape(3, 3), [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_tape_free_maxpool2d_output_is_still_finite_checked(bad):
+    x = np.zeros((1, 4, 4, 1))
+    x[0, 2:, 2:, 0] = bad  # one whole window
+    with pytest.raises(NonFiniteError):
+        ad.maxpool2d(Tensor(x), 2, 2)
+
+
+def test_clip_and_logsumexp_vjps_build_the_mask_and_weights_of_the_eager_formulas():
+    rng = np.random.default_rng(9)
+    d = rng.normal(size=(6, 5))
+    d[0, :3] = [-0.5, 0.5, 0.5000001]  # on both bounds and just outside
+    g = rng.normal(size=d.shape)
+    with Tape() as tape:
+        ad.clip(Tensor(d, requires_grad=True), -0.5, 0.5)
+    (gc,) = tape.records[-1].vjp(g)
+    assert gc.tobytes() == (g * ((d >= -0.5) & (d <= 0.5))).tobytes()
+    with Tape() as tape:
+        y = ad.logsumexp(Tensor(d, requires_grad=True))
+    e = np.exp(d - d.max(axis=-1, keepdims=True))
+    s = e.sum(axis=-1, keepdims=True)
+    assert y.data.tobytes() == (d.max(axis=-1, keepdims=True) + np.log(s)).squeeze(-1).tobytes()
+    gy = rng.normal(size=y.shape)
+    (gl,) = tape.records[-1].vjp(gy)
+    assert gl.tobytes() == (np.expand_dims(gy, -1) * (e / s)).tobytes()
+
+
+@pytest.mark.parametrize("op,ufunc", [(ad.add, np.add), (ad.sub, np.subtract)])
+@pytest.mark.parametrize(
+    "x_shape,bias_shape",
+    [((5, 6, 7, 3), (3,)), ((5, 6, 7, 3), (7, 3)), ((5, 6, 7, 3), (6, 7, 3)), ((1, 4, 4, 8), (8,)), ((0, 4, 4, 2), (2,))],
+)
+def test_tiled_bias_add_and_sub_equal_plain_broadcasting(op, ufunc, x_shape, bias_shape):
+    rng = np.random.default_rng(len(x_shape) + len(bias_shape))
+    x = rng.normal(size=x_shape)
+    b = rng.normal(size=bias_shape)
+    out = op(Tensor(x), Tensor(b)).data
+    assert out.shape == x.shape and out.flags.c_contiguous
+    assert np.array_equal(out, ufunc(x, b))
+    strided = x[:, ::-1]  # a non-contiguous input is read the same way
+    assert np.array_equal(op(Tensor(strided), Tensor(b)).data, ufunc(strided, b))
+
+
 # ---------------------------------------------------------------------------
 # frozen inputs: no cotangent for an input that does not require a gradient
 

@@ -3,6 +3,7 @@ import csv
 import json
 import struct
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pmdef import defence as dfc
 from pmdef.attacks import load_batch
 from pmdef.cli import run_cli
 from pmdef.errors import UserError
+from pmdef.evaluation import roc_auc
 from pmdef.models import CHECKPOINT_MAGIC, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from pmdef.schema import from_dict
 
@@ -147,7 +149,10 @@ def test_full_pipeline_smoke_and_manifests(tmp_path):
     assert (out / "threshold.json").is_file()
     assert (out / "report_accuracy.csv").is_file()
     assert (out / "drift.json").is_file()
-    assert (out / "roc_fgsm02.json").is_file()
+    # roc is written from vars(curve): the same bytes as an asdict dump, without its deep copies
+    normal, adv = (cli._read_scores_csv(out / "scores" / f"{name}.csv") for name in ("clean_test", "fgsm02"))
+    curve = roc_auc(normal, adv)
+    assert (out / "roc_fgsm02.json").read_text() == json.dumps(asdict(curve), sort_keys=True) + "\n"
     manifest = json.loads((out / "manifest_train-classifier.json").read_text())
     assert manifest["stage"] == "train-classifier"
     assert manifest["seed"] == 5
@@ -180,6 +185,9 @@ def test_reruns_reproduce_identical_artifacts(tmp_path):
         "threshold.json",
     ]:
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+    for stage in ["train-classifier", "train-defence", "attack", "score", "calibrate"]:
+        a, b = (json.loads((out / f"manifest_{stage}.json").read_text()) for out in (out_a, out_b))
+        assert a["artifacts"] == b["artifacts"], stage
 
 
 def test_seed_override_changes_artifacts(tmp_path):

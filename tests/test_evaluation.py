@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -325,6 +326,8 @@ def test_drift_report_serialization(tmp_path, small_image_classifier):
     report.to_csv(cpath)
     data = json.loads(jpath.read_text())
     assert [r["severity"] for r in data["rows"]] == [0, 1, 3]
+    as_dicts = {"kinds": report.kinds, "rows": [asdict(r) for r in report.rows]}
+    assert jpath.read_text() == json.dumps(as_dicts, sort_keys=True, indent=1) + "\n"
     assert len(cpath.read_text().strip().splitlines()) == 4
 
 
