@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import write_artifact
 from .autodiff import Tape, Tensor, backward
 from .errors import DataError, MagicError, MismatchError, ParameterError, ParseError, TruncationError, UserError
 from .schema import from_dict
@@ -356,9 +357,9 @@ def run_attack(model, x: np.ndarray, labels=None, *, config: AttackConfig, worke
 # persistence: JSON metadata + raw little-endian float64 blocks
 
 
-def save_batch(batch: AdversarialBatch, json_path, bin_path=None) -> None:
+def save_batch(batch: AdversarialBatch, json_path) -> None:
     json_path = Path(json_path)
-    bin_path = Path(bin_path) if bin_path is not None else json_path.with_suffix(".bin")
+    bin_path = json_path.with_suffix(".bin")
     originals = np.ascontiguousarray(batch.originals, dtype="<f8").tobytes()
     adversarials = np.ascontiguousarray(batch.adversarials, dtype="<f8").tobytes()
     meta = {
@@ -373,12 +374,8 @@ def save_batch(batch: AdversarialBatch, json_path, bin_path=None) -> None:
         "success": batch.success.astype(int).tolist(),
         "norms": {k: v.tolist() for k, v in batch.norms.items()},
     }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    with open(bin_path, "wb") as fh:
-        fh.write(originals)
-        fh.write(adversarials)
+    write_artifact(json_path, json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
+    write_artifact(bin_path, originals + adversarials)
 
 
 def load_batch(json_path) -> AdversarialBatch:

@@ -33,6 +33,7 @@ import numpy as np
 from . import attacks as atk
 from . import defence as dfc
 from . import evaluation as ev
+from .artifacts import write_artifact
 from .datasets import Dataset, parse_cifar_binary, parse_idx, synth_dataset
 from .errors import ConfigError, DataError, ParseError, PmdefError, UserError
 from .models import ModelSpec, build_model, compose_defended, load_checkpoint, save_checkpoint
@@ -231,7 +232,7 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out: Path, stage: str, cfg: dict, seed: int, artifacts: list[Path]) -> Path:
+def write_manifest(out: Path, stage: str, cfg: dict, seed: int, artifacts: list[Path]) -> None:
     entries = {}
     for p in artifacts:
         rel = str(p.relative_to(out))
@@ -240,22 +241,17 @@ def write_manifest(out: Path, stage: str, cfg: dict, seed: int, artifacts: list[
         else:
             entries[rel] = {"sha256": _sha256(p)}
     manifest = {"stage": stage, "seed": seed, "config": cfg, "artifacts": entries}
-    path = out / f"manifest_{stage}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return path
+    write_artifact(out / f"manifest_{stage}.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
 def _write_scores_csv(scores: np.ndarray, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("id,score\n")
-        for i, s in enumerate(scores):
-            fh.write(f"{i},{s:.17g}\n")
+    write_artifact(path, "id,score\n" + "".join(f"{i},{s:.17g}\n" for i, s in enumerate(scores)))
 
 
 def _read_scores_csv(path: Path) -> np.ndarray:
-    rows = Path(path).read_text(encoding="utf-8").strip().splitlines()[1:]
+    header, *rows = Path(path).read_text(encoding="utf-8").strip().splitlines() or [""]
+    if header != "id,score":
+        raise ParseError(f"{path}:1: expected the header 'id,score', got {header!r}")
     scores = []
     for lineno, row in enumerate(rows, start=2):
         try:
@@ -392,9 +388,8 @@ def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> int:
     scores = dfc.adversarial_score(classifier, ae, x_cal, temperature=_score_temperature(exp, tag))
     t = dfc.calibrate_threshold(scores, exp.eps_fpr)
     path = out / "threshold.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"threshold": t, "eps_fpr": float(exp.eps_fpr), "n": size, "defence": tag}, fh, sort_keys=True)
-        fh.write("\n")
+    info = {"threshold": t, "eps_fpr": float(exp.eps_fpr), "n": size, "defence": tag}
+    write_artifact(path, json.dumps(info, sort_keys=True) + "\n")
     log.info("threshold %.6g at eps_fpr %.3f over %d normal scores", t, exp.eps_fpr, size)
     write_manifest(out, "calibrate", exp.raw, seed, [path])
     return 0
@@ -468,9 +463,7 @@ def cmd_roc(exp: Experiment, seed: int, out: Path, workers: int) -> int:
         adv = _read_scores_csv(spath)
         curve = ev.roc_auc(normal, adv)
         rpath = out / f"roc_{entry.name}.json"
-        with open(rpath, "w", encoding="utf-8") as fh:
-            json.dump(vars(curve), fh, sort_keys=True)
-            fh.write("\n")
+        write_artifact(rpath, json.dumps(vars(curve), sort_keys=True) + "\n")
         artifacts.append(rpath)
         log.info("roc %s: auc %.4f", entry.name, curve.auc)
     write_manifest(out, "roc", exp.raw, seed, artifacts)
@@ -515,6 +508,7 @@ def run_cli(argv) -> int:
         return int(exc.code or 0)
     try:
         exp, out = _resolve(load_config(args.config), args)
+        (out / f"manifest_{args.command}.json").unlink(missing_ok=True)  # a failed stage leaves no manifest
         return _COMMANDS[args.command](exp, exp.seed, out, args.workers)
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_artifact
 from .errors import DataError, MagicError, MismatchError, ParameterError, TruncationError, ValidationError
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -82,12 +83,8 @@ def write_idx(dataset: Dataset, images_path, labels_path) -> None:
     if c != 1:
         raise DataError(f"IDX stores single-channel images, got {c} channels")
     pixels = np.round(dataset.images[..., 0] * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        fh.write(dataset.labels.astype(np.uint8).tobytes())
+    write_artifact(images_path, struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w) + pixels.tobytes())
+    write_artifact(labels_path, struct.pack(">II", IDX_LABELS_MAGIC, n) + dataset.labels.astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +121,7 @@ def write_cifar_binary(dataset: Dataset, path) -> None:
         raise DataError(f"CIFAR binary stores 32x32x3 images, got {h}x{w}x{c}")
     pixels = np.round(dataset.images * 255.0).astype(np.uint8).transpose(0, 3, 1, 2).reshape(n, 3072)
     records = np.concatenate([dataset.labels.astype(np.uint8)[:, None], pixels], axis=1)
-    Path(path).write_bytes(records.tobytes())
+    write_artifact(path, records.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ instances take the reconstruction's label instead.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import csv_text, write_artifact
 from .autodiff import kl_rows
 from .errors import ConfigError, DataError, ParameterError
 from .training import temperature_scale
@@ -154,8 +154,6 @@ def ensemble_predict(spec: EnsembleSpec, classifier, x: np.ndarray) -> np.ndarra
 
 
 def verdicts_to_csv(verdicts: list[DefenceVerdict], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "score", "threshold", "flagged", "label", "source"])
-        for i, v in enumerate(verdicts):
-            writer.writerow([i, f"{v.score:.17g}", f"{v.threshold:.17g}", int(v.flagged), v.label, v.source])
+    header = ["id", "score", "threshold", "flagged", "label", "source"]
+    rows = [[i, f"{v.score:.17g}", f"{v.threshold:.17g}", int(v.flagged), v.label, v.source] for i, v in enumerate(verdicts)]
+    write_artifact(path, csv_text([header, *rows]))

@@ -6,13 +6,13 @@ harmful and not-harmful groups.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .artifacts import csv_text, write_artifact
 from .defence import DefenceOutputs, defence_outputs
 from .errors import DataError, ParameterError
 
@@ -139,11 +139,8 @@ def accuracy_report_to_csv(rows: list[dict], path) -> None:
     if not rows:
         raise DataError("empty accuracy report")
     columns = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] if isinstance(row[c], str) else f"{row[c]:.17g}" for c in columns])
+    body = [[row[c] if isinstance(row[c], str) else f"{row[c]:.17g}" for c in columns] for row in rows]
+    write_artifact(path, csv_text([columns, *body]))
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +205,16 @@ class DriftReport:
     rows: list[DriftRow]
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"kinds": self.kinds, "rows": [vars(r) for r in self.rows]}, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        report = {"kinds": self.kinds, "rows": [vars(r) for r in self.rows]}
+        write_artifact(path, json.dumps(report, sort_keys=True, indent=1) + "\n")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            cols = [
-                "severity", "n_harmful", "n_not_harmful", "harmful_mean", "harmful_std",
-                "not_harmful_mean", "not_harmful_std", "accuracy", "ks_d", "ks_p",
-            ]
-            writer.writerow(cols)
-            for r in self.rows:
-                d = vars(r)
-                writer.writerow(["" if d[c] is None else (d[c] if isinstance(d[c], int) else f"{d[c]:.17g}") for c in cols])
+        cols = [f.name for f in fields(DriftRow)]
+        rows = [cols]
+        for r in self.rows:
+            d = vars(r)
+            rows.append(["" if d[c] is None else (d[c] if isinstance(d[c], int) else f"{d[c]:.17g}") for c in cols])
+        write_artifact(path, csv_text(rows))
 
 
 def _group_stats(scores: np.ndarray):

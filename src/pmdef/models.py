@@ -25,6 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import write_artifact
 from .autodiff import Tensor
 from .errors import (
     CompositionError,
@@ -560,12 +561,7 @@ def save_checkpoint(model: Model, path) -> None:
         "tensors": entries,
     }
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
-        for raw in blocks:
-            fh.write(raw)
+    write_artifact(path, b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(payload)), payload, *blocks]))
 
 
 def load_checkpoint(path, expected_spec: ModelSpec | None = None) -> Model:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import write_artifact
 from .autodiff import Tape, Tensor, backward
 from .errors import (
     CompositionError,
@@ -94,27 +95,19 @@ class TrainReport:
     loss_spec: dict | str
     epoch_losses: list[float]
     effective_lrs: list[float]
+    epoch_wall_times: list[float]  # seconds per epoch, its after-epoch hook included
     final_loss: float
     wall_time_s: float
 
     def to_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, (loss, lr) in enumerate(zip(self.epoch_losses, self.effective_lrs), start=1):
-                fh.write(json.dumps({"epoch": i, "mean_loss": loss, "effective_lr": lr}, sort_keys=True) + "\n")
-            fh.write(
-                json.dumps(
-                    {
-                        "summary": True,
-                        "kind": self.kind,
-                        "seed": self.seed,
-                        "loss_spec": self.loss_spec,
-                        "final_loss": self.final_loss,
-                        "wall_time_s": self.wall_time_s,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        epochs = zip(self.epoch_losses, self.effective_lrs, self.epoch_wall_times)
+        rows = [
+            {"epoch": i, "mean_loss": loss, "effective_lr": lr, "wall_time_s": wall}
+            for i, (loss, lr, wall) in enumerate(epochs, start=1)
+        ]
+        per_epoch = ("epoch_losses", "effective_lrs", "epoch_wall_times")
+        rows.append({"summary": True, **{k: v for k, v in vars(self).items() if k not in per_epoch}})
+        write_artifact(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 class Adam:
@@ -198,8 +191,10 @@ def _fit(
     rng = np.random.default_rng(cfg.seed)
     epoch_losses: list[float] = []
     effective_lrs: list[float] = []
+    epoch_wall_times: list[float] = []
     t0 = time.perf_counter()
     for epoch in range(1, cfg.epochs + 1):
+        t_epoch = time.perf_counter()
         lr_scale = _effective_lr_factor(cfg.lr_schedule, epoch - 1)
         effective_lrs.append(cfg.learning_rate * lr_scale)
         total = 0.0
@@ -215,12 +210,14 @@ def _fit(
         epoch_losses.append(mean_loss)
         if after_epoch is not None:
             after_epoch(epoch)
+        epoch_wall_times.append(time.perf_counter() - t_epoch)
     return TrainReport(
         kind=kind,
         seed=cfg.seed,
         loss_spec=loss_spec,
         epoch_losses=epoch_losses,
         effective_lrs=effective_lrs,
+        epoch_wall_times=epoch_wall_times,
         final_loss=epoch_losses[-1] if epoch_losses else float("nan"),
         wall_time_s=time.perf_counter() - t0,
     )

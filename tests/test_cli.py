@@ -1,6 +1,8 @@
 import argparse
 import csv
 import json
+import os
+import shutil
 import struct
 import sys
 from dataclasses import asdict
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pmdef import cli
+from pmdef import artifacts, cli
 from pmdef import defence as dfc
 from pmdef.attacks import load_batch
 from pmdef.cli import run_cli
@@ -135,11 +137,20 @@ def test_evaluate_without_attack_artifact_names_missing_file(tmp_path, capsys):
     assert "fgsm02" in err and "attack" in err
 
 
-def test_full_pipeline_smoke_and_manifests(tmp_path):
+def test_full_pipeline_smoke_and_manifests(tmp_path, monkeypatch):
     out = tmp_path / "run"
     path = _write_config(tmp_path, out)
+    replaced, replace = set(), os.replace
+
+    def recording(src, dst):
+        replaced.add(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(artifacts.os, "replace", recording)
     for stage in ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate", "drift", "roc"]:
         assert run_cli([stage, "--config", str(path)]) == 0, stage
+    # every file of the run reached disk through write_artifact's temp-file-and-replace
+    assert replaced == {p for p in out.rglob("*") if p.is_file()}
     assert (out / "classifier.ckpt").is_file()
     assert (out / "ae_kl.ckpt").is_file()
     assert (out / "ae_kl_epoch_002.ckpt").is_file()
@@ -206,15 +217,20 @@ def test_missing_classifier_artifact_exits_1(tmp_path, capsys):
     assert "classifier.ckpt" in capsys.readouterr().err
 
 
-def test_roc_malformed_score_csv_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content, where",
+    [("id,score\n0,0.3\n1,abc\n", "fgsm02.csv:3"), ("0,0.3\n1,0.4\n", "fgsm02.csv:1")],
+    ids=["bad-score", "no-header"],
+)
+def test_roc_malformed_score_csv_exits_1(tmp_path, capsys, content, where):
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, out)
     (out / "scores").mkdir(parents=True)
     (out / "scores" / "clean_test.csv").write_text("id,score\n0,0.1\n1,0.2\n")
-    (out / "scores" / "fgsm02.csv").write_text("id,score\n0,0.3\n1,abc\n")
+    (out / "scores" / "fgsm02.csv").write_text(content)
     assert run_cli(["roc", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "fgsm02.csv:3" in err
+    assert where in err
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +241,18 @@ def attacked_run(tmp_path_factory):
     for stage in ["train-classifier", "train-defence", "attack"]:
         assert run_cli([stage, "--config", str(cfg)]) == 0, stage
     return cfg, tmp / "run"
+
+
+def test_a_failed_stage_leaves_no_manifest(attacked_run, tmp_path):
+    cfg, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    assert run_cli(["score", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "manifest_score.json").is_file()
+    (out / "attacks" / "fgsm02.json").unlink()
+    # the rerun rewrites clean_test.csv before it fails, so the old manifest would no longer match the files
+    assert run_cli(["score", "--config", str(cfg), "--out", str(out), "--seed", "6"]) == 1
+    assert not (out / "manifest_score.json").exists()
 
 
 @pytest.mark.parametrize(

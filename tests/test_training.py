@@ -303,3 +303,14 @@ def test_train_report_jsonl_round_trip(tmp_path, toy):
     assert len(lines) == 3
     assert lines[0]["epoch"] == 1 and "mean_loss" in lines[0]
     assert lines[-1]["summary"] and lines[-1]["final_loss"] == report.final_loss
+
+
+def test_train_report_jsonl_times_every_epoch(tmp_path, toy):
+    x, y, clf = toy
+    report = train_classifier(clf, x, y, OptimizerConfig(learning_rate=1e-3, epochs=3, seed=0))
+    path = tmp_path / "report.jsonl"
+    report.to_jsonl(path)
+    *epochs, summary = [json.loads(l) for l in path.read_text().splitlines()]
+    assert [row["epoch"] for row in epochs] == [1, 2, 3]
+    assert all(row["wall_time_s"] >= 0 for row in epochs)
+    assert sum(row["wall_time_s"] for row in epochs) <= summary["wall_time_s"]
