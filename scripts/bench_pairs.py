@@ -15,7 +15,8 @@ freed pages back, so a wall figure is only read next to its fault count.
 The output file keeps the runs of every workload run into it so far; each
 invocation replaces the runs of its own workload and recomputes the
 summary: per metric and side the median and quartiles, and how many pairs
-the change won (lower is better for all three metrics).
+the change won (lower is better for all three metrics), with the minor
+page faults summarised the same way beside them.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def summarize(runs: list[dict]) -> dict:
     out = {"pairs": len(seeds),
            "artifacts_identical": all(parent[s]["artifacts_digest"] == change[s]["artifacts_digest"] for s in seeds),
            "all_correct": all(r.get("correct") and r.get("failed") == 0 for r in runs)}
-    for m in METRICS:
+    for m in (*METRICS, "minflt"):
         p = [parent[s][m] for s in seeds]
         c = [change[s][m] for s in seeds]
         out[m] = {"parent": quartiles(p), "change": quartiles(c),

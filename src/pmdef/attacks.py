@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -367,6 +368,7 @@ def save_batch(batch: AdversarialBatch, json_path) -> None:
         "seed": batch.seed,
         "shape": list(batch.originals.shape),
         "bin_file": bin_path.name,
+        "crc32": zlib.crc32(adversarials, zlib.crc32(originals)),  # of originals + adversarials
         "blocks": {"originals": [0, len(originals)], "adversarials": [len(originals), len(adversarials)]},
         "labels": None if batch.labels is None else batch.labels.tolist(),
         "original_pred": batch.original_pred.tolist(),
@@ -390,6 +392,7 @@ def load_batch(json_path) -> AdversarialBatch:
         norms = {k: np.asarray(v, dtype=np.float64) for k, v in meta["norms"].items()}
         config = from_dict(AttackConfig, meta["config"], "config")
         seed = meta["seed"]
+        crc = int(meta["crc32"])
     except (ValueError, KeyError, TypeError, AttributeError, UserError) as exc:
         raise ParseError(f"{json_path}: malformed attack batch: {exc!r}") from None
     per_row = [*rows.values(), *norms.values(), *([] if labels is None else [labels])]
@@ -403,6 +406,8 @@ def load_batch(json_path) -> AdversarialBatch:
         raise TruncationError(f"{bin_path}: payload shorter than declared blocks")
     if o_len != count * 8 or a_len != count * 8:
         raise MismatchError(f"{bin_path}: block sizes disagree with shape {shape}")
+    if zlib.crc32(raw) != crc:
+        raise MismatchError(f"{bin_path}: payload does not match the CRC-32 recorded in {json_path}")
     originals = np.frombuffer(raw[o_off : o_off + o_len], dtype="<f8").reshape(shape).copy()
     adversarials = np.frombuffer(raw[a_off : a_off + a_len], dtype="<f8").reshape(shape).copy()
     return AdversarialBatch(

@@ -20,6 +20,13 @@ the vjp. Masks and normalised weights that only a vjp reads (relu, clip,
 maximum_scalar, logsumexp) are built inside it, and maxpool2d, whose
 recorded forward must keep its argmax, takes plain window maxima when
 ``_recording_tape`` says no tape will record it.
+
+conv2d's im2col blocks and a recorded maxpool2d's windows are copied with
+the kernel-offset axes outermost (``_window_copy``). conv2d's last bits
+depend on that layout, since BLAS may round a GEMM differently for another
+operand layout: OpenBLAS 0.3 (Haswell kernels) gives an offset-major and a
+row-major column matrix the same bits at 8 to 32 output channels, but not
+below 8.
 """
 
 from __future__ import annotations
@@ -449,12 +456,24 @@ def _windows(a: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array
     return sliding_window_view(a, (kh, kw), axis=(1, 2))[:, : (oh - 1) * stride + 1 : stride, : (ow - 1) * stride + 1 : stride]
 
 
+def _window_copy(a: Array, kh: int, kw: int, stride: int, oh: int, ow: int, axes: tuple[int, ...]) -> Array:
+    """C-contiguous ``_windows(a, ...).transpose(axes)``, in one copy.
+
+    numpy copies in the order of the new array, so with the kernel-offset
+    axes (4, 5) outermost in ``axes`` its inner loop runs over whole output
+    rows rather than over one kernel row.
+    """
+    return np.ascontiguousarray(_windows(a, kh, kw, stride, oh, ow).transpose(axes))
+
+
 def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
     """Strided cross-correlation of an NHWC batch with [kh, kw, c_in, c_out] filters.
 
     One im2col GEMM per block of batch rows, the column matrix of a block
-    holding at most _COLS_BLOCK_BYTES. The vjp rebuilds the blocks instead
-    of keeping them on the tape.
+    holding at most _COLS_BLOCK_BYTES. A block is one offset-major copy,
+    C-contiguous [kh*kw*c_in, rows*oh*ow]: the forward GEMM reads it as its
+    F-ordered transpose, the filter-gradient GEMM as it is. The vjp rebuilds
+    the blocks instead of keeping them on the tape.
     """
     if x.ndim != 4 or filters.ndim != 4:
         raise DimensionError(f"conv2d expects NHWC input and 4-d filters, got {x.shape} and {filters.shape}")
@@ -470,11 +489,10 @@ def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid") 
     k = kh * kw * cin
     w2 = filters.data.reshape(k, cout)
     step = max(1, _COLS_BLOCK_BYTES // (oh * ow * k * 8))
-    win = _windows(xp, kh, kw, stride, oh, ow).transpose(0, 1, 2, 4, 5, 3)
 
     def cols(b: int) -> Array:
-        """[rows*oh*ow, kh*kw*c_in] column matrix of the block of batch rows starting at b."""
-        return win[b : b + step].reshape(-1, k)
+        """[rows*oh*ow, kh*kw*c_in] column matrix of the block of batch rows starting at b (F-ordered)."""
+        return _window_copy(xp[b : b + step], kh, kw, stride, oh, ow, (4, 5, 3, 0, 1, 2)).reshape(k, -1).T
 
     out = np.empty((n, oh, ow, cout))
     flat_out = out.reshape(-1, cout)
@@ -506,10 +524,14 @@ def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid") 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     """Per-window maximum; backward routes to the first (row-major) argmax.
 
-    Only a recorded forward keeps the argmax that its vjp routes by. An
-    unrecorded one folds the strided slice of each window offset into the
-    output with an in-place ``np.maximum``: no window copy, no argmax and
-    no gather, and the same maxima.
+    Only a recorded forward keeps the argmax that its vjp routes by. It
+    copies the windows offset-major, [window*window, n, oh, ow, c], takes
+    the maximum over the offsets, and folds the offsets that reach it into
+    the argmax from the last to the first, so the first row-major maximum
+    wins a tie. Its kink margin recopies the windows rather than keeping
+    them on the tape. An unrecorded forward folds the strided slice of
+    each window offset into the output with an in-place ``np.maximum``: no
+    window copy, no argmax, and the same maxima.
     """
     if x.ndim != 4:
         raise DimensionError(f"maxpool2d expects NHWC input, got {x.shape}")
@@ -533,12 +555,16 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         return _emit("maxpool2d", (x,), out, None)
 
     def windows():
-        """[n, oh, ow, c, window*window] copy of every window, row-major within it."""
-        return _windows(d, window, window, stride, oh, ow).reshape(n, oh, ow, c, k)
+        """[window*window, n, oh, ow, c] copy of every window, offsets row-major."""
+        return _window_copy(d, window, window, stride, oh, ow, (4, 5, 0, 1, 2, 3)).reshape(k, n, oh, ow, c)
 
-    flat = windows()
-    arg = flat.argmax(axis=-1)  # argmax returns the first maximum: the row-major tie rule
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    wt = windows()
+    out = wt.max(axis=0)
+    # descending: the last offset written, the smallest that reaches the maximum, is the row-major first
+    arg = np.zeros(out.shape, dtype=np.intp)
+    hit = np.empty(out.shape, dtype=bool)
+    for idx in range(k - 1, -1, -1):
+        np.copyto(arg, idx, where=np.equal(wt[idx], out, out=hit))
 
     def vjp(g):
         i, j = np.divmod(arg, window)
@@ -550,8 +576,8 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     def kink():
         if k < 2:
             return math.inf
-        part = np.partition(windows(), k - 2, axis=-1)
-        return float((part[..., -1] - part[..., -2]).min())
+        part = np.partition(windows(), k - 2, axis=0)
+        return float((part[-1] - part[-2]).min())
 
     return _emit("maxpool2d", (x,), out, vjp, kink=kink)
 

@@ -23,7 +23,10 @@ import hashlib
 import json
 import logging
 import os
+import platform
+import resource
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar
@@ -39,7 +42,7 @@ from .errors import ConfigError, DataError, ParseError, PmdefError, UserError
 from .models import ModelSpec, build_model, compose_defended, load_checkpoint, save_checkpoint
 from .schema import from_dict
 from .seeding import derive_seed
-from .training import DefenceLossSpec, OptimizerConfig, train_classifier, train_defence
+from .training import DefenceLossSpec, OptimizerConfig, epoch_checkpoints, train_classifier, train_defence
 
 log = logging.getLogger("pmdef")
 
@@ -232,7 +235,25 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out: Path, stage: str, cfg: dict, seed: int, artifacts: list[Path]) -> None:
+def _run_facts(wall_time_s: float) -> dict:
+    """What a manifest records about the run itself: these vary between identical runs."""
+    facts = {
+        "wall_time_s": round(wall_time_s, 3),
+        "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),  # Linux: KiB
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        facts["blas"] = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        pass
+    return facts
+
+
+def write_manifest(out: Path, stage: str, cfg: dict, seed: int, artifacts: list[Path], wall_time_s: float) -> None:
+    """Hash ``artifacts`` into ``manifest_<stage>.json``; its ``run`` block, kept
+    apart from the hashes, says how long the stage took, how big and on what."""
     entries = {}
     for p in artifacts:
         rel = str(p.relative_to(out))
@@ -240,7 +261,7 @@ def write_manifest(out: Path, stage: str, cfg: dict, seed: int, artifacts: list[
             entries[rel] = {"unhashed": True}  # wall time inside, so neither hash nor size repeats
         else:
             entries[rel] = {"sha256": _sha256(p)}
-    manifest = {"stage": stage, "seed": seed, "config": cfg, "artifacts": entries}
+    manifest = {"stage": stage, "seed": seed, "config": cfg, "artifacts": entries, "run": _run_facts(wall_time_s)}
     write_artifact(out / f"manifest_{stage}.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
@@ -282,7 +303,7 @@ def _attack_inputs(exp: Experiment, test: Dataset) -> tuple[np.ndarray, np.ndarr
     return test.images[: exp.attack_subset], test.labels[: exp.attack_subset]
 
 
-def cmd_train_classifier(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+def cmd_train_classifier(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     model = build_model(_required(exp, "classifier_spec"), derive_seed(seed, "train-classifier", "init"))
     train, test = _required(exp, "dataset").load(seed)
     opt = _seeded(exp.classifier_opt, derive_seed(seed, "train-classifier", "shuffle"))
@@ -293,11 +314,10 @@ def cmd_train_classifier(exp: Experiment, seed: int, out: Path, workers: int) ->
     report.to_jsonl(jsonl)
     test_acc = float((model.predict_class(test.images) == test.labels).mean())
     log.info("classifier trained: final loss %.4f, test accuracy %.4f", report.final_loss, test_acc)
-    write_manifest(out, "train-classifier", exp.raw, seed, [ckpt, jsonl])
-    return 0
+    return [ckpt, jsonl]
 
 
-def cmd_train_defence(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+def cmd_train_defence(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     ae_spec = _required(exp, "autoencoder_spec")
     train, _ = _required(exp, "dataset").load(seed)
     classifier = _load_classifier(out)
@@ -321,13 +341,12 @@ def cmd_train_defence(exp: Experiment, seed: int, out: Path, workers: int) -> in
         jsonl = out / f"ae_{tag}_train.jsonl"
         report.to_jsonl(jsonl)
         artifacts += [ckpt, jsonl]
-        artifacts += sorted(out.glob(f"ae_{tag}_epoch_*.ckpt"))
+        artifacts += epoch_checkpoints(out, f"ae_{tag}", exp.checkpoint_every, opt.epochs).values()
         log.info("defence %s trained: final loss %.5f", tag, report.final_loss)
-    write_manifest(out, "train-defence", exp.raw, seed, artifacts)
-    return 0
+    return artifacts
 
 
-def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     _, test = _required(exp, "dataset").load(seed)
     classifier = _load_classifier(out)
     x, y = _attack_inputs(exp, test)
@@ -345,8 +364,7 @@ def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> int:
         atk.save_batch(batch, json_path)
         artifacts += [json_path, attack_dir / f"{entry.name}.bin"]
         log.info("attack %s: success rate %.3f, mean l2 %.4f", entry.name, batch.success.mean(), batch.norms["l2"].mean())
-    write_manifest(out, "attack", exp.raw, seed, artifacts)
-    return 0
+    return artifacts
 
 
 def _score_temperature(exp: Experiment, tag: str) -> float | None:
@@ -355,7 +373,7 @@ def _score_temperature(exp: Experiment, tag: str) -> float | None:
     return next((s.target_temperature for s in exp.defence_losses if s.kind == tag), None)
 
 
-def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     _, test = _required(exp, "dataset").load(seed)
     classifier = _load_classifier(out)
     tag = exp.score_defence
@@ -372,11 +390,10 @@ def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> int:
         path = score_dir / f"{entry.name}.csv"
         _write_scores_csv(dfc.adversarial_score(classifier, ae, batch.adversarials, temperature=temperature), path)
         artifacts.append(path)
-    write_manifest(out, "score", exp.raw, seed, artifacts)
-    return 0
+    return artifacts
 
 
-def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     train, _ = _required(exp, "dataset").load(seed)
     classifier = _load_classifier(out)
     tag = exp.score_defence
@@ -391,11 +408,10 @@ def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> int:
     info = {"threshold": t, "eps_fpr": float(exp.eps_fpr), "n": size, "defence": tag}
     write_artifact(path, json.dumps(info, sort_keys=True) + "\n")
     log.info("threshold %.6g at eps_fpr %.3f over %d normal scores", t, exp.eps_fpr, size)
-    write_manifest(out, "calibrate", exp.raw, seed, [path])
-    return 0
+    return [path]
 
 
-def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     _, test = _required(exp, "dataset").load(seed)
     classifier = _load_classifier(out)
     tags = exp.report_defences or [s.kind for s in exp.defence_losses]
@@ -433,11 +449,10 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> int:
                 artifacts.append(vpath)
     for row in rows:
         log.info("evaluate %s: %s", row["attack"], {k: v for k, v in row.items() if k != "attack"})
-    write_manifest(out, "evaluate", exp.raw, seed, artifacts)
-    return 0
+    return artifacts
 
 
-def cmd_drift(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+def cmd_drift(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     _, test = _required(exp, "dataset").load(seed)
     classifier = _load_classifier(out)
     tag = exp.score_defence
@@ -450,11 +465,10 @@ def cmd_drift(exp: Experiment, seed: int, out: Path, workers: int) -> int:
     cpath = out / "drift.csv"
     report.to_json(jpath)
     report.to_csv(cpath)
-    write_manifest(out, "drift", exp.raw, seed, [jpath, cpath])
-    return 0
+    return [jpath, cpath]
 
 
-def cmd_roc(exp: Experiment, seed: int, out: Path, workers: int) -> int:
+def cmd_roc(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     artifacts = []
     clean_path = _require_file(out / "scores" / "clean_test.csv", "score")
     normal = _read_scores_csv(clean_path)
@@ -466,8 +480,7 @@ def cmd_roc(exp: Experiment, seed: int, out: Path, workers: int) -> int:
         write_artifact(rpath, json.dumps(vars(curve), sort_keys=True) + "\n")
         artifacts.append(rpath)
         log.info("roc %s: auc %.4f", entry.name, curve.auc)
-    write_manifest(out, "roc", exp.raw, seed, artifacts)
-    return 0
+    return artifacts
 
 
 _COMMANDS = {
@@ -506,10 +519,13 @@ def run_cli(argv) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    t0 = time.perf_counter()
     try:
         exp, out = _resolve(load_config(args.config), args)
         (out / f"manifest_{args.command}.json").unlink(missing_ok=True)  # a failed stage leaves no manifest
-        return _COMMANDS[args.command](exp, exp.seed, out, args.workers)
+        artifacts = _COMMANDS[args.command](exp, exp.seed, out, args.workers)
+        write_manifest(out, args.command, exp.raw, exp.seed, artifacts, time.perf_counter() - t0)
+        return 0
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -290,6 +290,13 @@ def defence_loss_value(ae: Model, classifier: Model, x: np.ndarray, loss_spec: D
     return _defence_batch_loss(ae, classifier, x, loss_spec, probe, _defence_targets(classifier, x, loss_spec, max(1, x.shape[0]))).item()
 
 
+def epoch_checkpoints(checkpoint_dir, prefix: str, every: int | None, epochs: int) -> dict[int, Path]:
+    """{epoch: path} of the checkpoints ``train_defence`` writes after every ``every``-th of ``epochs`` epochs."""
+    if not every or checkpoint_dir is None:
+        return {}
+    return {e: Path(checkpoint_dir) / f"{prefix}_epoch_{e:03d}.ckpt" for e in range(1, epochs + 1) if e % every == 0}
+
+
 def train_defence(
     ae: Model,
     classifier: Model,
@@ -327,9 +334,11 @@ def train_defence(
         target = None if targets is None else targets[batch]
         return _defence_batch_loss(ae, classifier, x[batch], loss_spec, probe, target)
 
+    checkpoints = epoch_checkpoints(checkpoint_dir, checkpoint_prefix, checkpoint_every, cfg.epochs)
+
     def after_epoch(epoch):
-        if checkpoint_every and checkpoint_dir is not None and epoch % checkpoint_every == 0:
-            save_checkpoint(ae, Path(checkpoint_dir) / f"{checkpoint_prefix}_epoch_{epoch:03d}.ckpt")
+        if epoch in checkpoints:
+            save_checkpoint(ae, checkpoints[epoch])
 
     echo = {k: v for k, v in asdict(loss_spec).items() if v is not None}  # no probe key without a probe
     report = _fit("defence", echo, params, cfg, x.shape[0], batch_loss, after_epoch)

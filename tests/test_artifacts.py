@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from pmdef import artifacts, cli
-from pmdef.attacks import AdversarialBatch, AttackConfig, save_batch
+from pmdef.attacks import AdversarialBatch, AttackConfig, load_batch, save_batch
 from pmdef.datasets import Dataset, write_cifar_binary, write_idx
 from pmdef.defence import DefenceVerdict, verdicts_to_csv
+from pmdef.errors import MismatchError
 from pmdef.evaluation import DriftReport, DriftRow, accuracy_report_to_csv
 from pmdef.models import build_model, save_checkpoint
 from pmdef.training import TrainReport
@@ -96,7 +97,7 @@ WRITERS = {
     "accuracy_report_to_csv": ("r.csv", lambda out, v: accuracy_report_to_csv([{"attack": "a", "kl": v / 2}], out / "r.csv")),
     "drift-to_json": ("d.json", lambda out, v: _drift(v).to_json(out / "d.json")),
     "drift-to_csv": ("d.csv", lambda out, v: _drift(v).to_csv(out / "d.csv")),
-    "write_manifest": ("manifest_s.json", lambda out, v: cli.write_manifest(out, "s", {"v": v}, v, [])),
+    "write_manifest": ("manifest_s.json", lambda out, v: cli.write_manifest(out, "s", {"v": v}, v, [], 0.5)),
     "scores-csv": ("s.csv", lambda out, v: cli._write_scores_csv(np.array([v, 0.5]), out / "s.csv")),
     "threshold-json": ("threshold.json", _calibrate),
     "roc-json": ("roc_a.json", _roc),
@@ -127,5 +128,9 @@ def test_an_interrupted_rewrite_keeps_the_old_bytes_and_no_temporary_file(tmp_pa
     monkeypatch.undo()
     assert target.read_bytes() == before
     assert not list(tmp_path.rglob("*.tmp"))
+    if case == "save_batch-bin":  # the new JSON beside the old payload: its CRC-32 gives the pair away
+        with pytest.raises(MismatchError) as err:
+            load_batch(out / "b.json")
+        assert "b.json" in str(err.value) and "b.bin" in str(err.value)
     write(out, 1)  # and the same write, uninterrupted, does change the target
     assert target.read_bytes() != before

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pmdef import autodiff as ad
 from pmdef.autodiff import Tape, Tensor, backward, grad_check
@@ -288,6 +289,103 @@ def test_tape_free_maxpool2d_output_is_still_finite_checked(bad):
     x[0, 2:, 2:, 0] = bad  # one whole window
     with pytest.raises(NonFiniteError):
         ad.maxpool2d(Tensor(x), 2, 2)
+
+
+# conv2d and maxpool2d against the row-major window-view formulas that the
+# offset-major window copies replaced. The conv reference hands its GEMMs the
+# column matrix in conv2d's memory layout (F-ordered forward operand,
+# C-ordered transpose in the vjp): OpenBLAS accumulates a transposed operand
+# in another order for fewer than 8 output channels, so only the same layout
+# gives the same bits on every BLAS
+
+
+def _strided_windows(a, kh, kw, stride, oh, ow):
+    return sliding_window_view(a, (kh, kw), axis=(1, 2))[:, : (oh - 1) * stride + 1 : stride, : (ow - 1) * stride + 1 : stride]
+
+
+def _window_view_conv2d(x, k, stride, padding):
+    """Forward and vjp of conv2d with its [rows*oh*ow, kh*kw*c_in] blocks reshaped from the window view."""
+    n, h, w, _ = x.shape
+    kh, kw, cin, cout = k.shape
+    oh, ow, pt, pb, pl, pr = ad._conv_geometry(h, w, kh, kw, stride, padding)
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    kk = kh * kw * cin
+    w2 = k.reshape(kk, cout)
+    step = max(1, ad._COLS_BLOCK_BYTES // (oh * ow * kk * 8))
+    win = _strided_windows(xp, kh, kw, stride, oh, ow).transpose(0, 1, 2, 4, 5, 3)
+
+    def cols(b):
+        return np.asfortranarray(win[b : b + step].reshape(-1, kk))
+
+    out = np.empty((n, oh, ow, cout))
+    for b in range(0, n, step):
+        np.matmul(cols(b), w2, out=out.reshape(-1, cout)[b * oh * ow : min(b + step, n) * oh * ow])
+
+    def vjp(g):
+        gw = np.zeros((kk, cout))
+        gxp = np.zeros(xp.shape)
+        for b in range(0, n, step):
+            gb = g.reshape(-1, cout)[b * oh * ow : min(b + step, n) * oh * ow]
+            gw += cols(b).T @ gb
+            gcols = (gb @ w2.T).reshape(-1, oh, ow, kh, kw, cin)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[b : b + step, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride] += gcols[:, :, :, i, j]
+        return gxp[:, pt : pt + h, pl : pl + w, :], gw.reshape(k.shape)
+
+    return out, vjp, step
+
+
+def _window_view_maxpool2d(x, window, stride):
+    """Forward and vjp of maxpool2d from the argmax of the [n, oh, ow, c, window*window] window view."""
+    n, h, w, c = x.shape
+    oh, ow = (h - window) // stride + 1, (w - window) // stride + 1
+    flat = _strided_windows(x, window, window, stride, oh, ow).reshape(n, oh, ow, c, window * window)
+    arg = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+
+    def vjp(g):
+        i, j = np.divmod(arg, window)
+        rows = np.arange(oh)[:, None, None] * stride + i
+        cols = np.arange(ow)[:, None] * stride + j
+        src = ((np.arange(n)[:, None, None, None] * h + rows) * w + cols) * c + np.arange(c)
+        return np.bincount(src.ravel(), weights=g.ravel(), minlength=x.size).reshape(x.shape)
+
+    return out, vjp
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("cin", [1, 3, 8])
+def test_conv2d_equals_the_window_view_im2col_bit_for_bit(cin, padding, stride, blocks):
+    rng = np.random.default_rng(100 * cin + 10 * stride + blocks)
+    k = rng.normal(size=(3, 2, cin, 4))  # kh != kw, so swapping the two offset axes changes every product
+    step = _window_view_conv2d(np.zeros((1, 7, 6, cin)), k, stride, padding)[2]
+    x = rng.normal(size=(5 if blocks == 1 else 2 * step + 3, 7, 6, cin))
+    assert (x.shape[0] <= step) == (blocks == 1)
+    out, g, (gx, gk) = _forward_and_vjp(lambda a, b: ad.conv2d(a, b, stride, padding), x, k)
+    ref_out, ref_vjp, _ = _window_view_conv2d(x, k, stride, padding)
+    ref_gx, ref_gk = ref_vjp(g)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(ad.conv2d(Tensor(x), Tensor(k), stride, padding).data, ref_out)
+    assert np.array_equal(gx, ref_gx)
+    assert np.array_equal(gk, ref_gk)
+
+
+@pytest.mark.parametrize("c", [1, 8])
+@pytest.mark.parametrize("window", [2, 3, 5])
+@pytest.mark.parametrize("stride_offset", [-1, 0, 1])
+def test_maxpool2d_equals_the_window_view_argmax_bit_for_bit(c, window, stride_offset):
+    stride = max(1, window + stride_offset)
+    rng = np.random.default_rng(100 * c + 10 * window + stride)
+    x = rng.integers(0, 3, size=(3, 13, 11, c)) * 0.7 - 0.3  # tied maxima in most windows
+    x[0] = rng.normal(size=x.shape[1:])
+    out, g, (gx,) = _forward_and_vjp(lambda a: ad.maxpool2d(a, window, stride), x)
+    ref_out, ref_vjp = _window_view_maxpool2d(x, window, stride)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(ad.maxpool2d(Tensor(x), window, stride).data, ref_out)
+    assert np.array_equal(gx, ref_vjp(g))
 
 
 def test_clip_and_logsumexp_vjps_build_the_mask_and_weights_of_the_eager_formulas():

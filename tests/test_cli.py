@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import platform
 import shutil
 import struct
 import sys
@@ -91,7 +92,7 @@ def test_workers_default_to_one_whatever_the_core_count(tmp_path, monkeypatch):
 
     seen = []
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    monkeypatch.setitem(cli._COMMANDS, "attack", lambda cfg, seed, out, workers: seen.append(workers) or 0)
+    monkeypatch.setitem(cli._COMMANDS, "attack", lambda cfg, seed, out, workers: seen.append(workers) or [])
     path = _write_config(tmp_path, tmp_path / "run")
     assert run_cli(["attack", "--config", str(path)]) == 0
     assert run_cli(["attack", "--config", str(path), "--workers", "3"]) == 0
@@ -169,6 +170,12 @@ def test_full_pipeline_smoke_and_manifests(tmp_path, monkeypatch):
     assert manifest["seed"] == 5
     assert "classifier.ckpt" in manifest["artifacts"]
     assert "sha256" in manifest["artifacts"]["classifier.ckpt"]
+    # the run block: how long, how big, on what
+    run = manifest["run"]
+    assert run["wall_time_s"] > 0 and run["max_rss_mb"] > 0
+    assert run["python"] == platform.python_version() and run["numpy"] == np.__version__
+    if np.lib.NumpyVersion(np.__version__) >= "1.26.0":  # show_config(mode="dicts") exists
+        assert run["blas"].split()[0] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     # report has the expected columns
     header = (out / "report_accuracy.csv").read_text().splitlines()[0].split(",")
     assert header[:3] == ["attack", "no_attack", "no_defence"]
@@ -199,6 +206,22 @@ def test_reruns_reproduce_identical_artifacts(tmp_path):
     for stage in ["train-classifier", "train-defence", "attack", "score", "calibrate"]:
         a, b = (json.loads((out / f"manifest_{stage}.json").read_text()) for out in (out_a, out_b))
         assert a["artifacts"] == b["artifacts"], stage
+
+
+def test_train_defence_manifest_lists_only_the_epoch_checkpoints_of_its_own_run(tmp_path):
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, out)
+    assert run_cli(["train-classifier", "--config", str(cfg)]) == 0
+    assert run_cli(["train-defence", "--config", str(cfg)]) == 0  # 4 epochs, a checkpoint every 2
+    listed = json.loads((out / "manifest_train-defence.json").read_text())["artifacts"]
+    assert sorted(k for k in listed if "_epoch_" in k) == ["ae_kl_epoch_002.ckpt", "ae_kl_epoch_004.ckpt"]
+    data = json.loads(cfg.read_text())
+    data["defence_opt"]["epochs"] = 2
+    cfg.write_text(json.dumps(data))
+    assert run_cli(["train-defence", "--config", str(cfg)]) == 0
+    assert (out / "ae_kl_epoch_004.ckpt").is_file()  # left by the first run
+    listed = json.loads((out / "manifest_train-defence.json").read_text())["artifacts"]
+    assert sorted(k for k in listed if "_epoch_" in k) == ["ae_kl_epoch_002.ckpt"]
 
 
 def test_seed_override_changes_artifacts(tmp_path):
@@ -291,6 +314,8 @@ MALFORMED_BATCHES = {
     "no-bin-file": _batch_edit(_set("bin_file", None)),
     "missing-bin-file": _batch_edit(_set("bin_file", "elsewhere.bin")),
     "no-blocks": _batch_edit(_set("blocks", None)),
+    "no-crc32": _batch_edit(_set("crc32", None)),
+    "wrong-crc32": _batch_edit(lambda meta: {**meta, "crc32": meta["crc32"] ^ 1}),
     "string-labels": _batch_edit(_set("labels", "abc")),
     "digit-string-labels": _batch_edit(_set("labels", "1")),
     "unknown-config-key": _batch_edit(_set("bogus", 1, "config")),
