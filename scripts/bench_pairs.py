@@ -16,7 +16,16 @@ The output file keeps the runs of every workload run into it so far; each
 invocation replaces the runs of its own workload and recomputes the
 summary: per metric and side the median and quartiles, and how many pairs
 the change won (lower is better for all three metrics), with the minor
-page faults summarised the same way beside them.
+page faults summarised the same way beside them. Each of the three metrics
+also gets a verdict against its ``end_to_end`` bound in BENCHMARK.json (a
+fraction of the parent's median):
+
+* gain: the change won at least 9 of 10 pairs and the medians differ by more
+  than the parent's interquartile range;
+* worse: the change's median exceeds the parent's by more than the bound;
+* unresolved: the parent's interquartile range is wider than the bound, and
+  not every run of the change reads better than every run of the parent;
+* neutral: none of these.
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ import time
 from pathlib import Path
 
 METRICS = ("wall_ref", "setup_s", "peak_rss_mb")
+BOUNDS = {m["name"]: m["bound"]
+          for m in json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -64,6 +75,22 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": med, "q3": q3}
 
 
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """The reading of one lower-is-better metric over paired runs (see the module docstring)."""
+    if not parent:
+        return "unresolved"
+    p, c = quartiles(parent), quartiles(change)
+    iqr = p["q3"] - p["q1"]
+    won = sum(1 for a, b in zip(parent, change) if b < a)
+    if 10 * won >= 9 * len(parent) and p["median"] - c["median"] > iqr:
+        return "gain"
+    if c["median"] > p["median"] * (1.0 + bound):
+        return "worse"
+    if iqr > p["median"] * bound and not max(change) < min(parent):
+        return "unresolved"
+    return "neutral"
+
+
 def summarize(runs: list[dict]) -> dict:
     parent = {r["seed"]: r for r in runs if r["side"] == "parent" and "wall_ref" in r}
     change = {r["seed"]: r for r in runs if r["side"] == "change" and "wall_ref" in r}
@@ -76,6 +103,8 @@ def summarize(runs: list[dict]) -> dict:
         c = [change[s][m] for s in seeds]
         out[m] = {"parent": quartiles(p), "change": quartiles(c),
                   "change_won": sum(1 for a, b in zip(p, c) if b < a), "change_lost": sum(1 for a, b in zip(p, c) if b > a)}
+        if m in BOUNDS:
+            out[m]["verdict"] = verdict(p, c, BOUNDS[m])
     return out
 
 

@@ -40,7 +40,13 @@ KIND_FIELDS = {  # the fields each attack kind reads, as its batch file records 
     "cw_l2": ("c_init", "binary_steps", "max_iter", "lr", "kappa"),
 }
 C_MAX = 1e10
-_CHUNK = 64  # fixed work unit so results do not depend on the worker count
+CW_FLAGS = ("unsuccessful", "failed")  # C&W's per-instance diagnostics, bool arrays
+# the diagnostics a batch file keeps: C&W's flags (as 0/1 lists) and SLIDE's as given;
+# FGSM's preclip_delta is as large as the payload and stays in memory only
+SAVED_DIAGNOSTICS = (*CW_FLAGS, "skipped_iterations", "per_iter_max_l1", "per_iter_max_active")
+# Fixed C&W work unit: up to this many instances share one tape per iteration; workers
+# only parallelise across units, so results do not depend on the worker count
+_CHUNK = 512
 
 
 @dataclass
@@ -255,7 +261,6 @@ def slide(model, x: np.ndarray, labels=None, *, config: AttackConfig) -> Adversa
 def _cw_chunk(model, x: np.ndarray, attack_class: np.ndarray, orig_pred: np.ndarray, config: AttackConfig):
     """Optimize one chunk of instances; returns (best_adv, ever_success, failed)."""
     n = x.shape[0]
-    flat_shape = x.shape
     num_classes = model.num_classes
     x_clipped = np.clip(x, 1e-6, 1.0 - 1e-6)
     w_init = np.arctanh(2.0 * x_clipped - 1.0)
@@ -270,10 +275,11 @@ def _cw_chunk(model, x: np.ndarray, attack_class: np.ndarray, orig_pred: np.ndar
     x_const = Tensor(x)
     mask_const = Tensor(mask)
 
-    def evaluate(adv_np: np.ndarray, logits_np: np.ndarray):
+    def evaluate(adv_np: np.ndarray, d_np: np.ndarray, logits_np: np.ndarray):
+        """Record the successes of candidates adv_np = x + d_np."""
         nonlocal best_l2, best_adv, ever_success
         pred = logits_np.argmax(axis=1)
-        l2 = np.sqrt(((adv_np - x).reshape(n, -1) ** 2).sum(axis=1))
+        l2 = np.sqrt((d_np.reshape(n, -1) ** 2).sum(axis=1))
         succ = (pred != orig_pred) & ~failed
         better = succ & (l2 < best_l2)
         best_l2 = np.where(better, l2, best_l2)
@@ -296,7 +302,7 @@ def _cw_chunk(model, x: np.ndarray, attack_class: np.ndarray, orig_pred: np.ndar
                 margin = ad.maximum_scalar(ad.sub(z_att, z_other), -config.kappa)
                 d = ad.sub(adv_t, x_const)
                 loss = ad.add(ad.sum_all(ad.mul(d, d)), ad.sum_all(ad.mul(margin, c_t)))
-            round_success |= evaluate(adv_t.data, logits.data)
+            round_success |= evaluate(adv_t.data, d.data, logits.data)
             grads = backward(tape, loss)
             g = grads[w]
             bad = ~np.isfinite(g.reshape(n, -1)).all(axis=1)
@@ -311,7 +317,7 @@ def _cw_chunk(model, x: np.ndarray, attack_class: np.ndarray, orig_pred: np.ndar
         # final candidate after the last update of the round
         adv_np = 0.5 * (np.tanh(w.data) + 1.0)
         logits_np = model.predict_logits(adv_np)
-        round_success |= evaluate(adv_np, logits_np)
+        round_success |= evaluate(adv_np, adv_np - x, logits_np)
         c = np.where(round_success, c / 2.0, np.minimum(c * 10.0, C_MAX))
     return best_adv, ever_success, failed
 
@@ -375,6 +381,11 @@ def save_batch(batch: AdversarialBatch, json_path) -> None:
         "adversarial_pred": batch.adversarial_pred.tolist(),
         "success": batch.success.astype(int).tolist(),
         "norms": {k: v.tolist() for k, v in batch.norms.items()},
+        "diagnostics": {
+            k: v.astype(int).tolist() if k in CW_FLAGS else v
+            for k, v in batch.diagnostics.items()
+            if k in SAVED_DIAGNOSTICS
+        },
     }
     write_artifact(json_path, json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
     write_artifact(bin_path, originals + adversarials)
@@ -390,6 +401,10 @@ def load_batch(json_path) -> AdversarialBatch:
         rows = {k: np.asarray(meta[k], dtype=np.int64) for k in ("original_pred", "adversarial_pred", "success")}
         labels = None if meta["labels"] is None else np.asarray(meta["labels"], dtype=np.int64)
         norms = {k: np.asarray(v, dtype=np.float64) for k, v in meta["norms"].items()}
+        diagnostics = {
+            k: np.asarray(v, dtype=np.int64).astype(bool) if k in CW_FLAGS else v
+            for k, v in meta["diagnostics"].items()
+        }
         config = from_dict(AttackConfig, meta["config"], "config")
         seed = meta["seed"]
         crc = int(meta["crc32"])
@@ -398,6 +413,8 @@ def load_batch(json_path) -> AdversarialBatch:
     per_row = [*rows.values(), *norms.values(), *([] if labels is None else [labels])]
     if any(a.shape != shape[:1] for a in per_row):
         raise MismatchError(f"{json_path}: per-instance fields disagree with shape {shape}")
+    if any(diagnostics[k].shape != shape[:1] for k in CW_FLAGS if k in diagnostics):
+        raise ParseError(f"{json_path}: per-instance diagnostics disagree with shape {shape}")
     if not bin_path.is_file():
         raise ParseError(f"{json_path}: its payload file {bin_path} is missing")
     raw = bin_path.read_bytes()
@@ -420,4 +437,5 @@ def load_batch(json_path) -> AdversarialBatch:
         norms=norms,
         config=config,
         seed=seed,
+        diagnostics=diagnostics,
     )

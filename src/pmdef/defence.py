@@ -20,6 +20,11 @@ from .errors import ConfigError, DataError, ParameterError
 from .training import temperature_scale
 
 SCORE_METRICS = ("kl", "mse")
+# Rows per AE pass in defence_outputs: bounds the AE's activations (a 20x20 conv AE with
+# 8 filters holds 25.6 KB per row in its first layer). The classifier still takes all
+# rows in one pass: with OpenBLAS a narrow GEMM, such as a 10-class output layer, can
+# round differently at another row count.
+_AE_ROWS = 512
 
 
 @dataclass
@@ -92,8 +97,10 @@ class DefenceOutputs:
 
 
 def defence_outputs(classifier, ae, x: np.ndarray) -> DefenceOutputs:
-    """One classifier pass on x, one AE pass and one classifier pass on the reconstruction."""
-    return DefenceOutputs(classifier.predict_proba(x), classifier.predict_proba(ae.reconstruct(x)))
+    """One classifier pass on x, AE passes of _AE_ROWS rows and one classifier
+    pass on the reconstruction."""
+    recon = np.concatenate([ae.reconstruct(x[s : s + _AE_ROWS]) for s in range(0, max(x.shape[0], 1), _AE_ROWS)])
+    return DefenceOutputs(classifier.predict_proba(x), classifier.predict_proba(recon))
 
 
 def adversarial_score(classifier, ae, x: np.ndarray, metric: str = "kl", temperature: float | None = None) -> np.ndarray:

@@ -123,13 +123,26 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            p.data -= (self.lr * lr_scale) * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
+            # in place, with the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+            # p -= (lr*scale) * (m/bc1) / (sqrt(v/bc2) + eps) in their order: same bits, 2 temporaries
+            scratch = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(m))
+            m *= self.beta1
+            m += scratch
+            np.multiply(g, g, out=scratch)
+            scratch *= 1.0 - self.beta2
+            v *= self.beta2
+            v += scratch
+            step = m / bc1
+            step *= self.lr * lr_scale
+            np.divide(v, bc2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            np.divide(step, scratch, out=scratch)
+            p.data -= scratch
 
 
 class SgdMomentum:
@@ -140,12 +153,13 @@ class SgdMomentum:
         self.vel = [np.zeros_like(p.data) for p in params]
 
     def step(self, lr_scale: float = 1.0) -> None:
-        for i, p in enumerate(self.params):
+        for p, vel in zip(self.params, self.vel):
             g = p.grad
             if g is None:
                 continue
-            self.vel[i] = self.momentum * self.vel[i] - (self.lr * lr_scale) * g
-            p.data += self.vel[i]
+            vel *= self.momentum  # in place: vel = momentum*vel - (lr*scale)*g
+            vel -= (self.lr * lr_scale) * g
+            p.data += vel
 
 
 def make_optimizer(cfg: OptimizerConfig, params: list[Tensor]):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmdef import attacks
 from pmdef import autodiff as ad
 from pmdef import cli
 from pmdef.attacks import (
@@ -238,6 +239,21 @@ def test_cw_smallest_l2_kept_across_rounds(trained_toy):
     assert (batch.norms["l2"][both] <= light.norms["l2"][both] + 1e-9).all()
 
 
+def test_cw_results_do_not_depend_on_the_unit_size_or_the_worker_count(trained_toy, monkeypatch):
+    model, x, y = trained_toy
+    cfg = AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=2, max_iter=20, lr=0.1)
+    whole = cw_l2(model, x[:8], config=cfg)  # one unit
+    monkeypatch.setattr(attacks, "_CHUNK", 3)  # units of 3, 3 and 2 instances
+    for workers in (1, 2):
+        split = cw_l2(model, x[:8], config=cfg, workers=workers)
+        assert split.adversarials.tobytes() == whole.adversarials.tobytes()
+        assert np.array_equal(split.success, whole.success)
+        assert split.diagnostics.keys() == whole.diagnostics.keys()
+        for key, flags in whole.diagnostics.items():
+            assert split.diagnostics[key].dtype == flags.dtype and np.array_equal(split.diagnostics[key], flags)
+    assert whole.success.any()
+
+
 def test_cw_adversarials_stay_in_domain(trained_toy):
     model, x, y = trained_toy
     cfg = AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=3, max_iter=60, lr=0.1)
@@ -325,3 +341,33 @@ def test_batch_round_trip_persistence(tmp_path, trained_toy):
     assert np.array_equal(loaded.success, batch.success)
     assert loaded.config.to_dict() == batch.config.to_dict()
     assert np.allclose(loaded.norms["l2"], batch.norms["l2"])
+
+
+def test_batch_round_trip_keeps_the_cw_diagnostics(tmp_path, trained_toy):
+    model, x, _ = trained_toy
+    cfg = AttackConfig(kind="cw_l2", c_init=1.0, binary_steps=1, max_iter=10, lr=0.1)
+    batch = cw_l2(model, x[:6], config=cfg)
+    batch.diagnostics["failed"][1] = True  # a numeric failure, so both flag values round-trip
+    save_batch(batch, tmp_path / "cw.json")
+    loaded = load_batch(tmp_path / "cw.json")
+    assert loaded.diagnostics.keys() == {"unsuccessful", "failed"}
+    for key, flags in batch.diagnostics.items():
+        assert loaded.diagnostics[key].dtype == bool
+        assert np.array_equal(loaded.diagnostics[key], flags)
+    assert int(loaded.diagnostics["failed"].sum()) == 1
+
+
+def test_batch_round_trip_keeps_the_slide_diagnostics(tmp_path, trained_toy):
+    model, x, y = trained_toy
+    batch = slide(model, x[:6], y[:6], config=AttackConfig(kind="slide", q=80, gamma=0.1, k=3, eps_l1=0.6))
+    save_batch(batch, tmp_path / "slide.json")
+    loaded = load_batch(tmp_path / "slide.json")
+    assert loaded.diagnostics == batch.diagnostics
+    assert set(batch.diagnostics) == {"skipped_iterations", "per_iter_max_l1", "per_iter_max_active"}
+
+
+def test_fgsm_batch_files_leave_the_preclip_delta_out(tmp_path, trained_toy):
+    model, x, y = trained_toy
+    batch = fgsm(model, x[:4], y[:4], config=AttackConfig(kind="fgsm", epsilon=0.2))
+    save_batch(batch, tmp_path / "fgsm.json")
+    assert load_batch(tmp_path / "fgsm.json").diagnostics == {}

@@ -1,0 +1,56 @@
+"""The per-metric verdicts of scripts/bench_pairs.py, on synthetic paired runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+STEADY = [10.0, 10.1, 9.9, 10.05, 9.95, 10.02, 9.98, 10.1, 9.9, 10.0]  # median 10, IQR 0.1
+
+
+def _runs(parent_wall, change_wall):
+    """Paired runs whose wall_ref is given and whose other metrics do not move."""
+    runs = []
+    for side, walls in (("parent", parent_wall), ("change", change_wall)):
+        for seed, wall in enumerate(walls):
+            runs.append({"side": side, "seed": seed, "wall_ref": wall, "setup_s": 0.5, "peak_rss_mb": 90.0,
+                         "minflt": 1000, "artifacts_digest": "same", "correct": True, "failed": 0})
+    return runs
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [
+        ([w - 2.0 for w in STEADY], "gain"),  # 10 of 10 pairs, gap 2 > IQR 0.1
+        ([w - 2.0 for w in STEADY[:9]] + [12.0], "gain"),  # 9 of 10 pairs still is one
+        ([w - 2.0 for w in STEADY[:8]] + [12.0, 12.0], "neutral"),  # 8 of 10 is not
+        ([w - 0.05 for w in STEADY], "neutral"),  # 10 of 10, but a gap of 0.05 is inside the IQR
+        ([w * 1.3 for w in STEADY], "worse"),  # +30% against a bound of 25%
+        ([w * 1.2 for w in STEADY], "neutral"),  # +20%: slower, but inside the bound
+    ],
+)
+def test_verdict_against_a_steady_parent(change, expected):
+    summary = bench_pairs.summarize(_runs(STEADY, change))
+    assert summary["pairs"] == 10
+    assert summary["wall_ref"]["verdict"] == expected
+    assert summary["setup_s"]["verdict"] == summary["peak_rss_mb"]["verdict"] == "neutral"
+    assert "verdict" not in summary["minflt"]  # no bound in BENCHMARK.json
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    wide = [6.0, 14.0] * 5  # median 10, IQR 8 > 25% of 10
+    assert bench_pairs.summarize(_runs(wide, [w - 0.5 for w in wide]))["wall_ref"]["verdict"] == "unresolved"
+    # unless every run of the change reads better than every run of the parent
+    assert bench_pairs.summarize(_runs(wide, [5.9] * 10))["wall_ref"]["verdict"] == "neutral"
+    # a change worse by more than the bound is worse, however wide the parent
+    assert bench_pairs.summarize(_runs(wide, [w + 4.0 for w in wide]))["wall_ref"]["verdict"] == "worse"
+
+
+def test_bounds_come_from_the_benchmark_definition():
+    assert set(bench_pairs.BOUNDS) >= set(bench_pairs.METRICS)
+    assert bench_pairs.summarize([])["wall_ref"]["verdict"] == "unresolved"

@@ -319,6 +319,7 @@ MALFORMED_BATCHES = {
     "string-labels": _batch_edit(_set("labels", "abc")),
     "digit-string-labels": _batch_edit(_set("labels", "1")),
     "unknown-config-key": _batch_edit(_set("bogus", 1, "config")),
+    "wrong-length-diagnostics": _batch_edit(lambda meta: {**meta, "diagnostics": {"failed": [0] * (meta["shape"][0] + 1)}}),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmdef import defence
 from pmdef.autodiff import kl_rows
 from pmdef.defence import (
     DefenceOutputs,
@@ -24,7 +25,7 @@ from pmdef.defence import (
 from pmdef.errors import ConfigError, DataError, ParameterError
 from pmdef.models import Dense, Flatten, ModelSpec, Relu, Reshape, Softmax, build_model
 from pmdef.training import OptimizerConfig, train_classifier
-from toys import identity_ae, separable_data
+from toys import cnn_classifier_spec, identity_ae, image_ae_spec, separable_data
 
 
 class StubClassifier:
@@ -91,6 +92,18 @@ def test_score_equals_kl_of_predictions_exactly(toy_defence):
     scores = adversarial_score(clf, ae, x)
     expected = kl_rows(clf.predict_proba(x), clf.predict_proba(ae.reconstruct(x)))
     assert np.array_equal(scores, expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 20])
+def test_outputs_reconstruct_in_row_blocks_with_the_bits_of_one_pass(monkeypatch, n):
+    clf = build_model(cnn_classifier_spec(size=6), 1)
+    ae = build_model(image_ae_spec(size=6), 2)
+    x = np.random.default_rng(n).random((n, 6, 6, 1))
+    monkeypatch.setattr(defence, "_AE_ROWS", 7)  # 20 rows: AE passes over 7, 7 and 6
+    out = defence_outputs(clf, ae, x)
+    assert out.p.shape == out.q.shape == (n, 3)
+    assert np.array_equal(out.p, clf.predict_proba(x))
+    assert np.array_equal(out.q, clf.predict_proba(ae.reconstruct(x)))
 
 
 def test_score_nonnegative_and_metric_validation(toy_defence):

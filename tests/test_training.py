@@ -294,6 +294,57 @@ def test_sgd_momentum_accumulates_velocity():
     assert p.data[0] == pytest.approx(-2.5)  # velocity -1.5 applied
 
 
+def _adam_reference(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam step as out-of-place expressions."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * (g * g)
+    p = p - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return p, m, v
+
+
+def _sgd_reference(p, vel, g, lr, momentum=0.9):
+    vel = momentum * vel - lr * g
+    return p + vel, vel
+
+
+@pytest.mark.parametrize("lr_scale", [0.5, 0.3])  # 0.3: a scale that is no power of two exposes a reordered product
+@pytest.mark.parametrize("kind", ["adam", "sgd_momentum"])
+def test_optimizers_update_in_place_with_the_bits_of_the_out_of_place_expressions(kind, lr_scale):
+    from pmdef.autodiff import Tensor
+
+    rng = np.random.default_rng(3)
+    shapes = [(4, 3), (3,), (2, 3, 3, 1)]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    state = [[np.zeros(s), np.zeros(s)] for s in shapes]
+    lr = 0.05
+    opt = Adam(params, lr) if kind == "adam" else SgdMomentum(params, lr)
+    states = [*opt.m, *opt.v] if kind == "adam" else list(opt.vel)
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-4, 3) for s in shapes]
+        grads[1] = None  # a parameter without a gradient keeps its value and state
+        for p, g in zip(params, grads):
+            p.grad = None if g is None else g.copy()
+        opt.step(lr_scale)
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            assert np.array_equal(params[i].grad, g)  # the gradient comes back unchanged
+            if kind == "adam":
+                ref[i], state[i][0], state[i][1] = _adam_reference(ref[i], *state[i], g, t, lr * lr_scale)
+            else:
+                ref[i], state[i][0] = _sgd_reference(ref[i], state[i][0], g, lr * lr_scale)
+        for p, r in zip(params, ref):
+            assert np.array_equal(p.data, r)
+        now = [*opt.m, *opt.v] if kind == "adam" else opt.vel
+        assert all(a is b for a, b in zip(now, states))  # updated in place
+        assert not any(a is p.grad for a in states for p in params)
+    if kind == "adam":
+        assert all(np.array_equal(a, b) for a, b in zip(opt.m + opt.v, [s[0] for s in state] + [s[1] for s in state]))
+    else:
+        assert all(np.array_equal(a, s[0]) for a, s in zip(opt.vel, state))
+
+
 def test_train_report_jsonl_round_trip(tmp_path, toy):
     x, y, clf = toy
     report = train_classifier(clf, x, y, OptimizerConfig(learning_rate=1e-3, epochs=2, seed=0))
