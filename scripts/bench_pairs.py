@@ -26,6 +26,11 @@ fraction of the parent's median):
 * unresolved: the parent's interquartile range is wider than the bound, and
   not every run of the change reads better than every run of the parent;
 * neutral: none of these.
+
+A verdict also says whether it was read across fault modes: when either
+side's runs differ by more than 4x in minor faults, every verdict of the
+workload carries ``"fault_modes_mixed": true``, because glibc's heap state
+then moves the wall time more than the code does.
 """
 
 from __future__ import annotations
@@ -98,13 +103,15 @@ def summarize(runs: list[dict]) -> dict:
     out = {"pairs": len(seeds),
            "artifacts_identical": all(parent[s]["artifacts_digest"] == change[s]["artifacts_digest"] for s in seeds),
            "all_correct": all(r.get("correct") and r.get("failed") == 0 for r in runs)}
+    faults = ([parent[s]["minflt"] for s in seeds], [change[s]["minflt"] for s in seeds])
+    mixed = any(f and max(f) > 4 * min(f) for f in faults)
     for m in (*METRICS, "minflt"):
         p = [parent[s][m] for s in seeds]
         c = [change[s][m] for s in seeds]
         out[m] = {"parent": quartiles(p), "change": quartiles(c),
                   "change_won": sum(1 for a, b in zip(p, c) if b < a), "change_lost": sum(1 for a, b in zip(p, c) if b > a)}
         if m in BOUNDS:
-            out[m]["verdict"] = verdict(p, c, BOUNDS[m])
+            out[m].update(verdict=verdict(p, c, BOUNDS[m]), fault_modes_mixed=mixed)
     return out
 
 

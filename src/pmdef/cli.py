@@ -19,6 +19,7 @@ Verbosity comes from the PMDEF_LOG environment variable (DEBUG/INFO/...).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import logging
@@ -60,6 +61,29 @@ class _Parser(argparse.ArgumentParser):
 def _setup_logging() -> None:
     level = os.environ.get("PMDEF_LOG", "INFO").upper()
     logging.basicConfig(level=getattr(logging, level, logging.INFO), format="%(levelname)s %(name)s: %(message)s")
+
+
+# The glibc mallopt parameters that pmdef fixes (numbers from malloc.h) and
+# their values. The mmap threshold sits above the largest per-op array (a
+# 512-row AE block's conv output, 13.1 MB) and the trim threshold above what
+# one training step or one 512-row block frees at once, so per-op temporaries
+# are reused from the heap.
+_MALLOC_THRESHOLDS = (("mmap_threshold", -3, 32 << 20), ("trim_threshold", -1, 64 << 20))
+
+
+def _fix_malloc_thresholds() -> dict | None:
+    """Fix glibc's mmap and trim thresholds, which it otherwise moves at run
+    time: a process that ran other work first can then hand freed pages back
+    and fault them in again on every op. Returns the thresholds set, or None
+    where there is no glibc ``mallopt`` or it refused a value."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if all(mallopt(param, value) for _, param, value in _MALLOC_THRESHOLDS):
+        return {name: value for name, _, value in _MALLOC_THRESHOLDS}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +259,13 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _run_facts(wall_time_s: float) -> dict:
+def _run_facts(wall_time_s: float, minflt: int, malloc: dict | None) -> dict:
     """What a manifest records about the run itself: these vary between identical runs."""
     facts = {
         "wall_time_s": round(wall_time_s, 3),
         "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),  # Linux: KiB
+        "minflt": minflt,
+        "malloc": malloc,
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
@@ -251,9 +277,10 @@ def _run_facts(wall_time_s: float) -> dict:
     return facts
 
 
-def write_manifest(out: Path, stage: str, cfg: dict, seed: int, artifacts: list[Path], wall_time_s: float) -> None:
-    """Hash ``artifacts`` into ``manifest_<stage>.json``; its ``run`` block, kept
-    apart from the hashes, says how long the stage took, how big and on what."""
+def write_manifest(out: Path, stage: str, cfg: dict, seed: int, artifacts: list[Path], run: dict) -> None:
+    """Hash ``artifacts`` into ``manifest_<stage>.json``; its ``run`` block
+    (``_run_facts``), kept apart from the hashes, says how long the stage
+    took, how big, under which allocator policy and on what."""
     entries = {}
     for p in artifacts:
         rel = str(p.relative_to(out))
@@ -261,7 +288,7 @@ def write_manifest(out: Path, stage: str, cfg: dict, seed: int, artifacts: list[
             entries[rel] = {"unhashed": True}  # wall time inside, so neither hash nor size repeats
         else:
             entries[rel] = {"sha256": _sha256(p)}
-    manifest = {"stage": stage, "seed": seed, "config": cfg, "artifacts": entries, "run": _run_facts(wall_time_s)}
+    manifest = {"stage": stage, "seed": seed, "config": cfg, "artifacts": entries, "run": run}
     write_artifact(out / f"manifest_{stage}.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
@@ -509,6 +536,7 @@ def build_parser() -> _Parser:
 
 def run_cli(argv) -> int:
     _setup_logging()
+    malloc = _fix_malloc_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -523,8 +551,11 @@ def run_cli(argv) -> int:
     try:
         exp, out = _resolve(load_config(args.config), args)
         (out / f"manifest_{args.command}.json").unlink(missing_ok=True)  # a failed stage leaves no manifest
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         artifacts = _COMMANDS[args.command](exp, exp.seed, out, args.workers)
-        write_manifest(out, args.command, exp.raw, exp.seed, artifacts, time.perf_counter() - t0)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        run = _run_facts(time.perf_counter() - t0, faults, malloc)
+        write_manifest(out, args.command, exp.raw, exp.seed, artifacts, run)
         return 0
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,6 +40,7 @@ def test_verdict_against_a_steady_parent(change, expected):
     assert summary["wall_ref"]["verdict"] == expected
     assert summary["setup_s"]["verdict"] == summary["peak_rss_mb"]["verdict"] == "neutral"
     assert "verdict" not in summary["minflt"]  # no bound in BENCHMARK.json
+    assert not any(summary[m]["fault_modes_mixed"] for m in bench_pairs.METRICS)
 
 
 def test_a_parent_spread_wider_than_the_bound_is_unresolved():
@@ -49,6 +50,20 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
     assert bench_pairs.summarize(_runs(wide, [5.9] * 10))["wall_ref"]["verdict"] == "neutral"
     # a change worse by more than the bound is worse, however wide the parent
     assert bench_pairs.summarize(_runs(wide, [w + 4.0 for w in wide]))["wall_ref"]["verdict"] == "worse"
+
+
+@pytest.mark.parametrize(
+    "side, faults, mixed",
+    [("change", 4001, True), ("parent", 4001, True), ("change", 4000, False), ("parent", 250, False)],
+)
+def test_verdicts_read_across_fault_modes_are_marked(side, faults, mixed):
+    runs = _runs(STEADY, [w - 2.0 for w in STEADY])
+    for r in runs:
+        if r["side"] == side and r["seed"] % 2:
+            r["minflt"] = faults  # against 1000 in the other runs of that side
+    summary = bench_pairs.summarize(runs)
+    assert [summary[m]["fault_modes_mixed"] for m in bench_pairs.METRICS] == [mixed] * 3
+    assert summary["wall_ref"]["verdict"] == "gain"  # the mark qualifies the verdict, it does not change it
 
 
 def test_bounds_come_from_the_benchmark_definition():

@@ -5,8 +5,11 @@ import os
 import platform
 import shutil
 import struct
+import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,6 +209,83 @@ def test_reruns_reproduce_identical_artifacts(tmp_path):
     for stage in ["train-classifier", "train-defence", "attack", "score", "calibrate"]:
         a, b = (json.loads((out / f"manifest_{stage}.json").read_text()) for out in (out_a, out_b))
         assert a["artifacts"] == b["artifacts"], stage
+
+
+class _FakeLibc:
+    """A libc whose ``mallopt`` records its calls and returns ``result``."""
+
+    def __init__(self, result=1):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return result
+
+        self.mallopt = mallopt
+
+
+def _run_block(tmp_path, stage="train-classifier") -> dict:
+    out = tmp_path / "run"
+    assert run_cli([stage, "--config", str(_write_config(tmp_path, out))]) == 0
+    return json.loads((out / f"manifest_{stage}.json").read_text())["run"]
+
+
+def test_run_cli_fixes_the_malloc_thresholds_and_records_them(tmp_path, monkeypatch):
+    libc, opened = _FakeLibc(), []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or libc)
+    run = _run_block(tmp_path)
+    assert opened == ["libc.so.6"]
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+    assert sorted(libc.calls) == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert run["malloc"] == {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
+    assert isinstance(run["minflt"], int) and run["minflt"] >= 0
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize(
+    "cdll",
+    [_no_libc, lambda name: SimpleNamespace(), lambda name: _FakeLibc(result=0)],
+    ids=["no-libc", "no-mallopt", "mallopt-refuses"],
+)
+def test_without_a_glibc_mallopt_the_stage_runs_unchanged(tmp_path, monkeypatch, capsys, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    run = _run_block(tmp_path)
+    assert run["malloc"] is None
+    assert "error" not in capsys.readouterr().err
+
+
+_STAGES = ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate", "drift", "roc"]
+
+
+def _toy_pipeline_in_a_fresh_process(tmp_path, stub: bool) -> dict:
+    """The manifests of every stage of the toy pipeline, run in a new
+    interpreter (so no earlier test has set the allocator policy), with
+    ``_fix_malloc_thresholds`` stubbed out or not."""
+    out = tmp_path / ("stubbed" if stub else "applied")
+    cfg = _write_config(tmp_path, out)
+    script = (
+        "import sys\nfrom pmdef import cli\n"
+        + ("cli._fix_malloc_thresholds = lambda: None\n" if stub else "")
+        + f"sys.exit(max(cli.run_cli([s, '--config', {str(cfg)!r}]) for s in {_STAGES!r}))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {s: json.loads((out / f"manifest_{s}.json").read_text()) for s in _STAGES}
+
+
+def test_the_allocator_policy_leaves_every_artifact_byte_identical(tmp_path):
+    applied = _toy_pipeline_in_a_fresh_process(tmp_path, stub=False)
+    stubbed = _toy_pipeline_in_a_fresh_process(tmp_path, stub=True)
+    assert {s: m["artifacts"] for s, m in applied.items()} == {s: m["artifacts"] for s, m in stubbed.items()}
+    assert sum(len(m["artifacts"]) for m in applied.values()) >= 10
+    assert all(m["run"]["malloc"] is None for m in stubbed.values())
+    if platform.libc_ver()[0] == "glibc":  # the real ctypes path, not a fake libc
+        assert all(m["run"]["malloc"] is not None for m in applied.values())
 
 
 def test_train_defence_manifest_lists_only_the_epoch_checkpoints_of_its_own_run(tmp_path):
