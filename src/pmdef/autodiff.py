@@ -22,11 +22,21 @@ recorded forward must keep its argmax, takes plain window maxima when
 ``_recording_tape`` says no tape will record it.
 
 conv2d's im2col blocks and a recorded maxpool2d's windows are copied with
-the kernel-offset axes outermost (``_window_copy``). conv2d's last bits
+the kernel-offset axes outermost (conv2d slices its blocks from one window
+view per call, maxpool2d uses ``_window_copy``). conv2d's last bits
 depend on that layout, since BLAS may round a GEMM differently for another
 operand layout: OpenBLAS 0.3 (Haswell kernels) gives an offset-major and a
 row-major column matrix the same bits at 8 to 32 output channels, but not
 below 8.
+
+conv2d takes an optional bias, added in place into each GEMM output block,
+so a conv layer is one tape record with the bits of conv2d followed by add.
+``models.Model.forward_t`` runs a relu that directly precedes a maxpool
+after the pool (max commutes exactly with relu). For such a block the tape
+holds maxpool2d over the pre-relu values and relu over the pooled ones, so
+``Tape.min_kink_margin`` reads the pool's margin on pre-relu values: a
+window that is entirely <= 0, whose relu outputs would all tie at 0, no
+longer reports a margin of 0.
 """
 
 from __future__ import annotations
@@ -466,38 +476,54 @@ def _window_copy(a: Array, kh: int, kw: int, stride: int, oh: int, ow: int, axes
     return np.ascontiguousarray(_windows(a, kh, kw, stride, oh, ow).transpose(axes))
 
 
-def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid") -> Tensor:
+def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid", bias: Tensor | None = None) -> Tensor:
     """Strided cross-correlation of an NHWC batch with [kh, kw, c_in, c_out] filters.
 
     One im2col GEMM per block of batch rows, the column matrix of a block
     holding at most _COLS_BLOCK_BYTES. A block is one offset-major copy,
-    C-contiguous [kh*kw*c_in, rows*oh*ow]: the forward GEMM reads it as its
-    F-ordered transpose, the filter-gradient GEMM as it is. The vjp rebuilds
-    the blocks instead of keeping them on the tape.
+    C-contiguous [kh*kw*c_in, rows*oh*ow], sliced from one window view of
+    the padded input: the forward GEMM reads it as its F-ordered transpose,
+    the filter-gradient GEMM as it is. The vjp rebuilds the blocks instead
+    of keeping them on the tape.
+
+    A ``bias`` of shape [c_out] is added in place into each output block
+    right after its GEMM, one add per element as ``add`` makes it, so
+    ``conv2d(x, k, s, p, bias=b)`` has the bits of ``add(conv2d(x, k, s, p), b)``
+    and its cotangents, in one tape record.
     """
     if x.ndim != 4 or filters.ndim != 4:
         raise DimensionError(f"conv2d expects NHWC input and 4-d filters, got {x.shape} and {filters.shape}")
     if x.shape[3] != filters.shape[2]:
         raise DimensionError(f"channel mismatch: input {x.shape} vs filters {filters.shape}")
+    if bias is not None and bias.shape != filters.shape[3:]:
+        raise DimensionError(f"conv2d bias must have shape {filters.shape[3:]}, got {bias.shape}")
     if not isinstance(stride, int) or stride < 1:
         raise ParameterError(f"stride must be a positive int, got {stride}")
     n, h, w, _ = x.shape
     kh, kw, cin, cout = filters.shape
     oh, ow, pt, pb, pl, pr = _conv_geometry(h, w, kh, kw, stride, padding)
     padded = bool(pt or pb or pl or pr)
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0))) if padded else x.data
+    if padded:
+        xp = np.zeros((n, h + pt + pb, w + pl + pr, cin))
+        xp[:, pt : pt + h, pl : pl + w] = x.data
+    else:
+        xp = x.data
     k = kh * kw * cin
     w2 = filters.data.reshape(k, cout)
     step = max(1, _COLS_BLOCK_BYTES // (oh * ow * k * 8))
+    win = _windows(xp, kh, kw, stride, oh, ow).transpose(4, 5, 3, 0, 1, 2)
 
     def cols(b: int) -> Array:
         """[rows*oh*ow, kh*kw*c_in] column matrix of the block of batch rows starting at b (F-ordered)."""
-        return _window_copy(xp[b : b + step], kh, kw, stride, oh, ow, (4, 5, 3, 0, 1, 2)).reshape(k, -1).T
+        return np.ascontiguousarray(win[:, :, :, b : b + step]).reshape(k, -1).T
 
     out = np.empty((n, oh, ow, cout))
     flat_out = out.reshape(-1, cout)
     for b in range(0, n, step):
-        np.matmul(cols(b), w2, out=flat_out[b * oh * ow : min(b + step, n) * oh * ow])
+        block = flat_out[b * oh * ow : min(b + step, n) * oh * ow]
+        np.matmul(cols(b), w2, out=block)
+        if bias is not None:
+            np.add(block, bias.data, out=block)
 
     def vjp(g):
         g2 = g.reshape(-1, cout)
@@ -516,9 +542,12 @@ def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid") 
                     gxp[batch, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride] += gcols[:, :, :, i, j]
         if gxp is not None and padded:
             gxp = gxp[:, pt : pt + h, pl : pl + w, :]
-        return gxp, (gw.reshape(filters.shape) if gw is not None else None)
+        gw = gw.reshape(filters.shape) if gw is not None else None
+        if bias is None:
+            return gxp, gw
+        return gxp, gw, (_sum_leading(g, bias.shape) if bias.requires_grad else None)
 
-    return _emit("conv2d", (x, filters), out, vjp)
+    return _emit("conv2d", (x, filters) if bias is None else (x, filters, bias), out, vjp)
 
 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:

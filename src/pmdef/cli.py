@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import hashlib
 import json
 import logging
@@ -84,6 +85,27 @@ def _fix_malloc_thresholds() -> dict | None:
     if all(mallopt(param, value) for _, param, value in _MALLOC_THRESHOLDS):
         return {name: value for name, _, value in _MALLOC_THRESHOLDS}
     return None
+
+
+@functools.cache
+def _blas_threads_getter():
+    """OpenBLAS's thread-count getter in the library numpy loaded, looked up
+    once per process; None where there is none (numpy 1.x, other BLAS
+    builds). The symbol is only reachable through numpy's own extension
+    module, which links that library."""
+    try:
+        get = ctypes.cdll.LoadLibrary(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    return get
+
+
+def _blas_threads() -> int | None:
+    """The BLAS thread count, a result input: OpenBLAS rounds some GEMMs (the
+    grey-box classifier's 400->128 layer) differently at 1 and 2 threads."""
+    get = _blas_threads_getter()
+    return None if get is None else get()
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +288,7 @@ def _run_facts(wall_time_s: float, minflt: int, malloc: dict | None) -> dict:
         "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),  # Linux: KiB
         "minflt": minflt,
         "malloc": malloc,
+        "blas_threads": _blas_threads(),
         "python": platform.python_version(),
         "numpy": np.__version__,
     }

@@ -52,20 +52,15 @@ def roc_auc(scores_normal, scores_adversarial) -> RocCurve:
     normal_sorted = np.sort(normal)
     adv_sorted = np.sort(adv)
     distinct = np.unique(np.concatenate([normal, adv]))[::-1]  # descending
-    counts = [(0, 0)]
-    thresholds = [math.inf]
-    for v in distinct:
-        cn = nn - int(np.searchsorted(normal_sorted, v, side="right"))
-        ca = na - int(np.searchsorted(adv_sorted, v, side="right"))
-        counts.append((cn, ca))
-        thresholds.append(float(v))
-    if counts[-1] != (nn, na):
-        counts.append((nn, na))
+    # flagged counts above each threshold, from (0, 0) at +inf
+    cn = np.concatenate([[0], nn - np.searchsorted(normal_sorted, distinct, side="right")])
+    ca = np.concatenate([[0], na - np.searchsorted(adv_sorted, distinct, side="right")])
+    thresholds = [math.inf, *distinct.tolist()]
+    if (cn[-1], ca[-1]) != (nn, na):
+        cn, ca = np.append(cn, nn), np.append(ca, na)
         thresholds.append(-math.inf)
-    auc_num = 0
-    for (cn0, ca0), (cn1, ca1) in zip(counts, counts[1:]):
-        auc_num += (cn1 - cn0) * (ca0 + ca1)
-    points = [(cn / nn, ca / na) for cn, ca in counts]
+    auc_num = int(np.dot(np.diff(cn), ca[:-1] + ca[1:]))  # exact: int64 products and sum
+    points = [(c / nn, a / na) for c, a in zip(cn.tolist(), ca.tolist())]
     return RocCurve(points=points, auc=auc_num / (2 * nn * na), thresholds=thresholds)
 
 

@@ -12,6 +12,11 @@ the fields), its ``param_shapes`` and its forward step ``apply``.
 ``infer_shapes``, ``build_model`` and ``Model.forward_t`` make one call per
 layer with no per-kind branch, and the spec parser finds a class by its
 ``kind``, so a new layer kind is one class.
+
+``Model.forward_t`` keeps spec order but for one rule, ``Layer.runs_after``:
+a relu directly before a maxpool runs after the pool, on the pooled values
+only, with the same bits (``Relu.runs_after`` says why). A conv layer adds
+its bias inside ``ad.conv2d``: one tape record instead of two.
 """
 
 from __future__ import annotations
@@ -82,6 +87,11 @@ class Layer:
     def apply(self, h: Tensor, params: dict[str, Tensor] | None, train: bool, rng: np.random.Generator | None) -> Tensor:
         return h
 
+    def runs_after(self, nxt: "Layer") -> bool:
+        """Whether this layer, applied after ``nxt`` (the layer that follows
+        it in the spec), gives the same bits as in spec order."""
+        return False
+
 
 @dataclass(frozen=True)
 class Dense(Layer):
@@ -123,7 +133,7 @@ class Conv(Layer):
         return {"w": (self.kernel, self.kernel, in_shape[2], self.filters), "b": (self.filters,)}
 
     def apply(self, h, params, train, rng):
-        return ad.add(ad.conv2d(h, params["w"], self.stride, self.padding), params["b"])
+        return ad.conv2d(h, params["w"], self.stride, self.padding, bias=params["b"])
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,17 @@ class Relu(Layer):
 
     def apply(self, h, params, train, rng):
         return ad.relu(h)
+
+    def runs_after(self, nxt):
+        """True before a maxpool: relu then sees only the pooled values.
+
+        max(relu(x)) == relu(max(x)) exactly. Where a window's max is > 0,
+        both orders route its cotangent to the same first row-major argmax.
+        Where it is <= 0, both give a zero cotangent; they can differ only
+        in the sign of a zero, which no downstream sum sees unless every
+        term is zero.
+        """
+        return isinstance(nxt, MaxPool)
 
 
 @dataclass(frozen=True)
@@ -211,6 +232,19 @@ class Reshape(Layer):
 
 
 _LAYER_TYPES = {cls.kind: cls for cls in Layer.__subclasses__()}
+
+
+def _run_order(layers: tuple[Layer, ...], capture: int | None) -> list[int]:
+    """Layer indices in the order ``Model.forward_t`` applies them: spec
+    order, except that a layer that ``runs_after`` the next one swaps with
+    it unless ``capture`` names it. Swaps are of adjacent layers only, so
+    after step k every layer up to index k has run, except after the first
+    step of a swapped pair."""
+    order = list(range(len(layers)))
+    for i in range(len(layers) - 1):
+        if order[i] == i and i != capture and layers[i].runs_after(layers[i + 1]):
+            order[i : i + 2] = i + 1, i
+    return order
 
 
 def layer_to_dict(layer: Layer) -> dict:
@@ -378,8 +412,10 @@ class Model(Predictor):
     ) -> Tensor | tuple[Tensor, Tensor]:
         """Run the layer stack on a batch tensor.
 
-        ``capture`` also returns the activation after that layer index;
-        ``stop_before`` halts the stack early (used to strip a final softmax).
+        ``capture`` also returns the activation after that layer index, the
+        spec-order value: a relu it names keeps its place before a maxpool,
+        and a maxpool it names returns relu(pool). ``stop_before`` halts the
+        stack early (used to strip a final softmax).
         """
         self._check_batch(x.shape)
         if capture is not None and not (0 <= capture < len(self.spec.layers)):
@@ -388,10 +424,10 @@ class Model(Predictor):
         if self.spec.standardize:
             h = ad.standardize_per_image(h)
         captured = None
-        end = len(self.spec.layers) if stop_before is None else stop_before
-        for i, layer in enumerate(self.spec.layers[:end]):
-            h = layer.apply(h, self.store.params.get(i), train, rng)
-            if capture == i:
+        layers = self.spec.layers if stop_before is None else self.spec.layers[:stop_before]
+        for step, i in enumerate(_run_order(layers, capture)):
+            h = layers[i].apply(h, self.store.params.get(i), train, rng)
+            if capture == step:  # every layer up to index ``capture`` has run: it is not the first of a swapped pair
                 captured = h
         if capture is not None:
             return h, captured

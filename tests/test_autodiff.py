@@ -373,6 +373,51 @@ def test_conv2d_equals_the_window_view_im2col_bit_for_bit(cin, padding, stride, 
     assert np.array_equal(gk, ref_gk)
 
 
+def _conv_output_and_grads(op, x, k, b, bias_trained):
+    """Output, the recorded ops and the cotangents of x, k and b from
+    backward() over sum(op(x, k, b) * g), whose output cotangent is g itself."""
+    leaves = [Tensor(x, requires_grad=True), Tensor(k, requires_grad=True), Tensor(b, requires_grad=bias_trained)]
+    with Tape() as tape:
+        out = op(*leaves)
+        g = np.random.default_rng(7).normal(size=out.shape)
+        loss = ad.sum_all(ad.mul(out, Tensor(g)))
+    grads = backward(tape, loss)
+    return out.data, [r.op for r in tape.records], [grads.get(t) for t in leaves]
+
+
+@pytest.mark.parametrize("bias", ["trained", "frozen"])
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("cin", [1, 3, 8])
+def test_conv2d_with_a_bias_equals_conv2d_then_add_bit_for_bit(cin, padding, stride, blocks, bias):
+    rng = np.random.default_rng(100 * cin + 10 * stride + blocks)
+    k = rng.normal(size=(3, 2, cin, 4))
+    b = rng.normal(size=4)
+    step = _window_view_conv2d(np.zeros((1, 7, 6, cin)), k, stride, padding)[2]
+    x = rng.normal(size=(5 if blocks == 1 else 2 * step + 3, 7, 6, cin))
+    fused = _conv_output_and_grads(lambda a, f, c: ad.conv2d(a, f, stride, padding, bias=c), x, k, b, bias == "trained")
+    split = _conv_output_and_grads(lambda a, f, c: ad.add(ad.conv2d(a, f, stride, padding), c), x, k, b, bias == "trained")
+    (out, ops, grads), (ref_out, ref_ops, ref_grads) = fused, split
+    assert ops == ["conv2d", "mul", "sum"] and ref_ops == ["conv2d", "add", "mul", "sum"]
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(ad.conv2d(Tensor(x), Tensor(k), stride, padding, bias=Tensor(b)).data, ref_out)
+    for got, want in zip(grads, ref_grads):
+        assert (got is None) == (want is None) and (got is None or np.array_equal(got, want))
+    assert (grads[2] is None) == (bias == "frozen")
+
+
+def test_conv2d_without_a_bias_records_two_inputs_and_a_bias_of_another_shape_is_refused():
+    rng = np.random.default_rng(12)
+    x, k = Tensor(rng.normal(size=(2, 5, 5, 2)), requires_grad=True), Tensor(rng.normal(size=(3, 3, 2, 4)))
+    with Tape() as tape:
+        out = ad.conv2d(x, k, 1, "same")
+    assert len(tape.records[0].inputs) == 2 and len(tape.records[0].vjp(np.ones(out.shape))) == 2
+    for shape in [(3,), (1, 4), ()]:
+        with pytest.raises(DimensionError, match="bias"):
+            ad.conv2d(x, k, 1, "same", bias=Tensor(np.zeros(shape)))
+
+
 @pytest.mark.parametrize("c", [1, 8])
 @pytest.mark.parametrize("window", [2, 3, 5])
 @pytest.mark.parametrize("stride_offset", [-1, 0, 1])

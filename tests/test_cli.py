@@ -179,6 +179,7 @@ def test_full_pipeline_smoke_and_manifests(tmp_path, monkeypatch):
     assert run["python"] == platform.python_version() and run["numpy"] == np.__version__
     if np.lib.NumpyVersion(np.__version__) >= "1.26.0":  # show_config(mode="dicts") exists
         assert run["blas"].split()[0] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    assert run["blas_threads"] is None or (isinstance(run["blas_threads"], int) and run["blas_threads"] >= 1)
     # report has the expected columns
     header = (out / "report_accuracy.csv").read_text().splitlines()[0].split(",")
     assert header[:3] == ["attack", "no_attack", "no_defence"]
@@ -286,6 +287,33 @@ def test_the_allocator_policy_leaves_every_artifact_byte_identical(tmp_path):
     assert all(m["run"]["malloc"] is None for m in stubbed.values())
     if platform.libc_ver()[0] == "glibc":  # the real ctypes path, not a fake libc
         assert all(m["run"]["malloc"] is not None for m in applied.values())
+
+
+def test_the_run_block_records_the_blas_thread_count_or_null(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_blas_threads_getter", lambda: lambda: 3)
+    assert _run_block(tmp_path)["blas_threads"] == 3
+    monkeypatch.setattr(cli, "_blas_threads_getter", lambda: None)
+    assert _run_block(tmp_path)["blas_threads"] is None
+    monkeypatch.undo()
+    for load in (_no_libc, lambda name: SimpleNamespace()):  # no library, or a BLAS without the symbol
+        monkeypatch.setattr(cli.ctypes, "cdll", SimpleNamespace(LoadLibrary=load))
+        assert cli._blas_threads_getter.__wrapped__() is None
+
+
+def test_the_blas_thread_count_is_read_from_the_openblas_numpy_loaded():
+    """The real ctypes lookup, in a fresh interpreter whose OpenBLAS is capped
+    at one thread by its environment variable."""
+    code = "from pmdef import cli\nprint(cli._blas_threads())"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    try:  # numpy's 64-bit-int scipy-openblas wheels export the getter
+        bundled = "scipy_openblas64" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["lib directory"]
+    except (TypeError, KeyError):  # numpy < 1.26, or no BLAS lib directory reported
+        bundled = False
+    assert proc.stdout.strip() == "1" if bundled else proc.stdout.strip() in ("None", "1")
+    assert cli._blas_threads_getter() is cli._blas_threads_getter()  # looked up once per process
 
 
 def test_train_defence_manifest_lists_only_the_epoch_checkpoints_of_its_own_run(tmp_path):

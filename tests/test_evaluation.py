@@ -12,6 +12,7 @@ from pmdef.errors import DataError, ParameterError
 from pmdef.evaluation import (
     CORRUPTION_PARAMS,
     DriftReport,
+    RocCurve,
     accuracy_report,
     accuracy_report_to_csv,
     corrupt_dataset,
@@ -59,6 +60,34 @@ def test_auc_empty_input():
         roc_auc([], [1.0])
     with pytest.raises(DataError):
         roc_auc([1.0], [])
+
+
+def _roc_threshold_loop(normal, adv):
+    """The ROC sweep with two searchsorted calls per distinct score, as
+    roc_auc computed it before it searched all thresholds at once."""
+    nn, na = len(normal), len(adv)
+    normal_sorted, adv_sorted = np.sort(normal), np.sort(adv)
+    counts, thresholds = [(0, 0)], [math.inf]
+    for v in np.unique(np.concatenate([normal, adv]))[::-1]:
+        counts.append((nn - int(np.searchsorted(normal_sorted, v, side="right")),
+                       na - int(np.searchsorted(adv_sorted, v, side="right"))))
+        thresholds.append(float(v))
+    if counts[-1] != (nn, na):
+        counts.append((nn, na))
+        thresholds.append(-math.inf)
+    auc_num = sum((cn1 - cn0) * (ca0 + ca1) for (cn0, ca0), (cn1, ca1) in zip(counts, counts[1:]))
+    return RocCurve(points=[(cn / nn, ca / na) for cn, ca in counts], auc=auc_num / (2 * nn * na), thresholds=thresholds)
+
+
+@pytest.mark.parametrize("tied", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_roc_curve_json_equals_the_threshold_loop_byte_for_byte(seed, tied):
+    rng = np.random.default_rng(seed)
+    normal, adv = rng.random(int(rng.integers(1, 400))), rng.random(int(rng.integers(1, 400))) + 0.2
+    if tied:
+        normal, adv = np.round(normal * 20), np.round(adv * 20)
+    dump = [json.dumps(vars(curve), sort_keys=True) for curve in (roc_auc(normal, adv), _roc_threshold_loop(normal, adv))]
+    assert dump[0] == dump[1]
 
 
 @given(st.integers(0, 100_000))

@@ -41,8 +41,8 @@ from pmdef.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from pmdef.training import temperature_scale
-from toys import identity_ae, image_ae_spec, mlp_classifier_spec
+from pmdef.training import Adam, temperature_scale
+from toys import cnn_classifier_spec, greybox_ae_spec, identity_ae, image_ae_spec, mlp_classifier_spec
 
 
 def mnist_style_spec():
@@ -460,3 +460,95 @@ def test_spec_parser_builder_and_forward_raise_only_user_errors(d):
         model.forward_t(x, train=True, rng=np.random.default_rng(1))
     except UserError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# forward_t runs a relu that precedes a maxpool after the pool
+
+
+def _spec_order_forward(model, x, capture=None):
+    """forward_t as a loop over layer.apply in spec order, with a conv layer's
+    bias added by a separate ``add``: the computation before relu moved past
+    the pool and the bias into conv2d."""
+    h, captured = x, None
+    for i, layer in enumerate(model.spec.layers):
+        params = model.store.params.get(i)
+        if isinstance(layer, Conv):
+            h = ad.add(ad.conv2d(h, params["w"], layer.stride, layer.padding), params["b"])
+        else:
+            h = layer.apply(h, params, False, None)
+        if i == capture:
+            captured = h
+    return h, captured
+
+
+def _edge_case_biases(model):
+    """Conv biases giving pool windows that are all < 0, all > 0, exact
+    zeros on a zero input, and mixed, one channel each."""
+    b = model.store.get(0)["b"].data
+    b[:] = np.resize([-10.0, 10.0, 0.0, 0.25], b.shape)
+
+
+def _edge_case_batch(size, n, seed):
+    """Constant 4x4 patches, which tie the conv outputs inside them, a zero
+    image, and in the last image generic values."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.integers(0, 3, size=(n, -(-size // 4), -(-size // 4), 1)) * 0.5
+    x = np.kron(blocks, np.ones((1, 4, 4, 1)))[:, :size, :size]
+    x[0] = 0.0
+    x[-1] = rng.random((size, size, 1))
+    return x
+
+
+def _pool_window_cases(model, x):
+    """(windows whose maximum is <= 0, windows with a tied positive maximum)
+    over the spec-order relu output that the first maxpool reads."""
+    pool = model.spec.layers[2]
+    a = _spec_order_forward(model, Tensor(x), capture=1)[1].data
+    oh, ow = model.layer_shapes[2][:2]
+    win = ad._windows(a, pool.window, pool.window, pool.stride, oh, ow).reshape(*a.shape[:1], oh, ow, a.shape[3], -1)
+    top = win.max(axis=-1)
+    return int((top <= 0.0).sum()), int(((top > 0.0) & ((win == top[..., None]).sum(axis=-1) > 1)).sum())
+
+
+@pytest.mark.parametrize("spec_name", ["cnn_classifier", "greybox_ae"])
+def test_forward_gradients_and_an_adam_step_equal_the_spec_order_loop_bit_for_bit(spec_name):
+    spec, size = (cnn_classifier_spec(size=8), 8) if spec_name == "cnn_classifier" else (greybox_ae_spec(), 20)
+    models = [build_model(spec, 3) for _ in range(2)]
+    for model in models:
+        _edge_case_biases(model)
+    x = _edge_case_batch(size, 6, 4)
+    assert min(_pool_window_cases(models[0], x)) > 0
+    outs, grads = [], []
+    for model, forward in zip(models, (lambda m, t: m.forward_t(t), lambda m, t: _spec_order_forward(m, t)[0])):
+        with Tape() as tape:
+            out = forward(model, Tensor(x))
+            g = np.random.default_rng(5).normal(size=out.shape)
+            loss = ad.sum_all(ad.mul(out, Tensor(g)))
+        grads.append(backward(tape, loss))
+        outs.append(out.data)
+        Adam(model.store.trainable(), lr=0.01).step()
+    assert np.array_equal(outs[0], outs[1])
+    for (idx, name, t), (_, _, ref) in zip(*(m.store.named_tensors() for m in models)):
+        assert np.array_equal(grads[0][t], grads[1][ref]), (idx, name)
+        assert np.array_equal(t.data, ref.data), (idx, name)
+
+
+def test_a_relu_before_a_maxpool_runs_after_it_and_a_capture_returns_the_spec_order_activation():
+    model = build_model(greybox_ae_spec(), 3)
+    _edge_case_biases(model)
+    x = Tensor(_edge_case_batch(20, 4, 6))
+    out_ref, relu_ref = _spec_order_forward(model, x, capture=1)
+    _, pool_ref = _spec_order_forward(model, x, capture=2)
+    for capture, want_ops, want in [
+        (None, ["conv2d", "maxpool2d", "relu"], None),
+        (1, ["conv2d", "relu", "maxpool2d"], relu_ref),
+        (2, ["conv2d", "maxpool2d", "relu"], pool_ref),
+    ]:
+        with Tape() as tape:
+            result = model.forward_t(Tensor(x.data, requires_grad=True), capture=capture)
+        out, captured = result if capture is not None else (result, None)
+        assert [r.op for r in tape.records][:3] == want_ops
+        assert np.array_equal(out.data, out_ref.data)
+        if want is not None:
+            assert captured.shape == want.shape and np.array_equal(captured.data, want.data)

@@ -50,6 +50,18 @@ def cnn_classifier_spec(size=6, classes=3, name="toy_cnn"):
     )
 
 
+def greybox_ae_spec(size=20, name="greybox_ae"):
+    """The grey-box experiment's conv autoencoder: conv, relu, 5x5 max-pool, a dense bottleneck."""
+    return ModelSpec(
+        name,
+        (size, size, 1),
+        (
+            Conv(8, 3, 1, "same"), Relu(), MaxPool(5, 5), Flatten(),
+            Dense(32), Dense(128), Relu(), Dense(size * size), Reshape((size, size, 1)),
+        ),
+    )
+
+
 def mlp_ae_spec(dim=6, hidden=5, name="toy_ae"):
     return ModelSpec(name, (dim,), (Dense(hidden), Relu(), Dense(dim)))
 
