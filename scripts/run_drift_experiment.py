@@ -11,12 +11,9 @@ between the groups.
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
-from run_greybox_experiment import default_config
-
-from pmdef.cli import run_cli
+from run_greybox_experiment import default_config, run_stages
 
 
 def _fmt(value, spec: str) -> str:
@@ -34,14 +31,9 @@ def main() -> int:
         "defence_losses": [{"kind": "kl"}],
         "drift": {"kinds": ["gaussian_noise", "blur", "brightness", "contrast"], "severities": [1, 2, 3, 4, 5]},
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(cfg, fh)
-        cfg_path = fh.name
-    for stage in ["train-classifier", "train-defence", "drift"]:
-        code = run_cli([stage, "--config", cfg_path])
-        if code != 0:
-            print(f"stage {stage} failed with exit code {code}", file=sys.stderr)
-            return code
+    code = run_stages(cfg, ["train-classifier", "train-defence", "drift"])
+    if code != 0:
+        return code
     out = Path(args.out)
     for row in json.loads((out / "drift.json").read_text(encoding="utf-8"))["rows"]:
         print(

@@ -62,7 +62,6 @@ def default_config(out: str, seed: int) -> dict:
         "classifier_opt": {"kind": "adam", "learning_rate": 0.001, "batch_size": 128, "epochs": 15},
         "defence_opt": {"kind": "adam", "learning_rate": 0.002, "batch_size": 64, "epochs": 30},
         "defence_losses": [{"kind": "kl"}, {"kind": "mse"}],
-        "checkpoint_every": 5,
         "attacks": [
             {"name": "fgsm_01", "kind": "fgsm", "epsilon": 0.1},
             {"name": "fgsm_02", "kind": "fgsm", "epsilon": 0.2},
@@ -77,6 +76,20 @@ def default_config(out: str, seed: int) -> dict:
     }
 
 
+def run_stages(cfg: dict, stages: list[str], *flags: str) -> int:
+    """Run ``stages`` of the pipeline CLI in order on ``cfg``, written to a
+    temporary config file; returns the first non-zero exit code, else 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        for stage in stages:
+            code = run_cli([stage, "--config", str(cfg_path), *flags])
+            if code != 0:
+                print(f"stage {stage} failed with exit code {code}", file=sys.stderr)
+                return code
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True, help="output directory for artifacts")
@@ -84,16 +97,10 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    cfg = default_config(args.out, args.seed)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(cfg, fh)
-        cfg_path = fh.name
     stages = ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate", "roc"]
-    for stage in stages:
-        code = run_cli([stage, "--config", cfg_path, "--workers", str(args.workers)])
-        if code != 0:
-            print(f"stage {stage} failed with exit code {code}", file=sys.stderr)
-            return code
+    code = run_stages(default_config(args.out, args.seed), stages, "--workers", str(args.workers))
+    if code != 0:
+        return code
     print(f"artifacts in {args.out}")
     print((Path(args.out) / "report_accuracy.csv").read_text())
     return 0

@@ -201,7 +201,7 @@ class Experiment:
     classifier_opt: StageOptimizer = field(default_factory=StageOptimizer)
     defence_opt: StageOptimizer = field(default_factory=StageOptimizer)
     defence_losses: list[DefenceLossSpec] = field(default_factory=lambda: [DefenceLossSpec()])
-    checkpoint_every: int = 10
+    checkpoint_every: int = 0
     attacks: list[AttackEntry] = field(default_factory=list)
     attack_subset: int | None = None
     eps_fpr: float = 0.05
@@ -215,6 +215,9 @@ class Experiment:
         names = [a.name for a in self.attacks]
         if len(set(names)) != len(names):
             raise ConfigError(f"attacks: every entry needs a unique 'name', got {names}")
+        kinds = [s.kind for s in self.defence_losses]
+        if len(set(kinds)) != len(kinds):
+            raise ConfigError(f"defence_losses: every entry needs a unique 'kind', got {kinds}")
         if self.attack_subset is not None and self.attack_subset < 1:
             raise ConfigError(f"attack_subset: must be >= 1, got {self.attack_subset}")
         if self.checkpoint_every < 0:

@@ -1,5 +1,5 @@
-"""Adversarial scoring, threshold calibration, the detect-and-correct
-pipeline and the checkpoint-ensemble vote.
+"""Adversarial scoring, threshold calibration and the detect-and-correct
+pipeline.
 
 The score of an instance is the divergence between the classifier's
 prediction distribution on the instance and on its autoencoder
@@ -16,11 +16,11 @@ import numpy as np
 
 from .artifacts import csv_text, write_artifact
 from .autodiff import kl_rows
-from .errors import ConfigError, DataError, ParameterError
+from .errors import DataError, ParameterError
 from .training import temperature_scale
 
 SCORE_METRICS = ("kl", "mse")
-# Rows per AE pass in defence_outputs: bounds the AE's activations (a 20x20 conv AE with
+# Rows per AE pass in reconstructed_proba: bounds the AE's activations (a 20x20 conv AE with
 # 8 filters holds 25.6 KB per row in its first layer). The classifier still takes all
 # rows in one pass: with OpenBLAS a narrow GEMM, such as a 10-class output layer, can
 # round differently at another row count.
@@ -34,32 +34,6 @@ class DefenceVerdict:
     flagged: bool
     label: int
     source: str  # original | reconstructed
-
-
-@dataclass
-class EnsembleMember:
-    ae: object  # any model exposing reconstruct()
-    weight: float
-
-
-@dataclass
-class EnsembleSpec:
-    members: list[EnsembleMember]
-
-    def __post_init__(self):
-        total = 0.0
-        for m in self.members:
-            if m.weight < 0:
-                raise ConfigError(f"ensemble weights must be >= 0, got {m.weight}")
-            total += m.weight
-        if total > 1.0 + 1e-12:
-            raise ConfigError(f"ensemble weights must sum to at most 1, got {total}")
-        if not self.members and self.classifier_weight == 0.0:
-            raise ConfigError("ensemble has no members and no classifier weight")
-
-    @property
-    def classifier_weight(self) -> float:
-        return 1.0 - sum(m.weight for m in self.members)
 
 
 @dataclass(frozen=True)
@@ -96,11 +70,16 @@ class DefenceOutputs:
         ]
 
 
+def reconstructed_proba(classifier, ae, x: np.ndarray) -> np.ndarray:
+    """M(AE(x)): AE passes of _AE_ROWS rows, then one classifier pass on the
+    reconstruction. A single block is used as it is, without a copy."""
+    blocks = [ae.reconstruct(x[s : s + _AE_ROWS]) for s in range(0, max(x.shape[0], 1), _AE_ROWS)]
+    return classifier.predict_proba(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+
+
 def defence_outputs(classifier, ae, x: np.ndarray) -> DefenceOutputs:
-    """One classifier pass on x, AE passes of _AE_ROWS rows and one classifier
-    pass on the reconstruction."""
-    recon = np.concatenate([ae.reconstruct(x[s : s + _AE_ROWS]) for s in range(0, max(x.shape[0], 1), _AE_ROWS)])
-    return DefenceOutputs(classifier.predict_proba(x), classifier.predict_proba(recon))
+    """One classifier pass on x plus ``reconstructed_proba``."""
+    return DefenceOutputs(classifier.predict_proba(x), reconstructed_proba(classifier, ae, x))
 
 
 def adversarial_score(classifier, ae, x: np.ndarray, metric: str = "kl", temperature: float | None = None) -> np.ndarray:
@@ -132,32 +111,6 @@ def detect_and_correct(classifier, ae, x: np.ndarray, threshold: float, metric: 
 
 def corrected_labels(verdicts: list[DefenceVerdict]) -> np.ndarray:
     return np.asarray([v.label for v in verdicts], dtype=np.int64)
-
-
-def weighted_vote(labels, weights, num_classes: int) -> int:
-    """argmax of weighted label counts; ties break to the lowest class index.
-
-    The argmax is invariant under uniform positive rescaling of all weights.
-    """
-    votes = np.zeros(num_classes)
-    for lab, w in zip(labels, weights):
-        votes[int(lab)] += w
-    return int(votes.argmax())
-
-
-def ensemble_predict(spec: EnsembleSpec, classifier, x: np.ndarray) -> np.ndarray:
-    """Weighted majority vote of the corrected labels of every ensemble
-    autoencoder plus the bare classifier."""
-    n = x.shape[0]
-    num_classes = classifier.num_classes
-    member_labels = [classifier.predict_class(m.ae.reconstruct(x)) for m in spec.members]
-    clf_labels = classifier.predict_class(x)
-    weights = [m.weight for m in spec.members] + [spec.classifier_weight]
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        labels = [labs[i] for labs in member_labels] + [clf_labels[i]]
-        out[i] = weighted_vote(labels, weights, num_classes)
-    return out
 
 
 def verdicts_to_csv(verdicts: list[DefenceVerdict], path) -> None:

@@ -39,7 +39,7 @@ class SpecError(UserError):
 
 
 class ConfigError(UserError):
-    """An experiment, probe or ensemble configuration is invalid."""
+    """An experiment or probe configuration is invalid."""
 
 
 class CompositionError(UserError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .artifacts import csv_text, write_artifact
-from .defence import DefenceOutputs, defence_outputs
+from .defence import DefenceOutputs, defence_outputs, reconstructed_proba
 from .errors import DataError, ParameterError
 
 # per-kind corruption parameter tables, severity 1..5 (strictly monotone harm)
@@ -122,7 +122,7 @@ def accuracy_report(
         row: dict[str, object] = {"attack": attack_name, "no_attack": clean_acc}
         row["no_defence"] = float((p.argmax(axis=1) == y).mean())
         for name, ae in defences.items():
-            outputs = DefenceOutputs(p, classifier.predict_proba(ae.reconstruct(x_adv)))
+            outputs = DefenceOutputs(p, reconstructed_proba(classifier, ae, x_adv))
             row[name] = float((outputs.labels(-math.inf, metric) == y).mean())
             if thresholds and name in thresholds:
                 row[f"{name}@detect"] = float((outputs.labels(thresholds[name], metric, temperature) == y).mean())

@@ -326,7 +326,7 @@ def train_defence(
 
     Only the autoencoder parameters move (plus the probe projection for the
     hidden-layer loss). Optionally emits a checkpoint every
-    ``checkpoint_every`` epochs for later ensembling.
+    ``checkpoint_every`` epochs.
     """
     if not classifier.store.is_fully_frozen():
         raise ContractError("classifier must be frozen before defence training")

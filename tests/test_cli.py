@@ -586,6 +586,32 @@ def test_tempered_defence_is_scored_calibrated_and_reported_with_its_temperature
     assert float(row["kl_temperature@detect"]) == float((corrected == labels).mean())
 
 
+def test_white_box_attack_is_reported_against_the_attacked_and_an_untargeted_defence(tmp_path, capsys):
+    out = tmp_path / "run"
+    white_box = {"name": "wb", "kind": "fgsm", "epsilon": 0.2, "target_mode": "white_box", "ae": "kl"}
+    cfg = _write_config(
+        tmp_path, out, defence_losses=[{"kind": "kl"}, {"kind": "mse"}], report_defences=["kl", "mse"],
+        attacks=[_toy_config(out)["attacks"][0], white_box],
+    )
+    for stage in ["train-classifier", "train-defence", "attack", "evaluate"]:
+        assert run_cli([stage, "--config", str(cfg)]) == 0, stage
+    classifier = cli._load_classifier(out)
+    batch = load_batch(out / "attacks" / "wb.json")
+    assert batch.config.target_mode == "white_box"
+    with open(out / "report_accuracy.csv", newline="") as fh:
+        row = next(r for r in csv.DictReader(fh) if r["attack"] == "wb")
+    predicted = {tag: classifier.predict_class(cli._load_defence(out, tag).reconstruct(batch.adversarials))
+                 for tag in ("kl", "mse")}
+    for tag, labels in predicted.items():
+        assert float(row[tag]) == float((labels == batch.labels).mean()), tag
+    # the attack targeted C(AE_kl(x)): its recorded predictions are that pipeline's
+    assert np.array_equal(batch.adversarial_pred, predicted["kl"])
+    (out / "ae_kl.ckpt").unlink()
+    assert run_cli(["attack", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "ae_kl.ckpt" in err and "train-defence" in err
+
+
 # id: (config edit, the stage run, the dotted key the error must start with)
 MALFORMED_CONFIGS = {
     "n-train-str": (lambda c: c["dataset"].update(n_train="x"), "train-classifier", "dataset.n_train"),
@@ -610,6 +636,10 @@ MALFORMED_CONFIGS = {
     "attack-without-name": (lambda c: c["attacks"][0].pop("name"), "score", "attacks[0].name"),
     "attack-subset-negative": (lambda c: c.update(attack_subset=-5), "attack", "attack_subset"),
     "checkpoint-every-negative": (lambda c: c.update(checkpoint_every=-1), "train-defence", "checkpoint_every"),
+    "defence-losses-repeated-kind": (
+        lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "kl", "temperature": 3.0}]),
+        "train-defence", "defence_losses",
+    ),
 }
 
 

@@ -11,18 +11,14 @@ from pmdef.autodiff import kl_rows
 from pmdef.defence import (
     DefenceOutputs,
     DefenceVerdict,
-    EnsembleMember,
-    EnsembleSpec,
     adversarial_score,
     calibrate_threshold,
     corrected_labels,
     defence_outputs,
     detect_and_correct,
-    ensemble_predict,
     verdicts_to_csv,
-    weighted_vote,
 )
-from pmdef.errors import ConfigError, DataError, ParameterError
+from pmdef.errors import DataError, ParameterError
 from pmdef.models import Dense, Flatten, ModelSpec, Relu, Reshape, Softmax, build_model
 from pmdef.training import OptimizerConfig, train_classifier
 from toys import cnn_classifier_spec, identity_ae, image_ae_spec, separable_data
@@ -33,13 +29,9 @@ class StubClassifier:
 
     def __init__(self, table):
         self.table = {round(k, 6): np.asarray(v) for k, v in table.items()}
-        self.num_classes = len(next(iter(table.values())))
 
     def predict_proba(self, x):
         return np.stack([self.table[round(float(r.ravel()[0]), 6)] for r in x])
-
-    def predict_class(self, x):
-        return self.predict_proba(x).argmax(axis=1)
 
 
 class StubAE:
@@ -104,6 +96,23 @@ def test_outputs_reconstruct_in_row_blocks_with_the_bits_of_one_pass(monkeypatch
     assert out.p.shape == out.q.shape == (n, 3)
     assert np.array_equal(out.p, clf.predict_proba(x))
     assert np.array_equal(out.q, clf.predict_proba(ae.reconstruct(x)))
+
+
+def test_a_single_ae_block_reaches_the_classifier_uncopied(toy_defence):
+    clf, x, _ = toy_defence
+    recon, seen = np.zeros_like(x), []
+
+    class FixedAE:
+        def reconstruct(self, xb):
+            return recon
+
+    class RecordingClassifier:
+        def predict_proba(self, xb):
+            seen.append(xb)
+            return clf.predict_proba(xb)
+
+    defence.reconstructed_proba(RecordingClassifier(), FixedAE(), x)
+    assert len(seen) == 1 and seen[0] is recon
 
 
 def test_score_nonnegative_and_metric_validation(toy_defence):
@@ -214,65 +223,6 @@ def test_verdict_csv_format(tmp_path, toy_defence):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "id,score,threshold,flagged,label,source"
     assert len(lines) == 6
-
-
-# ---------------------------------------------------------------------------
-# ensemble
-
-
-def test_weighted_vote_hand_tally():
-    # two members voting class 3 at 0.3 each vs classifier voting class 7 at 0.4
-    assert weighted_vote([3, 3, 7], [0.3, 0.3, 0.4], 10) == 3
-
-
-def test_weighted_vote_unanimity():
-    for weights in ([0.2, 0.2, 0.6], [0.01, 0.9, 0.09]):
-        assert weighted_vote([4, 4, 4], weights, 10) == 4
-
-
-def test_weighted_vote_tie_breaks_low():
-    assert weighted_vote([5, 2], [0.5, 0.5], 10) == 2
-
-
-@given(st.integers(0, 10_000), st.floats(0.1, 50.0))
-@settings(max_examples=80, deadline=None)
-def test_weighted_vote_rescale_invariance(seed, alpha):
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, 6))
-    labels = rng.integers(0, 5, size=k).tolist()
-    weights = (rng.random(k) + 1e-3).tolist()
-    assert weighted_vote(labels, weights, 5) == weighted_vote(labels, [alpha * w for w in weights], 5)
-
-
-def test_ensemble_single_member_full_weight(toy_defence):
-    clf, x, _ = toy_defence
-    ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 9)
-    spec = EnsembleSpec([EnsembleMember(ae=ae, weight=1.0)])
-    out = ensemble_predict(spec, clf, x)
-    assert np.array_equal(out, clf.predict_class(ae.reconstruct(x)))
-
-
-def test_ensemble_weights_validation(toy_defence):
-    clf, _, _ = toy_defence
-    ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 9)
-    with pytest.raises(ConfigError):
-        EnsembleSpec([EnsembleMember(ae=ae, weight=-0.1)])
-    with pytest.raises(ConfigError):
-        EnsembleSpec([EnsembleMember(ae=ae, weight=0.7), EnsembleMember(ae=ae, weight=0.7)])
-
-
-def test_ensemble_vote_tally_two_vs_classifier():
-    clf = StubClassifier({0.5: [0.1, 0.2, 0.3, 0.4]})  # classifier says 3
-    member = StubAE({0.5: 0.9})
-
-    class VoteAE:
-        def reconstruct(self, x):
-            return np.full_like(x, 0.9)
-
-    clf.table[0.9] = np.array([0.05, 0.9, 0.03, 0.02])  # members say 1
-    spec = EnsembleSpec([EnsembleMember(VoteAE(), 0.3), EnsembleMember(VoteAE(), 0.3)])
-    out = ensemble_predict(spec, clf, np.full((2, 3), 0.5))
-    assert np.array_equal(out, [1, 1])  # 0.6 beats classifier weight 0.4
 
 
 def test_separation_on_trained_toy_defence(toy_defence):

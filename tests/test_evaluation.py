@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmdef.defence import adversarial_score, corrected_labels, detect_and_correct
+from pmdef import defence
+from pmdef.defence import adversarial_score, corrected_labels, defence_outputs, detect_and_correct
 from pmdef.errors import DataError, ParameterError
 from pmdef.evaluation import (
     CORRUPTION_PARAMS,
@@ -299,6 +300,27 @@ def test_accuracy_report_gated_column_matches_detect_and_correct(small_image_cla
     gated = corrected_labels(detect_and_correct(clf, ae, noisy, t))
     assert row["ae@detect"] == float((gated == y).mean())
     assert len({row["no_defence"], row["ae"], row["ae@detect"]}) == 3  # the gate matters on this data
+
+
+def test_accuracy_report_reconstructs_in_the_row_blocks_of_defence_outputs(small_image_classifier, monkeypatch):
+    clf, x, y = small_image_classifier
+    ae = _perturbed_identity_ae(4, 0.3, 2)
+    noisy = np.clip(x + 0.25 * np.sign(np.random.default_rng(3).normal(size=x.shape)), 0, 1)
+    monkeypatch.setattr(defence, "_AE_ROWS", 7)  # 240 rows: 34 AE passes of 7 and one of 2
+    ae_passes, forward_t = [], Model.forward_t
+
+    def recording(model, xt, *args, **kwargs):
+        if not model.is_classifier:
+            ae_passes.append(xt.shape[0])
+        return forward_t(model, xt, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_t", recording)
+    outputs = defence_outputs(clf, ae, noisy)
+    t = float(np.quantile(outputs.scores(), 0.9))
+    row = accuracy_report(clf, {"ae": ae}, {"noise": (noisy, y)}, (x, y), thresholds={"ae": t})[0]
+    assert max(ae_passes) == 7 and sum(ae_passes) == 2 * x.shape[0]
+    assert row["ae"] == float((outputs.labels(-math.inf) == y).mean())
+    assert row["ae@detect"] == float((outputs.labels(t) == y).mean())
 
 
 def test_accuracy_report_csv(tmp_path, small_image_classifier):
