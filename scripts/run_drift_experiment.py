@@ -20,18 +20,22 @@ def _fmt(value, spec: str) -> str:
     return "n/a" if value is None else format(value, spec)
 
 
+def drift_config(out: str, seed: int) -> dict:
+    """The grey-box config with the KL defence only and every corruption at every severity."""
+    return {
+        **default_config(out, seed),
+        "defence_losses": [{"kind": "kl"}],
+        "drift": {"kinds": ["gaussian_noise", "blur", "brightness", "contrast"], "severities": [1, 2, 3, 4, 5]},
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    cfg = {
-        **default_config(args.out, args.seed),
-        "defence_losses": [{"kind": "kl"}],
-        "drift": {"kinds": ["gaussian_noise", "blur", "brightness", "contrast"], "severities": [1, 2, 3, 4, 5]},
-    }
-    code = run_stages(cfg, ["train-classifier", "train-defence", "drift"])
+    code = run_stages(drift_config(args.out, args.seed), ["train-classifier", "train-defence", "drift"])
     if code != 0:
         return code
     out = Path(args.out)

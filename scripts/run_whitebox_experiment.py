@@ -20,16 +20,22 @@ from run_greybox_experiment import default_config, run_stages
 WHITE_BOX = {"name": "wb_fgsm_02", "kind": "fgsm", "epsilon": 0.2, "target_mode": "white_box", "ae": "kl"}
 
 
+def whitebox_config(out: str, seed: int) -> dict:
+    """The grey-box config with its fgsm_02 entry plus WHITE_BOX, on the whole test set."""
+    cfg = default_config(out, seed)
+    cfg["attacks"] = [a for a in cfg["attacks"] if a["name"] == "fgsm_02"] + [WHITE_BOX]
+    cfg["attack_subset"] = None
+    return cfg
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    cfg = default_config(args.out, args.seed)
-    cfg["attacks"] = [a for a in cfg["attacks"] if a["name"] == "fgsm_02"] + [WHITE_BOX]
-    cfg["attack_subset"] = None
-    code = run_stages(cfg, ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate", "roc"])
+    stages = ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate", "roc"]
+    code = run_stages(whitebox_config(args.out, args.seed), stages)
     if code != 0:
         return code
     out = Path(args.out)

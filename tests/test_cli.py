@@ -332,6 +332,20 @@ def test_train_defence_manifest_lists_only_the_epoch_checkpoints_of_its_own_run(
     assert sorted(k for k in listed if "_epoch_" in k) == ["ae_kl_epoch_002.ckpt"]
 
 
+def test_train_defence_writes_no_epoch_checkpoints_by_default(tmp_path):
+    out = tmp_path / "run"
+    cfg = _toy_config(out)
+    del cfg["checkpoint_every"]
+    cfg["defence_opt"]["epochs"] = 10  # the former default wrote a checkpoint at epoch 10
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["train-classifier", "--config", str(path)]) == 0
+    assert run_cli(["train-defence", "--config", str(path)]) == 0
+    assert not list(out.glob("*_epoch_*"))
+    listed = json.loads((out / "manifest_train-defence.json").read_text())["artifacts"]
+    assert [k for k in listed if k.endswith(".ckpt")] == ["ae_kl.ckpt"]
+
+
 def test_seed_override_changes_artifacts(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, out)
