@@ -25,6 +25,7 @@ def drift_config(out: str, seed: int) -> dict:
     return {
         **default_config(out, seed),
         "defence_losses": [{"kind": "kl"}],
+        "report_defences": ["kl"],
         "drift": {"kinds": ["gaussian_noise", "blur", "brightness", "contrast"], "severities": [1, 2, 3, 4, 5]},
     }
 

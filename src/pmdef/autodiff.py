@@ -202,27 +202,13 @@ def _sum_leading(g: Array, shape: tuple[int, ...]) -> Array:
     return (np.ones(g2.shape[0]) @ g2).reshape(shape)
 
 
-def _broadcast(op, ad: Array, bd: Array) -> Array:
-    """op(ad, bd) for a bd that _check_broadcast accepted.
-
-    A bias over a 4-d input is tiled to one whole row first, so numpy's
-    inner loop runs over the h*w*c elements of a row rather than over the c
-    channels of a pixel. Every element is the same single op either way.
-    """
-    if ad.ndim == 4 and bd.ndim < 4:
-        n = ad.shape[0]
-        tiled = np.tile(bd.ravel(), math.prod(ad.shape[1 : 4 - bd.ndim]))
-        return op(ad.reshape(n, tiled.size), tiled).reshape(ad.shape)
-    return op(ad, bd)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b)
 
     def vjp(g):
         return g, (_sum_leading(g, b.shape) if b.requires_grad else None)
 
-    return _emit("add", (a, b), _broadcast(np.add, a.data, b.data), vjp)
+    return _emit("add", (a, b), a.data + b.data, vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -231,7 +217,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return g, (-_sum_leading(g, b.shape) if b.requires_grad else None)
 
-    return _emit("sub", (a, b), _broadcast(np.subtract, a.data, b.data), vjp)
+    return _emit("sub", (a, b), a.data - b.data, vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -636,25 +622,26 @@ def standardize_per_image(x: Tensor) -> Tensor:
 # divergences
 
 
-def kl_rows(p: Array, q: Array, validate: bool = True) -> Array:
+def kl_rows(p: Array, q: Array) -> Array:
     """Row-wise KL divergence sum(p * ln(p/q)) with 0*ln(0/q) = 0.
 
-    Both arguments are clamped below at KL_CLAMP inside the log only, so the
-    convention holds and the result stays finite. Returns one value per row.
+    Both arguments must be non-empty, of one shape, with non-negative rows
+    that sum to 1 within 1e-6; anything else raises. Both are clamped below
+    at KL_CLAMP inside the log only, so the convention holds and the result
+    stays finite. Returns one value per row.
     """
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     q = np.atleast_2d(np.asarray(q, dtype=np.float64))
     if p.shape != q.shape:
         raise DimensionError(f"distribution shapes differ: {p.shape} vs {q.shape}")
-    if validate:
-        if p.size == 0:
-            raise ValidationError("empty distributions")
-        if p.min() < 0.0 or q.min() < 0.0:
-            raise ValidationError("distribution entries must be non-negative")
-        rs_p = p.sum(axis=1)
-        rs_q = q.sum(axis=1)
-        if np.abs(rs_p - 1.0).max() > 1e-6 or np.abs(rs_q - 1.0).max() > 1e-6:
-            raise ValidationError("distribution rows must sum to 1 within 1e-6")
+    if p.size == 0:
+        raise ValidationError("empty distributions")
+    if p.min() < 0.0 or q.min() < 0.0:
+        raise ValidationError("distribution entries must be non-negative")
+    rs_p = p.sum(axis=1)
+    rs_q = q.sum(axis=1)
+    if np.abs(rs_p - 1.0).max() > 1e-6 or np.abs(rs_q - 1.0).max() > 1e-6:
+        raise ValidationError("distribution rows must sum to 1 within 1e-6")
     lp = np.log(np.maximum(p, KL_CLAMP))
     lq = np.log(np.maximum(q, KL_CLAMP))
     return (p * (lp - lq)).sum(axis=1)
@@ -666,7 +653,7 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
     Gradients flow into both arguments (needed when both depend on trained
     parameters, as in the hidden-layer probe loss).
     """
-    rows = kl_rows(p.data, q.data, validate=True)
+    rows = kl_rows(p.data, q.data)
     nrows = rows.shape[0]
     p2 = np.atleast_2d(p.data)
     q2 = np.atleast_2d(q.data)

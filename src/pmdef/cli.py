@@ -222,6 +222,12 @@ class Experiment:
             raise ConfigError(f"attack_subset: must be >= 1, got {self.attack_subset}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every: must be >= 0, got {self.checkpoint_every}")
+        named = [("score_defence", self.score_defence)]  # keys that name a defence train-defence must train
+        named += [(f"report_defences[{i}]", tag) for i, tag in enumerate(self.report_defences or [])]
+        named += [(f"attacks[{i}].ae", a.ae) for i, a in enumerate(self.attacks) if a.target_mode == "white_box"]
+        for key, tag in named:
+            if tag not in kinds:
+                raise ConfigError(f"{key}: {tag!r} is not a kind of defence_losses {kinds}")
 
 
 def load_config(path) -> dict:
@@ -426,12 +432,16 @@ def _score_temperature(exp: Experiment, tag: str) -> float | None:
     return next((s.target_temperature for s in exp.defence_losses if s.kind == tag), None)
 
 
+def _scoring(exp: Experiment, out: Path):
+    """The frozen classifier, the ``score_defence`` autoencoder and the
+    temperature it is scored with."""
+    tag = exp.score_defence
+    return _load_classifier(out), _load_defence(out, tag), _score_temperature(exp, tag)
+
+
 def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     _, test = _required(exp, "dataset").load(seed)
-    classifier = _load_classifier(out)
-    tag = exp.score_defence
-    ae = _load_defence(out, tag)
-    temperature = _score_temperature(exp, tag)
+    classifier, ae, temperature = _scoring(exp, out)
     score_dir = out / "scores"
     score_dir.mkdir(exist_ok=True)
     artifacts = []
@@ -448,17 +458,15 @@ def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]
 
 def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     train, _ = _required(exp, "dataset").load(seed)
-    classifier = _load_classifier(out)
-    tag = exp.score_defence
-    ae = _load_defence(out, tag)
+    classifier, ae, temperature = _scoring(exp, out)
     size = min(1000, train.n) if exp.calibration_size is None else exp.calibration_size
     if size < 1 or size > train.n:
         raise ConfigError(f"calibration_size {size} outside [1, {train.n}]")
     x_cal = train.images[-size:]
-    scores = dfc.adversarial_score(classifier, ae, x_cal, temperature=_score_temperature(exp, tag))
+    scores = dfc.adversarial_score(classifier, ae, x_cal, temperature=temperature)
     t = dfc.calibrate_threshold(scores, exp.eps_fpr)
     path = out / "threshold.json"
-    info = {"threshold": t, "eps_fpr": float(exp.eps_fpr), "n": size, "defence": tag}
+    info = {"threshold": t, "eps_fpr": float(exp.eps_fpr), "n": size, "defence": exp.score_defence}
     write_artifact(path, json.dumps(info, sort_keys=True) + "\n")
     log.info("threshold %.6g at eps_fpr %.3f over %d normal scores", t, exp.eps_fpr, size)
     return [path]
@@ -475,25 +483,27 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
         if batch.labels is None:
             raise DataError(f"attack batch {entry.name} carries no true labels; cannot compute accuracy")
         attack_sets[entry.name] = (batch.adversarials, batch.labels)
-    thresholds = None
+    gate = temperature = None
     tpath = out / "threshold.json"
     if tpath.is_file():
         try:
             info = json.loads(tpath.read_text(encoding="utf-8"))
-            thresholds = {info["defence"]: float(info["threshold"])}
+            gate = (info["defence"], float(info["threshold"]))
+            if not isinstance(gate[0], str):
+                raise TypeError(f"'defence' must be a string, got {gate[0]!r}")
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{tpath}: needs a JSON object with 'threshold' and 'defence': {exc!r}") from None
-    temperature = _score_temperature(exp, info["defence"]) if thresholds else None
+        temperature = _score_temperature(exp, gate[0])
     rows = ev.accuracy_report(
-        classifier, defences, attack_sets, _attack_inputs(exp, test), thresholds=thresholds, temperature=temperature
+        classifier, defences, attack_sets, _attack_inputs(exp, test), gate=gate, temperature=temperature
     )
     report_path = out / "report_accuracy.csv"
     ev.accuracy_report_to_csv(rows, report_path)
     artifacts = [report_path]
-    if thresholds:
+    if gate:
         verdict_dir = out / "verdicts"
         verdict_dir.mkdir(exist_ok=True)
-        tag, t = next(iter(thresholds.items()))
+        tag, t = gate
         if tag in defences:
             for name, (x_adv, _y) in attack_sets.items():
                 verdicts = dfc.detect_and_correct(classifier, defences[tag], x_adv, t, temperature=temperature)
@@ -507,12 +517,10 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
 
 def cmd_drift(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     _, test = _required(exp, "dataset").load(seed)
-    classifier = _load_classifier(out)
-    tag = exp.score_defence
-    ae = _load_defence(out, tag)
+    classifier, ae, temperature = _scoring(exp, out)
     report = ev.drift_report(
         classifier, ae, test.images, test.labels, kinds=exp.drift.kinds, severities=exp.drift.severities,
-        seed=derive_seed(seed, "drift") % (2**31), temperature=_score_temperature(exp, tag),
+        seed=derive_seed(seed, "drift") % (2**31), temperature=temperature,
     )
     jpath = out / "drift.json"
     cpath = out / "drift.csv"

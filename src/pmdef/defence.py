@@ -1,7 +1,7 @@
 """Adversarial scoring, threshold calibration and the detect-and-correct
 pipeline.
 
-The score of an instance is the divergence between the classifier's
+The score of an instance is the KL divergence between the classifier's
 prediction distribution on the instance and on its autoencoder
 reconstruction. Scores above a threshold flag the instance; flagged
 instances take the reconstruction's label instead.
@@ -19,7 +19,6 @@ from .autodiff import kl_rows
 from .errors import DataError, ParameterError
 from .training import temperature_scale
 
-SCORE_METRICS = ("kl", "mse")
 # Rows per AE pass in reconstructed_proba: bounds the AE's activations (a 20x20 conv AE with
 # 8 filters holds 25.6 KB per row in its first layer). The classifier still takes all
 # rows in one pass: with OpenBLAS a narrow GEMM, such as a 10-class output layer, can
@@ -38,31 +37,32 @@ class DefenceVerdict:
 
 @dataclass(frozen=True)
 class DefenceOutputs:
-    """The two prediction distributions every defence decision derives from:
-    ``p`` = M(x) and ``q`` = M(AE(x)), one row per instance."""
+    """The two prediction distributions every defence decision derives from,
+    ``p`` = M(x) and ``q`` = M(AE(x)), one row per instance, and the one
+    decision rule: the score is KL(p || q), an instance is flagged when its
+    score exceeds the threshold, and a flagged instance takes q's label, the
+    others p's. With a temperature, p is sharpened the same way the training
+    target was before it is scored."""
 
     p: np.ndarray
     q: np.ndarray
 
-    def scores(self, metric: str = "kl", temperature: float | None = None) -> np.ndarray:
-        """Per-instance divergence between p and q; higher means more
-        suspicious. With a temperature, p is sharpened the same way the
-        training target was."""
-        if metric not in SCORE_METRICS:
-            raise ParameterError(f"score metric must be one of {SCORE_METRICS}, got {metric!r}")
+    def scores(self, temperature: float | None = None) -> np.ndarray:
+        """Per-instance KL(p || q); higher means more suspicious."""
         p = self.p if temperature is None else temperature_scale(self.p, temperature)
-        if metric == "mse":
-            return ((p - self.q) ** 2).mean(axis=1)
         return kl_rows(p, self.q)
 
-    def labels(self, threshold: float, metric: str = "kl", temperature: float | None = None) -> np.ndarray:
-        """Corrected labels: the reconstruction's label where score > threshold, else the classifier's."""
-        return np.where(self.scores(metric, temperature) > threshold, self.q.argmax(axis=1), self.p.argmax(axis=1))
-
-    def verdicts(self, threshold: float, metric: str = "kl", temperature: float | None = None) -> list[DefenceVerdict]:
-        scores = self.scores(metric, temperature)
+    def _decide(self, threshold: float, temperature: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        scores = self.scores(temperature)
         flagged = scores > threshold
-        labels = np.where(flagged, self.q.argmax(axis=1), self.p.argmax(axis=1))
+        return scores, flagged, np.where(flagged, self.q.argmax(axis=1), self.p.argmax(axis=1))
+
+    def labels(self, threshold: float, temperature: float | None = None) -> np.ndarray:
+        """Corrected labels: the reconstruction's label where score > threshold, else the classifier's."""
+        return self._decide(threshold, temperature)[2]
+
+    def verdicts(self, threshold: float, temperature: float | None = None) -> list[DefenceVerdict]:
+        scores, flagged, labels = self._decide(threshold, temperature)
         return [
             DefenceVerdict(score=float(s), threshold=float(threshold), flagged=bool(f), label=int(lab),
                            source="reconstructed" if f else "original")
@@ -82,9 +82,9 @@ def defence_outputs(classifier, ae, x: np.ndarray) -> DefenceOutputs:
     return DefenceOutputs(classifier.predict_proba(x), reconstructed_proba(classifier, ae, x))
 
 
-def adversarial_score(classifier, ae, x: np.ndarray, metric: str = "kl", temperature: float | None = None) -> np.ndarray:
-    """Per-instance divergence between M(x) and M(AE(x)); see ``DefenceOutputs.scores``."""
-    return defence_outputs(classifier, ae, x).scores(metric, temperature)
+def adversarial_score(classifier, ae, x: np.ndarray, temperature: float | None = None) -> np.ndarray:
+    """Per-instance KL(M(x) || M(AE(x))); see ``DefenceOutputs.scores``."""
+    return defence_outputs(classifier, ae, x).scores(temperature)
 
 
 def calibrate_threshold(scores_normal, eps_fpr: float) -> float:
@@ -104,9 +104,9 @@ def calibrate_threshold(scores_normal, eps_fpr: float) -> float:
     return float(ordered[np.argmax(ok)])  # first (smallest) admissible value
 
 
-def detect_and_correct(classifier, ae, x: np.ndarray, threshold: float, metric: str = "kl", temperature: float | None = None) -> list[DefenceVerdict]:
+def detect_and_correct(classifier, ae, x: np.ndarray, threshold: float, temperature: float | None = None) -> list[DefenceVerdict]:
     """Verdicts for a batch; see ``DefenceOutputs.verdicts``."""
-    return defence_outputs(classifier, ae, x).verdicts(threshold, metric, temperature)
+    return defence_outputs(classifier, ae, x).verdicts(threshold, temperature)
 
 
 def corrected_labels(verdicts: list[DefenceVerdict]) -> np.ndarray:

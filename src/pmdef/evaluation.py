@@ -105,15 +105,15 @@ def accuracy_report(
     defences: dict[str, object],
     attack_sets: dict[str, tuple[np.ndarray, np.ndarray]],
     clean_set: tuple[np.ndarray, np.ndarray],
-    thresholds: dict[str, float] | None = None,
-    metric: str = "kl",
+    gate: tuple[str, float] | None = None,
     temperature: float | None = None,
 ) -> list[dict]:
     """One row per attack: clean accuracy, undefended accuracy, then one
-    pure-correction column per defence (every instance routed through the
-    autoencoder, threshold -inf). When a threshold is supplied for a defence,
-    a detection-gated column is added as well; it scores with ``temperature``,
-    the one the threshold was calibrated with."""
+    pure-correction column per defence (every instance takes the
+    reconstruction's label). A ``gate`` (defence, threshold) adds a
+    detection-gated column ``<defence>@detect`` for that defence, which
+    applies the ``DefenceOutputs`` rule with ``temperature``, the one the
+    threshold was calibrated with."""
     x_clean, y_clean = clean_set
     clean_acc = float((classifier.predict_class(x_clean) == y_clean).mean())
     rows = []
@@ -122,10 +122,10 @@ def accuracy_report(
         row: dict[str, object] = {"attack": attack_name, "no_attack": clean_acc}
         row["no_defence"] = float((p.argmax(axis=1) == y).mean())
         for name, ae in defences.items():
-            outputs = DefenceOutputs(p, reconstructed_proba(classifier, ae, x_adv))
-            row[name] = float((outputs.labels(-math.inf, metric) == y).mean())
-            if thresholds and name in thresholds:
-                row[f"{name}@detect"] = float((outputs.labels(thresholds[name], metric, temperature) == y).mean())
+            q = reconstructed_proba(classifier, ae, x_adv)
+            row[name] = float((q.argmax(axis=1) == y).mean())
+            if gate is not None and gate[0] == name:
+                row[f"{name}@detect"] = float((DefenceOutputs(p, q).labels(gate[1], temperature) == y).mean())
         rows.append(row)
     return rows
 
@@ -244,7 +244,6 @@ def drift_report(
     kinds=tuple(CORRUPTION_PARAMS),
     severities=SEVERITIES,
     seed: int = 0,
-    metric: str = "kl",
     temperature: float | None = None,
 ) -> DriftReport:
     """Score corrupted copies of the test set per severity, pooled over
@@ -254,7 +253,7 @@ def drift_report(
     kinds = list(kinds)
     clean = defence_outputs(classifier, ae, x)
     clean_pred = clean.p.argmax(axis=1)
-    clean_scores = clean.scores(metric, temperature)
+    clean_scores = clean.scores(temperature)
     rows = [_drift_row(0, np.zeros(0), clean_scores, float((clean_pred == y).mean()))]
     for sev in severities:
         harm_scores = []
@@ -265,7 +264,7 @@ def drift_report(
             xc = corrupt_dataset(x, kind, sev, seed=seed * 1000 + sev * 10 + j)
             outputs = defence_outputs(classifier, ae, xc)
             pred = outputs.p.argmax(axis=1)
-            scores = outputs.scores(metric, temperature)
+            scores = outputs.scores(temperature)
             changed = pred != clean_pred
             harm_scores.append(scores[changed])
             safe_scores.append(scores[~changed])

@@ -317,15 +317,15 @@ def train_defence(
     x: np.ndarray,
     loss_spec: DefenceLossSpec,
     cfg: OptimizerConfig,
-    probe: HiddenProbe | None = None,
     checkpoint_every: int | None = None,
     checkpoint_dir=None,
     checkpoint_prefix: str = "ae",
 ) -> tuple[TrainReport, HiddenProbe | None]:
     """Train the autoencoder against a frozen classifier; unsupervised.
 
-    Only the autoencoder parameters move (plus the probe projection for the
-    hidden-layer loss). Optionally emits a checkpoint every
+    Only the autoencoder parameters move, plus, for the hidden-layer loss,
+    the projection of the probe built here, which is returned with the
+    report (None for the other losses). Optionally emits a checkpoint every
     ``checkpoint_every`` epochs.
     """
     if not classifier.store.is_fully_frozen():
@@ -334,10 +334,10 @@ def train_defence(
         raise CompositionError(
             f"autoencoder output {ae.output_shape} does not match classifier input {classifier.input_shape}"
         )
-    if loss_spec.kind == "kl_hidden" and probe is None:
-        probe = build_probe(classifier, loss_spec.probe.source_layer, loss_spec.probe.dim, seed=cfg.seed + 1)
+    probe = None
     params = ae.store.trainable()
     if loss_spec.kind == "kl_hidden":
+        probe = build_probe(classifier, loss_spec.probe.source_layer, loss_spec.probe.dim, seed=cfg.seed + 1)
         params = params + probe.trainable()
     if not params:
         raise ContractError("autoencoder has no trainable parameters")

@@ -401,7 +401,9 @@ def test_a_failed_stage_leaves_no_manifest(attacked_run, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content", ["{not json", '{"threshold": 0.1}', '{"defence": "kl"}', '[0.1, "kl"]', '{"threshold": "x", "defence": "kl"}']
+    "content",
+    ["{not json", '{"threshold": 0.1}', '{"defence": "kl"}', '[0.1, "kl"]', '{"threshold": "x", "defence": "kl"}',
+     '{"threshold": 0.1, "defence": ["kl"]}'],
 )
 def test_evaluate_malformed_threshold_file_exits_1(attacked_run, capsys, content):
     cfg, out = attacked_run
@@ -654,6 +656,11 @@ MALFORMED_CONFIGS = {
         lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "kl", "temperature": 3.0}]),
         "train-defence", "defence_losses",
     ),
+    "score-defence-untrained": (lambda c: c.update(score_defence="mse"), "score", "score_defence"),
+    "report-defences-untrained": (lambda c: c.update(report_defences=["kl", "mse"]), "evaluate", "report_defences[1]"),
+    "white-box-ae-untrained": (
+        lambda c: c["attacks"][0].update(target_mode="white_box", ae="mse"), "attack", "attacks[0].ae",
+    ),
 }
 
 
@@ -706,6 +713,13 @@ def test_the_toy_config_parses(tmp_path):
     assert out == tmp_path / "run"
     assert exp.attacks[0].name == "fgsm02" and exp.attacks[0].seed is None and exp.dataset.n_train == 120
     assert exp.drift.severities == [1, 2] and exp.classifier_spec.name == "clf"
+
+
+def test_a_grey_box_attack_may_name_an_untrained_ae(tmp_path):
+    cfg = _toy_config(tmp_path / "run")
+    cfg["attacks"][0]["ae"] = "mse"  # only a white-box attack loads its ae
+    exp, _ = _parse(cfg)
+    assert exp.attacks[0].target_mode == "grey_box" and exp.attacks[0].ae == "mse"
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -115,13 +115,10 @@ def test_a_single_ae_block_reaches_the_classifier_uncopied(toy_defence):
     assert len(seen) == 1 and seen[0] is recon
 
 
-def test_score_nonnegative_and_metric_validation(toy_defence):
+def test_score_nonnegative(toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 5)
     assert (adversarial_score(clf, ae, x) >= 0).all()
-    assert (adversarial_score(clf, ae, x, metric="mse") >= 0).all()
-    with pytest.raises(ParameterError):
-        adversarial_score(clf, ae, x, metric="wasserstein")
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +197,18 @@ def test_detect_flag_iff_score_above_threshold(toy_defence):
         assert v.source == ("reconstructed" if v.flagged else "original")
 
 
-@pytest.mark.parametrize("metric,temperature", [("kl", None), ("mse", None), ("kl", 0.5)])
-def test_outputs_labels_agree_with_verdicts(toy_defence, metric, temperature):
+@pytest.mark.parametrize("temperature", [None, 0.5])
+def test_outputs_labels_agree_with_verdicts(toy_defence, temperature):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
     out = defence_outputs(clf, ae, x)
     assert isinstance(out, DefenceOutputs)
-    scores = out.scores(metric, temperature)
-    assert np.array_equal(scores, adversarial_score(clf, ae, x, metric=metric, temperature=temperature))
+    scores = out.scores(temperature)
+    assert np.array_equal(scores, adversarial_score(clf, ae, x, temperature=temperature))
     t = float(np.median(scores))
-    verdicts = out.verdicts(t, metric, temperature)
-    assert np.array_equal(out.labels(t, metric, temperature), corrected_labels(verdicts))
-    assert verdicts == detect_and_correct(clf, ae, x, t, metric=metric, temperature=temperature)
+    verdicts = out.verdicts(t, temperature)
+    assert np.array_equal(out.labels(t, temperature), corrected_labels(verdicts))
+    assert verdicts == detect_and_correct(clf, ae, x, t, temperature=temperature)
 
 
 def test_verdict_csv_format(tmp_path, toy_defence):

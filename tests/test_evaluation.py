@@ -279,7 +279,7 @@ def test_accuracy_report_one_pass_per_model_and_batch(small_image_classifier, fo
     clf, x, y = small_image_classifier
     n, m = 50, 30
     defences = {"a": _perturbed_identity_ae(4, 0.2, 1), "b": identity_ae(4)}
-    accuracy_report(clf, defences, {"noise": (x[:n], y[:n])}, (x[-m:], y[-m:]), thresholds={"a": 0.01})
+    accuracy_report(clf, defences, {"noise": (x[:n], y[:n])}, (x[-m:], y[-m:]), gate=("a", 0.01))
     assert forwarded_rows == {"classifier": 3 * n + m, "ae": 2 * n}
 
 
@@ -296,7 +296,7 @@ def test_accuracy_report_gated_column_matches_detect_and_correct(small_image_cla
     ae = _perturbed_identity_ae(4, 0.3, 2)
     noisy = np.clip(x + 0.25 * np.sign(np.random.default_rng(3).normal(size=x.shape)), 0, 1)
     t = float(np.quantile(adversarial_score(clf, ae, noisy), 0.9))
-    row = accuracy_report(clf, {"ae": ae}, {"noise": (noisy, y)}, (x, y), thresholds={"ae": t})[0]
+    row = accuracy_report(clf, {"ae": ae}, {"noise": (noisy, y)}, (x, y), gate=("ae", t))[0]
     gated = corrected_labels(detect_and_correct(clf, ae, noisy, t))
     assert row["ae@detect"] == float((gated == y).mean())
     assert len({row["no_defence"], row["ae"], row["ae@detect"]}) == 3  # the gate matters on this data
@@ -317,7 +317,7 @@ def test_accuracy_report_reconstructs_in_the_row_blocks_of_defence_outputs(small
     monkeypatch.setattr(Model, "forward_t", recording)
     outputs = defence_outputs(clf, ae, noisy)
     t = float(np.quantile(outputs.scores(), 0.9))
-    row = accuracy_report(clf, {"ae": ae}, {"noise": (noisy, y)}, (x, y), thresholds={"ae": t})[0]
+    row = accuracy_report(clf, {"ae": ae}, {"noise": (noisy, y)}, (x, y), gate=("ae", t))[0]
     assert max(ae_passes) == 7 and sum(ae_passes) == 2 * x.shape[0]
     assert row["ae"] == float((outputs.labels(-math.inf) == y).mean())
     assert row["ae@detect"] == float((outputs.labels(t) == y).mean())
