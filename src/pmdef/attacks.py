@@ -407,6 +407,8 @@ def load_batch(json_path) -> AdversarialBatch:
         }
         config = from_dict(AttackConfig, meta["config"], "config")
         seed = meta["seed"]
+        if type(seed) is not int:
+            raise TypeError(f"'seed' must be an int, got {seed!r}")
         crc = int(meta["crc32"])
     except (ValueError, KeyError, TypeError, AttributeError, UserError) as exc:
         raise ParseError(f"{json_path}: malformed attack batch: {exc!r}") from None

@@ -23,11 +23,11 @@ recorded forward must keep its argmax, takes plain window maxima when
 
 conv2d's im2col blocks and a recorded maxpool2d's windows are copied with
 the kernel-offset axes outermost (conv2d slices its blocks from one window
-view per call, maxpool2d uses ``_window_copy``). conv2d's last bits
-depend on that layout, since BLAS may round a GEMM differently for another
-operand layout: OpenBLAS 0.3 (Haswell kernels) gives an offset-major and a
-row-major column matrix the same bits at 8 to 32 output channels, but not
-below 8.
+view per call; maxpool2d reads its argmax off ``_window_copy`` in three
+whole-array operations). conv2d's last bits depend on that layout, since
+BLAS may round a GEMM differently for another operand layout: OpenBLAS 0.3
+(Haswell kernels) gives an offset-major and a row-major column matrix the
+same bits at 8 to 32 output channels, but not below 8.
 
 conv2d takes an optional bias, added in place into each GEMM output block,
 so a conv layer is one tape record with the bits of conv2d followed by add.
@@ -540,9 +540,9 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     """Per-window maximum; backward routes to the first (row-major) argmax.
 
     Only a recorded forward keeps the argmax that its vjp routes by. It
-    copies the windows offset-major, [window*window, n, oh, ow, c], takes
-    the maximum over the offsets, and folds the offsets that reach it into
-    the argmax from the last to the first, so the first row-major maximum
+    copies the windows offset-major, [k = window*window, n, oh, ow, c],
+    takes the maximum, and weights each offset that reaches it by its rank
+    k..1, so the largest weight marks the first row-major maximum, which
     wins a tie. Its kink margin recopies the windows rather than keeping
     them on the tape. An unrecorded forward folds the strided slice of
     each window offset into the output with an in-place ``np.maximum``: no
@@ -575,11 +575,8 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
 
     wt = windows()
     out = wt.max(axis=0)
-    # descending: the last offset written, the smallest that reaches the maximum, is the row-major first
-    arg = np.zeros(out.shape, dtype=np.intp)
-    hit = np.empty(out.shape, dtype=bool)
-    for idx in range(k - 1, -1, -1):
-        np.copyto(arg, idx, where=np.equal(wt[idx], out, out=hit))
+    rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k)).reshape(k, 1, 1, 1, 1)
+    arg = k - (np.equal(wt, out) * rank).max(axis=0)
 
     def vjp(g):
         i, j = np.divmod(arg, window)

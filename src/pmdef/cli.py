@@ -123,12 +123,10 @@ class SynthData:
     noise: float = 0.15
     jitter: float = 1.0
 
-    def load(self, root_seed: int) -> tuple[Dataset, Dataset]:
-        common = dict(kind=self.synth_kind, image_size=self.image_size, num_classes=self.num_classes,
-                      noise=self.noise, jitter=self.jitter)
-        train = synth_dataset(n=self.n_train, seed=derive_seed(root_seed, "data", "train"), **common)
-        test = synth_dataset(n=self.n_test, seed=derive_seed(root_seed, "data", "test"), **common)
-        return train, test
+    def load(self, root_seed: int, split: str) -> Dataset:
+        n = self.n_train if split == "train" else self.n_test
+        return synth_dataset(kind=self.synth_kind, n=n, image_size=self.image_size, num_classes=self.num_classes,
+                             seed=derive_seed(root_seed, "data", split), noise=self.noise, jitter=self.jitter)
 
 
 def _check_files(*paths: str) -> None:
@@ -148,10 +146,8 @@ class IdxData:
     def __post_init__(self):
         _check_files(self.train_images, self.train_labels, self.test_images, self.test_labels)
 
-    def load(self, root_seed: int) -> tuple[Dataset, Dataset]:
-        train = parse_idx(self.train_images, self.train_labels, name="idx_train")
-        test = parse_idx(self.test_images, self.test_labels, name="idx_test")
-        return train, test
+    def load(self, root_seed: int, split: str) -> Dataset:
+        return parse_idx(getattr(self, f"{split}_images"), getattr(self, f"{split}_labels"), name=f"idx_{split}")
 
 
 @dataclass
@@ -164,10 +160,8 @@ class CifarData:
     def __post_init__(self):
         _check_files(*self.train_files, *self.test_files)
 
-    def load(self, root_seed: int) -> tuple[Dataset, Dataset]:
-        train = parse_cifar_binary(self.train_files, name="cifar_train", standardize=self.standardize)
-        test = parse_cifar_binary(self.test_files, name="cifar_test", standardize=self.standardize)
-        return train, test
+    def load(self, root_seed: int, split: str) -> Dataset:
+        return parse_cifar_binary(getattr(self, f"{split}_files"), name=f"cifar_{split}", standardize=self.standardize)
 
 
 @dataclass
@@ -228,6 +222,9 @@ class Experiment:
         for key, tag in named:
             if tag not in kinds:
                 raise ConfigError(f"{key}: {tag!r} is not a kind of defence_losses {kinds}")
+        if self.report_defences is not None and self.score_defence not in self.report_defences:
+            raise ConfigError(f"report_defences: must include score_defence {self.score_defence!r}, "
+                              f"whose threshold evaluate gates with, got {self.report_defences}")
 
 
 def load_config(path) -> dict:
@@ -364,13 +361,14 @@ def _attack_inputs(exp: Experiment, test: Dataset) -> tuple[np.ndarray, np.ndarr
 
 def cmd_train_classifier(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     model = build_model(_required(exp, "classifier_spec"), derive_seed(seed, "train-classifier", "init"))
-    train, test = _required(exp, "dataset").load(seed)
+    train = _required(exp, "dataset").load(seed, "train")
     opt = _seeded(exp.classifier_opt, derive_seed(seed, "train-classifier", "shuffle"))
     report = train_classifier(model, train.images, train.labels, opt)
     ckpt = out / "classifier.ckpt"
     save_checkpoint(model, ckpt)
     jsonl = out / "classifier_train.jsonl"
     report.to_jsonl(jsonl)
+    test = _required(exp, "dataset").load(seed, "test")
     test_acc = float((model.predict_class(test.images) == test.labels).mean())
     log.info("classifier trained: final loss %.4f, test accuracy %.4f", report.final_loss, test_acc)
     return [ckpt, jsonl]
@@ -378,7 +376,7 @@ def cmd_train_classifier(exp: Experiment, seed: int, out: Path, workers: int) ->
 
 def cmd_train_defence(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     ae_spec = _required(exp, "autoencoder_spec")
-    train, _ = _required(exp, "dataset").load(seed)
+    train = _required(exp, "dataset").load(seed, "train")
     classifier = _load_classifier(out)
     artifacts = []
     for loss_spec in exp.defence_losses:
@@ -406,7 +404,7 @@ def cmd_train_defence(exp: Experiment, seed: int, out: Path, workers: int) -> li
 
 
 def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
-    _, test = _required(exp, "dataset").load(seed)
+    test = _required(exp, "dataset").load(seed, "test")
     classifier = _load_classifier(out)
     x, y = _attack_inputs(exp, test)
     attack_dir = out / "attacks"
@@ -440,7 +438,7 @@ def _scoring(exp: Experiment, out: Path):
 
 
 def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
-    _, test = _required(exp, "dataset").load(seed)
+    test = _required(exp, "dataset").load(seed, "test")
     classifier, ae, temperature = _scoring(exp, out)
     score_dir = out / "scores"
     score_dir.mkdir(exist_ok=True)
@@ -457,7 +455,7 @@ def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]
 
 
 def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
-    train, _ = _required(exp, "dataset").load(seed)
+    train = _required(exp, "dataset").load(seed, "train")
     classifier, ae, temperature = _scoring(exp, out)
     size = min(1000, train.n) if exp.calibration_size is None else exp.calibration_size
     if size < 1 or size > train.n:
@@ -473,7 +471,7 @@ def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> list[P
 
 
 def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
-    _, test = _required(exp, "dataset").load(seed)
+    test = _required(exp, "dataset").load(seed, "test")
     classifier = _load_classifier(out)
     tags = exp.report_defences or [s.kind for s in exp.defence_losses]
     defences = {tag: _load_defence(out, tag) for tag in tags}
@@ -488,12 +486,15 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
     if tpath.is_file():
         try:
             info = json.loads(tpath.read_text(encoding="utf-8"))
-            gate = (info["defence"], float(info["threshold"]))
-            if not isinstance(gate[0], str):
-                raise TypeError(f"'defence' must be a string, got {gate[0]!r}")
+            tag, t = info["defence"], info["threshold"]
+            if not isinstance(tag, str) or isinstance(t, bool) or not isinstance(t, (int, float)):
+                raise TypeError(f"'defence' must be a string and 'threshold' a number, got {tag!r} and {t!r}")
+            gate = (tag, float(t))
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{tpath}: needs a JSON object with 'threshold' and 'defence': {exc!r}") from None
-        temperature = _score_temperature(exp, gate[0])
+        if tag not in defences:
+            raise ConfigError(f"{tpath}: gates defence {tag!r}, which report_defences {tags} leaves out; rerun calibrate")
+        temperature = _score_temperature(exp, tag)
     rows = ev.accuracy_report(
         classifier, defences, attack_sets, _attack_inputs(exp, test), gate=gate, temperature=temperature
     )
@@ -504,19 +505,18 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
         verdict_dir = out / "verdicts"
         verdict_dir.mkdir(exist_ok=True)
         tag, t = gate
-        if tag in defences:
-            for name, (x_adv, _y) in attack_sets.items():
-                verdicts = dfc.detect_and_correct(classifier, defences[tag], x_adv, t, temperature=temperature)
-                vpath = verdict_dir / f"{name}__{tag}.csv"
-                dfc.verdicts_to_csv(verdicts, vpath)
-                artifacts.append(vpath)
+        for name, (x_adv, _y) in attack_sets.items():
+            verdicts = dfc.detect_and_correct(classifier, defences[tag], x_adv, t, temperature=temperature)
+            vpath = verdict_dir / f"{name}__{tag}.csv"
+            dfc.verdicts_to_csv(verdicts, vpath)
+            artifacts.append(vpath)
     for row in rows:
         log.info("evaluate %s: %s", row["attack"], {k: v for k, v in row.items() if k != "attack"})
     return artifacts
 
 
 def cmd_drift(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
-    _, test = _required(exp, "dataset").load(seed)
+    test = _required(exp, "dataset").load(seed, "test")
     classifier, ae, temperature = _scoring(exp, out)
     report = ev.drift_report(
         classifier, ae, test.images, test.labels, kinds=exp.drift.kinds, severities=exp.drift.severities,

@@ -109,10 +109,6 @@ def detect_and_correct(classifier, ae, x: np.ndarray, threshold: float, temperat
     return defence_outputs(classifier, ae, x).verdicts(threshold, temperature)
 
 
-def corrected_labels(verdicts: list[DefenceVerdict]) -> np.ndarray:
-    return np.asarray([v.label for v in verdicts], dtype=np.int64)
-
-
 def verdicts_to_csv(verdicts: list[DefenceVerdict], path) -> None:
     header = ["id", "score", "threshold", "flagged", "label", "source"]
     rows = [[i, f"{v.score:.17g}", f"{v.threshold:.17g}", int(v.flagged), v.label, v.source] for i, v in enumerate(verdicts)]

@@ -4,6 +4,7 @@ its schema. Range checks stay in each dataclass's ``__post_init__``."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import types
 import typing
 
@@ -12,6 +13,12 @@ from .errors import ConfigError, UserError
 # JSON types each annotation accepts; a bool is never a number, and an int
 # in a float field stays an int, so that it serialises as given
 _ACCEPTS = {int: int, float: (int, float), str: str, bool: bool}
+
+
+@functools.cache
+def _schema(cls) -> tuple[dict, dict]:
+    """The init fields of the dataclass ``cls`` and their annotations, resolved once per class."""
+    return {f.name: f for f in dataclasses.fields(cls) if f.init}, typing.get_type_hints(cls)
 
 
 def _key(where: str, key) -> str:
@@ -25,14 +32,13 @@ def from_dict(cls, d, where: str = ""):
     the prefix ``where``."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where or 'config'}: expected an object, got {d!r:.60}")
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    fields, hints = _schema(cls)
     unknown = sorted(d.keys() - fields.keys())
     if unknown:
         raise ConfigError(f"{_key(where, unknown[0])}: unknown key")
     for name, f in fields.items():
         if name not in d and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{_key(where, name)}: missing key")
-    hints = typing.get_type_hints(cls)
     values = {key: _value(hints[key], v, _key(where, key)) for key, v in d.items()}
     try:
         return cls(**values)

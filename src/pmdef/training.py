@@ -297,13 +297,6 @@ def _defence_batch_loss(
     return ad.kl_divergence(Tensor(target), classifier.proba_t(recon))
 
 
-def defence_loss_value(ae: Model, classifier: Model, x: np.ndarray, loss_spec: DefenceLossSpec, probe: HiddenProbe | None = None) -> float:
-    """Mean defence loss over a dataset, without touching any parameters."""
-    if loss_spec.kind == "kl_hidden" and probe is None:
-        raise ConfigError("kl_hidden loss needs the trained probe to evaluate")
-    return _defence_batch_loss(ae, classifier, x, loss_spec, probe, _defence_targets(classifier, x, loss_spec, max(1, x.shape[0]))).item()
-
-
 def epoch_checkpoints(checkpoint_dir, prefix: str, every: int | None, epochs: int) -> dict[int, Path]:
     """{epoch: path} of the checkpoints ``train_defence`` writes after every ``every``-th of ``epochs`` epochs."""
     if not every or checkpoint_dir is None:

@@ -232,12 +232,12 @@ def test_conv2d_vjp_skips_input_gradient_of_a_constant_input():
     assert gk.shape == k.shape
 
 
-@pytest.mark.parametrize("window", [2, 3, 5])
+@pytest.mark.parametrize("window", [2, 3, 5, 11, 16])  # 16: k = 256 offsets, ranked in uint16
 @pytest.mark.parametrize("stride_offset", [-1, 0, 1])
 def test_maxpool2d_matches_nested_loop_reference_with_ties(window, stride_offset):
     stride = max(1, window + stride_offset)
     rng = np.random.default_rng(window * 7 + stride)
-    x = rng.integers(0, 3, size=(2, 11, 12, 2)).astype(np.float64)  # many tied maxima
+    x = rng.integers(0, 3, size=(2, max(11, window), max(12, window + 1), 2)).astype(np.float64)  # many tied maxima
     out, g, (gx,) = _forward_and_vjp(lambda a: ad.maxpool2d(a, window, stride), x)
     ref_out, ref_vjp = _naive_maxpool2d(x, window, stride)
     assert out.shape == ref_out.shape

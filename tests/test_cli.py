@@ -403,7 +403,8 @@ def test_a_failed_stage_leaves_no_manifest(attacked_run, tmp_path):
 @pytest.mark.parametrize(
     "content",
     ["{not json", '{"threshold": 0.1}', '{"defence": "kl"}', '[0.1, "kl"]', '{"threshold": "x", "defence": "kl"}',
-     '{"threshold": 0.1, "defence": ["kl"]}'],
+     '{"threshold": 0.1, "defence": ["kl"]}', '{"threshold": true, "defence": "kl"}',
+     '{"threshold": "0.1", "defence": "kl"}', '{"threshold": 0.1, "defence": "mse"}'],
 )
 def test_evaluate_malformed_threshold_file_exits_1(attacked_run, capsys, content):
     cfg, out = attacked_run
@@ -411,6 +412,44 @@ def test_evaluate_malformed_threshold_file_exits_1(attacked_run, capsys, content
     assert run_cli(["evaluate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "threshold.json" in err
+
+
+# threshold.json as calibrate writes it for the attacked run
+_THRESHOLD = {"defence": "kl", "eps_fpr": 0.1, "n": 60, "threshold": 0.25}
+
+
+@st.composite
+def _threshold_files(draw):
+    """_THRESHOLD with one key dropped, retyped or added, or any JSON value in its place."""
+    action = draw(st.sampled_from(("drop", "swap", "add", "replace")))
+    if action == "replace":
+        return draw(_JSON_VALUES)
+    info = dict(_THRESHOLD)
+    key = draw(st.sampled_from(sorted(info)))
+    if action == "drop":
+        del info[key]
+    elif action == "swap":
+        info[key] = draw(_JSON_VALUES.filter(lambda v: type(v) is not type(info[key])))
+    else:
+        info["unknown_" + draw(st.text(max_size=4))] = draw(_JSON_VALUES)
+    return info
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(info=_threshold_files())
+def test_evaluate_reads_a_mutated_threshold_file_or_exits_1_naming_it(attacked_run, capsys, info):
+    cfg, out = attacked_run
+    path = out / "threshold.json"
+    path.write_text(json.dumps(info))
+    try:
+        code = run_cli(["evaluate", "--config", str(cfg)])
+    finally:
+        path.unlink()
+    err = capsys.readouterr().err
+    usable = isinstance(info, dict) and info.get("defence") == "kl" and type(info.get("threshold")) in (int, float)
+    assert code == (0 if usable else 1), (info, err)
+    if not usable:
+        assert err.startswith("error: ") and "threshold.json" in err, err
 
 
 def _batch_edit(edit):
@@ -460,6 +499,57 @@ def test_malformed_attack_batch_exits_1_naming_the_file(attacked_run, capsys, st
         batch.write_text(original)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "fgsm02.json" in err, err
+
+
+@st.composite
+def _batch_mutations(draw, meta: dict):
+    """(label, json edit, bin edit) that break an attack batch: a top-level
+    key dropped or retyped, an unknown config key, C&W diagnostics of any
+    other value, another CRC-32, or a payload byte flipped or cut off."""
+    keep = lambda x: x  # noqa: E731
+    action = draw(st.sampled_from(("drop", "swap", "config", "diagnostics", "crc32", "flip", "truncate")))
+    if action == "drop":
+        key = draw(st.sampled_from(sorted(meta)))
+        return (action, key), lambda m: {k: v for k, v in m.items() if k != key}, keep
+    if action == "swap":
+        key = draw(st.sampled_from(sorted(meta)))
+        value = draw(_JSON_VALUES.filter(lambda v: type(v) is not type(meta[key])))
+        return (action, key, value), lambda m: {**m, key: value}, keep
+    if action == "config":
+        key, value = "unknown_" + draw(st.text(max_size=4)), draw(_JSON_VALUES)
+        return (action, key), lambda m: {**m, "config": {**m["config"], key: value}}, keep
+    if action == "diagnostics":
+        flags = {draw(st.sampled_from(("failed", "unsuccessful"))): draw(_JSON_VALUES)}
+        return (action, flags), lambda m: {**m, "diagnostics": flags}, keep
+    if action == "crc32":
+        delta = draw(st.integers(1, 2**32 - 1))
+        return (action, delta), lambda m: {**m, "crc32": m["crc32"] ^ delta}, keep
+    at = draw(st.integers(0, 16 * int(np.prod(meta["shape"])) - 1))  # originals and adversarials, 8 bytes each
+    if action == "flip":
+        return (action, at), keep, lambda raw: raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1 :]
+    return (action, at), keep, lambda raw: raw[:at]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_attack_batch_exits_1_with_an_error_line_in_score_and_evaluate(attacked_run, capsys, data):
+    cfg, out = attacked_run
+    json_path, bin_path = out / "attacks" / "fgsm02.json", out / "attacks" / "fgsm02.bin"
+    text, raw = json_path.read_text(), bin_path.read_bytes()
+    label, edit_json, edit_bin = data.draw(_batch_mutations(json.loads(text)))
+    json_path.write_text(json.dumps(edit_json(json.loads(text))))
+    bin_path.write_bytes(edit_bin(raw))
+    # an unlabelled batch is one the attack stage may write; only evaluate needs the labels
+    unlabelled = label == ("swap", "labels", None)
+    try:
+        for stage in ("score", "evaluate"):
+            code = run_cli([stage, "--config", str(cfg)])
+            err = capsys.readouterr().err
+            assert code == (0 if unlabelled and stage == "score" else 1), (stage, label, err)
+            assert code == 0 or (err.startswith("error: ") and "fgsm02" in err), (stage, label, err)
+    finally:
+        json_path.write_text(text)
+        bin_path.write_bytes(raw)
 
 
 def test_checkpoint_loadable_and_consistent_with_cli(tmp_path):
@@ -584,7 +674,8 @@ def test_tempered_defence_is_scored_calibrated_and_reported_with_its_temperature
         assert run_cli([stage, "--config", str(cfg)]) == 0, stage
     classifier = cli._load_classifier(out)
     ae = cli._load_defence(out, "kl_temperature")
-    train, test = from_dict(cli.Experiment, json.loads(cfg.read_text())).dataset.load(5)
+    data = from_dict(cli.Experiment, json.loads(cfg.read_text())).dataset
+    train, test = data.load(5, "train"), data.load(5, "test")
     tempered = dfc.adversarial_score(classifier, ae, test.images, temperature=0.5)
     assert np.abs(tempered - dfc.adversarial_score(classifier, ae, test.images)).max() > 1e-6
     assert np.array_equal(cli._read_scores_csv(out / "scores" / "clean_test.csv"), tempered)
@@ -600,6 +691,38 @@ def test_tempered_defence_is_scored_calibrated_and_reported_with_its_temperature
     with open(out / "report_accuracy.csv", newline="") as fh:
         row = next(csv.DictReader(fh))
     assert float(row["kl_temperature@detect"]) == float((corrected == labels).mean())
+
+
+def test_no_stage_runs_a_config_whose_report_leaves_out_the_scored_defence(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, out, defence_losses=[{"kind": "kl"}, {"kind": "mse"}], report_defences=["mse"])
+    for stage in ["train-classifier", "train-defence", "attack", "calibrate", "evaluate"]:
+        assert run_cli([stage, "--config", str(cfg)]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith("error: report_defences: ") and "'kl'" in err, err
+    assert not (out / "report_accuracy.csv").exists()
+
+
+def test_each_stage_builds_only_the_dataset_splits_it_reads(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path, tmp_path / "run", drift={"kinds": ["blur"], "severities": [1]})
+    split_of = {cli.derive_seed(5, "data", split): split for split in ("train", "test")}
+    built = []
+    synth = cli.synth_dataset
+    monkeypatch.setattr(cli, "synth_dataset", lambda **kw: built.append(split_of[kw["seed"]]) or synth(**kw))
+    reads = {
+        "train-classifier": ["train", "test"],  # test accuracy is logged
+        "train-defence": ["train"],
+        "attack": ["test"],
+        "score": ["test"],
+        "calibrate": ["train"],
+        "evaluate": ["test"],
+        "drift": ["test"],
+        "roc": [],
+    }
+    for stage, splits in reads.items():
+        built.clear()
+        assert run_cli([stage, "--config", str(cfg)]) == 0, stage
+        assert built == splits, stage
 
 
 def test_white_box_attack_is_reported_against_the_attacked_and_an_untargeted_defence(tmp_path, capsys):
@@ -658,6 +781,10 @@ MALFORMED_CONFIGS = {
     ),
     "score-defence-untrained": (lambda c: c.update(score_defence="mse"), "score", "score_defence"),
     "report-defences-untrained": (lambda c: c.update(report_defences=["kl", "mse"]), "evaluate", "report_defences[1]"),
+    "report-defences-without-score-defence": (
+        lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "mse"}], report_defences=["mse"]),
+        "evaluate", "report_defences",
+    ),
     "white-box-ae-untrained": (
         lambda c: c["attacks"][0].update(target_mode="white_box", ae="mse"), "attack", "attacks[0].ae",
     ),

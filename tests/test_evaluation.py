@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmdef import defence
-from pmdef.defence import adversarial_score, corrected_labels, defence_outputs, detect_and_correct
+from pmdef.defence import adversarial_score, defence_outputs, detect_and_correct
 from pmdef.errors import DataError, ParameterError
 from pmdef.evaluation import (
     CORRUPTION_PARAMS,
@@ -297,7 +297,7 @@ def test_accuracy_report_gated_column_matches_detect_and_correct(small_image_cla
     noisy = np.clip(x + 0.25 * np.sign(np.random.default_rng(3).normal(size=x.shape)), 0, 1)
     t = float(np.quantile(adversarial_score(clf, ae, noisy), 0.9))
     row = accuracy_report(clf, {"ae": ae}, {"noise": (noisy, y)}, (x, y), gate=("ae", t))[0]
-    gated = corrected_labels(detect_and_correct(clf, ae, noisy, t))
+    gated = np.array([v.label for v in detect_and_correct(clf, ae, noisy, t)])
     assert row["ae@detect"] == float((gated == y).mean())
     assert len({row["no_defence"], row["ae"], row["ae@detect"]}) == 3  # the gate matters on this data
 
