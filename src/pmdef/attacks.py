@@ -53,7 +53,6 @@ _CHUNK = 512
 class AttackConfig:
     kind: str
     target_mode: str = "grey_box"
-    seed: int = 0
     label_source: str = "model"
     # fgsm
     epsilon: float = 0.1
@@ -100,7 +99,7 @@ class AttackConfig:
                 raise ParameterError(f"cw margin kappa must be >= 0, got {self.kappa}")
 
     def to_dict(self) -> dict:
-        keys = ("kind", "target_mode", "seed", "label_source", *KIND_FIELDS[self.kind])
+        keys = ("kind", "target_mode", "label_source", *KIND_FIELDS[self.kind])
         return {k: getattr(self, k) for k in keys}
 
 
@@ -114,7 +113,6 @@ class AdversarialBatch:
     success: np.ndarray
     norms: dict[str, np.ndarray]
     config: AttackConfig
-    seed: int
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -138,7 +136,6 @@ def _finalize(model, x, adv, labels, orig_pred, config, diagnostics) -> Adversar
         success=adv_pred != orig_pred,
         norms=_norms(adv - x),
         config=config,
-        seed=config.seed,
         diagnostics=diagnostics,
     )
 
@@ -371,7 +368,6 @@ def save_batch(batch: AdversarialBatch, json_path) -> None:
     adversarials = np.ascontiguousarray(batch.adversarials, dtype="<f8").tobytes()
     meta = {
         "config": batch.config.to_dict(),
-        "seed": batch.seed,
         "shape": list(batch.originals.shape),
         "bin_file": bin_path.name,
         "crc32": zlib.crc32(adversarials, zlib.crc32(originals)),  # of originals + adversarials
@@ -406,9 +402,6 @@ def load_batch(json_path) -> AdversarialBatch:
             for k, v in meta["diagnostics"].items()
         }
         config = from_dict(AttackConfig, meta["config"], "config")
-        seed = meta["seed"]
-        if type(seed) is not int:
-            raise TypeError(f"'seed' must be an int, got {seed!r}")
         crc = int(meta["crc32"])
     except (ValueError, KeyError, TypeError, AttributeError, UserError) as exc:
         raise ParseError(f"{json_path}: malformed attack batch: {exc!r}") from None
@@ -438,6 +431,5 @@ def load_batch(json_path) -> AdversarialBatch:
         success=rows["success"].astype(bool),
         norms=norms,
         config=config,
-        seed=seed,
         diagnostics=diagnostics,
     )

@@ -155,13 +155,12 @@ class CifarData:
     kind: ClassVar[str] = "cifar"
     train_files: list[str]
     test_files: list[str]
-    standardize: bool = True
 
     def __post_init__(self):
         _check_files(*self.train_files, *self.test_files)
 
     def load(self, root_seed: int, split: str) -> Dataset:
-        return parse_cifar_binary(getattr(self, f"{split}_files"), name=f"cifar_{split}", standardize=self.standardize)
+        return parse_cifar_binary(getattr(self, f"{split}_files"), name=f"cifar_{split}")
 
 
 @dataclass
@@ -173,13 +172,18 @@ class StageOptimizer(OptimizerConfig):
 class AttackEntry(atk.AttackConfig):
     name: str
     ae: str = "kl"  # the defence a white-box attack targets
-    seed: int | None = None  # None: derived from the root seed and the name
 
 
 @dataclass
 class DriftConfig:
     kinds: list[str] = field(default_factory=lambda: list(ev.CORRUPTION_PARAMS))
     severities: list[int] = field(default_factory=lambda: list(ev.SEVERITIES))
+
+    def __post_init__(self):
+        for key, values, legal in (("kinds", self.kinds, list(ev.CORRUPTION_PARAMS)),
+                                   ("severities", self.severities, list(ev.SEVERITIES))):
+            if not values or not set(values) <= set(legal):
+                raise ConfigError(f"{key}: expected a non-empty list drawn from {legal}, got {values}")
 
 
 @dataclass
@@ -411,12 +415,11 @@ def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path
     attack_dir.mkdir(exist_ok=True)
     artifacts = []
     for entry in _required(exp, "attacks"):
-        config = _seeded(entry, derive_seed(seed, "attack", entry.name))
-        if config.target_mode == "white_box":
+        if entry.target_mode == "white_box":
             target = compose_defended(classifier, _load_defence(out, entry.ae))
         else:
             target = classifier
-        batch = atk.run_attack(target, x, y, config=config, workers=workers)
+        batch = atk.run_attack(target, x, y, config=entry, workers=workers)
         json_path = attack_dir / f"{entry.name}.json"
         atk.save_batch(batch, json_path)
         artifacts += [json_path, attack_dir / f"{entry.name}.bin"]

@@ -27,7 +27,6 @@ class Dataset:
     images: np.ndarray  # [n, h, w, c] in [0, 1]
     labels: np.ndarray  # [n] ints
     name: str
-    standardize: bool = False  # applied at the model boundary, not here
 
     def __post_init__(self):
         if self.images.shape[0] != self.labels.shape[0]:
@@ -36,9 +35,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return int(self.images.shape[0])
-
-    def subset(self, idx) -> "Dataset":
-        return Dataset(self.images[idx], self.labels[idx], name=self.name, standardize=self.standardize)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +87,7 @@ def write_idx(dataset: Dataset, images_path, labels_path) -> None:
 # CIFAR-10 binary (per record: label byte + 3072 channel-major pixel bytes)
 
 
-def parse_cifar_binary(paths, name: str = "cifar", standardize: bool = True) -> Dataset:
+def parse_cifar_binary(paths, name: str = "cifar") -> Dataset:
     if isinstance(paths, (str, Path)):
         paths = [paths]
     all_images = []
@@ -112,7 +108,7 @@ def parse_cifar_binary(paths, name: str = "cifar", standardize: bool = True) -> 
         all_labels.append(labels)
     if not all_images:
         raise DataError("no CIFAR files given")
-    return Dataset(np.concatenate(all_images), np.concatenate(all_labels), name=name, standardize=standardize)
+    return Dataset(np.concatenate(all_images), np.concatenate(all_labels), name=name)
 
 
 def write_cifar_binary(dataset: Dataset, path) -> None:

@@ -600,7 +600,7 @@ def save_checkpoint(model: Model, path) -> None:
     write_artifact(path, b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(payload)), payload, *blocks]))
 
 
-def load_checkpoint(path, expected_spec: ModelSpec | None = None) -> Model:
+def load_checkpoint(path) -> Model:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) or blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -625,8 +625,6 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None) -> Model:
         ]
     except (KeyError, TypeError, ValueError, SpecError, ConfigError) as exc:
         raise MismatchError(f"{path}: malformed checkpoint header: {exc!r}") from None
-    if expected_spec is not None and spec != expected_spec:
-        raise MismatchError(f"{path}: checkpoint spec {spec.name!r} does not match the expected spec {expected_spec.name!r}")
     store = ParameterStore()
     groups: dict[int, dict[str, Tensor]] = {}
     total = sum(nbytes for _, _, _, nbytes, _ in entries)

@@ -29,7 +29,8 @@ def from_dict(cls, d, where: str = ""):
     """Build the dataclass ``cls`` from the JSON object ``d``. A non-object,
     an unknown or missing key and a wrongly typed value raise ConfigError
     naming the dotted key below ``where``; errors of the range checks gain
-    the prefix ``where``."""
+    the prefix ``where``, joined with a dot to one that starts with a field
+    name and a colon."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where or 'config'}: expected an object, got {d!r:.60}")
     fields, hints = _schema(cls)
@@ -43,7 +44,10 @@ def from_dict(cls, d, where: str = ""):
     try:
         return cls(**values)
     except UserError as exc:  # a range check of __post_init__
-        raise type(exc)(f"{where}: {exc}" if where else str(exc)) from None
+        msg = str(exc)
+        if where:
+            msg = _key(where, msg) if msg.partition(":")[0] in fields else f"{where}: {msg}"
+        raise type(exc)(msg) from None
 
 
 def _value(tp, v, where: str):

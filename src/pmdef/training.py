@@ -1,4 +1,4 @@
-"""Optimizers and training loops.
+"""The Adam optimizer and the training loops.
 
 Two trainables: the classifier (supervised cross-entropy) and the defence
 autoencoder (unsupervised; its loss matches classifier prediction
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .models import HiddenProbe, Model, build_probe, probe_dist_t
 
-OPTIMIZER_KINDS = ("adam", "sgd_momentum")
 LOSS_KINDS = ("kl", "mse", "kl_temperature", "kl_hidden")
 
 
@@ -37,22 +36,15 @@ LOSS_KINDS = ("kl", "mse", "kl_temperature", "kl_hidden")
 class OptimizerConfig:
     kind: str = "adam"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    momentum: float = 0.9
     batch_size: int = 128
     epochs: int = 10
     seed: int = 0
-    lr_schedule: tuple[tuple[int, float], ...] = ()  # (after_epoch, factor)
 
     def __post_init__(self):
-        if self.kind not in OPTIMIZER_KINDS:
-            raise ParameterError(f"optimizer kind must be one of {OPTIMIZER_KINDS}, got {self.kind!r}")
+        if self.kind != "adam":
+            raise ParameterError(f"kind: must be 'adam', the one optimizer, got {self.kind!r}")
         if not self.learning_rate > 0:
             raise ParameterError(f"learning rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
             raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -94,32 +86,31 @@ class TrainReport:
     seed: int
     loss_spec: dict | str
     epoch_losses: list[float]
-    effective_lrs: list[float]
     epoch_wall_times: list[float]  # seconds per epoch, its after-epoch hook included
     final_loss: float
     wall_time_s: float
 
     def to_jsonl(self, path) -> None:
-        epochs = zip(self.epoch_losses, self.effective_lrs, self.epoch_wall_times)
+        epochs = zip(self.epoch_losses, self.epoch_wall_times)
         rows = [
-            {"epoch": i, "mean_loss": loss, "effective_lr": lr, "wall_time_s": wall}
-            for i, (loss, lr, wall) in enumerate(epochs, start=1)
+            {"epoch": i, "mean_loss": loss, "wall_time_s": wall} for i, (loss, wall) in enumerate(epochs, start=1)
         ]
-        per_epoch = ("epoch_losses", "effective_lrs", "epoch_wall_times")
+        per_epoch = ("epoch_losses", "epoch_wall_times")
         rows.append({"summary": True, **{k: v for k, v in vars(self).items() if k not in per_epoch}})
         write_artifact(path, "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 class Adam:
-    def __init__(self, params: list[Tensor], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # the defaults of Kingma & Ba (2015)
+
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
 
-    def step(self, lr_scale: float = 1.0) -> None:
+    def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
@@ -128,7 +119,7 @@ class Adam:
             if g is None:
                 continue
             # in place, with the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-            # p -= (lr*scale) * (m/bc1) / (sqrt(v/bc2) + eps) in their order: same bits, 2 temporaries
+            # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps) in their order: same bits, 2 temporaries
             scratch = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(m))
             m *= self.beta1
             m += scratch
@@ -137,35 +128,12 @@ class Adam:
             v *= self.beta2
             v += scratch
             step = m / bc1
-            step *= self.lr * lr_scale
+            step *= self.lr
             np.divide(v, bc2, out=scratch)
             np.sqrt(scratch, out=scratch)
             scratch += self.eps
             np.divide(step, scratch, out=scratch)
             p.data -= scratch
-
-
-class SgdMomentum:
-    def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.9):
-        self.params = params
-        self.lr = lr
-        self.momentum = momentum
-        self.vel = [np.zeros_like(p.data) for p in params]
-
-    def step(self, lr_scale: float = 1.0) -> None:
-        for p, vel in zip(self.params, self.vel):
-            g = p.grad
-            if g is None:
-                continue
-            vel *= self.momentum  # in place: vel = momentum*vel - (lr*scale)*g
-            vel -= (self.lr * lr_scale) * g
-            p.data += vel
-
-
-def make_optimizer(cfg: OptimizerConfig, params: list[Tensor]):
-    if cfg.kind == "adam":
-        return Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
-    return SgdMomentum(params, cfg.learning_rate, cfg.momentum)
 
 
 def temperature_scale(p: np.ndarray, temperature: float) -> np.ndarray:
@@ -182,14 +150,6 @@ def temperature_scale(p: np.ndarray, temperature: float) -> np.ndarray:
     return out.reshape(p.shape)
 
 
-def _effective_lr_factor(schedule: tuple[tuple[int, float], ...], completed_epochs: int) -> float:
-    factor = 1.0
-    for after_epoch, f in schedule:
-        if completed_epochs >= after_epoch:
-            factor *= f
-    return factor
-
-
 def _iter_batches(n: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -201,22 +161,19 @@ def _fit(
 ) -> TrainReport:
     """Shuffled mini-batch descent on ``batch_loss(batch, rng)`` (recorded on
     a tape) over ``n`` rows; ``after_epoch(epoch)`` runs after each epoch."""
-    opt = make_optimizer(cfg, params)
+    opt = Adam(params, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     epoch_losses: list[float] = []
-    effective_lrs: list[float] = []
     epoch_wall_times: list[float] = []
     t0 = time.perf_counter()
     for epoch in range(1, cfg.epochs + 1):
         t_epoch = time.perf_counter()
-        lr_scale = _effective_lr_factor(cfg.lr_schedule, epoch - 1)
-        effective_lrs.append(cfg.learning_rate * lr_scale)
         total = 0.0
         for batch in _iter_batches(n, cfg.batch_size, rng):
             with Tape() as tape:
                 loss = batch_loss(batch, rng)
             backward(tape, loss)
-            opt.step(lr_scale)
+            opt.step()
             total += loss.item() * len(batch)
         mean_loss = total / n
         if not np.isfinite(mean_loss):
@@ -230,7 +187,6 @@ def _fit(
         seed=cfg.seed,
         loss_spec=loss_spec,
         epoch_losses=epoch_losses,
-        effective_lrs=effective_lrs,
         epoch_wall_times=epoch_wall_times,
         final_loss=epoch_losses[-1] if epoch_losses else float("nan"),
         wall_time_s=time.perf_counter() - t0,

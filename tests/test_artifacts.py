@@ -52,7 +52,7 @@ def _batch(v):
     x = np.full((2, 3), 0.25 + v / 8)
     rows = np.array([0, 1])
     return AdversarialBatch(x, x + 0.1, rows, rows, rows[::-1], np.array([False, True]),
-                            {"l2": np.array([0.1, 0.2])}, AttackConfig("fgsm"), v)
+                            {"l2": np.array([0.1, 0.2])}, AttackConfig("fgsm"))
 
 
 def _calibrate(out, v):
@@ -80,7 +80,7 @@ def _drift(v):
 
 
 def _report(v):
-    return TrainReport("classifier", v, "cross_entropy", [0.5], [1e-3], [0.25], 0.5, 0.25)
+    return TrainReport("classifier", v, "cross_entropy", [0.5], [0.25], 0.5, 0.25)
 
 
 def _images(v, shape):

@@ -275,9 +275,9 @@ def test_success_mask_recomputed_from_predictions(trained_toy):
 def test_attack_determinism(trained_toy):
     model, x, y = trained_toy
     for cfg in (
-        AttackConfig(kind="fgsm", epsilon=0.2, seed=3),
-        AttackConfig(kind="slide", q=80, gamma=0.1, k=5, eps_l1=0.6, seed=3),
-        AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=2, max_iter=40, lr=0.1, seed=3),
+        AttackConfig(kind="fgsm", epsilon=0.2),
+        AttackConfig(kind="slide", q=80, gamma=0.1, k=5, eps_l1=0.6),
+        AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=2, max_iter=40, lr=0.1),
     ):
         a = run_attack(model, x[:8], y[:8], config=cfg)
         b = run_attack(model, x[:8], y[:8], config=cfg)
@@ -332,7 +332,7 @@ def test_whitebox_fgsm_leaves_the_loaded_defence_frozen(tmp_path, trained_toy):
 
 def test_batch_round_trip_persistence(tmp_path, trained_toy):
     model, x, y = trained_toy
-    batch = fgsm(model, x[:10], y[:10], config=AttackConfig(kind="fgsm", epsilon=0.2, seed=7))
+    batch = fgsm(model, x[:10], y[:10], config=AttackConfig(kind="fgsm", epsilon=0.2))
     path = tmp_path / "fgsm.json"
     save_batch(batch, path)
     loaded = load_batch(path)

@@ -3,11 +3,12 @@ import csv
 import json
 import os
 import platform
+import re
 import shutil
 import struct
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -483,6 +484,7 @@ MALFORMED_BATCHES = {
     "digit-string-labels": _batch_edit(_set("labels", "1")),
     "unknown-config-key": _batch_edit(_set("bogus", 1, "config")),
     "wrong-length-diagnostics": _batch_edit(lambda meta: {**meta, "diagnostics": {"failed": [0] * (meta["shape"][0] + 1)}}),
+    "config-with-seed": _batch_edit(lambda meta: {**meta, "seed": 0, "config": {**meta["config"], "seed": 0}}),
 }
 
 
@@ -788,6 +790,22 @@ MALFORMED_CONFIGS = {
     "white-box-ae-untrained": (
         lambda c: c["attacks"][0].update(target_mode="white_box", ae="mse"), "attack", "attacks[0].ae",
     ),
+    "drift-no-kinds": (lambda c: c.update(drift={"kinds": []}), "drift", "drift.kinds"),
+    "drift-unknown-kind": (lambda c: c.update(drift={"kinds": ["blur", "fog"]}), "score", "drift.kinds"),
+    "drift-severity-out-of-range": (lambda c: c.update(drift={"severities": [1, 6]}), "train-classifier", "drift.severities"),
+    # keys that changed nothing and were removed: a config that still sets one is refused
+    "attack-seed": (lambda c: c["attacks"][0].update(seed=3), "attack", "attacks[0].seed"),
+    "optimizer-lr-schedule": (
+        lambda c: c["classifier_opt"].update(lr_schedule=[[1, 0.1]]), "train-classifier", "classifier_opt.lr_schedule",
+    ),
+    "optimizer-momentum": (lambda c: c["defence_opt"].update(momentum=0.9), "train-defence", "defence_opt.momentum"),
+    "optimizer-sgd-momentum": (
+        lambda c: c["classifier_opt"].update(kind="sgd_momentum"), "train-classifier", "classifier_opt.kind",
+    ),
+    "cifar-standardize": (
+        lambda c: c.update(dataset={"kind": "cifar", "train_files": [], "test_files": [], "standardize": True}),
+        "train-classifier", "dataset.standardize",
+    ),
 }
 
 
@@ -835,10 +853,30 @@ def _parse(cfg: dict):
     return cli._resolve(cfg, argparse.Namespace(seed=None, out=None))
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_section(title: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    return text[text.index(title) :]
+
+
+def test_the_readme_key_table_lists_exactly_the_experiment_fields():
+    table = _readme_section("Top-level keys.").split("\n\n")[1]
+    keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert keys == [f.name for f in fields(cli.Experiment) if f.init]
+
+
+def test_the_readme_example_config_parses(tmp_path):
+    example = re.search(r"```json\n(.*?)```", _readme_section("### Experiment config"), flags=re.S).group(1)
+    exp, out = cli._resolve(json.loads(example), argparse.Namespace(seed=None, out=str(tmp_path)))
+    assert out == tmp_path and [a.name for a in exp.attacks] == ["fgsm02", "cw", "wb"]
+
+
 def test_the_toy_config_parses(tmp_path):
     exp, out = _parse(_fuzz_base(tmp_path / "run"))
     assert out == tmp_path / "run"
-    assert exp.attacks[0].name == "fgsm02" and exp.attacks[0].seed is None and exp.dataset.n_train == 120
+    assert exp.attacks[0].name == "fgsm02" and exp.dataset.n_train == 120
     assert exp.drift.severities == [1, 2] and exp.classifier_spec.name == "clf"
 
 

@@ -114,7 +114,7 @@ def _cifar_fixture(tmp_path, n=2, seed=0):
 
 def test_parse_cifar_hand_built_record(tmp_path):
     path, labels, pixels = _cifar_fixture(tmp_path, n=1, seed=3)
-    ds = parse_cifar_binary([path], standardize=False)
+    ds = parse_cifar_binary([path])
     assert ds.images.shape == (1, 32, 32, 3)
     assert ds.labels[0] == labels[0]
     # channel-major R,G,B planes of 1024 bytes each
@@ -145,7 +145,7 @@ def test_parse_cifar_label_out_of_range(tmp_path):
 def test_cifar_round_trip_bytes_exact(tmp_path):
     path, _, _ = _cifar_fixture(tmp_path, n=3, seed=9)
     original = path.read_bytes()
-    ds = parse_cifar_binary([path], standardize=False)
+    ds = parse_cifar_binary([path])
     out = tmp_path / "rewritten.bin"
     write_cifar_binary(ds, out)
     assert out.read_bytes() == original

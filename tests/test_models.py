@@ -298,15 +298,6 @@ def test_checkpoint_truncation(tmp_path):
             load_checkpoint(clipped)
 
 
-def test_checkpoint_spec_mismatch(tmp_path):
-    model = build_model(mlp_classifier_spec(), 0)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
-    other = image_ae_spec()
-    with pytest.raises(MismatchError):
-        load_checkpoint(path, expected_spec=other)
-
-
 def test_checkpoint_shapes_checked_against_the_spec_without_building_a_model(tmp_path, monkeypatch):
     from pmdef import models
 
