@@ -95,7 +95,7 @@ class AttackConfig:
                 raise ParameterError(f"cw iteration count must be >= 1, got {self.max_iter}")
             if not self.lr > 0:
                 raise ParameterError(f"cw learning rate must be positive, got {self.lr}")
-            if self.kappa < 0:
+            if not self.kappa >= 0:
                 raise ParameterError(f"cw margin kappa must be >= 0, got {self.kappa}")
 
     def to_dict(self) -> dict:
@@ -272,11 +272,11 @@ def _cw_chunk(model, x: np.ndarray, attack_class: np.ndarray, orig_pred: np.ndar
     x_const = Tensor(x)
     mask_const = Tensor(mask)
 
-    def evaluate(adv_np: np.ndarray, d_np: np.ndarray, logits_np: np.ndarray):
-        """Record the successes of candidates adv_np = x + d_np."""
+    def evaluate(adv_np: np.ndarray, sq_rows: np.ndarray, logits_np: np.ndarray):
+        """Record the successes of candidates adv_np, whose squared l2 distances to x are sq_rows."""
         nonlocal best_l2, best_adv, ever_success
         pred = logits_np.argmax(axis=1)
-        l2 = np.sqrt((d_np.reshape(n, -1) ** 2).sum(axis=1))
+        l2 = np.sqrt(sq_rows)
         succ = (pred != orig_pred) & ~failed
         better = succ & (l2 < best_l2)
         best_l2 = np.where(better, l2, best_l2)
@@ -297,9 +297,9 @@ def _cw_chunk(model, x: np.ndarray, attack_class: np.ndarray, orig_pred: np.ndar
                 z_att = ad.take_per_row(logits, attack_class)
                 z_other = ad.rowmax(ad.add(logits, mask_const))
                 margin = ad.maximum_scalar(ad.sub(z_att, z_other), -config.kappa)
-                d = ad.sub(adv_t, x_const)
-                loss = ad.add(ad.sum_all(ad.mul(d, d)), ad.sum_all(ad.mul(margin, c_t)))
-            round_success |= evaluate(adv_t.data, d.data, logits.data)
+                dist, sq_rows = ad.squared_distance(adv_t, x_const)
+                loss = ad.add(dist, ad.sum_all(ad.mul(margin, c_t)))
+            round_success |= evaluate(adv_t.data, sq_rows, logits.data)
             grads = backward(tape, loss)
             g = grads[w]
             bad = ~np.isfinite(g.reshape(n, -1)).all(axis=1)
@@ -313,8 +313,8 @@ def _cw_chunk(model, x: np.ndarray, attack_class: np.ndarray, orig_pred: np.ndar
             np.clip(w.data, -20.0, 20.0, out=w.data)
         # final candidate after the last update of the round
         adv_np = 0.5 * (np.tanh(w.data) + 1.0)
-        logits_np = model.predict_logits(adv_np)
-        round_success |= evaluate(adv_np, adv_np - x, logits_np)
+        d_np = adv_np - x
+        round_success |= evaluate(adv_np, (d_np * d_np).reshape(n, -1).sum(axis=1), model.predict_logits(adv_np))
         c = np.where(round_success, c / 2.0, np.minimum(c * 10.0, C_MAX))
     return best_adv, ever_success, failed
 
@@ -403,7 +403,7 @@ def load_batch(json_path) -> AdversarialBatch:
         }
         config = from_dict(AttackConfig, meta["config"], "config")
         crc = int(meta["crc32"])
-    except (ValueError, KeyError, TypeError, AttributeError, UserError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, UserError) as exc:
         raise ParseError(f"{json_path}: malformed attack batch: {exc!r}") from None
     per_row = [*rows.values(), *norms.values(), *([] if labels is None else [labels])]
     if any(a.shape != shape[:1] for a in per_row):

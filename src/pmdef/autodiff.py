@@ -4,8 +4,11 @@ Everything runs in float64. Ops record onto the innermost active ``Tape``
 only when an input requires gradients, so inference pays no bookkeeping.
 The primitive set is deliberately small: just enough for little dense and
 convolutional networks, distribution-matching losses and input-gradient
-attacks. Every forward output is checked for NaN/Inf; overflow raises
-instead of propagating silently. Nonsmooth ops (relu, clip, maximum_scalar,
+attacks. One primitive serves one attack: ``squared_distance`` is C&W's
+distance term, the bits of sub, mul and sum_all in one record, and also
+returns the per-row sums that C&W's success check reads. Every forward
+output is checked for NaN/Inf; overflow raises instead of propagating
+silently. Nonsmooth ops (relu, clip, maximum_scalar,
 rowmax, maxpool2d) leave on the tape a way to compute their kink margin,
 which is evaluated only when ``Tape.min_kink_margin()`` asks for it.
 
@@ -341,6 +344,29 @@ def mean_all(t: Tensor) -> Tensor:
         return (np.broadcast_to(g / n, shape).copy(),)
 
     return _emit("mean", (t,), np.asarray(t.data.mean()), vjp)
+
+
+def squared_distance(a: Tensor, b: Tensor) -> tuple[Tensor, Array]:
+    """Sum of (a - b)**2 as a scalar, and its per-row sums over the leading axis.
+
+    One tape record with the bits of ``sum_all(mul(d, d))``, ``d = sub(a, b)``,
+    and of their cotangents: the vjp gives ``g*d + g*d`` to ``a`` and its
+    negation to ``b``. The row sums are ``(d*d).reshape(n, -1).sum(axis=1)``,
+    returned as a plain array. Only the scalar is finite-checked: a finite
+    sum of non-negative terms has every term, and so every ``d``, finite.
+    """
+    if a.shape != b.shape or a.ndim < 1:
+        raise DimensionError(f"squared_distance requires identical batch shapes: {a.shape} vs {b.shape}")
+    d = a.data - b.data
+    dd = d * d
+
+    def vjp(g):
+        gd = g * d
+        s = gd + gd
+        return (s if a.requires_grad else None), (-s if b.requires_grad else None)
+
+    out = _emit("squared_distance", (a, b), np.asarray(dd.sum()), vjp)
+    return out, dd.reshape(d.shape[0], math.prod(d.shape[1:])).sum(axis=1)
 
 
 def take_per_row(t: Tensor, idx) -> Tensor:

@@ -24,6 +24,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import platform
 import resource
@@ -492,8 +493,10 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
             tag, t = info["defence"], info["threshold"]
             if not isinstance(tag, str) or isinstance(t, bool) or not isinstance(t, (int, float)):
                 raise TypeError(f"'defence' must be a string and 'threshold' a number, got {tag!r} and {t!r}")
+            if math.isnan(t):
+                raise ValueError("a NaN 'threshold' flags no score")
             gate = (tag, float(t))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{tpath}: needs a JSON object with 'threshold' and 'defence': {exc!r}") from None
         if tag not in defences:
             raise ConfigError(f"{tpath}: gates defence {tag!r}, which report_defences {tags} leaves out; rerun calibrate")

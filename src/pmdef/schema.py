@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 
@@ -81,4 +82,6 @@ def _value(tp, v, where: str):
         return origin(_value(t, x, f"{where}[{i}]") for i, (t, x) in enumerate(zip(items, v)))
     if not isinstance(v, _ACCEPTS[tp]) or (isinstance(v, bool) and tp is not bool):
         raise ConfigError(f"{where}: expected {tp.__name__}, got {v!r:.60}")
+    if isinstance(v, float) and not math.isfinite(v):  # json reads NaN, Infinity and 1e400
+        raise ConfigError(f"{where}: expected a finite number, got {v!r}")
     return v

@@ -69,7 +69,7 @@ class DefenceLossSpec:
             raise ParameterError(f"defence loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         if not self.temperature > 0:
             raise ParameterError(f"temperature must be positive, got {self.temperature}")
-        if self.hidden_weight < 0:
+        if not self.hidden_weight >= 0:
             raise ParameterError(f"hidden weight must be >= 0, got {self.hidden_weight}")
         if self.kind == "kl_hidden" and self.probe is None:
             raise ConfigError("kl_hidden loss needs a probe config")

@@ -22,8 +22,8 @@ from pmdef.attacks import (
 from pmdef.autodiff import Tape, Tensor, backward, grad_check
 from pmdef.errors import ParameterError
 from pmdef.models import Dense, Flatten, ModelSpec, Relu, Reshape, Softmax, build_model, compose_defended, save_checkpoint
-from pmdef.training import OptimizerConfig, train_classifier
-from toys import separable_data
+from pmdef.training import Adam, OptimizerConfig, train_classifier
+from toys import greybox_ae_spec, separable_data
 
 
 def linear_2d_model(seed=0):
@@ -58,6 +58,9 @@ def test_attack_config_validation():
         AttackConfig(kind="slide", gamma=-0.1)
     with pytest.raises(ParameterError):
         AttackConfig(kind="cw_l2", binary_steps=0)
+    for kappa in (-0.5, math.nan):
+        with pytest.raises(ParameterError, match="kappa"):
+            AttackConfig(kind="cw_l2", kappa=kappa)
     with pytest.raises(ParameterError):
         AttackConfig(kind="deepfool")
 
@@ -252,6 +255,94 @@ def test_cw_results_do_not_depend_on_the_unit_size_or_the_worker_count(trained_t
         for key, flags in whole.diagnostics.items():
             assert split.diagnostics[key].dtype == flags.dtype and np.array_equal(split.diagnostics[key], flags)
     assert whole.success.any()
+
+
+def _three_record_cw_chunk(model, x, attack_class, orig_pred, config):
+    """C&W's chunk loop as it was before ``ad.squared_distance``: the distance
+    term from sub, mul and sum_all records, and each candidate's l2 from its
+    own square of the perturbation. Kept as the bit-for-bit reference."""
+    n = x.shape[0]
+    num_classes = model.num_classes
+    x_clipped = np.clip(x, 1e-6, 1.0 - 1e-6)
+    w_init = np.arctanh(2.0 * x_clipped - 1.0)
+    mask = np.full((n, num_classes), 0.0)
+    mask[np.arange(n), attack_class] = -1e9
+
+    c = np.full(n, config.c_init)
+    best_l2 = np.full(n, np.inf)
+    best_adv = x.copy()
+    ever_success = np.zeros(n, dtype=bool)
+    failed = np.zeros(n, dtype=bool)
+    x_const = Tensor(x)
+    mask_const = Tensor(mask)
+
+    def evaluate(adv_np, d_np, logits_np):
+        nonlocal best_l2, best_adv, ever_success
+        pred = logits_np.argmax(axis=1)
+        l2 = np.sqrt((d_np.reshape(n, -1) ** 2).sum(axis=1))
+        succ = (pred != orig_pred) & ~failed
+        better = succ & (l2 < best_l2)
+        best_l2 = np.where(better, l2, best_l2)
+        best_adv[better] = adv_np[better]
+        ever_success |= succ
+        return succ
+
+    for _ in range(config.binary_steps):
+        w = Tensor(w_init.copy(), requires_grad=True)
+        opt = Adam([w], config.lr)
+        c_t = Tensor(c)
+        round_success = np.zeros(n, dtype=bool)
+        for _ in range(config.max_iter):
+            with Tape() as tape:
+                tape.watch(w)
+                adv_t = ad.mul_scalar(ad.add_scalar(ad.tanh(w), 1.0), 0.5)
+                logits = model.logits_t(adv_t)
+                z_att = ad.take_per_row(logits, attack_class)
+                z_other = ad.rowmax(ad.add(logits, mask_const))
+                margin = ad.maximum_scalar(ad.sub(z_att, z_other), -config.kappa)
+                d = ad.sub(adv_t, x_const)
+                loss = ad.add(ad.sum_all(ad.mul(d, d)), ad.sum_all(ad.mul(margin, c_t)))
+            round_success |= evaluate(adv_t.data, d.data, logits.data)
+            grads = backward(tape, loss)
+            g = grads[w]
+            bad = ~np.isfinite(g.reshape(n, -1)).all(axis=1)
+            if bad.any():
+                failed |= bad
+                g[bad] = 0.0
+            if failed.any():
+                g[failed] = 0.0
+            w.grad = g
+            opt.step()
+            np.clip(w.data, -20.0, 20.0, out=w.data)
+        adv_np = 0.5 * (np.tanh(w.data) + 1.0)
+        logits_np = model.predict_logits(adv_np)
+        round_success |= evaluate(adv_np, adv_np - x, logits_np)
+        c = np.where(round_success, c / 2.0, np.minimum(c * 10.0, attacks.C_MAX))
+    return best_adv, ever_success, failed
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.4])
+@pytest.mark.parametrize("target_mode", ["grey_box", "white_box"])
+def test_cw_l2_equals_the_three_record_distance_loop_bit_for_bit(trained_toy, monkeypatch, target_mode, kappa):
+    if target_mode == "grey_box":
+        model, x, _ = trained_toy
+        x = x[:12]
+    else:  # the classifier of the grey-box experiment's conv autoencoder, on images
+        clf = build_model(ModelSpec("clf", (10, 10, 1), (Flatten(), Dense(12), Relu(), Dense(3), Softmax())), 7)
+        ae = build_model(greybox_ae_spec(10), 8)
+        clf.store.freeze_all()
+        ae.store.freeze_all()
+        model = compose_defended(clf, ae)
+        x = np.random.default_rng(9).random((10, 10, 10, 1))
+    cfg = AttackConfig(kind="cw_l2", target_mode=target_mode, c_init=1.0, binary_steps=3, max_iter=30, lr=0.1, kappa=kappa)
+    batch = cw_l2(model, x, config=cfg)
+    monkeypatch.setattr(attacks, "_cw_chunk", _three_record_cw_chunk)
+    reference = cw_l2(model, x, config=cfg)
+    assert batch.adversarials.tobytes() == reference.adversarials.tobytes()
+    assert np.array_equal(batch.success, reference.success)
+    for key in attacks.CW_FLAGS:
+        assert np.array_equal(batch.diagnostics[key], reference.diagnostics[key])
+    assert batch.success.any() and not batch.adversarials.tobytes() == x.tobytes()
 
 
 def test_cw_adversarials_stay_in_domain(trained_toy):

@@ -452,6 +452,66 @@ def test_clip_and_logsumexp_vjps_build_the_mask_and_weights_of_the_eager_formula
     assert gl.tobytes() == (np.expand_dims(gy, -1) * (e / s)).tobytes()
 
 
+# squared_distance against the sub, mul and sum_all records it replaced
+
+
+def _three_record_distance(a, b):
+    d = ad.sub(a, b)
+    return ad.sum_all(ad.mul(d, d)), None
+
+
+def _distance_value_rows_and_grads(op, a, b, b_trained, scale):
+    """Value, row sums, recorded ops and the cotangents of a and b from
+    backward() over scale * op(a, b), so the distance's cotangent is scale."""
+    leaves = [Tensor(a, requires_grad=True), Tensor(b, requires_grad=b_trained)]
+    with Tape() as tape:
+        value, rows = op(*leaves)
+        loss = ad.mul_scalar(value, scale)
+    grads = backward(tape, loss)
+    return value.data, rows, [r.op for r in tape.records], [grads.get(t) for t in leaves]
+
+
+# a subnormal cotangent tells g*d + g*d apart from 2*g*d, which rounds g*d at half the step
+@pytest.mark.parametrize("scale", [1.0, 0.7, 1e-310])
+@pytest.mark.parametrize("b_trained", [False, True])
+@pytest.mark.parametrize("shape", [(7, 5), (4, 6, 6, 2), (1, 400), (300, 400)])
+def test_squared_distance_equals_sum_all_of_mul_of_sub_bit_for_bit(shape, b_trained, scale):
+    rng = np.random.default_rng(sum(shape) + b_trained)
+    a, b = rng.random(shape), rng.random(shape)
+    value, rows, ops, grads = _distance_value_rows_and_grads(ad.squared_distance, a, b, b_trained, scale)
+    ref = _distance_value_rows_and_grads(_three_record_distance, a, b, b_trained, scale)
+    ref_value, _, ref_ops, ref_grads = ref
+    assert ops == ["squared_distance", "mul_scalar"] and ref_ops == ["sub", "mul", "sum", "mul_scalar"]
+    assert value.shape == () and value.tobytes() == ref_value.tobytes()
+    assert rows.tobytes() == ((a - b).reshape(shape[0], -1) ** 2).sum(axis=1).tobytes()
+    for got, want in zip(grads, ref_grads):
+        assert (got is None) == (want is None) and (got is None or got.tobytes() == want.tobytes())
+    assert (grads[1] is None) == (not b_trained)
+
+
+def test_squared_distance_passes_grad_check_in_either_argument():
+    rng = np.random.default_rng(4)
+    a, b = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+    assert grad_check(lambda t: ad.squared_distance(t, b)[0], a) < 1e-6
+    assert grad_check(lambda t: ad.squared_distance(a, t)[0], b) < 1e-6
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_squared_distance_raises_where_the_three_records_did(bad, side):
+    values = [np.full((2, 3), 0.5), np.full((2, 3), 0.25)]
+    values[side][1, 2] = bad  # 1e200 is finite, but its square overflows
+    for op in (ad.squared_distance, _three_record_distance):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            op(*(Tensor(v, requires_grad=True) for v in values))
+
+
+def test_squared_distance_refuses_shapes_that_differ_or_hold_no_batch_axis():
+    for a, b in [((3, 4), (4,)), ((3, 4), (3, 1)), ((), ())]:
+        with pytest.raises(DimensionError, match="squared_distance"):
+            ad.squared_distance(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+
+
 @pytest.mark.parametrize("op,ufunc", [(ad.add, np.add), (ad.sub, np.subtract)])
 @pytest.mark.parametrize(
     "x_shape,bias_shape",
@@ -493,6 +553,11 @@ BINARY_VJP_CASES = {
     "sub": (ad.sub, lambda r: (r.normal(size=(5, 4)), r.normal(size=4)), lambda g, a, b: (g, -g.sum(axis=0))),
     "sub_same_shape": (ad.sub, lambda r: (r.normal(size=(5, 4)), r.normal(size=(5, 4))), lambda g, a, b: (g, -g)),
     "mul": (ad.mul, lambda r: (r.normal(size=(5, 4)), r.normal(size=(5, 4))), lambda g, a, b: (g * b, g * a)),
+    "squared_distance": (
+        lambda a, b: ad.squared_distance(a, b)[0],
+        lambda r: (r.normal(size=(5, 4)), r.normal(size=(5, 4))),
+        lambda g, a, b: (2 * g * (a - b), -2 * g * (a - b)),
+    ),
     "conv2d": (
         lambda x, k: ad.conv2d(x, k, 2, "same"),
         lambda r: (r.normal(size=(3, 7, 6, 2)), r.normal(size=(3, 3, 2, 4))),

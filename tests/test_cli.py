@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import platform
 import re
@@ -405,7 +406,9 @@ def test_a_failed_stage_leaves_no_manifest(attacked_run, tmp_path):
     "content",
     ["{not json", '{"threshold": 0.1}', '{"defence": "kl"}', '[0.1, "kl"]', '{"threshold": "x", "defence": "kl"}',
      '{"threshold": 0.1, "defence": ["kl"]}', '{"threshold": true, "defence": "kl"}',
-     '{"threshold": "0.1", "defence": "kl"}', '{"threshold": 0.1, "defence": "mse"}'],
+     '{"threshold": "0.1", "defence": "kl"}', '{"threshold": 0.1, "defence": "mse"}',
+     '{"threshold": NaN, "defence": "kl"}',
+     pytest.param('{"threshold": 1%s, "defence": "kl"}' % ("0" * 400), id="threshold-an-int-beyond-float")],
 )
 def test_evaluate_malformed_threshold_file_exits_1(attacked_run, capsys, content):
     cfg, out = attacked_run
@@ -413,6 +416,21 @@ def test_evaluate_malformed_threshold_file_exits_1(attacked_run, capsys, content
     assert run_cli(["evaluate", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "threshold.json" in err
+
+
+def test_evaluate_gates_with_the_minus_infinity_threshold_of_eps_fpr_1(attacked_run, tmp_path):
+    _, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    cfg = _write_config(tmp_path, out, eps_fpr=1)
+    for stage in ["score", "calibrate", "evaluate"]:
+        assert run_cli([stage, "--config", str(cfg)]) == 0, stage
+    assert '"threshold": -Infinity' in (out / "threshold.json").read_text()
+    verdicts = sorted((out / "verdicts").glob("*.csv"))
+    assert verdicts
+    for path in verdicts:
+        rows = list(csv.DictReader(path.read_text().splitlines()))
+        assert rows and all(r["flagged"] == "1" for r in rows), path
 
 
 # threshold.json as calibrate writes it for the attacked run
@@ -485,6 +503,8 @@ MALFORMED_BATCHES = {
     "unknown-config-key": _batch_edit(_set("bogus", 1, "config")),
     "wrong-length-diagnostics": _batch_edit(lambda meta: {**meta, "diagnostics": {"failed": [0] * (meta["shape"][0] + 1)}}),
     "config-with-seed": _batch_edit(lambda meta: {**meta, "seed": 0, "config": {**meta["config"], "seed": 0}}),
+    "infinite-crc32": _batch_edit(_set("crc32", float("inf"))),
+    "prediction-beyond-int64": _batch_edit(_set("original_pred", 1e300)),
 }
 
 
@@ -793,6 +813,11 @@ MALFORMED_CONFIGS = {
     "drift-no-kinds": (lambda c: c.update(drift={"kinds": []}), "drift", "drift.kinds"),
     "drift-unknown-kind": (lambda c: c.update(drift={"kinds": ["blur", "fog"]}), "score", "drift.kinds"),
     "drift-severity-out-of-range": (lambda c: c.update(drift={"severities": [1, 6]}), "train-classifier", "drift.severities"),
+    # json reads NaN and Infinity; a float field refuses them at parse time
+    "kappa-nan": (lambda c: c["attacks"][0].update(kind="cw_l2", kappa=float("nan")), "attack", "attacks[0].kappa"),
+    "learning-rate-infinity": (
+        lambda c: c["defence_opt"].update(learning_rate=float("inf")), "train-classifier", "defence_opt.learning_rate",
+    ),
     # keys that changed nothing and were removed: a config that still sets one is refused
     "attack-seed": (lambda c: c["attacks"][0].update(seed=3), "attack", "attacks[0].seed"),
     "optimizer-lr-schedule": (
@@ -821,13 +846,26 @@ def test_malformed_config_exits_1_naming_the_key(tmp_path, capsys, case):
     assert err.startswith(f"error: {key}: "), err
 
 
+@pytest.mark.parametrize("case", ["kappa-nan", "learning-rate-infinity"])
+def test_a_non_finite_config_value_exits_1_in_every_stage(tmp_path, capsys, case):
+    edit, _, key = MALFORMED_CONFIGS[case]
+    cfg = _toy_config(tmp_path / "run")
+    edit(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    for stage in cli._COMMANDS:
+        assert run_cli([stage, "--config", str(path)]) == 1, stage
+        assert capsys.readouterr().err.startswith(f"error: {key}: expected a finite number"), stage
+
+
 def _fuzz_base(out_dir) -> dict:
     return {**_toy_config(out_dir), "drift": {"kinds": ["blur"], "severities": [1, 2]}}
 
 
 _OBJECTS = ("dataset", "classifier_opt", "defence_opt", ("defence_losses", 0), ("attacks", 0), "drift")
 _JSON_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 300), st.floats(-2, 2, allow_nan=False), st.text(max_size=4),
+    st.none(), st.booleans(), st.integers(-3, 300), st.floats(), st.sampled_from((math.nan, math.inf, -math.inf)),
+    st.text(max_size=4),
     st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
 )
 
@@ -842,8 +880,8 @@ def _mutated_configs(draw, out_dir):
     key = draw(st.sampled_from(sorted(node)))
     if action == "drop":
         del node[key]
-    elif action == "swap":
-        node[key] = draw(_JSON_VALUES.filter(lambda v: type(v) is not type(node[key])))
+    elif action == "swap":  # a float may replace a float: NaN and infinities must be refused
+        node[key] = draw(_JSON_VALUES.filter(lambda v: type(v) is not type(node[key]) or type(v) is float))
     else:
         node["unknown_" + draw(st.text(max_size=4))] = draw(_JSON_VALUES)
     return cfg
@@ -894,4 +932,5 @@ def test_one_mutation_of_the_config_parses_or_raises_a_user_error(tmp_path, data
     try:
         _parse(cfg)
     except UserError:
-        pass
+        return
+    json.dumps(cfg, allow_nan=False)  # a config that parses holds no NaN or infinity

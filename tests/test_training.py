@@ -66,8 +66,9 @@ def test_defence_loss_spec_validation():
         DefenceLossSpec(kind="huber")
     with pytest.raises(ParameterError):
         DefenceLossSpec(kind="kl_temperature", temperature=0.0)
-    with pytest.raises(ParameterError):
-        DefenceLossSpec(kind="kl_hidden", hidden_weight=-1.0, probe=ProbeConfig(0, 4))
+    for weight in (-1.0, math.nan):
+        with pytest.raises(ParameterError, match="hidden weight"):
+            DefenceLossSpec(kind="kl_hidden", hidden_weight=weight, probe=ProbeConfig(0, 4))
 
 
 # ---------------------------------------------------------------------------
