@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .artifacts import write_artifact
 from .autodiff import Tape, Tensor, backward
 from .errors import DataError, MagicError, MismatchError, ParameterError, ParseError, TruncationError, UserError
-from .schema import from_dict
+from .schema import from_dict, refuse_other_kinds_fields
 from .training import Adam
 
 TARGET_MODES = ("grey_box", "white_box")
@@ -71,6 +71,7 @@ class AttackConfig:
     def __post_init__(self):
         if self.kind not in KIND_FIELDS:
             raise ParameterError(f"attack kind must be fgsm, slide or cw_l2, got {self.kind!r}")
+        refuse_other_kinds_fields(self, KIND_FIELDS)
         if self.target_mode not in TARGET_MODES:
             raise ParameterError(f"target mode must be one of {TARGET_MODES}, got {self.target_mode!r}")
         if self.label_source not in LABEL_SOURCES:

@@ -42,7 +42,7 @@ from . import evaluation as ev
 from .artifacts import write_artifact
 from .datasets import Dataset, parse_cifar_binary, parse_idx, synth_dataset
 from .errors import ConfigError, DataError, ParseError, PmdefError, UserError
-from .models import ModelSpec, build_model, compose_defended, load_checkpoint, save_checkpoint
+from .models import DefendedModel, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from .schema import from_dict
 from .seeding import derive_seed
 from .training import DefenceLossSpec, OptimizerConfig, epoch_checkpoints, train_classifier, train_defence
@@ -417,7 +417,7 @@ def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path
     artifacts = []
     for entry in _required(exp, "attacks"):
         if entry.target_mode == "white_box":
-            target = compose_defended(classifier, _load_defence(out, entry.ae))
+            target = DefendedModel(classifier, _load_defence(out, entry.ae))
         else:
             target = classifier
         batch = atk.run_attack(target, x, y, config=entry, workers=workers)

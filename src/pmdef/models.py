@@ -7,11 +7,12 @@ input shape back onto itself and its reconstructions are clamped to the
 [0, 1] data domain.
 
 The layer table: each kind is one frozen dataclass deriving from ``Layer``
-and owns its spec fields, its shape rule ``out_shape`` (which also validates
-the fields), its ``param_shapes`` and its forward step ``apply``.
+and owns its spec fields, its shape rule ``out_shape`` (which also checks
+the fields' ranges), its ``param_shapes`` and its forward step ``apply``.
 ``infer_shapes``, ``build_model`` and ``Model.forward_t`` make one call per
-layer with no per-kind branch, and the spec parser finds a class by its
-``kind``, so a new layer kind is one class.
+layer with no per-kind branch, and ``schema.from_dict`` reads a spec's
+layers as the tagged union ``AnyLayer`` of the ``Layer`` subclasses, finding
+each class by its ``kind``, so a new layer kind is one class.
 
 ``Model.forward_t`` keeps spec order but for one rule, ``Layer.runs_after``:
 a relu directly before a maxpool runs after the pool, on the pooled values
@@ -21,8 +22,10 @@ its bias inside ``ad.conv2d``: one tape record instead of two.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import struct
 from dataclasses import asdict, dataclass
 from typing import ClassVar
@@ -43,6 +46,7 @@ from .errors import (
     SpecError,
     TruncationError,
 )
+from .schema import from_dict
 
 CHECKPOINT_MAGIC = b"PMDEF001"
 DATA_DOMAIN = (0.0, 1.0)
@@ -52,13 +56,9 @@ DATA_DOMAIN = (0.0, 1.0)
 # the layer table
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_positive_ints(where: str, **fields) -> None:
     for name, value in fields.items():
-        if not _is_int(value) or value < 1:
+        if value < 1:
             raise SpecError(f"{where}: {name} must be a positive int, got {value!r}")
 
 
@@ -71,14 +71,16 @@ def _check_rank(shape: tuple[int, ...], rank: int, where: str, expects: str) -> 
 class Layer:
     """One layer kind; the defaults are a shape-preserving layer without
     parameters. ``activation`` is what a weight layer before it feeds ("relu":
-    He init, "other": Glorot); None defers to the layers after it."""
+    He init, "other": Glorot); None defers to the layers after it. A layer's
+    JSON names its kind under ``kind_key``."""
 
     kind: ClassVar[str]
+    kind_key: ClassVar[str] = "type"
     activation: ClassVar[str | None] = None
 
     def out_shape(self, shape: tuple[int, ...], where: str) -> tuple[int, ...]:
         """Output shape (batch axis excluded) for input ``shape``; raises
-        SpecError naming ``where`` on a chain break or an invalid field."""
+        SpecError naming ``where`` on a chain break or a field out of range."""
         return shape
 
     def param_shapes(self, in_shape: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
@@ -179,7 +181,7 @@ class Dropout(Layer):
     kind: ClassVar[str] = "dropout"
 
     def out_shape(self, shape, where):
-        if not (isinstance(self.rate, (int, float)) and not isinstance(self.rate, bool) and 0.0 <= self.rate < 1.0):
+        if not 0.0 <= self.rate < 1.0:
             raise SpecError(f"{where}: rate must be a number in [0, 1), got {self.rate!r}")
         return shape
 
@@ -221,7 +223,7 @@ class Reshape(Layer):
     kind: ClassVar[str] = "reshape"
 
     def out_shape(self, shape, where):
-        if not (isinstance(self.shape, tuple) and self.shape and all(_is_int(s) and s > 0 for s in self.shape)):
+        if not (self.shape and all(s > 0 for s in self.shape)):
             raise SpecError(f"{where}: shape must be a non-empty list of positive ints, got {self.shape!r}")
         if math.prod(self.shape) != math.prod(shape):
             raise SpecError(f"{where}: cannot reshape {shape} to {self.shape}")
@@ -231,7 +233,7 @@ class Reshape(Layer):
         return ad.reshape(h, (h.shape[0], *self.shape))
 
 
-_LAYER_TYPES = {cls.kind: cls for cls in Layer.__subclasses__()}
+AnyLayer = functools.reduce(operator.or_, Layer.__subclasses__())  # the tagged union a spec's layers parse as
 
 
 def _run_order(layers: tuple[Layer, ...], capture: int | None) -> list[int]:
@@ -248,21 +250,7 @@ def _run_order(layers: tuple[Layer, ...], capture: int | None) -> list[int]:
 
 
 def layer_to_dict(layer: Layer) -> dict:
-    return {"type": layer.kind, **asdict(layer)}
-
-
-def layer_from_dict(d: dict, where: str) -> Layer:
-    if not isinstance(d, dict):
-        raise SpecError(f"{where}: a layer must be an object, got {d!r}")
-    kind = d.get("type")
-    cls = _LAYER_TYPES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ConfigError(f"{where}: unknown layer type {kind!r}")
-    fields = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items() if k != "type"}
-    try:
-        return cls(**fields)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: bad fields for layer {kind!r}: {exc}") from None
+    return {layer.kind_key: layer.kind, **asdict(layer)}
 
 
 @dataclass(frozen=True)
@@ -271,7 +259,7 @@ class ModelSpec:
 
     name: str
     input_shape: tuple[int, ...]
-    layers: tuple[Layer, ...]
+    layers: tuple[AnyLayer, ...]
     standardize: bool = False  # per-image standardization at the model boundary
 
     def to_dict(self) -> dict:
@@ -282,23 +270,11 @@ class ModelSpec:
             "layers": [layer_to_dict(l) for l in self.layers],
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        lists = isinstance(d, dict) and isinstance(d.get("input_shape"), list) and isinstance(d.get("layers"), list)
-        if not (lists and "name" in d):
-            raise SpecError(f"a model spec needs 'name', an 'input_shape' list and a 'layers' list, got {str(d)[:80]}")
-        return ModelSpec(
-            name=d["name"],
-            input_shape=tuple(d["input_shape"]),
-            layers=tuple(layer_from_dict(l, f"layer {i}") for i, l in enumerate(d["layers"])),
-            standardize=bool(d.get("standardize", False)),
-        )
-
 
 def infer_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
     """Per-layer output shapes (batch axis excluded); raises SpecError on a chain break."""
     shape = tuple(spec.input_shape)
-    if not (shape and all(_is_int(s) and s > 0 for s in shape)):
+    if not (shape and all(s > 0 for s in shape)):
         raise SpecError(f"input shape must be a non-empty list of positive ints, got {shape}")
     out = []
     for i, layer in enumerate(spec.layers):
@@ -569,10 +545,6 @@ class DefendedModel(Predictor):
         return self.classifier.proba_t(self.ae.reconstruct_t(x))
 
 
-def compose_defended(classifier: Model, ae: Model) -> DefendedModel:
-    return DefendedModel(classifier, ae)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -618,12 +590,12 @@ def load_checkpoint(path) -> Model:
         raise MismatchError(f"{path}: unreadable header: {exc}") from None
     pos += hlen
     try:
-        spec = ModelSpec.from_dict(header["spec"])
+        spec = from_dict(ModelSpec, header["spec"], "spec")
         entries = [
             (int(e["layer"]), str(e["name"]), int(e["offset"]), int(e["nbytes"]), [int(s) for s in e["shape"]])
             for e in header["tensors"]
         ]
-    except (KeyError, TypeError, ValueError, SpecError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise MismatchError(f"{path}: malformed checkpoint header: {exc!r}") from None
     store = ParameterStore()
     groups: dict[int, dict[str, Tensor]] = {}

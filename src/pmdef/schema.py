@@ -51,25 +51,32 @@ def from_dict(cls, d, where: str = ""):
         raise type(exc)(msg) from None
 
 
+def refuse_other_kinds_fields(obj, kind_fields: dict[str, tuple[str, ...]]) -> None:
+    """For a ``__post_init__`` of a dataclass whose ``kind`` picks the fields
+    it reads (``kind_fields``): raise ConfigError naming the first field that
+    only other kinds read and that is set away from its default."""
+    for f in dataclasses.fields(obj):
+        owners = [kind for kind, names in kind_fields.items() if f.name in names]
+        value = getattr(obj, f.name)
+        if owners and obj.kind not in owners and value != f.default:
+            raise ConfigError(f"{f.name}: read by {'/'.join(owners)} only, not by {obj.kind}, got {value!r:.60}")
+
+
 def _value(tp, v, where: str):
     if isinstance(tp, types.UnionType):
         if v is None and type(None) in tp.__args__:
             return None
         options = [a for a in tp.__args__ if a is not type(None)]
-        if len(options) > 1:  # dataclasses told apart by their ``kind``
+        if len(options) > 1:  # dataclasses told apart by their ``kind``, under the key ``kind_key`` or "kind"
             if not isinstance(v, dict):
                 raise ConfigError(f"{where}: expected an object, got {v!r:.60}")
-            chosen = next((a for a in options if a.kind == v.get("kind")), None)
+            key = getattr(options[0], "kind_key", "kind")
+            chosen = next((a for a in options if a.kind == v.get(key)), None)
             if chosen is None:
                 kinds = [a.kind for a in options]
-                raise ConfigError(f"{_key(where, 'kind')}: expected one of {kinds}, got {v.get('kind')!r:.60}")
-            return from_dict(chosen, {k: x for k, x in v.items() if k != "kind"}, where)
+                raise ConfigError(f"{_key(where, key)}: expected one of {kinds}, got {v.get(key)!r:.60}")
+            return from_dict(chosen, {k: x for k, x in v.items() if k != key}, where)
         tp = options[0]
-    if hasattr(tp, "from_dict"):  # a type with its own parser (model specs)
-        try:
-            return tp.from_dict(v)
-        except UserError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
     if dataclasses.is_dataclass(tp):
         return from_dict(tp, v, where)
     origin, args = typing.get_origin(tp), typing.get_args(tp)

@@ -28,8 +28,10 @@ from .errors import (
     ParameterError,
 )
 from .models import HiddenProbe, Model, build_probe, probe_dist_t
+from .schema import refuse_other_kinds_fields
 
-LOSS_KINDS = ("kl", "mse", "kl_temperature", "kl_hidden")
+# the fields each defence loss kind reads beyond its kind
+KIND_FIELDS = {"kl": (), "mse": (), "kl_temperature": ("temperature",), "kl_hidden": ("hidden_weight", "probe")}
 
 
 @dataclass
@@ -65,8 +67,9 @@ class DefenceLossSpec:
     probe: ProbeConfig | None = None
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ParameterError(f"defence loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
+        if self.kind not in KIND_FIELDS:
+            raise ParameterError(f"defence loss kind must be one of {tuple(KIND_FIELDS)}, got {self.kind!r}")
+        refuse_other_kinds_fields(self, KIND_FIELDS)
         if not self.temperature > 0:
             raise ParameterError(f"temperature must be positive, got {self.temperature}")
         if not self.hidden_weight >= 0:

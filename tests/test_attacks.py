@@ -21,7 +21,7 @@ from pmdef.attacks import (
 )
 from pmdef.autodiff import Tape, Tensor, backward, grad_check
 from pmdef.errors import ParameterError
-from pmdef.models import Dense, Flatten, ModelSpec, Relu, Reshape, Softmax, build_model, compose_defended, save_checkpoint
+from pmdef.models import DefendedModel, Dense, Flatten, ModelSpec, Relu, Reshape, Softmax, build_model, save_checkpoint
 from pmdef.training import Adam, OptimizerConfig, train_classifier
 from toys import greybox_ae_spec, separable_data
 
@@ -332,7 +332,7 @@ def test_cw_l2_equals_the_three_record_distance_loop_bit_for_bit(trained_toy, mo
         ae = build_model(greybox_ae_spec(10), 8)
         clf.store.freeze_all()
         ae.store.freeze_all()
-        model = compose_defended(clf, ae)
+        model = DefendedModel(clf, ae)
         x = np.random.default_rng(9).random((10, 10, 10, 1))
     cfg = AttackConfig(kind="cw_l2", target_mode=target_mode, c_init=1.0, binary_steps=3, max_iter=30, lr=0.1, kappa=kappa)
     batch = cw_l2(model, x, config=cfg)
@@ -381,7 +381,7 @@ def test_whitebox_gradients_flow_through_autoencoder():
     ae = build_model(ModelSpec("ae", (4,), (Dense(5), Relu(), Dense(4))), 6)
     clf.store.freeze_all()
     ae.store.freeze_all()
-    composed = compose_defended(clf, ae)
+    composed = DefendedModel(clf, ae)
     y = np.array([2])
 
     def f(x):
@@ -416,7 +416,7 @@ def test_whitebox_fgsm_leaves_the_loaded_defence_frozen(tmp_path, trained_toy):
     model, x, y = trained_toy
     save_checkpoint(build_model(ModelSpec("ae", (6,), (Dense(4), Relu(), Dense(6))), 3), tmp_path / "ae_kl.ckpt")
     ae = cli._load_defence(tmp_path, "kl")
-    fgsm(compose_defended(model, ae), x[:8], y[:8], config=AttackConfig(kind="fgsm", epsilon=0.2))
+    fgsm(DefendedModel(model, ae), x[:8], y[:8], config=AttackConfig(kind="fgsm", epsilon=0.2))
     assert ae.store.is_fully_frozen()
     assert all(t.grad is None for _, _, t in ae.store.named_tensors())
 

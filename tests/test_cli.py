@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import typing
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,7 +25,7 @@ from pmdef.attacks import load_batch
 from pmdef.cli import run_cli
 from pmdef.errors import UserError
 from pmdef.evaluation import roc_auc
-from pmdef.models import CHECKPOINT_MAGIC, ModelSpec, build_model, load_checkpoint, save_checkpoint
+from pmdef.models import CHECKPOINT_MAGIC, AnyLayer, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from pmdef.schema import from_dict
 
 
@@ -622,7 +623,7 @@ def test_malformed_checkpoint_header_exits_1_naming_the_file(tmp_path, capsys, e
     cfg = _write_config(tmp_path, out)
     out.mkdir()
     ckpt = out / "classifier.ckpt"
-    save_checkpoint(build_model(ModelSpec.from_dict(json.loads(cfg.read_text())["classifier_spec"]), 0), ckpt)
+    save_checkpoint(build_model(from_dict(ModelSpec, json.loads(cfg.read_text())["classifier_spec"]), 0), ckpt)
     _rewrite_checkpoint_header(ckpt, edit)
     assert run_cli(["train-defence", "--config", str(cfg)]) == 1
     assert "classifier.ckpt" in capsys.readouterr().err
@@ -642,24 +643,35 @@ _AE_WITH_BAD_DROPOUT = {
 }
 # id: (config key, its malformed value or None to drop the key, text the error must contain)
 MALFORMED_SPECS = {
-    "reshape-without-shape": ("classifier_spec", _clf_spec({"type": "reshape"}), "layer 0"),
-    "reshape-shape-not-a-list": ("classifier_spec", _clf_spec({"type": "reshape", "shape": 5}), "layer 0"),
+    "reshape-without-shape": ("classifier_spec", _clf_spec({"type": "reshape"}), "classifier_spec.layers[0].shape: missing key"),
+    "reshape-shape-not-a-list": (
+        "classifier_spec", _clf_spec({"type": "reshape", "shape": 5}), "classifier_spec.layers[0].shape: expected a list",
+    ),
     "reshape-negative-dims": ("classifier_spec", _clf_spec(*_FLAT_DENSE, {"type": "reshape", "shape": [-2, -2]}), "layer 2"),
     "maxpool-stride-0": ("classifier_spec", _clf_spec({"type": "maxpool", "window": 2, "stride": 0}), "layer 0"),
     "maxpool-window-0": ("classifier_spec", _clf_spec({"type": "maxpool", "window": 0, "stride": 1}), "layer 0"),
     "conv-kernel-0": ("classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 0}), "layer 0"),
     "conv-filters-0": ("classifier_spec", _clf_spec({"type": "conv", "filters": 0, "kernel": 2}), "layer 0"),
     "conv-bad-padding": ("classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 2, "padding": "full"}), "layer 0"),
-    "dense-units-str": ("classifier_spec", _clf_spec({"type": "flatten"}, {"type": "dense", "units": "3"}), "layer 1"),
-    "dense-units-float": ("classifier_spec", _clf_spec({"type": "flatten"}, {"type": "dense", "units": 3.5}), "layer 1"),
-    "dense-units-bool": ("classifier_spec", _clf_spec({"type": "flatten"}, {"type": "dense", "units": True}), "layer 1"),
-    "dropout-rate-str": ("classifier_spec", _clf_spec({"type": "dropout", "rate": "x"}), "layer 0"),
+    "dense-units-str": (
+        "classifier_spec", _clf_spec({"type": "flatten"}, {"type": "dense", "units": "3"}),
+        "classifier_spec.layers[1].units: expected int, got '3'",
+    ),
+    "dense-units-float": (
+        "classifier_spec", _clf_spec({"type": "flatten"}, {"type": "dense", "units": 3.5}), "classifier_spec.layers[1].units: expected int",
+    ),
+    "dense-units-bool": (
+        "classifier_spec", _clf_spec({"type": "flatten"}, {"type": "dense", "units": True}), "classifier_spec.layers[1].units: expected int",
+    ),
+    "dropout-rate-str": ("classifier_spec", _clf_spec({"type": "dropout", "rate": "x"}), "classifier_spec.layers[0].rate"),
+    "layer-unknown-type": ("classifier_spec", _clf_spec({"type": "pool"}), "classifier_spec.layers[0].type: expected one of"),
     "dropout-rate-1": ("classifier_spec", _clf_spec({"type": "dropout", "rate": 1.0}), "layer 0"),
-    "layer-not-an-object": ("classifier_spec", _clf_spec("relu"), "layer 0"),
-    "unknown-field": ("classifier_spec", _clf_spec({"type": "relu", "units": 3}), "layer 0"),
-    "spec-without-layers": ("classifier_spec", {"name": "clf", "input_shape": [8, 8, 1]}, "'layers'"),
-    "spec-not-an-object": ("classifier_spec", [1, 2], "'layers'"),
-    "input-shape-str": ("classifier_spec", _clf_spec(input_shape="ab"), "'input_shape'"),
+    "layer-not-an-object": ("classifier_spec", _clf_spec("relu"), "classifier_spec.layers[0]: expected an object"),
+    "unknown-field": ("classifier_spec", _clf_spec({"type": "relu", "units": 3}), "classifier_spec.layers[0].units: unknown key"),
+    "spec-without-layers": ("classifier_spec", {"name": "clf", "input_shape": [8, 8, 1]}, "classifier_spec.layers: missing key"),
+    "spec-not-an-object": ("classifier_spec", [1, 2], "classifier_spec: expected an object"),
+    "input-shape-str": ("classifier_spec", _clf_spec(input_shape="ab"), "classifier_spec.input_shape"),
+    "standardize-str": ("classifier_spec", _clf_spec(standardize="false"), "classifier_spec.standardize"),
     "no-classifier-spec": ("classifier_spec", None, "classifier_spec"),
     "no-autoencoder-spec": ("autoencoder_spec", None, "autoencoder_spec"),
     "ae-dropout-rate-above-1": ("autoencoder_spec", _AE_WITH_BAD_DROPOUT, "layer 0"),
@@ -675,7 +687,7 @@ def test_malformed_model_spec_exits_1_naming_the_layer_or_key(tmp_path, capsys, 
     stage = "train-classifier" if key == "classifier_spec" else "train-defence"
     if stage == "train-defence":  # a classifier on disk, so that only the autoencoder spec can be at fault
         out.mkdir()
-        save_checkpoint(build_model(ModelSpec.from_dict(cfg["classifier_spec"]), 0), out / "classifier.ckpt")
+        save_checkpoint(build_model(from_dict(ModelSpec, cfg["classifier_spec"]), 0), out / "classifier.ckpt")
     if value is None:
         del cfg[key]
     else:
@@ -798,7 +810,7 @@ MALFORMED_CONFIGS = {
     "attack-subset-negative": (lambda c: c.update(attack_subset=-5), "attack", "attack_subset"),
     "checkpoint-every-negative": (lambda c: c.update(checkpoint_every=-1), "train-defence", "checkpoint_every"),
     "defence-losses-repeated-kind": (
-        lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "kl", "temperature": 3.0}]),
+        lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "kl"}]),
         "train-defence", "defence_losses",
     ),
     "score-defence-untrained": (lambda c: c.update(score_defence="mse"), "score", "score_defence"),
@@ -831,6 +843,16 @@ MALFORMED_CONFIGS = {
         lambda c: c.update(dataset={"kind": "cifar", "train_files": [], "test_files": [], "standardize": True}),
         "train-classifier", "dataset.standardize",
     ),
+    # a field that only other kinds read, set away from its default
+    "fgsm-kappa": (lambda c: c["attacks"][0].update(kappa=0.5), "attack", "attacks[0].kappa"),
+    "fgsm-kappa-and-q": (lambda c: c["attacks"][0].update(kappa=0.5, q=50), "score", "attacks[0].q"),
+    "kl-temperature": (
+        lambda c: c.update(defence_losses=[{"kind": "kl", "temperature": 0.5}]), "train-defence", "defence_losses[0].temperature",
+    ),
+    "mse-probe": (
+        lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "mse", "probe": {"source_layer": 1}}]),
+        "evaluate", "defence_losses[1].probe",
+    ),
 }
 
 
@@ -856,6 +878,40 @@ def test_a_non_finite_config_value_exits_1_in_every_stage(tmp_path, capsys, case
     for stage in cli._COMMANDS:
         assert run_cli([stage, "--config", str(path)]) == 1, stage
         assert capsys.readouterr().err.startswith(f"error: {key}: expected a finite number"), stage
+
+
+@pytest.mark.parametrize("case", ["fgsm-kappa", "kl-temperature", "mse-probe"])
+def test_a_field_of_another_kind_exits_1_in_every_stage(tmp_path, capsys, case):
+    edit, _, key = MALFORMED_CONFIGS[case]
+    cfg = _toy_config(tmp_path / "run")
+    edit(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    for stage in cli._COMMANDS:
+        assert run_cli([stage, "--config", str(path)]) == 1, stage
+        assert capsys.readouterr().err.startswith(f"error: {key}: read by "), stage
+
+
+@pytest.mark.parametrize("case", ["dense-units-str", "unknown-field", "standardize-str"])
+def test_a_mistyped_or_unknown_spec_field_exits_1_in_every_stage(tmp_path, capsys, case):
+    key, value, needle = MALFORMED_SPECS[case]
+    cfg = _toy_config(tmp_path / "run")
+    cfg[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    for stage in cli._COMMANDS:
+        assert run_cli([stage, "--config", str(path)]) == 1, stage
+        assert capsys.readouterr().err.startswith(f"error: {needle}"), stage
+
+
+def test_fields_of_another_kind_left_at_their_defaults_parse_and_stay_out_of_the_batch_file(tmp_path):
+    cfg = _toy_config(tmp_path / "run")
+    cfg["attacks"][0].update(kappa=0.0, q=80, max_iter=200)
+    cfg["defence_losses"] = [{"kind": "kl", "temperature": 1, "hidden_weight": 1.0, "probe": None}]
+    exp, _ = _parse(cfg)
+    assert exp.attacks[0].to_dict() == {
+        "kind": "fgsm", "target_mode": "grey_box", "label_source": "model", "epsilon": exp.attacks[0].epsilon,
+    }
 
 
 def _fuzz_base(out_dir) -> dict:
@@ -903,6 +959,13 @@ def test_the_readme_key_table_lists_exactly_the_experiment_fields():
     table = _readme_section("Top-level keys.").split("\n\n")[1]
     keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
     assert keys == [f.name for f in fields(cli.Experiment) if f.init]
+
+
+def test_the_readme_layer_sentence_names_exactly_the_layer_kinds_and_their_fields():
+    sentence = _readme_section("Layer kinds and their fields:").split(".")[0]
+    sentence = re.sub(r"\[[^\])]*[\])]", "", sentence)  # the range [0, 1)
+    documented = {kind: re.findall(r"`(\w+)`", names) for kind, names in re.findall(r"`(\w+)`(?:\s\(([^)]*)\))?", sentence)}
+    assert documented == {cls.kind: [f.name for f in fields(cls)] for cls in typing.get_args(AnyLayer)}
 
 
 def test_the_readme_example_config_parses(tmp_path):

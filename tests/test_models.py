@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -24,6 +25,7 @@ from pmdef.models import (
     CHECKPOINT_MAGIC,
     _param_shapes,
     Conv,
+    DefendedModel,
     Dense,
     Dropout,
     Flatten,
@@ -35,12 +37,12 @@ from pmdef.models import (
     Softmax,
     build_model,
     build_probe,
-    compose_defended,
     hidden_probe_forward,
     infer_shapes,
     load_checkpoint,
     save_checkpoint,
 )
+from pmdef.schema import from_dict
 from pmdef.training import Adam, temperature_scale
 from toys import cnn_classifier_spec, greybox_ae_spec, identity_ae, image_ae_spec, mlp_classifier_spec
 
@@ -206,7 +208,7 @@ def test_compose_identity_ae_equals_classifier():
         ModelSpec("clf", (3, 3, 1), (Flatten(), Dense(8), Relu(), Dense(3), Softmax())), 7
     )
     ae = identity_ae(3)
-    composed = compose_defended(clf, ae)
+    composed = DefendedModel(clf, ae)
     # exhaustive small grid of inputs
     grid = np.stack(np.meshgrid(*[np.linspace(0, 1, 3)] * 2), axis=-1).reshape(-1, 2)
     x = np.zeros((grid.shape[0], 3, 3, 1))
@@ -220,13 +222,13 @@ def test_compose_shape_mismatch():
     clf = build_model(mlp_classifier_spec(dim=6), 0)
     ae = build_model(image_ae_spec(size=3), 0)
     with pytest.raises(CompositionError):
-        compose_defended(clf, ae)
+        DefendedModel(clf, ae)
 
 
 def test_composed_gradient_passes_grad_check():
     clf = build_model(ModelSpec("clf", (4,), (Dense(5), Relu(), Dense(3), Softmax())), 11)
     ae = build_model(ModelSpec("ae", (4,), (Dense(6), Relu(), Dense(4))), 12)
-    composed = compose_defended(clf, ae)
+    composed = DefendedModel(clf, ae)
     y = np.array([1])
 
     def f(x):
@@ -241,7 +243,7 @@ def test_composed_argmax_defines_whitebox_target():
     clf = build_model(mlp_classifier_spec(dim=4, classes=3), 1)
     spec = ModelSpec("ae", (4,), (Dense(4),))
     ae = build_model(spec, 2)
-    composed = compose_defended(clf, ae)
+    composed = DefendedModel(clf, ae)
     x = np.random.default_rng(3).random((5, 4))
     expected = clf.predict_class(ae.reconstruct(x))
     assert np.array_equal(composed.predict_class(x), expected)
@@ -298,6 +300,18 @@ def test_checkpoint_truncation(tmp_path):
             load_checkpoint(clipped)
 
 
+def _with_header(path, edit, out):
+    """Write to ``out`` the checkpoint ``path`` with ``edit`` applied to its JSON header."""
+    blob = path.read_bytes()
+    pos = len(CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<I", blob[pos : pos + 4])
+    header = json.loads(blob[pos + 4 : pos + 4 + hlen])
+    edit(header)
+    payload = json.dumps(header).encode("utf-8")
+    out.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload + blob[pos + 4 + hlen :])
+    return out
+
+
 def test_checkpoint_shapes_checked_against_the_spec_without_building_a_model(tmp_path, monkeypatch):
     from pmdef import models
 
@@ -306,17 +320,29 @@ def test_checkpoint_shapes_checked_against_the_spec_without_building_a_model(tmp
     save_checkpoint(model, path)
     monkeypatch.setattr(models, "build_model", lambda *a, **k: pytest.fail("load_checkpoint built a model"))
     assert load_checkpoint(path).store.byte_digest() == model.store.byte_digest()
-    blob = path.read_bytes()
-    pos = len(CHECKPOINT_MAGIC)
-    (hlen,) = struct.unpack("<I", blob[pos : pos + 4])
-    header = json.loads(blob[pos + 4 : pos + 4 + hlen])
-    entry = next(e for e in header["tensors"] if e["layer"] == 0 and e["name"] == "w")
-    entry["shape"] = entry["shape"][::-1]  # same byte count, transposed shape
-    payload = json.dumps(header).encode("utf-8")
-    bad = tmp_path / "transposed.ckpt"
-    bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload + blob[pos + 4 + hlen :])
+
+    def transpose(header):  # same byte count, transposed shape
+        entry = next(e for e in header["tensors"] if e["layer"] == 0 and e["name"] == "w")
+        entry["shape"] = entry["shape"][::-1]
+
     with pytest.raises(MismatchError, match="weight shapes"):
-        load_checkpoint(bad)
+        load_checkpoint(_with_header(path, transpose, tmp_path / "transposed.ckpt"))
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda h: h["spec"].update(standardize="false"), "spec.standardize: expected bool"),
+        (lambda h: h["spec"]["layers"][0].update(units="8"), "spec.layers[0].units: expected int"),
+        (lambda h: h["spec"]["layers"][1].update(kind="relu"), "spec.layers[1].kind: unknown key"),
+    ],
+    ids=["standardize-str", "units-str", "layer-kind-key"],
+)
+def test_a_checkpoint_header_spec_is_read_by_the_config_schema(tmp_path, edit, needle):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(mlp_classifier_spec(dim=6, hidden=8), 0), path)
+    with pytest.raises(MismatchError, match=re.escape(needle)):
+        load_checkpoint(_with_header(path, edit, tmp_path / "bad.ckpt"))
 
 
 def test_frozen_store_rejects_gradients_and_stays_fixed():
@@ -383,14 +409,14 @@ BENCH_AE_SPEC = {
 
 
 def test_spec_header_json_and_init_bytes_are_pinned():
-    spec = ModelSpec.from_dict(BENCH_AE_SPEC)
+    spec = from_dict(ModelSpec, BENCH_AE_SPEC)
     assert json.dumps(spec.to_dict(), sort_keys=True) == (
         '{"input_shape": [20, 20, 1], "layers": [{"filters": 8, "kernel": 3, "padding": "same", "stride": 1, "type": "conv"}, '
         '{"type": "relu"}, {"stride": 5, "type": "maxpool", "window": 5}, {"type": "flatten"}, {"type": "dense", "units": 32}, '
         '{"type": "dense", "units": 128}, {"type": "relu"}, {"type": "dense", "units": 400}, '
         '{"shape": [20, 20, 1], "type": "reshape"}], "name": "blob_ae", "standardize": false}'
     )
-    assert ModelSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+    assert from_dict(ModelSpec, json.loads(json.dumps(spec.to_dict()))) == spec
     assert build_model(spec, 3).store.byte_digest().hex() == "038de6882ec97a4c810f5ae80ffe1871fbb60071f4a6ade857171f35709d5704"
 
 
@@ -438,7 +464,7 @@ def _spec_dicts(draw):
         if not draw(_MOSTLY):
             del spec[key]
     if draw(st.booleans()):
-        spec["standardize"] = draw(st.booleans())
+        spec["standardize"] = pick([False, True])
     return spec if draw(_MOSTLY) else draw(_JUNK)
 
 
@@ -446,7 +472,7 @@ def _spec_dicts(draw):
 @given(d=_spec_dicts())
 def test_spec_parser_builder_and_forward_raise_only_user_errors(d):
     try:
-        model = build_model(ModelSpec.from_dict(d), 0)
+        model = build_model(from_dict(ModelSpec, d), 0)
         x = Tensor(np.random.default_rng(0).random((2, *model.input_shape)))
         model.forward_t(x, train=True, rng=np.random.default_rng(1))
     except UserError:
