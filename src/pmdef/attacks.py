@@ -22,6 +22,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -29,11 +30,9 @@ from . import autodiff as ad
 from .artifacts import write_artifact
 from .autodiff import Tape, Tensor, backward
 from .errors import DataError, MagicError, MismatchError, ParameterError, ParseError, TruncationError, UserError
-from .schema import from_dict, refuse_other_kinds_fields
+from .schema import In, check_fields, from_dict
 from .training import Adam
 
-TARGET_MODES = ("grey_box", "white_box")
-LABEL_SOURCES = ("model", "true")
 KIND_FIELDS = {  # the fields each attack kind reads, as its batch file records them
     "fgsm": ("epsilon",),
     "slide": ("q", "gamma", "k", "eps_l1"),
@@ -51,53 +50,25 @@ _CHUNK = 512
 
 @dataclass
 class AttackConfig:
-    kind: str
-    target_mode: str = "grey_box"
-    label_source: str = "model"
+    kind: Literal[tuple(KIND_FIELDS)]
+    target_mode: Literal["grey_box", "white_box"] = "grey_box"
+    label_source: Literal["model", "true"] = "model"
     # fgsm
-    epsilon: float = 0.1
+    epsilon: Annotated[float, In(0, open=True)] = 0.1
     # slide
-    q: float = 80.0
-    gamma: float = 0.05
-    k: int = 10
-    eps_l1: float = 0.1
+    q: Annotated[float, In(0, 100, open=True)] = 80.0
+    gamma: Annotated[float, In(0, open=True)] = 0.05
+    k: Annotated[int, In(0)] = 10
+    eps_l1: Annotated[float, In(0, open=True)] = 0.1
     # cw_l2
-    c_init: float = 100.0
-    binary_steps: int = 7
-    max_iter: int = 200
-    lr: float = 0.1
-    kappa: float = 0.0
+    c_init: Annotated[float, In(0, open=True)] = 100.0
+    binary_steps: Annotated[int, In(1)] = 7
+    max_iter: Annotated[int, In(1)] = 200
+    lr: Annotated[float, In(0, open=True)] = 0.1
+    kappa: Annotated[float, In(0)] = 0.0
 
     def __post_init__(self):
-        if self.kind not in KIND_FIELDS:
-            raise ParameterError(f"attack kind must be fgsm, slide or cw_l2, got {self.kind!r}")
-        refuse_other_kinds_fields(self, KIND_FIELDS)
-        if self.target_mode not in TARGET_MODES:
-            raise ParameterError(f"target mode must be one of {TARGET_MODES}, got {self.target_mode!r}")
-        if self.label_source not in LABEL_SOURCES:
-            raise ParameterError(f"label source must be one of {LABEL_SOURCES}, got {self.label_source!r}")
-        if self.kind == "fgsm" and not self.epsilon > 0:
-            raise ParameterError(f"fgsm epsilon must be positive, got {self.epsilon}")
-        if self.kind == "slide":
-            if not 0 < self.q < 100:
-                raise ParameterError(f"slide percentile must be in (0, 100), got {self.q}")
-            if not self.gamma > 0:
-                raise ParameterError(f"slide step size must be positive, got {self.gamma}")
-            if self.k < 0:
-                raise ParameterError(f"slide step count must be >= 0, got {self.k}")
-            if not self.eps_l1 > 0:
-                raise ParameterError(f"slide l1 budget must be positive, got {self.eps_l1}")
-        if self.kind == "cw_l2":
-            if not self.c_init > 0:
-                raise ParameterError(f"cw initial constant must be positive, got {self.c_init}")
-            if self.binary_steps < 1:
-                raise ParameterError(f"cw binary steps must be >= 1, got {self.binary_steps}")
-            if self.max_iter < 1:
-                raise ParameterError(f"cw iteration count must be >= 1, got {self.max_iter}")
-            if not self.lr > 0:
-                raise ParameterError(f"cw learning rate must be positive, got {self.lr}")
-            if not self.kappa >= 0:
-                raise ParameterError(f"cw margin kappa must be >= 0, got {self.kappa}")
+        check_fields(self, KIND_FIELDS)
 
     def to_dict(self) -> dict:
         keys = ("kind", "target_mode", "label_source", *KIND_FIELDS[self.kind])

@@ -32,7 +32,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import ClassVar
+from typing import Annotated, ClassVar, Literal
 
 import numpy as np
 
@@ -40,10 +40,10 @@ from . import attacks as atk
 from . import defence as dfc
 from . import evaluation as ev
 from .artifacts import write_artifact
-from .datasets import Dataset, parse_cifar_binary, parse_idx, synth_dataset
+from .datasets import SYNTH_KINDS, Dataset, parse_cifar_binary, parse_idx, synth_dataset
 from .errors import ConfigError, DataError, ParseError, PmdefError, UserError
 from .models import DefendedModel, ModelSpec, build_model, load_checkpoint, save_checkpoint
-from .schema import from_dict
+from .schema import In, check_fields, from_dict
 from .seeding import derive_seed
 from .training import DefenceLossSpec, OptimizerConfig, epoch_checkpoints, train_classifier, train_defence
 
@@ -116,13 +116,16 @@ def _blas_threads() -> int | None:
 @dataclass
 class SynthData:
     kind: ClassVar[str] = "synth"
-    synth_kind: str = "blobs"
-    image_size: int = 12
-    num_classes: int = 4
-    n_train: int = 800
-    n_test: int = 200
-    noise: float = 0.15
-    jitter: float = 1.0
+    synth_kind: Literal[SYNTH_KINDS] = "blobs"
+    image_size: Annotated[int, In(8)] = 12
+    num_classes: Annotated[int, In(2)] = 4
+    n_train: Annotated[int, In(1)] = 800
+    n_test: Annotated[int, In(1)] = 200
+    noise: Annotated[float, In(0)] = 0.15
+    jitter: Annotated[float, In(0)] = 1.0
+
+    def __post_init__(self):
+        check_fields(self)
 
     def load(self, root_seed: int, split: str) -> Dataset:
         n = self.n_train if split == "train" else self.n_test
@@ -166,7 +169,7 @@ class CifarData:
 
 @dataclass
 class StageOptimizer(OptimizerConfig):
-    seed: int | None = None  # None: the stage derives one from the root seed
+    seed: Annotated[int | None, In(0)] = None  # None: the stage derives one from the root seed
 
 
 @dataclass(kw_only=True)
@@ -200,27 +203,29 @@ class Experiment:
     classifier_opt: StageOptimizer = field(default_factory=StageOptimizer)
     defence_opt: StageOptimizer = field(default_factory=StageOptimizer)
     defence_losses: list[DefenceLossSpec] = field(default_factory=lambda: [DefenceLossSpec()])
-    checkpoint_every: int = 0
+    checkpoint_every: Annotated[int, In(0)] = 0
     attacks: list[AttackEntry] = field(default_factory=list)
-    attack_subset: int | None = None
-    eps_fpr: float = 0.05
-    calibration_size: int | None = None
+    attack_subset: Annotated[int | None, In(1)] = None
+    eps_fpr: Annotated[float, In(0, 1)] = 0.05
+    calibration_size: Annotated[int | None, In(1)] = None
     score_defence: str = "kl"
     report_defences: list[str] | None = None
     drift: DriftConfig = field(default_factory=DriftConfig)
     raw: dict = field(init=False, default_factory=dict)  # the config as read, echoed by the manifests
 
     def __post_init__(self):
+        check_fields(self)
         names = [a.name for a in self.attacks]
         if len(set(names)) != len(names):
             raise ConfigError(f"attacks: every entry needs a unique 'name', got {names}")
         kinds = [s.kind for s in self.defence_losses]
         if len(set(kinds)) != len(kinds):
             raise ConfigError(f"defence_losses: every entry needs a unique 'kind', got {kinds}")
-        if self.attack_subset is not None and self.attack_subset < 1:
-            raise ConfigError(f"attack_subset: must be >= 1, got {self.attack_subset}")
-        if self.checkpoint_every < 0:
-            raise ConfigError(f"checkpoint_every: must be >= 0, got {self.checkpoint_every}")
+        depth = len(self.classifier_spec.layers) if self.classifier_spec else math.inf
+        for i, s in enumerate(self.defence_losses):  # a probe reads one of the classifier's layers
+            if s.probe and s.probe.source_layer >= depth:
+                raise ConfigError(f"defence_losses[{i}].probe.source_layer: must be below the classifier's "
+                                  f"layer count {depth}, got {s.probe.source_layer}")
         named = [("score_defence", self.score_defence)]  # keys that name a defence train-defence must train
         named += [(f"report_defences[{i}]", tag) for i, tag in enumerate(self.report_defences or [])]
         named += [(f"attacks[{i}].ae", a.ae) for i, a in enumerate(self.attacks) if a.target_mode == "white_box"]
@@ -462,7 +467,7 @@ def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> list[P
     train = _required(exp, "dataset").load(seed, "train")
     classifier, ae, temperature = _scoring(exp, out)
     size = min(1000, train.n) if exp.calibration_size is None else exp.calibration_size
-    if size < 1 or size > train.n:
+    if size > train.n:
         raise ConfigError(f"calibration_size {size} outside [1, {train.n}]")
     x_cal = train.images[-size:]
     scores = dfc.adversarial_score(classifier, ae, x_cal, temperature=temperature)

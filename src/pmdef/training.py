@@ -13,6 +13,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     ParameterError,
 )
 from .models import HiddenProbe, Model, build_probe, probe_dist_t
-from .schema import refuse_other_kinds_fields
+from .schema import In, check_fields
 
 # the fields each defence loss kind reads beyond its kind
 KIND_FIELDS = {"kl": (), "mse": (), "kl_temperature": ("temperature",), "kl_hidden": ("hidden_weight", "probe")}
@@ -36,44 +37,34 @@ KIND_FIELDS = {"kl": (), "mse": (), "kl_temperature": ("temperature",), "kl_hidd
 
 @dataclass
 class OptimizerConfig:
-    kind: str = "adam"
-    learning_rate: float = 1e-3
-    batch_size: int = 128
-    epochs: int = 10
-    seed: int = 0
+    kind: Literal["adam"] = "adam"
+    learning_rate: Annotated[float, In(0, open=True)] = 1e-3
+    batch_size: Annotated[int, In(1)] = 128
+    epochs: Annotated[int, In(0)] = 10
+    seed: Annotated[int, In(0)] = 0
 
     def __post_init__(self):
-        if self.kind != "adam":
-            raise ParameterError(f"kind: must be 'adam', the one optimizer, got {self.kind!r}")
-        if not self.learning_rate > 0:
-            raise ParameterError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
+        check_fields(self)
 
 
 @dataclass
 class ProbeConfig:
-    source_layer: int
-    dim: int = 10
+    source_layer: Annotated[int, In(0)]
+    dim: Annotated[int, In(1)] = 10
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
 class DefenceLossSpec:
-    kind: str = "kl"
-    temperature: float = 1.0
-    hidden_weight: float = 1.0
+    kind: Literal[tuple(KIND_FIELDS)] = "kl"
+    temperature: Annotated[float, In(0, open=True)] = 1.0
+    hidden_weight: Annotated[float, In(0)] = 1.0
     probe: ProbeConfig | None = None
 
     def __post_init__(self):
-        if self.kind not in KIND_FIELDS:
-            raise ParameterError(f"defence loss kind must be one of {tuple(KIND_FIELDS)}, got {self.kind!r}")
-        refuse_other_kinds_fields(self, KIND_FIELDS)
-        if not self.temperature > 0:
-            raise ParameterError(f"temperature must be positive, got {self.temperature}")
-        if not self.hidden_weight >= 0:
-            raise ParameterError(f"hidden weight must be >= 0, got {self.hidden_weight}")
+        check_fields(self, KIND_FIELDS)
         if self.kind == "kl_hidden" and self.probe is None:
             raise ConfigError("kl_hidden loss needs a probe config")
 

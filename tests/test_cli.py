@@ -853,7 +853,34 @@ MALFORMED_CONFIGS = {
         lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "mse", "probe": {"source_layer": 1}}]),
         "evaluate", "defence_losses[1].probe",
     ),
+    # a value outside the range or the choices its field declares
+    "batch-size-zero": (lambda c: c["classifier_opt"].update(batch_size=0), "train-classifier", "classifier_opt.batch_size"),
+    "epsilon-negative": (lambda c: c["attacks"][0].update(epsilon=-1), "attack", "attacks[0].epsilon"),
+    "temperature-negative": (
+        lambda c: c.update(defence_losses=[{"kind": "kl_temperature", "temperature": -1}]),
+        "score", "defence_losses[0].temperature",
+    ),
+    "noise-negative": (lambda c: c["dataset"].update(noise=-1), "train-classifier", "dataset.noise"),
+    "jitter-negative": (lambda c: c["dataset"].update(jitter=-1), "train-classifier", "dataset.jitter"),
+    "optimizer-seed-negative": (lambda c: c["classifier_opt"].update(seed=-1), "train-classifier", "classifier_opt.seed"),
+    "eps-fpr-above-1": (lambda c: c.update(eps_fpr=2), "calibrate", "eps_fpr"),
+    "calibration-size-zero": (lambda c: c.update(calibration_size=0), "calibrate", "calibration_size"),
+    "probe-dim-zero": (
+        lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "kl_hidden", "probe": {"source_layer": 1, "dim": 0}}]),
+        "train-defence", "defence_losses[1].probe.dim",
+    ),
+    "synth-kind-unknown": (lambda c: c["dataset"].update(synth_kind="zzz"), "train-classifier", "dataset.synth_kind"),
+    # the classifier spec of the toy config has 5 layers
+    "probe-source-layer-beyond-the-classifier": (
+        lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "kl_hidden", "probe": {"source_layer": 5}}]),
+        "train-defence", "defence_losses[1].probe.source_layer",
+    ),
 }
+_OUT_OF_RANGE = [
+    "batch-size-zero", "epsilon-negative", "temperature-negative", "noise-negative", "jitter-negative",
+    "optimizer-seed-negative", "eps-fpr-above-1", "calibration-size-zero", "probe-dim-zero", "synth-kind-unknown",
+    "probe-source-layer-beyond-the-classifier", "attack-subset-negative", "checkpoint-every-negative",
+]
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_CONFIGS))
@@ -892,6 +919,18 @@ def test_a_field_of_another_kind_exits_1_in_every_stage(tmp_path, capsys, case):
         assert capsys.readouterr().err.startswith(f"error: {key}: read by "), stage
 
 
+@pytest.mark.parametrize("case", _OUT_OF_RANGE)
+def test_a_value_out_of_its_range_exits_1_in_every_stage(tmp_path, capsys, case):
+    edit, _, key = MALFORMED_CONFIGS[case]
+    cfg = _toy_config(tmp_path / "run")
+    edit(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    for stage in cli._COMMANDS:
+        assert run_cli([stage, "--config", str(path)]) == 1, stage
+        assert capsys.readouterr().err.startswith(f"error: {key}: "), stage
+
+
 @pytest.mark.parametrize("case", ["dense-units-str", "unknown-field", "standardize-str"])
 def test_a_mistyped_or_unknown_spec_field_exits_1_in_every_stage(tmp_path, capsys, case):
     key, value, needle = MALFORMED_SPECS[case]
@@ -912,6 +951,14 @@ def test_fields_of_another_kind_left_at_their_defaults_parse_and_stay_out_of_the
     assert exp.attacks[0].to_dict() == {
         "kind": "fgsm", "target_mode": "grey_box", "label_source": "model", "epsilon": exp.attacks[0].epsilon,
     }
+
+
+def test_a_negative_zero_float_parses_as_zero(tmp_path):
+    cfg = _toy_config(tmp_path / "run")
+    cfg["dataset"].update(noise=-0.0, jitter=-0.0)  # numpy refuses a scale whose sign bit is set
+    exp, _ = _parse(cfg)
+    assert math.copysign(1, exp.dataset.noise) == math.copysign(1, exp.dataset.jitter) == 1
+    assert exp.dataset.load(exp.seed, "test").n == 60
 
 
 def _fuzz_base(out_dir) -> dict:
@@ -941,6 +988,26 @@ def _mutated_configs(draw, out_dir):
     else:
         node["unknown_" + draw(st.text(max_size=4))] = draw(_JSON_VALUES)
     return cfg
+
+
+# the numeric fields of the objects train-classifier reads beyond the specs, with their JSON types
+_NUMERIC_FIELDS = {
+    "dataset": {"image_size": int, "num_classes": int, "n_train": int, "n_test": int, "noise": float, "jitter": float},
+    "classifier_opt": {"learning_rate": float, "batch_size": int, "epochs": int, "seed": int},
+}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_an_in_type_value_of_a_numeric_field_trains_or_exits_1(tmp_path, data):
+    obj = data.draw(st.sampled_from(sorted(_NUMERIC_FIELDS)))
+    key = data.draw(st.sampled_from(sorted(_NUMERIC_FIELDS[obj])))
+    ints, floats = st.integers(-3, 20), st.floats(-2, 2)
+    cfg = _toy_config(tmp_path / "run")
+    cfg[obj][key] = data.draw(ints if _NUMERIC_FIELDS[obj][key] is int else floats)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["train-classifier", "--config", str(path)]) in (0, 1), cfg[obj]
 
 
 def _parse(cfg: dict):
