@@ -501,7 +501,10 @@ def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid", 
     A ``bias`` of shape [c_out] is added in place into each output block
     right after its GEMM, one add per element as ``add`` makes it, so
     ``conv2d(x, k, s, p, bias=b)`` has the bits of ``add(conv2d(x, k, s, p), b)``
-    and its cotangents, in one tape record.
+    and its cotangents, in one tape record. The bias is tiled once to one
+    output image, [oh*ow*c_out], and added to each image of a block, so
+    numpy's inner loop runs over a whole image rather than over one pixel's
+    c_out channels; the tile costs one image of memory, not one block.
     """
     if x.ndim != 4 or filters.ndim != 4:
         raise DimensionError(f"conv2d expects NHWC input and 4-d filters, got {x.shape} and {filters.shape}")
@@ -531,11 +534,14 @@ def conv2d(x: Tensor, filters: Tensor, stride: int = 1, padding: str = "valid", 
 
     out = np.empty((n, oh, ow, cout))
     flat_out = out.reshape(-1, cout)
+    image_bias = np.tile(bias.data, oh * ow) if bias is not None else None
     for b in range(0, n, step):
-        block = flat_out[b * oh * ow : min(b + step, n) * oh * ow]
+        stop = min(b + step, n)
+        block = flat_out[b * oh * ow : stop * oh * ow]
         np.matmul(cols(b), w2, out=block)
-        if bias is not None:
-            np.add(block, bias.data, out=block)
+        if image_bias is not None:
+            images = block.reshape(stop - b, oh * ow * cout)
+            np.add(images, image_bias, out=images)
 
     def vjp(g):
         g2 = g.reshape(-1, cout)
@@ -570,9 +576,13 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     takes the maximum, and weights each offset that reaches it by its rank
     k..1, so the largest weight marks the first row-major maximum, which
     wins a tie. Its kink margin recopies the windows rather than keeping
-    them on the tape. An unrecorded forward folds the strided slice of
-    each window offset into the output with an in-place ``np.maximum``: no
-    window copy, no argmax, and the same maxima.
+    them on the tape. An unrecorded forward folds the windows' rows,
+    then their columns, with in-place ``np.maximum``: no window copy, no
+    argmax, and the same maxima. Its window-1 row folds write an
+    [n, oh, w, c] temporary with numpy's inner loop over a whole input row,
+    w*c elements, rather than over one pixel's c channels; its window-1
+    column folds then run on that temporary. (Where a window's maximum is
+    a tie of 0.0 and -0.0, which zero either forward returns is left open.)
     """
     if x.ndim != 4:
         raise DimensionError(f"maxpool2d expects NHWC input, got {x.shape}")
@@ -588,11 +598,12 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     if _recording_tape((x,)) is None:
         rows = slice(None, (oh - 1) * stride + 1, stride)
         cols = slice(None, (ow - 1) * stride + 1, stride)
-        out = d[:, rows, cols].copy()
-        for i in range(window):
-            for j in range(window):
-                if i or j:
-                    np.maximum(out, d[:, i:, j:][:, rows, cols], out=out)
+        row_max = d[:, rows].copy()
+        for i in range(1, window):
+            np.maximum(row_max, d[:, i:][:, rows], out=row_max)
+        out = row_max[:, :, cols].copy()
+        for j in range(1, window):
+            np.maximum(out, row_max[:, :, j:][:, :, cols], out=out)
         return _emit("maxpool2d", (x,), out, None)
 
     def windows():

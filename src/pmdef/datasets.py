@@ -7,6 +7,7 @@ datasets used for desk-scale experiments.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -157,6 +158,10 @@ def synth_dataset(
         raise ParameterError(f"need n >= num_classes, got n={n} for {num_classes} classes")
     if image_size < 8:
         raise ParameterError(f"image size must be >= 8, got {image_size}")
+    for arg, value in (("noise", noise), ("jitter", jitter)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ParameterError(f"{arg} must be finite and >= 0, got {value}")
+    noise, jitter = noise + 0.0, jitter + 0.0  # -0.0 becomes 0.0, a scale numpy accepts
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.arange(n) % num_classes).astype(np.int64)
     images = np.empty((n, image_size, image_size, 1))

@@ -291,6 +291,43 @@ def test_tape_free_maxpool2d_output_is_still_finite_checked(bad):
         ad.maxpool2d(Tensor(x), 2, 2)
 
 
+@pytest.mark.parametrize("c", [1, 8])
+@pytest.mark.parametrize(
+    "shape,window,stride",
+    [
+        ((3, 20, 20), 5, 5),  # the bench autoencoder's pool
+        ((2, 6, 9), 6, 1),  # a window as tall as the input: oh 1
+        ((2, 11, 10), 2, 3),  # a stride wider than the window
+    ],
+)
+def test_tape_free_maxpool2d_equals_the_nested_loop_reference_bit_for_bit(shape, window, stride, c):
+    rng = np.random.default_rng(10 * window + stride + c)
+    x = rng.normal(size=shape + (c,))
+    x[1] = rng.integers(0, 3, size=x.shape[1:]) * 0.7 - 0.3  # tied maxima
+    ref_out, _ = _naive_maxpool2d(x, window, stride)
+    out = ad.maxpool2d(Tensor(x), window, stride).data
+    assert out.shape == ref_out.shape and out.tobytes() == ref_out.tobytes()
+
+
+@pytest.mark.parametrize("window,stride", [(1, 1), (2, 1), (3, 2), (5, 5)])
+def test_tape_free_maxpool2d_folds_rows_then_columns_in_at_most_two_maxima_per_window_offset(monkeypatch, window, stride):
+    calls = []
+    maximum = np.maximum
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return maximum(*args, **kwargs)
+
+    x = Tensor(np.random.default_rng(window).normal(size=(2, 20, 20, 8)))
+    monkeypatch.setattr(np, "maximum", counting)
+    out = ad.maxpool2d(x, window, stride)
+    monkeypatch.undo()
+    oh = (20 - window) // stride + 1
+    assert len(calls) <= 2 * (window - 1)  # the window*window - 1 fold of single offsets made 24 calls at window 5
+    assert calls == [(2, oh, 20, 8)] * (window - 1) + [(2, oh, oh, 8)] * (window - 1)  # whole rows, then the pooled columns
+    assert out.data.tobytes() == _naive_maxpool2d(x.data, window, stride)[0].tobytes()
+
+
 # conv2d and maxpool2d against the row-major window-view formulas that the
 # offset-major window copies replaced. The conv reference hands its GEMMs the
 # column matrix in conv2d's memory layout (F-ordered forward operand,
@@ -385,15 +422,9 @@ def _conv_output_and_grads(op, x, k, b, bias_trained):
     return out.data, [r.op for r in tape.records], [grads.get(t) for t in leaves]
 
 
-@pytest.mark.parametrize("bias", ["trained", "frozen"])
-@pytest.mark.parametrize("blocks", [1, 3])
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("padding", ["same", "valid"])
-@pytest.mark.parametrize("cin", [1, 3, 8])
-def test_conv2d_with_a_bias_equals_conv2d_then_add_bit_for_bit(cin, padding, stride, blocks, bias):
-    rng = np.random.default_rng(100 * cin + 10 * stride + blocks)
-    k = rng.normal(size=(3, 2, cin, 4))
-    b = rng.normal(size=4)
+def _check_conv2d_with_a_bias_equals_conv2d_then_add(rng, cin, cout, padding, stride, blocks, bias):
+    k = rng.normal(size=(3, 2, cin, cout))
+    b = rng.normal(size=cout)
     step = _window_view_conv2d(np.zeros((1, 7, 6, cin)), k, stride, padding)[2]
     x = rng.normal(size=(5 if blocks == 1 else 2 * step + 3, 7, 6, cin))
     fused = _conv_output_and_grads(lambda a, f, c: ad.conv2d(a, f, stride, padding, bias=c), x, k, b, bias == "trained")
@@ -405,6 +436,42 @@ def test_conv2d_with_a_bias_equals_conv2d_then_add_bit_for_bit(cin, padding, str
     for got, want in zip(grads, ref_grads):
         assert (got is None) == (want is None) and (got is None or np.array_equal(got, want))
     assert (grads[2] is None) == (bias == "frozen")
+
+
+@pytest.mark.parametrize("bias", ["trained", "frozen"])
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("cin", [1, 3, 8])
+def test_conv2d_with_a_bias_equals_conv2d_then_add_bit_for_bit(cin, padding, stride, blocks, bias):
+    rng = np.random.default_rng(100 * cin + 10 * stride + blocks)
+    _check_conv2d_with_a_bias_equals_conv2d_then_add(rng, cin, 4, padding, stride, blocks, bias)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("cin", [1, 3])
+@pytest.mark.parametrize("cout", [1, 8])
+def test_conv2d_with_a_bias_of_1_or_8_channels_equals_conv2d_then_add_bit_for_bit(cout, cin, padding, stride, blocks):
+    rng = np.random.default_rng(1000 * cout + 100 * cin + 10 * stride + blocks)
+    _check_conv2d_with_a_bias_equals_conv2d_then_add(rng, cin, cout, padding, stride, blocks, "trained")
+
+
+def test_the_bench_autoencoders_conv_with_a_bias_is_bit_identical_over_several_blocks_and_a_partial_one():
+    rng = np.random.default_rng(20)
+    k = rng.normal(size=(3, 3, 1, 8))  # 20x20x1 input, 3x3 'same', 8 filters
+    b = rng.normal(size=8)
+    step = _window_view_conv2d(np.zeros((1, 20, 20, 1)), k, 1, "same")[2]
+    x = rng.normal(size=(3 * step + 4, 20, 20, 1))
+    assert step == 9 and x.shape[0] % step  # three full 256 KiB blocks, then a partial one
+    out, ops, grads = _conv_output_and_grads(lambda a, f, c: ad.conv2d(a, f, 1, "same", bias=c), x, k, b, True)
+    ref_out, ref_ops, ref_grads = _conv_output_and_grads(lambda a, f, c: ad.add(ad.conv2d(a, f, 1, "same"), c), x, k, b, True)
+    assert ops == ["conv2d", "mul", "sum"] and ref_ops == ["conv2d", "add", "mul", "sum"]
+    assert out.tobytes() == ref_out.tobytes() == (_window_view_conv2d(x, k, 1, "same")[0] + b).tobytes()
+    assert ad.conv2d(Tensor(x), Tensor(k), 1, "same", bias=Tensor(b)).data.tobytes() == ref_out.tobytes()
+    for got, want in zip(grads, ref_grads):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_conv2d_without_a_bias_records_two_inputs_and_a_bias_of_another_shape_is_refused():

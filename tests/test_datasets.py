@@ -227,6 +227,22 @@ def test_synth_validation():
         synth_dataset("blobs", 10, 4, 3, seed=0)
 
 
+@pytest.mark.parametrize("kind", ["blobs", "rings"])
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("arg", ["noise", "jitter"])
+def test_synth_refuses_a_negative_or_non_finite_noise_or_jitter_naming_it(arg, bad, kind):
+    with pytest.raises(ParameterError, match=f"^{arg} must be finite and >= 0"):
+        synth_dataset(kind, 10, 12, 3, seed=0, **{arg: bad})
+
+
+@pytest.mark.parametrize("kind", ["blobs", "rings"])
+@pytest.mark.parametrize("arg", ["noise", "jitter"])
+def test_synth_reads_a_negative_zero_noise_or_jitter_as_zero(arg, kind):
+    ds = synth_dataset(kind, 10, 12, 3, seed=0, **{arg: -0.0})
+    assert ds.images.tobytes() == synth_dataset(kind, 10, 12, 3, seed=0, **{arg: 0.0}).images.tobytes()
+    assert ds.images.tobytes() == synth_dataset(kind, 10, 12, 3, seed=0, **{arg: 0}).images.tobytes()
+
+
 def test_synth_learnable_to_95_percent():
     from pmdef.models import Dense, Flatten, ModelSpec, Relu, Softmax, build_model
     from pmdef.training import OptimizerConfig, train_classifier
