@@ -342,9 +342,12 @@ def _read_scores_csv(path: Path) -> np.ndarray:
     scores = []
     for lineno, row in enumerate(rows, start=2):
         try:
-            scores.append(float(row.split(",")[1]))
+            score = float(row.split(",")[1])
         except (IndexError, ValueError):
             raise ParseError(f"{path}:{lineno}: expected 'id,score', got {row!r}") from None
+        if not math.isfinite(score):
+            raise ParseError(f"{path}:{lineno}: expected a finite score, got {row!r}")
+        scores.append(score)
     return np.asarray(scores)
 
 
@@ -567,6 +570,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="pmdef", description="prediction-matching adversarial defence pipeline")
     sub = parser.add_subparsers(dest="command", required=True)

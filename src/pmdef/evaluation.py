@@ -48,6 +48,8 @@ def roc_auc(scores_normal, scores_adversarial) -> RocCurve:
     adv = np.asarray(scores_adversarial, dtype=np.float64)
     if normal.size == 0 or adv.size == 0:
         raise DataError("roc_auc needs non-empty score lists for both classes")
+    if not (np.isfinite(normal).all() and np.isfinite(adv).all()):
+        raise DataError("roc_auc needs finite scores")
     nn, na = normal.size, adv.size
     normal_sorted = np.sort(normal)
     adv_sorted = np.sort(adv)

@@ -18,6 +18,9 @@ each class by its ``kind``, so a new layer kind is one class.
 a relu directly before a maxpool runs after the pool, on the pooled values
 only, with the same bits (``Relu.runs_after`` says why). A conv layer adds
 its bias inside ``ad.conv2d``: one tape record instead of two.
+
+A hidden-layer probe (``build_probe``) is a ``Model`` too, so it runs through
+``forward_t`` and saves through ``save_checkpoint`` like any other model.
 """
 
 from __future__ import annotations
@@ -409,22 +412,16 @@ class Model(Predictor):
             return h, captured
         return h
 
-    def logits_t(self, x: Tensor, train: bool = False, rng: np.random.Generator | None = None, capture: int | None = None):
+    def logits_t(self, x: Tensor, train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         """Pre-softmax outputs; the spec must end in softmax."""
         if not self.is_classifier:
             raise ContractError(f"model {self.spec.name!r} has no softmax head; no logits to expose")
-        return self.forward_t(x, train=train, rng=rng, capture=capture, stop_before=len(self.spec.layers) - 1)
+        return self.forward_t(x, train=train, rng=rng, stop_before=len(self.spec.layers) - 1)
 
     def proba_t(self, x: Tensor) -> Tensor:
         if not self.is_classifier:
             raise ContractError(f"model {self.spec.name!r} has no softmax head")
         return self.forward_t(x)
-
-    def proba_t_with_capture(self, x: Tensor, layer_index: int) -> tuple[Tensor, Tensor]:
-        """Class distribution plus the activation after ``layer_index``."""
-        if not self.is_classifier:
-            raise ContractError(f"model {self.spec.name!r} has no softmax head")
-        return self.forward_t(x, capture=layer_index)
 
     def reconstruct_t(self, x: Tensor) -> Tensor:
         if self.output_shape != self.input_shape:
@@ -467,47 +464,13 @@ def build_model(spec: ModelSpec, seed: int) -> Model:
 # hidden-layer probe
 
 
-@dataclass
-class HiddenProbe:
-    """Softmax projection of an intermediate feature map onto a small simplex."""
-
-    source_layer: int
-    w: Tensor
-    b: Tensor
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[1]
-
-    def trainable(self) -> list[Tensor]:
-        return [self.b, self.w]
-
-
-def build_probe(model: Model, source_layer: int, dim: int, seed: int) -> HiddenProbe:
+def build_probe(model: Model, source_layer: int, dim: int, seed: int) -> Model:
+    """``[flatten, dense(dim), softmax]`` on the activation after ``model``'s
+    layer ``source_layer``, i.e. on ``model.forward_t(x, capture=source_layer)``."""
     if not (0 <= source_layer < len(model.spec.layers)):
         raise ConfigError(f"probe source layer {source_layer} outside [0, {len(model.spec.layers)})")
-    if dim < 1:
-        raise ConfigError(f"probe dimension must be positive, got {dim}")
-    feat = int(np.prod(model.layer_shapes[source_layer]))
-    rng = np.random.default_rng(seed)
-    limit = np.sqrt(6.0 / (feat + dim))
-    w = Tensor(rng.uniform(-limit, limit, size=(feat, dim)), requires_grad=True)
-    b = Tensor(np.zeros(dim), requires_grad=True)
-    return HiddenProbe(source_layer=source_layer, w=w, b=b)
-
-
-def probe_dist_t(probe: HiddenProbe, features: Tensor) -> Tensor:
-    """softmax(W . flatten(F) + b) over a batch of feature maps."""
-    flat = ad.reshape(features, (features.shape[0], int(np.prod(features.shape[1:]))))
-    if flat.shape[1] != probe.w.shape[0]:
-        raise ConfigError(f"probe expects features of length {probe.w.shape[0]}, got {flat.shape[1]}")
-    return ad.softmax(ad.add(ad.matmul(flat, probe.w), probe.b), axis=-1)
-
-
-def hidden_probe_forward(model: Model, probe: HiddenProbe, x: np.ndarray) -> np.ndarray:
-    """Probe distribution y(x) for a raw input batch."""
-    _, feats = model.forward_t(Tensor(x), capture=probe.source_layer)
-    return probe_dist_t(probe, feats).data
+    spec = ModelSpec("probe", model.layer_shapes[source_layer], (Flatten(), Dense(dim), Softmax()))
+    return build_model(spec, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -524,21 +487,12 @@ class DefendedModel(Predictor):
             )
         self.classifier = classifier
         self.ae = ae
-        self.spec = classifier.spec
-
-    @property
-    def input_shape(self) -> tuple[int, ...]:
-        return self.ae.input_shape
-
-    @property
-    def is_classifier(self) -> bool:
-        return True
 
     @property
     def num_classes(self) -> int:
         return self.classifier.num_classes
 
-    def logits_t(self, x: Tensor, train: bool = False, rng=None) -> Tensor:
+    def logits_t(self, x: Tensor) -> Tensor:
         return self.classifier.logits_t(self.ae.reconstruct_t(x))
 
     def proba_t(self, x: Tensor) -> Tensor:

@@ -28,7 +28,7 @@ from .errors import (
     DivergenceError,
     ParameterError,
 )
-from .models import HiddenProbe, Model, build_probe, probe_dist_t
+from .models import Model, build_probe, save_checkpoint
 from .schema import In, check_fields
 
 # the fields each defence loss kind reads beyond its kind
@@ -225,7 +225,7 @@ def _defence_batch_loss(
     classifier: Model,
     xb: np.ndarray,
     loss_spec: DefenceLossSpec,
-    probe: HiddenProbe | None,
+    probe: Model | None,
     target: np.ndarray | None,
 ) -> Tensor:
     """One tape-recorded defence loss value for a batch (tape must be active).
@@ -238,11 +238,11 @@ def _defence_batch_loss(
         diff = ad.sub(recon, xt)
         return ad.mean_all(ad.mul(diff, diff))
     if loss_spec.kind == "kl_hidden":
-        p, feats_orig = classifier.proba_t_with_capture(xt, probe.source_layer)
-        q, feats_recon = classifier.proba_t_with_capture(recon, probe.source_layer)
+        p, feats_orig = classifier.forward_t(xt, capture=loss_spec.probe.source_layer)
+        q, feats_recon = classifier.forward_t(recon, capture=loss_spec.probe.source_layer)
         base = ad.kl_divergence(p, q)
-        y_orig = probe_dist_t(probe, feats_orig)
-        y_recon = probe_dist_t(probe, feats_recon)
+        y_orig = probe.forward_t(feats_orig)
+        y_recon = probe.forward_t(feats_recon)
         return ad.add(base, ad.mul_scalar(ad.kl_divergence(y_orig, y_recon), loss_spec.hidden_weight))
     return ad.kl_divergence(Tensor(target), classifier.proba_t(recon))
 
@@ -263,12 +263,12 @@ def train_defence(
     checkpoint_every: int | None = None,
     checkpoint_dir=None,
     checkpoint_prefix: str = "ae",
-) -> tuple[TrainReport, HiddenProbe | None]:
+) -> tuple[TrainReport, Model | None]:
     """Train the autoencoder against a frozen classifier; unsupervised.
 
     Only the autoencoder parameters move, plus, for the hidden-layer loss,
-    the projection of the probe built here, which is returned with the
-    report (None for the other losses). Optionally emits a checkpoint every
+    the weights of the probe ``Model`` built here by ``build_probe``, which
+    is returned with the report (None for the other losses). Optionally emits a checkpoint every
     ``checkpoint_every`` epochs.
     """
     if not classifier.store.is_fully_frozen():
@@ -281,11 +281,10 @@ def train_defence(
     params = ae.store.trainable()
     if loss_spec.kind == "kl_hidden":
         probe = build_probe(classifier, loss_spec.probe.source_layer, loss_spec.probe.dim, seed=cfg.seed + 1)
-        params = params + probe.trainable()
+        params = params + probe.store.trainable()
     if not params:
         raise ContractError("autoencoder has no trainable parameters")
     targets = _defence_targets(classifier, x, loss_spec, cfg.batch_size)
-    from .models import save_checkpoint  # local import to avoid cycle noise
 
     def batch_loss(batch, rng):
         target = None if targets is None else targets[batch]

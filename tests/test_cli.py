@@ -367,8 +367,12 @@ def test_missing_classifier_artifact_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "content, where",
-    [("id,score\n0,0.3\n1,abc\n", "fgsm02.csv:3"), ("0,0.3\n1,0.4\n", "fgsm02.csv:1")],
-    ids=["bad-score", "no-header"],
+    [
+        ("id,score\n0,0.3\n1,abc\n", "fgsm02.csv:3"),
+        ("0,0.3\n1,0.4\n", "fgsm02.csv:1"),
+        ("id,score\n0,0.3\n1,nan\n", "fgsm02.csv:3: expected a finite score"),
+    ],
+    ids=["bad-score", "no-header", "nan-score"],
 )
 def test_roc_malformed_score_csv_exits_1(tmp_path, capsys, content, where):
     out = tmp_path / "run"

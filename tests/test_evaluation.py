@@ -63,6 +63,14 @@ def test_auc_empty_input():
         roc_auc([1.0], [])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_auc_refuses_a_non_finite_score(bad):
+    with pytest.raises(DataError, match="finite"):
+        roc_auc([0.1, bad, 0.3], [0.5])
+    with pytest.raises(DataError, match="finite"):
+        roc_auc([0.1], [0.5, bad])
+
+
 def _roc_threshold_loop(normal, adv):
     """The ROC sweep with two searchsorted calls per distinct score, as
     roc_auc computed it before it searched all thresholds at once."""

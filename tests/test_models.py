@@ -37,7 +37,6 @@ from pmdef.models import (
     Softmax,
     build_model,
     build_probe,
-    hidden_probe_forward,
     infer_shapes,
     load_checkpoint,
     save_checkpoint,
@@ -160,13 +159,20 @@ def test_reconstruct_requires_matching_shapes():
 # hidden probe
 
 
+def _probe_output(model, probe, source_layer, x):
+    """The probe's distribution for a raw input batch: the model's activation
+    after ``source_layer``, then the probe."""
+    _, feats = model.forward_t(Tensor(x), capture=source_layer)
+    return probe.forward_t(feats).data
+
+
 def test_probe_zero_weights_gives_uniform():
     model = build_model(mlp_classifier_spec(), 0)
     probe = build_probe(model, source_layer=1, dim=5, seed=0)
-    probe.w.data[:] = 0.0
-    probe.b.data[:] = 0.0
+    for t in probe.store.trainable():
+        t.data[:] = 0.0
     x = np.random.default_rng(2).random((3, 6))
-    y = hidden_probe_forward(model, probe, x)
+    y = _probe_output(model, probe, 1, x)
     assert np.allclose(y, 0.2, atol=1e-15)
 
 
@@ -174,7 +180,8 @@ def test_probe_dim_20():
     model = build_model(mlp_classifier_spec(), 0)
     probe = build_probe(model, source_layer=1, dim=20, seed=0)
     x = np.random.default_rng(2).random((4, 6))
-    assert hidden_probe_forward(model, probe, x).shape == (4, 20)
+    assert probe.output_shape == (20,)
+    assert _probe_output(model, probe, 1, x).shape == (4, 20)
 
 
 def test_probe_hand_computed_softmax():
@@ -183,14 +190,25 @@ def test_probe_hand_computed_softmax():
     model.store.get(0)["w"].data[:] = np.array([[1.0, 0.0], [0.0, 1.0]])
     model.store.get(0)["b"].data[:] = 0.0
     probe = build_probe(model, source_layer=0, dim=2, seed=0)
-    probe.w.data[:] = np.array([[2.0, 0.0], [0.0, 1.0]])
-    probe.b.data[:] = np.array([0.0, 0.5])
+    probe.store.get(1)["w"].data[:] = np.array([[2.0, 0.0], [0.0, 1.0]])
+    probe.store.get(1)["b"].data[:] = np.array([0.0, 0.5])
     x = np.array([[0.3, 0.8]])
-    feats = x  # dense(identity) output
+    _, feats = model.forward_t(Tensor(x), capture=0)
+    assert np.array_equal(feats.data, x)  # dense(identity) output
     logits = np.array([0.3 * 2.0, 0.8 * 1.0 + 0.5])
     expected = np.exp(logits - logits.max())
     expected /= expected.sum()
-    assert np.allclose(hidden_probe_forward(model, probe, x)[0], expected, atol=1e-15)
+    assert np.allclose(probe.forward_t(feats).data[0], expected, atol=1e-15)
+
+
+def test_probe_round_trips_through_a_checkpoint(tmp_path):
+    model = build_model(cnn_classifier_spec(), 0)
+    probe = build_probe(model, source_layer=1, dim=4, seed=3)
+    save_checkpoint(probe, tmp_path / "probe.ckpt")
+    loaded = load_checkpoint(tmp_path / "probe.ckpt")
+    assert loaded.store.byte_digest() == probe.store.byte_digest()
+    _, feats = model.forward_t(Tensor(np.random.default_rng(1).random((3, 6, 6, 1))), capture=1)
+    assert np.array_equal(loaded.forward_t(feats).data, probe.forward_t(feats).data)
 
 
 def test_probe_invalid_layer_index():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmdef.errors import ContractError, DataError, ParameterError
-from pmdef.models import Dense, Model, ModelSpec, Relu, Softmax, build_model
+from pmdef.models import Dense, Model, ModelSpec, Relu, Softmax, build_model, build_probe
 from pmdef.training import (
     Adam,
     DefenceLossSpec,
@@ -163,7 +163,8 @@ def test_hidden_loss_trains_probe_and_autoencoder():
     before = ae.store.byte_digest()
     report, probe = train_defence(ae, clf, x, spec, OptimizerConfig(learning_rate=3e-3, batch_size=16, epochs=2, seed=10))
     assert ae.store.byte_digest() != before
-    assert probe is not None and probe.dim == 4
+    assert probe is not None and probe.output_shape == (4,)
+    assert probe.store.byte_digest() != build_probe(clf, 1, 4, seed=11).store.byte_digest()  # built at the shuffle seed + 1
     assert all(np.isfinite(l) for l in report.epoch_losses)
 
 
