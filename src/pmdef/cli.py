@@ -340,13 +340,16 @@ def _read_scores_csv(path: Path) -> np.ndarray:
     if header != "id,score":
         raise ParseError(f"{path}:1: expected the header 'id,score', got {header!r}")
     scores = []
-    for lineno, row in enumerate(rows, start=2):
+    for i, row in enumerate(rows):  # the row on line i + 2 has the id i
+        row_id, _, score = row.partition(",")
         try:
-            score = float(row.split(",")[1])
-        except (IndexError, ValueError):
-            raise ParseError(f"{path}:{lineno}: expected 'id,score', got {row!r}") from None
+            score = float(score)
+        except ValueError:  # also a third field
+            raise ParseError(f"{path}:{i + 2}: expected 'id,score', got {row!r}") from None
+        if row_id != str(i):
+            raise ParseError(f"{path}:{i + 2}: expected the id {i}, got {row!r}")
         if not math.isfinite(score):
-            raise ParseError(f"{path}:{lineno}: expected a finite score, got {row!r}")
+            raise ParseError(f"{path}:{i + 2}: expected a finite score, got {row!r}")
         scores.append(score)
     return np.asarray(scores)
 
@@ -369,6 +372,8 @@ def _load_defence(out: Path, tag: str):
 
 def _attack_inputs(exp: Experiment, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """The test instances the attacks perturb: the first ``attack_subset``."""
+    if exp.attack_subset is not None and exp.attack_subset > test.n:
+        raise ConfigError(f"attack_subset: must be in [1, {test.n}], the test-set size, got {exp.attack_subset}")
     return test.images[: exp.attack_subset], test.labels[: exp.attack_subset]
 
 
@@ -418,8 +423,8 @@ def cmd_train_defence(exp: Experiment, seed: int, out: Path, workers: int) -> li
 
 def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
-    classifier = _load_classifier(out)
     x, y = _attack_inputs(exp, test)
+    classifier = _load_classifier(out)
     attack_dir = out / "attacks"
     attack_dir.mkdir(exist_ok=True)
     artifacts = []
@@ -484,6 +489,7 @@ def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> list[P
 
 def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
+    clean = _attack_inputs(exp, test)
     classifier = _load_classifier(out)
     tags = exp.report_defences or [s.kind for s in exp.defence_losses]
     defences = {tag: _load_defence(out, tag) for tag in tags}
@@ -509,9 +515,7 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
         if tag not in defences:
             raise ConfigError(f"{tpath}: gates defence {tag!r}, which report_defences {tags} leaves out; rerun calibrate")
         temperature = _score_temperature(exp, tag)
-    rows = ev.accuracy_report(
-        classifier, defences, attack_sets, _attack_inputs(exp, test), gate=gate, temperature=temperature
-    )
+    rows = ev.accuracy_report(classifier, defences, attack_sets, clean, gate=gate, temperature=temperature)
     report_path = out / "report_accuracy.csv"
     ev.accuracy_report_to_csv(rows, report_path)
     artifacts = [report_path]

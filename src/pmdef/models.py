@@ -7,9 +7,9 @@ input shape back onto itself and its reconstructions are clamped to the
 [0, 1] data domain.
 
 The layer table: each kind is one frozen dataclass deriving from ``Layer``
-and owns its spec fields, its shape rule ``out_shape`` (which also checks
-the fields' ranges), its ``param_shapes`` and its forward step ``apply``.
-``infer_shapes``, ``build_model`` and ``Model.forward_t`` make one call per
+and owns its spec fields (with their declared ranges), its shape rule
+``out_shape``, its ``param_shapes`` and its forward step ``apply``.
+``ModelSpec``, ``build_model`` and ``Model.forward_t`` make one call per
 layer with no per-kind branch, and ``schema.from_dict`` reads a spec's
 layers as the tagged union ``AnyLayer`` of the ``Layer`` subclasses, finding
 each class by its ``kind``, so a new layer kind is one class.
@@ -30,8 +30,8 @@ import json
 import math
 import operator
 import struct
-from dataclasses import asdict, dataclass
-from typing import ClassVar
+from dataclasses import asdict, dataclass, field
+from typing import Annotated, ClassVar, Literal
 
 import numpy as np
 
@@ -45,11 +45,11 @@ from .errors import (
     DimensionError,
     MagicError,
     MismatchError,
-    ParameterError,
     SpecError,
     TruncationError,
+    UserError,
 )
-from .schema import from_dict
+from .schema import In, check_fields, from_dict
 
 CHECKPOINT_MAGIC = b"PMDEF001"
 DATA_DOMAIN = (0.0, 1.0)
@@ -57,12 +57,6 @@ DATA_DOMAIN = (0.0, 1.0)
 
 # ---------------------------------------------------------------------------
 # the layer table
-
-
-def _check_positive_ints(where: str, **fields) -> None:
-    for name, value in fields.items():
-        if value < 1:
-            raise SpecError(f"{where}: {name} must be a positive int, got {value!r}")
 
 
 def _check_rank(shape: tuple[int, ...], rank: int, where: str, expects: str) -> None:
@@ -81,9 +75,13 @@ class Layer:
     kind_key: ClassVar[str] = "type"
     activation: ClassVar[str | None] = None
 
+    def __post_init__(self):
+        check_fields(self)
+
     def out_shape(self, shape: tuple[int, ...], where: str) -> tuple[int, ...]:
         """Output shape (batch axis excluded) for input ``shape``; raises
-        SpecError naming ``where`` on a chain break or a field out of range."""
+        SpecError naming ``where`` on a chain break or on a field whose rule
+        its annotation cannot state."""
         return shape
 
     def param_shapes(self, in_shape: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
@@ -100,12 +98,11 @@ class Layer:
 
 @dataclass(frozen=True)
 class Dense(Layer):
-    units: int
+    units: Annotated[int, In(1)]
     kind: ClassVar[str] = "dense"
     activation: ClassVar[str] = "other"
 
     def out_shape(self, shape, where):
-        _check_positive_ints(where, units=self.units)
         _check_rank(shape, 1, where, "a flat input (insert flatten)")
         return (self.units,)
 
@@ -118,19 +115,18 @@ class Dense(Layer):
 
 @dataclass(frozen=True)
 class Conv(Layer):
-    filters: int
-    kernel: int
-    stride: int = 1
-    padding: str = "valid"
+    filters: Annotated[int, In(1)]
+    kernel: Annotated[int, In(1)]
+    stride: Annotated[int, In(1)] = 1
+    padding: Literal["valid", "same"] = "valid"
     kind: ClassVar[str] = "conv"
     activation: ClassVar[str] = "other"
 
     def out_shape(self, shape, where):
-        _check_positive_ints(where, filters=self.filters, kernel=self.kernel, stride=self.stride)
         _check_rank(shape, 3, where, "an HWC input")
         try:
             oh, ow, *_ = ad._conv_geometry(shape[0], shape[1], self.kernel, self.kernel, self.stride, self.padding)
-        except (DimensionError, ParameterError) as exc:  # kernel larger than a valid-padded input, unknown padding
+        except DimensionError as exc:  # kernel larger than a valid-padded input
             raise SpecError(f"{where}: {exc}") from None
         return (oh, ow, self.filters)
 
@@ -143,12 +139,11 @@ class Conv(Layer):
 
 @dataclass(frozen=True)
 class MaxPool(Layer):
-    window: int
-    stride: int
+    window: Annotated[int, In(1)]
+    stride: Annotated[int, In(1)]
     kind: ClassVar[str] = "maxpool"
 
     def out_shape(self, shape, where):
-        _check_positive_ints(where, window=self.window, stride=self.stride)
         _check_rank(shape, 3, where, "an HWC input")
         if self.window > min(shape[:2]):
             raise SpecError(f"{where}: window {self.window} exceeds input {shape[:2]}")
@@ -258,12 +253,24 @@ def layer_to_dict(layer: Layer) -> dict:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Ordered layer descriptors plus the input shape they chain from."""
+    """Ordered layer descriptors plus the input shape they chain from; building
+    one infers each layer's output shape and raises SpecError on a chain break."""
 
     name: str
     input_shape: tuple[int, ...]
     layers: tuple[AnyLayer, ...]
     standardize: bool = False  # per-image standardization at the model boundary
+    layer_shapes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)  # batch axis excluded
+
+    def __post_init__(self):
+        shape = tuple(self.input_shape)
+        if not (shape and all(s > 0 for s in shape)):
+            raise SpecError(f"input_shape: must be a non-empty list of positive ints, got {shape}")
+        shapes = []
+        for i, layer in enumerate(self.layers):
+            shape = layer.out_shape(shape, f"layer {i} ({layer.kind})")
+            shapes.append(shape)
+        object.__setattr__(self, "layer_shapes", tuple(shapes))
 
     def to_dict(self) -> dict:
         return {
@@ -272,18 +279,6 @@ class ModelSpec:
             "standardize": self.standardize,
             "layers": [layer_to_dict(l) for l in self.layers],
         }
-
-
-def infer_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
-    """Per-layer output shapes (batch axis excluded); raises SpecError on a chain break."""
-    shape = tuple(spec.input_shape)
-    if not (shape and all(s > 0 for s in shape)):
-        raise SpecError(f"input shape must be a non-empty list of positive ints, got {shape}")
-    out = []
-    for i, layer in enumerate(spec.layers):
-        shape = layer.out_shape(shape, f"layer {i} ({layer.kind})")
-        out.append(shape)
-    return out
 
 
 class ParameterStore:
@@ -348,7 +343,6 @@ class Model(Predictor):
         self.spec = spec
         self.store = store
         self.seed = seed
-        self.layer_shapes = infer_shapes(spec)
 
     # -- structure -----------------------------------------------------------
 
@@ -358,7 +352,7 @@ class Model(Predictor):
 
     @property
     def output_shape(self) -> tuple[int, ...]:
-        return self.layer_shapes[-1] if self.spec.layers else self.spec.input_shape
+        return self.spec.layer_shapes[-1] if self.spec.layers else self.spec.input_shape
 
     @property
     def is_classifier(self) -> bool:
@@ -436,7 +430,7 @@ class Model(Predictor):
 
 def _param_shapes(spec: ModelSpec) -> dict[int, dict[str, tuple[int, ...]]]:
     """Weight and bias shapes per parametric layer index, in layer order."""
-    in_shapes = [spec.input_shape, *infer_shapes(spec)]  # raises SpecError on a chain break
+    in_shapes = [spec.input_shape, *spec.layer_shapes]
     return {i: shapes for i, layer in enumerate(spec.layers) if (shapes := layer.param_shapes(in_shapes[i]))}
 
 
@@ -469,7 +463,7 @@ def build_probe(model: Model, source_layer: int, dim: int, seed: int) -> Model:
     layer ``source_layer``, i.e. on ``model.forward_t(x, capture=source_layer)``."""
     if not (0 <= source_layer < len(model.spec.layers)):
         raise ConfigError(f"probe source layer {source_layer} outside [0, {len(model.spec.layers)})")
-    spec = ModelSpec("probe", model.layer_shapes[source_layer], (Flatten(), Dense(dim), Softmax()))
+    spec = ModelSpec("probe", model.spec.layer_shapes[source_layer], (Flatten(), Dense(dim), Softmax()))
     return build_model(spec, seed)
 
 
@@ -549,7 +543,7 @@ def load_checkpoint(path) -> Model:
             (int(e["layer"]), str(e["name"]), int(e["offset"]), int(e["nbytes"]), [int(s) for s in e["shape"]])
             for e in header["tensors"]
         ]
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, UserError) as exc:
         raise MismatchError(f"{path}: malformed checkpoint header: {exc!r}") from None
     store = ParameterStore()
     groups: dict[int, dict[str, Tensor]] = {}

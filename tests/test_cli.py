@@ -371,8 +371,11 @@ def test_missing_classifier_artifact_exits_1(tmp_path, capsys):
         ("id,score\n0,0.3\n1,abc\n", "fgsm02.csv:3"),
         ("0,0.3\n1,0.4\n", "fgsm02.csv:1"),
         ("id,score\n0,0.3\n1,nan\n", "fgsm02.csv:3: expected a finite score"),
+        ("id,score\n0,0.5,junk\n", "fgsm02.csv:2: expected 'id,score'"),
+        ("id,score\n0,0.5\nx,0.25\n", "fgsm02.csv:3: expected the id 1"),
+        ("id,score\n1,0.5\n", "fgsm02.csv:2: expected the id 0"),
     ],
-    ids=["bad-score", "no-header", "nan-score"],
+    ids=["bad-score", "no-header", "nan-score", "third-field", "id-not-an-int", "id-not-the-index"],
 )
 def test_roc_malformed_score_csv_exits_1(tmp_path, capsys, content, where):
     out = tmp_path / "run"
@@ -645,6 +648,11 @@ _AE_WITH_BAD_DROPOUT = {
     "layers": [{"type": "dropout", "rate": 1.5}, {"type": "flatten"}, {"type": "dense", "units": 64},
                {"type": "reshape", "shape": [8, 8, 1]}],
 }
+_AE_WITH_DENSE_0 = {
+    "name": "ae", "input_shape": [8, 8, 1],
+    "layers": [{"type": "flatten"}, {"type": "dense", "units": 0}, {"type": "dense", "units": 64},
+               {"type": "reshape", "shape": [8, 8, 1]}],
+}
 # id: (config key, its malformed value or None to drop the key, text the error must contain)
 MALFORMED_SPECS = {
     "reshape-without-shape": ("classifier_spec", _clf_spec({"type": "reshape"}), "classifier_spec.layers[0].shape: missing key"),
@@ -652,11 +660,30 @@ MALFORMED_SPECS = {
         "classifier_spec", _clf_spec({"type": "reshape", "shape": 5}), "classifier_spec.layers[0].shape: expected a list",
     ),
     "reshape-negative-dims": ("classifier_spec", _clf_spec(*_FLAT_DENSE, {"type": "reshape", "shape": [-2, -2]}), "layer 2"),
-    "maxpool-stride-0": ("classifier_spec", _clf_spec({"type": "maxpool", "window": 2, "stride": 0}), "layer 0"),
-    "maxpool-window-0": ("classifier_spec", _clf_spec({"type": "maxpool", "window": 0, "stride": 1}), "layer 0"),
-    "conv-kernel-0": ("classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 0}), "layer 0"),
-    "conv-filters-0": ("classifier_spec", _clf_spec({"type": "conv", "filters": 0, "kernel": 2}), "layer 0"),
-    "conv-bad-padding": ("classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 2, "padding": "full"}), "layer 0"),
+    "maxpool-stride-0": (
+        "classifier_spec", _clf_spec({"type": "maxpool", "window": 2, "stride": 0}),
+        "classifier_spec.layers[0].stride: must be in [1, inf], got 0",
+    ),
+    "maxpool-window-0": (
+        "classifier_spec", _clf_spec({"type": "maxpool", "window": 0, "stride": 1}),
+        "classifier_spec.layers[0].window: must be in [1, inf], got 0",
+    ),
+    "conv-kernel-0": (
+        "classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 0}),
+        "classifier_spec.layers[0].kernel: must be in [1, inf], got 0",
+    ),
+    "conv-filters-0": (
+        "classifier_spec", _clf_spec({"type": "conv", "filters": 0, "kernel": 2}),
+        "classifier_spec.layers[0].filters: must be in [1, inf], got 0",
+    ),
+    "conv-bad-padding": (
+        "classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 2, "padding": "full"}),
+        "classifier_spec.layers[0].padding: expected one of ['valid', 'same'], got 'full'",
+    ),
+    "dense-after-conv": (
+        "classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 2}, {"type": "dense", "units": 4}),
+        "classifier_spec: layer 1 (dense): expects a flat input",
+    ),
     "dense-units-str": (
         "classifier_spec", _clf_spec({"type": "flatten"}, {"type": "dense", "units": "3"}),
         "classifier_spec.layers[1].units: expected int, got '3'",
@@ -669,7 +696,9 @@ MALFORMED_SPECS = {
     ),
     "dropout-rate-str": ("classifier_spec", _clf_spec({"type": "dropout", "rate": "x"}), "classifier_spec.layers[0].rate"),
     "layer-unknown-type": ("classifier_spec", _clf_spec({"type": "pool"}), "classifier_spec.layers[0].type: expected one of"),
-    "dropout-rate-1": ("classifier_spec", _clf_spec({"type": "dropout", "rate": 1.0}), "layer 0"),
+    "dropout-rate-1": (
+        "classifier_spec", _clf_spec({"type": "dropout", "rate": 1.0}), "classifier_spec: layer 0 (dropout): rate must be",
+    ),
     "layer-not-an-object": ("classifier_spec", _clf_spec("relu"), "classifier_spec.layers[0]: expected an object"),
     "unknown-field": ("classifier_spec", _clf_spec({"type": "relu", "units": 3}), "classifier_spec.layers[0].units: unknown key"),
     "spec-without-layers": ("classifier_spec", {"name": "clf", "input_shape": [8, 8, 1]}, "classifier_spec.layers: missing key"),
@@ -679,6 +708,7 @@ MALFORMED_SPECS = {
     "no-classifier-spec": ("classifier_spec", None, "classifier_spec"),
     "no-autoencoder-spec": ("autoencoder_spec", None, "autoencoder_spec"),
     "ae-dropout-rate-above-1": ("autoencoder_spec", _AE_WITH_BAD_DROPOUT, "layer 0"),
+    "ae-dense-units-0": ("autoencoder_spec", _AE_WITH_DENSE_0, "autoencoder_spec.layers[1].units: must be in [1, inf], got 0"),
 }
 
 
@@ -812,6 +842,9 @@ MALFORMED_CONFIGS = {
     "drift-not-an-object": (lambda c: c.update(drift=5), "drift", "drift"),
     "attack-without-name": (lambda c: c["attacks"][0].pop("name"), "score", "attacks[0].name"),
     "attack-subset-negative": (lambda c: c.update(attack_subset=-5), "attack", "attack_subset"),
+    # the toy test set has 60 rows
+    "attack-subset-above-the-test-set": (lambda c: c.update(attack_subset=61), "attack", "attack_subset"),
+    "attack-subset-above-the-test-set-evaluate": (lambda c: c.update(attack_subset=61), "evaluate", "attack_subset"),
     "checkpoint-every-negative": (lambda c: c.update(checkpoint_every=-1), "train-defence", "checkpoint_every"),
     "defence-losses-repeated-kind": (
         lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "kl"}]),
@@ -945,6 +978,19 @@ def test_a_mistyped_or_unknown_spec_field_exits_1_in_every_stage(tmp_path, capsy
     for stage in cli._COMMANDS:
         assert run_cli([stage, "--config", str(path)]) == 1, stage
         assert capsys.readouterr().err.startswith(f"error: {needle}"), stage
+
+
+@pytest.mark.parametrize("case", ["maxpool-stride-0", "conv-bad-padding", "ae-dense-units-0", "dropout-rate-1", "dense-after-conv"])
+def test_a_spec_out_of_range_or_off_its_shape_chain_exits_1_in_every_stage(tmp_path, capsys, case):
+    key, value, needle = MALFORMED_SPECS[case]
+    cfg = _toy_config(tmp_path / "run")
+    cfg[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    for stage in cli._COMMANDS:
+        assert run_cli([stage, "--config", str(path)]) == 1, stage
+        assert capsys.readouterr().err.startswith(f"error: {needle}"), stage
+
 
 
 def test_fields_of_another_kind_left_at_their_defaults_parse_and_stay_out_of_the_batch_file(tmp_path):

@@ -17,6 +17,7 @@ from pmdef.errors import (
     DimensionError,
     MagicError,
     MismatchError,
+    ParameterError,
     SpecError,
     TruncationError,
     UserError,
@@ -37,7 +38,6 @@ from pmdef.models import (
     Softmax,
     build_model,
     build_probe,
-    infer_shapes,
     load_checkpoint,
     save_checkpoint,
 )
@@ -83,16 +83,14 @@ def test_build_model_deterministic_in_seed():
 
 
 def test_dense_after_conv_without_flatten_is_spec_error():
-    spec = ModelSpec("bad", (6, 6, 1), (Conv(4, 2), Dense(10), Softmax()))
     with pytest.raises(SpecError) as err:
-        build_model(spec, 0)
+        ModelSpec("bad", (6, 6, 1), (Conv(4, 2), Dense(10), Softmax()))
     assert "layer 1" in str(err.value)
 
 
 def test_reshape_mismatch_is_spec_error():
-    spec = ModelSpec("bad", (4,), (Reshape((3, 2)),))
     with pytest.raises(SpecError):
-        infer_shapes(spec)
+        ModelSpec("bad", (4,), (Reshape((3, 2)),))
 
 
 def test_predict_proba_rows_sum_to_one():
@@ -353,14 +351,18 @@ def test_checkpoint_shapes_checked_against_the_spec_without_building_a_model(tmp
         (lambda h: h["spec"].update(standardize="false"), "spec.standardize: expected bool"),
         (lambda h: h["spec"]["layers"][0].update(units="8"), "spec.layers[0].units: expected int"),
         (lambda h: h["spec"]["layers"][1].update(kind="relu"), "spec.layers[1].kind: unknown key"),
+        (lambda h: h["spec"]["layers"][0].update(units=0), "spec.layers[0].units: must be in [1, inf], got 0"),
+        (lambda h: h["spec"].update(input_shape=[2, 3]), "spec: layer 0 (dense): expects a flat input"),
     ],
-    ids=["standardize-str", "units-str", "layer-kind-key"],
+    ids=["standardize-str", "units-str", "layer-kind-key", "units-0", "chain-break"],
 )
 def test_a_checkpoint_header_spec_is_read_by_the_config_schema(tmp_path, edit, needle):
     path = tmp_path / "model.ckpt"
     save_checkpoint(build_model(mlp_classifier_spec(dim=6, hidden=8), 0), path)
-    with pytest.raises(MismatchError, match=re.escape(needle)):
-        load_checkpoint(_with_header(path, edit, tmp_path / "bad.ckpt"))
+    bad = _with_header(path, edit, tmp_path / "bad.ckpt")
+    with pytest.raises(MismatchError, match=re.escape(f"{bad}: malformed checkpoint header: ")) as err:
+        load_checkpoint(bad)
+    assert needle in str(err.value)
 
 
 def test_frozen_store_rejects_gradients_and_stays_fixed():
@@ -397,7 +399,7 @@ def test_layer_table_shapes_match_what_forward_and_build_produce(name):
     spec = TABLE_SPECS[name]
     model = build_model(spec, 0)
     x = Tensor(np.random.default_rng(0).random((3, *spec.input_shape)))
-    shapes = infer_shapes(spec)
+    shapes = spec.layer_shapes
     for i in range(len(spec.layers)):
         _, captured = model.forward_t(x, train=True, rng=np.random.default_rng(1), capture=i)
         assert captured.shape == (3, *shapes[i]), (i, spec.layers[i])
@@ -438,10 +440,13 @@ def test_spec_header_json_and_init_bytes_are_pinned():
     assert build_model(spec, 3).store.byte_digest().hex() == "038de6882ec97a4c810f5ae80ffe1871fbb60071f4a6ade857171f35709d5704"
 
 
-def test_spec_fields_are_validated_when_the_model_is_built():
-    for layer in (Dropout(1.0), Dropout(-0.1), MaxPool(0, 1), MaxPool(2, 0)):
+def test_spec_fields_are_validated_when_the_spec_is_built():
+    for rate in (1.0, -0.1):
         with pytest.raises(SpecError, match="layer 1"):
-            build_model(ModelSpec("bad", (4, 4, 1), (Relu(), layer)), 0)
+            ModelSpec("bad", (4, 4, 1), (Relu(), Dropout(rate)))
+    for window, stride, field in ((0, 1, "window"), (2, 0, "stride")):
+        with pytest.raises(ParameterError, match=f"^{field}: must be in "):
+            ModelSpec("bad", (4, 4, 1), (Relu(), MaxPool(window, stride)))
 
 
 # Generated specs draw each field from values that are mostly valid, with
@@ -540,7 +545,7 @@ def _pool_window_cases(model, x):
     over the spec-order relu output that the first maxpool reads."""
     pool = model.spec.layers[2]
     a = _spec_order_forward(model, Tensor(x), capture=1)[1].data
-    oh, ow = model.layer_shapes[2][:2]
+    oh, ow = model.spec.layer_shapes[2][:2]
     win = ad._windows(a, pool.window, pool.window, pool.stride, oh, ow).reshape(*a.shape[:1], oh, ow, a.shape[3], -1)
     top = win.max(axis=-1)
     return int((top <= 0.0).sum()), int(((top > 0.0) & ((win == top[..., None]).sum(axis=-1) > 1)).sum())

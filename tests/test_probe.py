@@ -31,7 +31,7 @@ def _frozen_cnn():
 def test_build_probe_draws_glorot_uniform_weights_and_a_zero_bias(source_layer, dim, seed):
     clf = _frozen_cnn()
     b, w = _probe_params(build_probe(clf, source_layer, dim, seed))
-    feat = math.prod(clf.layer_shapes[source_layer])
+    feat = math.prod(clf.spec.layer_shapes[source_layer])
     limit = np.sqrt(6.0 / (feat + dim))
     assert np.array_equal(w.data, np.random.default_rng(seed).uniform(-limit, limit, (feat, dim)))
     assert np.array_equal(b.data, np.zeros(dim))
