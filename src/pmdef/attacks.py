@@ -12,12 +12,14 @@ grey-box, classifier-of-reconstruction for white-box):
 
 Success is always recomputed from model predictions: an instance counts as
 attacked when argmax M(x_adv) differs from argmax M(x).
+
+A batch keeps its adversarials and, in place of its inputs, their CRC-32
+(``inputs_crc32``), which tells a later stage whether it holds those rows.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .artifacts import write_artifact
 from .autodiff import Tape, Tensor, backward
-from .errors import DataError, MagicError, MismatchError, ParameterError, ParseError, TruncationError, UserError
+from .errors import DataError, MismatchError, ParameterError, ParseError, UserError
 from .schema import In, check_fields, from_dict
 from .training import Adam
 
@@ -77,7 +79,7 @@ class AttackConfig:
 
 @dataclass
 class AdversarialBatch:
-    originals: np.ndarray
+    originals_crc32: int  # inputs_crc32 of the rows the attack perturbed
     adversarials: np.ndarray
     labels: np.ndarray | None
     original_pred: np.ndarray
@@ -97,10 +99,15 @@ def _norms(delta: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
+def inputs_crc32(x: np.ndarray) -> int:
+    """CRC-32 of ``x``'s little-endian float64 bytes, the name a batch keeps of its inputs."""
+    return zlib.crc32(np.ascontiguousarray(x, dtype="<f8"))
+
+
 def _finalize(model, x, adv, labels, orig_pred, config, diagnostics) -> AdversarialBatch:
     adv_pred = model.predict_class(adv)
     return AdversarialBatch(
-        originals=x,
+        originals_crc32=inputs_crc32(x),
         adversarials=adv,
         labels=None if labels is None else np.asarray(labels, dtype=np.int64),
         original_pred=orig_pred,
@@ -330,20 +337,19 @@ def run_attack(model, x: np.ndarray, labels=None, *, config: AttackConfig, worke
 
 
 # ---------------------------------------------------------------------------
-# persistence: JSON metadata + raw little-endian float64 blocks
+# persistence: JSON metadata + the adversarials as raw little-endian float64
 
 
 def save_batch(batch: AdversarialBatch, json_path) -> None:
     json_path = Path(json_path)
     bin_path = json_path.with_suffix(".bin")
-    originals = np.ascontiguousarray(batch.originals, dtype="<f8").tobytes()
     adversarials = np.ascontiguousarray(batch.adversarials, dtype="<f8").tobytes()
     meta = {
         "config": batch.config.to_dict(),
-        "shape": list(batch.originals.shape),
+        "shape": list(batch.adversarials.shape),
         "bin_file": bin_path.name,
-        "crc32": zlib.crc32(adversarials, zlib.crc32(originals)),  # of originals + adversarials
-        "blocks": {"originals": [0, len(originals)], "adversarials": [len(originals), len(adversarials)]},
+        "crc32": zlib.crc32(adversarials),
+        "originals_crc32": batch.originals_crc32,
         "labels": None if batch.labels is None else batch.labels.tolist(),
         "original_pred": batch.original_pred.tolist(),
         "adversarial_pred": batch.adversarial_pred.tolist(),
@@ -356,7 +362,7 @@ def save_batch(batch: AdversarialBatch, json_path) -> None:
         },
     }
     write_artifact(json_path, json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
-    write_artifact(bin_path, originals + adversarials)
+    write_artifact(bin_path, adversarials)
 
 
 def load_batch(json_path) -> AdversarialBatch:
@@ -365,7 +371,6 @@ def load_batch(json_path) -> AdversarialBatch:
         meta = json.loads(json_path.read_text(encoding="utf-8"))
         bin_path = json_path.parent / meta["bin_file"]
         shape = tuple(int(s) for s in meta["shape"])
-        (o_off, o_len), (a_off, a_len) = (map(int, meta["blocks"][k]) for k in ("originals", "adversarials"))
         rows = {k: np.asarray(meta[k], dtype=np.int64) for k in ("original_pred", "adversarial_pred", "success")}
         labels = None if meta["labels"] is None else np.asarray(meta["labels"], dtype=np.int64)
         norms = {k: np.asarray(v, dtype=np.float64) for k, v in meta["norms"].items()}
@@ -374,7 +379,7 @@ def load_batch(json_path) -> AdversarialBatch:
             for k, v in meta["diagnostics"].items()
         }
         config = from_dict(AttackConfig, meta["config"], "config")
-        crc = int(meta["crc32"])
+        crc, originals_crc = int(meta["crc32"]), int(meta["originals_crc32"])
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError, UserError) as exc:
         raise ParseError(f"{json_path}: malformed attack batch: {exc!r}") from None
     per_row = [*rows.values(), *norms.values(), *([] if labels is None else [labels])]
@@ -385,18 +390,14 @@ def load_batch(json_path) -> AdversarialBatch:
     if not bin_path.is_file():
         raise ParseError(f"{json_path}: its payload file {bin_path} is missing")
     raw = bin_path.read_bytes()
-    count = int(np.prod(shape))
-    if len(raw) < max(o_off + o_len, a_off + a_len):
-        raise TruncationError(f"{bin_path}: payload shorter than declared blocks")
-    if o_len != count * 8 or a_len != count * 8:
-        raise MismatchError(f"{bin_path}: block sizes disagree with shape {shape}")
+    size = 8 * int(np.prod(shape))
+    if len(raw) != size:
+        raise MismatchError(f"{bin_path}: {len(raw)} payload bytes, where shape {shape} takes {size}")
     if zlib.crc32(raw) != crc:
         raise MismatchError(f"{bin_path}: payload does not match the CRC-32 recorded in {json_path}")
-    originals = np.frombuffer(raw[o_off : o_off + o_len], dtype="<f8").reshape(shape).copy()
-    adversarials = np.frombuffer(raw[a_off : a_off + a_len], dtype="<f8").reshape(shape).copy()
     return AdversarialBatch(
-        originals=originals,
-        adversarials=adversarials,
+        originals_crc32=originals_crc,
+        adversarials=np.frombuffer(raw, dtype="<f8").reshape(shape).copy(),
         labels=labels,
         original_pred=rows["original_pred"],
         adversarial_pred=rows["adversarial_pred"],

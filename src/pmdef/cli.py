@@ -41,7 +41,7 @@ from . import defence as dfc
 from . import evaluation as ev
 from .artifacts import write_artifact
 from .datasets import SYNTH_KINDS, Dataset, parse_cifar_binary, parse_idx, synth_dataset
-from .errors import ConfigError, DataError, ParseError, PmdefError, UserError
+from .errors import ConfigError, DataError, MismatchError, ParseError, PmdefError, UserError
 from .models import DefendedModel, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from .schema import In, check_fields, from_dict
 from .seeding import derive_seed
@@ -235,6 +235,12 @@ class Experiment:
         if self.report_defences is not None and self.score_defence not in self.report_defences:
             raise ConfigError(f"report_defences: must include score_defence {self.score_defence!r}, "
                               f"whose threshold evaluate gates with, got {self.report_defences}")
+        ae = self.autoencoder_spec
+        if ae and self.classifier_spec:  # the classifier reads what the autoencoder reads and writes
+            ae_out = ae.layer_shapes[-1] if ae.layers else ae.input_shape
+            if not ae.input_shape == ae_out == self.classifier_spec.input_shape:
+                raise ConfigError(f"autoencoder_spec: maps {ae.input_shape} to {ae_out}, "
+                                  f"but classifier_spec reads {self.classifier_spec.input_shape}")
 
 
 def load_config(path) -> dict:
@@ -377,6 +383,14 @@ def _attack_inputs(exp: Experiment, test: Dataset) -> tuple[np.ndarray, np.ndarr
     return test.images[: exp.attack_subset], test.labels[: exp.attack_subset]
 
 
+def _load_attack(out: Path, name: str, inputs_crc32: int) -> atk.AdversarialBatch:
+    path = _require_file(out / "attacks" / f"{name}.json", "attack")
+    batch = atk.load_batch(path)
+    if batch.originals_crc32 != inputs_crc32:
+        raise MismatchError(f"{path}: made from other rows than the dataset and attack_subset give now; rerun attack")
+    return batch
+
+
 def cmd_train_classifier(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     model = build_model(_required(exp, "classifier_spec"), derive_seed(seed, "train-classifier", "init"))
     train = _required(exp, "dataset").load(seed, "train")
@@ -441,30 +455,29 @@ def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path
     return artifacts
 
 
-def _score_temperature(exp: Experiment, tag: str) -> float | None:
-    """Temperature the defence ``tag`` sharpened its training target with, so
+def _score_temperature(exp: Experiment) -> float | None:
+    """Temperature the ``score_defence`` sharpened its training target with, so
     that it is scored the way it was trained; None when untempered."""
-    return next((s.target_temperature for s in exp.defence_losses if s.kind == tag), None)
+    return next((s.target_temperature for s in exp.defence_losses if s.kind == exp.score_defence), None)
 
 
 def _scoring(exp: Experiment, out: Path):
     """The frozen classifier, the ``score_defence`` autoencoder and the
     temperature it is scored with."""
-    tag = exp.score_defence
-    return _load_classifier(out), _load_defence(out, tag), _score_temperature(exp, tag)
+    return _load_classifier(out), _load_defence(out, exp.score_defence), _score_temperature(exp)
 
 
 def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
+    inputs_crc32 = atk.inputs_crc32(_attack_inputs(exp, test)[0])
     classifier, ae, temperature = _scoring(exp, out)
     score_dir = out / "scores"
     score_dir.mkdir(exist_ok=True)
-    artifacts = []
     clean_path = score_dir / "clean_test.csv"
     _write_scores_csv(dfc.adversarial_score(classifier, ae, test.images, temperature=temperature), clean_path)
-    artifacts.append(clean_path)
+    artifacts = [clean_path]
     for entry in exp.attacks:
-        batch = atk.load_batch(_require_file(out / "attacks" / f"{entry.name}.json", "attack"))
+        batch = _load_attack(out, entry.name, inputs_crc32)
         path = score_dir / f"{entry.name}.csv"
         _write_scores_csv(dfc.adversarial_score(classifier, ae, batch.adversarials, temperature=temperature), path)
         artifacts.append(path)
@@ -473,10 +486,10 @@ def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]
 
 def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     train = _required(exp, "dataset").load(seed, "train")
-    classifier, ae, temperature = _scoring(exp, out)
     size = min(1000, train.n) if exp.calibration_size is None else exp.calibration_size
     if size > train.n:
-        raise ConfigError(f"calibration_size {size} outside [1, {train.n}]")
+        raise ConfigError(f"calibration_size: must be in [1, {train.n}], the training-set size, got {size}")
+    classifier, ae, temperature = _scoring(exp, out)
     x_cal = train.images[-size:]
     scores = dfc.adversarial_score(classifier, ae, x_cal, temperature=temperature)
     t = dfc.calibrate_threshold(scores, exp.eps_fpr)
@@ -490,31 +503,31 @@ def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> list[P
 def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
     clean = _attack_inputs(exp, test)
+    inputs_crc32 = atk.inputs_crc32(clean[0])
     classifier = _load_classifier(out)
-    tags = exp.report_defences or [s.kind for s in exp.defence_losses]
-    defences = {tag: _load_defence(out, tag) for tag in tags}
+    defences = {tag: _load_defence(out, tag) for tag in exp.report_defences or [s.kind for s in exp.defence_losses]}
     attack_sets = {}
     for entry in _required(exp, "attacks"):
-        batch = atk.load_batch(_require_file(out / "attacks" / f"{entry.name}.json", "attack"))
+        batch = _load_attack(out, entry.name, inputs_crc32)
         if batch.labels is None:
             raise DataError(f"attack batch {entry.name} carries no true labels; cannot compute accuracy")
         attack_sets[entry.name] = (batch.adversarials, batch.labels)
-    gate = temperature = None
+    gate, temperature = None, _score_temperature(exp)  # the gate's defence is score_defence
     tpath = out / "threshold.json"
     if tpath.is_file():
         try:
             info = json.loads(tpath.read_text(encoding="utf-8"))
             tag, t = info["defence"], info["threshold"]
-            if not isinstance(tag, str) or isinstance(t, bool) or not isinstance(t, (int, float)):
-                raise TypeError(f"'defence' must be a string and 'threshold' a number, got {tag!r} and {t!r}")
+            if isinstance(t, bool) or not isinstance(t, (int, float)):
+                raise TypeError(f"'threshold' must be a number, got {t!r}")
             if math.isnan(t):
                 raise ValueError("a NaN 'threshold' flags no score")
             gate = (tag, float(t))
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{tpath}: needs a JSON object with 'threshold' and 'defence': {exc!r}") from None
-        if tag not in defences:
-            raise ConfigError(f"{tpath}: gates defence {tag!r}, which report_defences {tags} leaves out; rerun calibrate")
-        temperature = _score_temperature(exp, tag)
+        if tag != exp.score_defence:
+            raise ConfigError(f"{tpath}: gates defence {tag!r}, but score_defence is {exp.score_defence!r}; "
+                              "rerun calibrate")
     rows = ev.accuracy_report(classifier, defences, attack_sets, clean, gate=gate, temperature=temperature)
     report_path = out / "report_accuracy.csv"
     ev.accuracy_report_to_csv(rows, report_path)
@@ -524,9 +537,8 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
         verdict_dir.mkdir(exist_ok=True)
         tag, t = gate
         for name, (x_adv, _y) in attack_sets.items():
-            verdicts = dfc.detect_and_correct(classifier, defences[tag], x_adv, t, temperature=temperature)
             vpath = verdict_dir / f"{name}__{tag}.csv"
-            dfc.verdicts_to_csv(verdicts, vpath)
+            dfc.verdicts_to_csv(dfc.detect_and_correct(classifier, defences[tag], x_adv, t, temperature), t, vpath)
             artifacts.append(vpath)
     for row in rows:
         log.info("evaluate %s: %s", row["attack"], {k: v for k, v in row.items() if k != "attack"})

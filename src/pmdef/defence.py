@@ -4,7 +4,8 @@ pipeline.
 The score of an instance is the KL divergence between the classifier's
 prediction distribution on the instance and on its autoencoder
 reconstruction. Scores above a threshold flag the instance; flagged
-instances take the reconstruction's label instead.
+instances take the reconstruction's label instead. A decision is three
+arrays, one row per instance: the scores, the flags and the labels.
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from .training import temperature_scale
 # rows in one pass: with OpenBLAS a narrow GEMM, such as a 10-class output layer, can
 # round differently at another row count.
 _AE_ROWS = 512
-
-
-@dataclass
-class DefenceVerdict:
-    score: float
-    threshold: float
-    flagged: bool
-    label: int
-    source: str  # original | reconstructed
+Decision = tuple[np.ndarray, np.ndarray, np.ndarray]  # (scores, flagged, labels), one row per instance
 
 
 @dataclass(frozen=True)
@@ -52,22 +45,11 @@ class DefenceOutputs:
         p = self.p if temperature is None else temperature_scale(self.p, temperature)
         return kl_rows(p, self.q)
 
-    def _decide(self, threshold: float, temperature: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def decide(self, threshold: float, temperature: float | None = None) -> Decision:
+        """The rule above at ``threshold``."""
         scores = self.scores(temperature)
         flagged = scores > threshold
         return scores, flagged, np.where(flagged, self.q.argmax(axis=1), self.p.argmax(axis=1))
-
-    def labels(self, threshold: float, temperature: float | None = None) -> np.ndarray:
-        """Corrected labels: the reconstruction's label where score > threshold, else the classifier's."""
-        return self._decide(threshold, temperature)[2]
-
-    def verdicts(self, threshold: float, temperature: float | None = None) -> list[DefenceVerdict]:
-        scores, flagged, labels = self._decide(threshold, temperature)
-        return [
-            DefenceVerdict(score=float(s), threshold=float(threshold), flagged=bool(f), label=int(lab),
-                           source="reconstructed" if f else "original")
-            for s, f, lab in zip(scores, flagged, labels)
-        ]
 
 
 def reconstructed_proba(classifier, ae, x: np.ndarray) -> np.ndarray:
@@ -104,12 +86,15 @@ def calibrate_threshold(scores_normal, eps_fpr: float) -> float:
     return float(ordered[np.argmax(ok)])  # first (smallest) admissible value
 
 
-def detect_and_correct(classifier, ae, x: np.ndarray, threshold: float, temperature: float | None = None) -> list[DefenceVerdict]:
-    """Verdicts for a batch; see ``DefenceOutputs.verdicts``."""
-    return defence_outputs(classifier, ae, x).verdicts(threshold, temperature)
+def detect_and_correct(classifier, ae, x: np.ndarray, threshold: float, temperature: float | None = None) -> Decision:
+    """The decision for a batch; see ``DefenceOutputs.decide``."""
+    return defence_outputs(classifier, ae, x).decide(threshold, temperature)
 
 
-def verdicts_to_csv(verdicts: list[DefenceVerdict], path) -> None:
+def verdicts_to_csv(decision: Decision, threshold: float, path) -> None:
+    """One row per instance of a ``decide`` result taken at ``threshold``."""
+    scores, flagged, labels = (a.tolist() for a in decision)
     header = ["id", "score", "threshold", "flagged", "label", "source"]
-    rows = [[i, f"{v.score:.17g}", f"{v.threshold:.17g}", int(v.flagged), v.label, v.source] for i, v in enumerate(verdicts)]
+    rows = [[i, f"{s:.17g}", f"{threshold:.17g}", int(f), lab, "reconstructed" if f else "original"]
+            for i, (s, f, lab) in enumerate(zip(scores, flagged, labels))]
     write_artifact(path, csv_text([header, *rows]))

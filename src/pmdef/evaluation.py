@@ -127,7 +127,7 @@ def accuracy_report(
             q = reconstructed_proba(classifier, ae, x_adv)
             row[name] = float((q.argmax(axis=1) == y).mean())
             if gate is not None and gate[0] == name:
-                row[f"{name}@detect"] = float((DefenceOutputs(p, q).labels(gate[1], temperature) == y).mean())
+                row[f"{name}@detect"] = float((DefenceOutputs(p, q).decide(gate[1], temperature)[2] == y).mean())
         rows.append(row)
     return rows
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from pmdef import artifacts, cli
-from pmdef.attacks import AdversarialBatch, AttackConfig, load_batch, save_batch
+from pmdef.attacks import AdversarialBatch, AttackConfig, inputs_crc32, load_batch, save_batch
 from pmdef.datasets import Dataset, write_cifar_binary, write_idx
-from pmdef.defence import DefenceVerdict, verdicts_to_csv
+from pmdef.defence import verdicts_to_csv
 from pmdef.errors import MismatchError
 from pmdef.evaluation import DriftReport, DriftRow, accuracy_report_to_csv
 from pmdef.models import build_model, save_checkpoint
@@ -51,7 +51,7 @@ def test_csv_text_ends_lines_with_crlf():
 def _batch(v):
     x = np.full((2, 3), 0.25 + v / 8)
     rows = np.array([0, 1])
-    return AdversarialBatch(x, x + 0.1, rows, rows, rows[::-1], np.array([False, True]),
+    return AdversarialBatch(inputs_crc32(x), x + 0.1, rows, rows, rows[::-1], np.array([False, True]),
                             {"l2": np.array([0.1, 0.2])}, AttackConfig("fgsm"))
 
 
@@ -93,7 +93,7 @@ WRITERS = {
     "save_batch-json": ("b.json", lambda out, v: save_batch(_batch(v), out / "b.json")),
     "save_batch-bin": ("b.bin", lambda out, v: save_batch(_batch(v), out / "b.json")),
     "to_jsonl": ("t.jsonl", lambda out, v: _report(v).to_jsonl(out / "t.jsonl")),
-    "verdicts_to_csv": ("v.csv", lambda out, v: verdicts_to_csv([DefenceVerdict(v, 0.5, True, 1, "reconstructed")], out / "v.csv")),
+    "verdicts_to_csv": ("v.csv", lambda out, v: verdicts_to_csv((np.array([v]), np.array([True]), np.array([1])), 0.5, out / "v.csv")),
     "accuracy_report_to_csv": ("r.csv", lambda out, v: accuracy_report_to_csv([{"attack": "a", "kl": v / 2}], out / "r.csv")),
     "drift-to_json": ("d.json", lambda out, v: _drift(v).to_json(out / "d.json")),
     "drift-to_csv": ("d.csv", lambda out, v: _drift(v).to_csv(out / "d.csv")),

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_fgsm_linf_equals_eps_for_interior_points():
     model = linear_2d_model()
     x = np.array([[0.5, 0.5], [0.4, 0.6]])
     batch = fgsm(model, x, config=AttackConfig(kind="fgsm", epsilon=0.2))
-    delta = batch.adversarials - batch.originals
+    delta = batch.adversarials - x
     assert np.allclose(np.abs(delta).max(axis=1), 0.2, atol=1e-12)
 
 
@@ -131,7 +132,7 @@ def test_slide_direction_respects_signs():
 def test_slide_zero_steps_returns_originals(trained_toy):
     model, x, y = trained_toy
     batch = slide(model, x, y, config=AttackConfig(kind="slide", k=0))
-    assert np.array_equal(batch.adversarials, batch.originals)
+    assert np.array_equal(batch.adversarials, x)
     assert batch.success.sum() == 0
 
 
@@ -153,7 +154,7 @@ def test_slide_sparsity_and_l1_budget(trained_toy):
     bound = math.ceil((1 - q / 100.0) * n)
     assert max(batch.diagnostics["per_iter_max_active"]) <= bound
     assert max(batch.diagnostics["per_iter_max_l1"]) <= eps_l1 + 1e-9
-    assert np.abs(batch.adversarials - batch.originals).sum(axis=1).max() <= eps_l1 + 1e-9
+    assert np.abs(batch.adversarials - x).sum(axis=1).max() <= eps_l1 + 1e-9
     assert batch.adversarials.min() >= 0.0 and batch.adversarials.max() <= 1.0
 
 
@@ -226,9 +227,10 @@ def test_cw_constant_model_never_succeeds():
     model = build_model(spec, 0)
     model.store.get(0)["w"].data[:] = 0.0
     model.store.freeze_all()
-    batch = cw_l2(model, np.array([[0.3, 0.4], [0.6, 0.1]]), config=AttackConfig(kind="cw_l2", binary_steps=2, max_iter=30, lr=0.1, c_init=1.0))
+    x = np.array([[0.3, 0.4], [0.6, 0.1]])
+    batch = cw_l2(model, x, config=AttackConfig(kind="cw_l2", binary_steps=2, max_iter=30, lr=0.1, c_init=1.0))
     assert not batch.success.any()
-    assert np.array_equal(batch.adversarials, batch.originals)
+    assert np.array_equal(batch.adversarials, x)
 
 
 def test_cw_smallest_l2_kept_across_rounds(trained_toy):
@@ -359,7 +361,7 @@ def test_cw_adversarials_stay_in_domain(trained_toy):
 def test_success_mask_recomputed_from_predictions(trained_toy):
     model, x, y = trained_toy
     batch = fgsm(model, x, y, config=AttackConfig(kind="fgsm", epsilon=0.25))
-    expected = model.predict_class(batch.adversarials) != model.predict_class(batch.originals)
+    expected = model.predict_class(batch.adversarials) != model.predict_class(x)
     assert np.array_equal(batch.success, expected)
 
 
@@ -427,7 +429,8 @@ def test_batch_round_trip_persistence(tmp_path, trained_toy):
     path = tmp_path / "fgsm.json"
     save_batch(batch, path)
     loaded = load_batch(path)
-    assert np.array_equal(loaded.originals, batch.originals)
+    assert loaded.originals_crc32 == batch.originals_crc32 == zlib.crc32(x[:10].astype("<f8").tobytes())
+    assert path.with_suffix(".bin").read_bytes() == batch.adversarials.astype("<f8").tobytes()  # the adversarials only
     assert np.array_equal(loaded.adversarials, batch.adversarials)
     assert np.array_equal(loaded.success, batch.success)
     assert loaded.config.to_dict() == batch.config.to_dict()

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import typing
+import zlib
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -441,6 +442,45 @@ def test_evaluate_gates_with_the_minus_infinity_threshold_of_eps_fpr_1(attacked_
         assert rows and all(r["flagged"] == "1" for r in rows), path
 
 
+def test_the_verdicts_repeat_the_score_files_and_give_the_gated_report_column(attacked_run, tmp_path):
+    cfg, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    for stage in ["score", "calibrate", "evaluate"]:
+        assert run_cli([stage, "--config", str(cfg), "--out", str(out)]) == 0, stage
+    with open(out / "report_accuracy.csv", newline="") as fh:
+        report = {row["attack"]: row for row in csv.DictReader(fh)}
+    assert list(report) == ["fgsm02"]
+    for name, row in report.items():
+        with open(out / "verdicts" / f"{name}__kl.csv", newline="") as fh:
+            verdicts = list(csv.DictReader(fh))
+        scored = [line.split(",")[1] for line in (out / "scores" / f"{name}.csv").read_text().splitlines()[1:]]
+        assert [v["score"] for v in verdicts] == scored  # the same .17g text, so the same bits
+        corrected = np.array([int(v["label"]) for v in verdicts])
+        assert float(row["kl@detect"]) == float((corrected == load_batch(out / "attacks" / f"{name}.json").labels).mean())
+
+
+@pytest.mark.parametrize("gated, scored", [("kl", "mse"), ("mse", "kl")])
+def test_evaluate_refuses_a_threshold_calibrated_for_another_score_defence(attacked_run, tmp_path, capsys, gated, scored):
+    _, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    shutil.copy(out / "ae_kl.ckpt", out / "ae_mse.ckpt")  # both defences on disk, so that only the gate is at fault
+    both = {"defence_losses": [{"kind": "kl"}, {"kind": "mse"}], "report_defences": ["kl", "mse"]}
+    assert run_cli(["calibrate", "--config", str(_write_config(tmp_path, out, score_defence=gated, **both))]) == 0
+    assert run_cli(["evaluate", "--config", str(_write_config(tmp_path, out, score_defence=scored, **both))]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'threshold.json'}: gates defence {gated!r}, but score_defence is {scored!r}; rerun calibrate\n"
+    assert not (out / "report_accuracy.csv").exists()
+
+
+def test_calibrate_checks_calibration_size_before_it_loads_a_checkpoint(tmp_path, capsys):
+    cfg = _write_config(tmp_path, tmp_path / "fresh", calibration_size=1000000)
+    assert run_cli(["calibrate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: calibration_size: must be in [1, 120], the training-set size, got 1000000\n", err
+
+
 # threshold.json as calibrate writes it for the attacked run
 _THRESHOLD = {"defence": "kl", "eps_fpr": 0.1, "n": 60, "threshold": 0.25}
 
@@ -503,7 +543,7 @@ MALFORMED_BATCHES = {
     "json-list": lambda text: "[1, 2]",
     "no-bin-file": _batch_edit(_set("bin_file", None)),
     "missing-bin-file": _batch_edit(_set("bin_file", "elsewhere.bin")),
-    "no-blocks": _batch_edit(_set("blocks", None)),
+    "no-originals-crc32": _batch_edit(_set("originals_crc32", None)),
     "no-crc32": _batch_edit(_set("crc32", None)),
     "wrong-crc32": _batch_edit(lambda meta: {**meta, "crc32": meta["crc32"] ^ 1}),
     "string-labels": _batch_edit(_set("labels", "abc")),
@@ -554,7 +594,7 @@ def _batch_mutations(draw, meta: dict):
     if action == "crc32":
         delta = draw(st.integers(1, 2**32 - 1))
         return (action, delta), lambda m: {**m, "crc32": m["crc32"] ^ delta}, keep
-    at = draw(st.integers(0, 16 * int(np.prod(meta["shape"])) - 1))  # originals and adversarials, 8 bytes each
+    at = draw(st.integers(0, 8 * int(np.prod(meta["shape"])) - 1))  # the adversarials, 8 bytes each
     if action == "flip":
         return (action, at), keep, lambda raw: raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1 :]
     return (action, at), keep, lambda raw: raw[:at]
@@ -580,6 +620,38 @@ def test_a_mutated_attack_batch_exits_1_with_an_error_line_in_score_and_evaluate
     finally:
         json_path.write_text(text)
         bin_path.write_bytes(raw)
+
+
+@pytest.mark.parametrize("stage", ["score", "evaluate"])
+@pytest.mark.parametrize("subset, noise", [(20, 0.1), (None, 0.1), (30, 0.2)], ids=["subset-20", "subset-all", "noise"])
+def test_a_batch_made_from_other_test_rows_exits_1_naming_it(attacked_run, tmp_path, capsys, stage, subset, noise):
+    _, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out, ignore=shutil.ignore_patterns("threshold.json"))
+    changed = _write_config(tmp_path, out, attack_subset=subset, dataset={**_toy_config(out)["dataset"], "noise": noise})
+    assert run_cli([stage, "--config", str(changed)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'attacks' / 'fgsm02.json'}: ") and err.rstrip().endswith("; rerun attack"), err
+    assert run_cli([stage, "--config", str(_write_config(tmp_path, out))]) == 0  # the config the batch was made under
+
+
+def test_a_batch_in_the_older_two_block_format_exits_1_naming_it(attacked_run, tmp_path, capsys):
+    cfg, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    json_path, bin_path = out / "attacks" / "fgsm02.json", out / "attacks" / "fgsm02.bin"
+    meta, adversarials = json.loads(json_path.read_text()), bin_path.read_bytes()
+    test = from_dict(cli.Experiment, json.loads(cfg.read_text())).dataset.load(5, "test")
+    originals = test.images[:30].astype("<f8").tobytes()
+    assert zlib.crc32(originals) == meta.pop("originals_crc32") and len(originals) == len(adversarials)
+    meta.update(blocks={"originals": [0, len(originals)], "adversarials": [len(originals), len(adversarials)]},
+                crc32=zlib.crc32(adversarials, zlib.crc32(originals)))
+    json_path.write_text(json.dumps(meta))
+    bin_path.write_bytes(originals + adversarials)
+    for stage in ("score", "evaluate"):
+        assert run_cli([stage, "--config", str(cfg), "--out", str(out)]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {json_path}: "), err
 
 
 def test_checkpoint_loadable_and_consistent_with_cli(tmp_path):
@@ -648,6 +720,14 @@ _AE_WITH_BAD_DROPOUT = {
     "layers": [{"type": "dropout", "rate": 1.5}, {"type": "flatten"}, {"type": "dense", "units": 64},
                {"type": "reshape", "shape": [8, 8, 1]}],
 }
+_AE_6X6 = {
+    "name": "ae", "input_shape": [6, 6, 1],
+    "layers": [{"type": "flatten"}, {"type": "dense", "units": 36}, {"type": "reshape", "shape": [6, 6, 1]}],
+}
+_AE_TO_6X6 = {
+    "name": "ae", "input_shape": [8, 8, 1],
+    "layers": [{"type": "flatten"}, {"type": "dense", "units": 36}, {"type": "reshape", "shape": [6, 6, 1]}],
+}
 _AE_WITH_DENSE_0 = {
     "name": "ae", "input_shape": [8, 8, 1],
     "layers": [{"type": "flatten"}, {"type": "dense", "units": 0}, {"type": "dense", "units": 64},
@@ -709,6 +789,10 @@ MALFORMED_SPECS = {
     "no-autoencoder-spec": ("autoencoder_spec", None, "autoencoder_spec"),
     "ae-dropout-rate-above-1": ("autoencoder_spec", _AE_WITH_BAD_DROPOUT, "layer 0"),
     "ae-dense-units-0": ("autoencoder_spec", _AE_WITH_DENSE_0, "autoencoder_spec.layers[1].units: must be in [1, inf], got 0"),
+    "ae-6x6": ("autoencoder_spec", _AE_6X6, "autoencoder_spec: maps (6, 6, 1) to (6, 6, 1), but classifier_spec reads (8, 8, 1)"),
+    "ae-to-6x6": (
+        "autoencoder_spec", _AE_TO_6X6, "autoencoder_spec: maps (8, 8, 1) to (6, 6, 1), but classifier_spec reads (8, 8, 1)",
+    ),
 }
 
 
@@ -980,7 +1064,9 @@ def test_a_mistyped_or_unknown_spec_field_exits_1_in_every_stage(tmp_path, capsy
         assert capsys.readouterr().err.startswith(f"error: {needle}"), stage
 
 
-@pytest.mark.parametrize("case", ["maxpool-stride-0", "conv-bad-padding", "ae-dense-units-0", "dropout-rate-1", "dense-after-conv"])
+@pytest.mark.parametrize(
+    "case", ["maxpool-stride-0", "conv-bad-padding", "ae-dense-units-0", "dropout-rate-1", "dense-after-conv", "ae-6x6"],
+)
 def test_a_spec_out_of_range_or_off_its_shape_chain_exits_1_in_every_stage(tmp_path, capsys, case):
     key, value, needle = MALFORMED_SPECS[case]
     cfg = _toy_config(tmp_path / "run")

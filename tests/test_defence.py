@@ -10,7 +10,6 @@ from pmdef import defence
 from pmdef.autodiff import kl_rows
 from pmdef.defence import (
     DefenceOutputs,
-    DefenceVerdict,
     adversarial_score,
     calibrate_threshold,
     defence_outputs,
@@ -170,19 +169,18 @@ def test_calibrate_fpr_tight_on_distinct_scores(seed, eps):
 
 def test_detect_pass_through_below_threshold(toy_defence):
     clf, x, _ = toy_defence
-    ae = identity = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
-    verdicts = detect_and_correct(clf, ae, x, math.inf)
-    assert all(not v.flagged and v.source == "original" for v in verdicts)
-    assert [v.label for v in verdicts] == clf.predict_class(x).tolist()
+    ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
+    _, flagged, labels = detect_and_correct(clf, ae, x, math.inf)
+    assert not flagged.any()
+    assert labels.tolist() == clf.predict_class(x).tolist()
 
 
 def test_detect_correct_above_threshold(toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
-    verdicts = detect_and_correct(clf, ae, x, -math.inf)
-    assert all(v.flagged and v.source == "reconstructed" for v in verdicts)
-    expected = clf.predict_class(ae.reconstruct(x))
-    assert [v.label for v in verdicts] == expected.tolist()
+    _, flagged, labels = detect_and_correct(clf, ae, x, -math.inf)
+    assert flagged.all()
+    assert labels.tolist() == clf.predict_class(ae.reconstruct(x)).tolist()
 
 
 def test_detect_flag_iff_score_above_threshold(toy_defence):
@@ -190,14 +188,15 @@ def test_detect_flag_iff_score_above_threshold(toy_defence):
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
     scores = adversarial_score(clf, ae, x)
     t = float(np.median(scores))
-    verdicts = detect_and_correct(clf, ae, x, t)
-    for s, v in zip(scores, verdicts):
-        assert v.flagged == (s > t)
-        assert v.source == ("reconstructed" if v.flagged else "original")
+    decided, flagged, labels = detect_and_correct(clf, ae, x, t)
+    assert np.array_equal(decided, scores)
+    assert np.array_equal(flagged, scores > t) and 0 < flagged.sum() < len(x)
+    expected = np.where(flagged, clf.predict_class(ae.reconstruct(x)), clf.predict_class(x))
+    assert np.array_equal(labels, expected)
 
 
 @pytest.mark.parametrize("temperature", [None, 0.5])
-def test_outputs_labels_agree_with_verdicts(toy_defence, temperature):
+def test_outputs_decide_as_detect_and_correct_does(toy_defence, temperature):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
     out = defence_outputs(clf, ae, x)
@@ -205,20 +204,29 @@ def test_outputs_labels_agree_with_verdicts(toy_defence, temperature):
     scores = out.scores(temperature)
     assert np.array_equal(scores, adversarial_score(clf, ae, x, temperature=temperature))
     t = float(np.median(scores))
-    verdicts = out.verdicts(t, temperature)
-    assert out.labels(t, temperature).tolist() == [v.label for v in verdicts]
-    assert verdicts == detect_and_correct(clf, ae, x, t, temperature=temperature)
+    decision = out.decide(t, temperature)
+    assert np.array_equal(decision[0], scores)
+    for mine, theirs in zip(decision, detect_and_correct(clf, ae, x, t, temperature=temperature), strict=True):
+        assert np.array_equal(mine, theirs)
 
 
 def test_verdict_csv_format(tmp_path, toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
-    verdicts = detect_and_correct(clf, ae, x[:5], 0.01)
     path = tmp_path / "verdicts.csv"
-    verdicts_to_csv(verdicts, path)
+    verdicts_to_csv(detect_and_correct(clf, ae, x[:5], 0.01), 0.01, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "id,score,threshold,flagged,label,source"
     assert len(lines) == 6
+
+
+def test_verdict_csv_rows_print_the_decision_as_python_scalars_would(tmp_path):
+    scores, flagged, labels = np.array([0.1, 2 / 3, -0.0]), np.array([False, True, False]), np.array([2, 0, 1])
+    verdicts_to_csv((scores, flagged, labels), -math.inf, tmp_path / "v.csv")
+    expected = [f"{i},{float(s):.17g},-inf,{int(f)},{int(lab)},{'reconstructed' if f else 'original'}"
+                for i, (s, f, lab) in enumerate(zip(scores, flagged, labels))]
+    assert expected[1] == "1,0.66666666666666663,-inf,1,0,reconstructed" and expected[2].startswith("2,-0,")
+    assert (tmp_path / "v.csv").read_bytes() == "\r\n".join(["id,score,threshold,flagged,label,source", *expected, ""]).encode()
 
 
 def test_separation_on_trained_toy_defence(toy_defence):

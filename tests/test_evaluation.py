@@ -305,7 +305,7 @@ def test_accuracy_report_gated_column_matches_detect_and_correct(small_image_cla
     noisy = np.clip(x + 0.25 * np.sign(np.random.default_rng(3).normal(size=x.shape)), 0, 1)
     t = float(np.quantile(adversarial_score(clf, ae, noisy), 0.9))
     row = accuracy_report(clf, {"ae": ae}, {"noise": (noisy, y)}, (x, y), gate=("ae", t))[0]
-    gated = np.array([v.label for v in detect_and_correct(clf, ae, noisy, t)])
+    gated = detect_and_correct(clf, ae, noisy, t)[2]
     assert row["ae@detect"] == float((gated == y).mean())
     assert len({row["no_defence"], row["ae"], row["ae@detect"]}) == 3  # the gate matters on this data
 
@@ -327,8 +327,8 @@ def test_accuracy_report_reconstructs_in_the_row_blocks_of_defence_outputs(small
     t = float(np.quantile(outputs.scores(), 0.9))
     row = accuracy_report(clf, {"ae": ae}, {"noise": (noisy, y)}, (x, y), gate=("ae", t))[0]
     assert max(ae_passes) == 7 and sum(ae_passes) == 2 * x.shape[0]
-    assert row["ae"] == float((outputs.labels(-math.inf) == y).mean())
-    assert row["ae@detect"] == float((outputs.labels(t) == y).mean())
+    assert row["ae"] == float((outputs.decide(-math.inf)[2] == y).mean())
+    assert row["ae@detect"] == float((outputs.decide(t)[2] == y).mean())
 
 
 def test_accuracy_report_csv(tmp_path, small_image_classifier):
