@@ -20,6 +20,7 @@ A batch keeps its adversarials and, in place of its inputs, their CRC-32
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -45,6 +46,8 @@ CW_FLAGS = ("unsuccessful", "failed")  # C&W's per-instance diagnostics, bool ar
 # the diagnostics a batch file keeps: C&W's flags (as 0/1 lists) and SLIDE's as given;
 # FGSM's preclip_delta is as large as the payload and stays in memory only
 SAVED_DIAGNOSTICS = (*CW_FLAGS, "skipped_iterations", "per_iter_max_l1", "per_iter_max_active")
+BATCH_KEYS = frozenset({"config", "shape", "bin_file", "crc32", "originals_crc32", "labels", "original_pred",
+                        "adversarial_pred", "success", "norms", "diagnostics"})  # a batch JSON's keys, all required
 # Fixed C&W work unit: up to this many instances share one tape per iteration; workers
 # only parallelise across units, so results do not depend on the worker count
 _CHUNK = 512
@@ -369,8 +372,12 @@ def load_batch(json_path) -> AdversarialBatch:
     json_path = Path(json_path)
     try:
         meta = json.loads(json_path.read_text(encoding="utf-8"))
+        if set(meta) != BATCH_KEYS:  # also a JSON list, or a batch of an older format
+            raise ValueError(f"expected the keys {sorted(BATCH_KEYS)}, got {sorted(meta)}")
+        if any(type(v) is not int or v < 0 for v in [*meta["shape"], meta["crc32"], meta["originals_crc32"]]):
+            raise TypeError("'shape' entries, 'crc32' and 'originals_crc32' must be JSON integers >= 0")
         bin_path = json_path.parent / meta["bin_file"]
-        shape = tuple(int(s) for s in meta["shape"])
+        shape = tuple(meta["shape"])
         rows = {k: np.asarray(meta[k], dtype=np.int64) for k in ("original_pred", "adversarial_pred", "success")}
         labels = None if meta["labels"] is None else np.asarray(meta["labels"], dtype=np.int64)
         norms = {k: np.asarray(v, dtype=np.float64) for k, v in meta["norms"].items()}
@@ -379,7 +386,6 @@ def load_batch(json_path) -> AdversarialBatch:
             for k, v in meta["diagnostics"].items()
         }
         config = from_dict(AttackConfig, meta["config"], "config")
-        crc, originals_crc = int(meta["crc32"]), int(meta["originals_crc32"])
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError, UserError) as exc:
         raise ParseError(f"{json_path}: malformed attack batch: {exc!r}") from None
     per_row = [*rows.values(), *norms.values(), *([] if labels is None else [labels])]
@@ -390,13 +396,13 @@ def load_batch(json_path) -> AdversarialBatch:
     if not bin_path.is_file():
         raise ParseError(f"{json_path}: its payload file {bin_path} is missing")
     raw = bin_path.read_bytes()
-    size = 8 * int(np.prod(shape))
+    size = 8 * math.prod(shape)  # exact: an int64 product could wrap onto the payload size
     if len(raw) != size:
-        raise MismatchError(f"{bin_path}: {len(raw)} payload bytes, where shape {shape} takes {size}")
-    if zlib.crc32(raw) != crc:
+        raise MismatchError(f"{bin_path}: {len(raw)} payload bytes, where shape {shape} in {json_path} takes {size}")
+    if zlib.crc32(raw) != meta["crc32"]:
         raise MismatchError(f"{bin_path}: payload does not match the CRC-32 recorded in {json_path}")
     return AdversarialBatch(
-        originals_crc32=originals_crc,
+        originals_crc32=meta["originals_crc32"],
         adversarials=np.frombuffer(raw, dtype="<f8").reshape(shape).copy(),
         labels=labels,
         original_pred=rows["original_pred"],

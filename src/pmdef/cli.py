@@ -370,10 +370,11 @@ def _load_classifier(out: Path):
     return model
 
 
-def _load_defence(out: Path, tag: str):
+def _load_defence(exp: Experiment, out: Path, tag: str) -> dfc.Defence:
+    """The frozen autoencoder ``tag``, scored the way its ``defence_losses`` entry trained it."""
     model = load_checkpoint(_require_file(out / f"ae_{tag}.ckpt", "train-defence"))
     model.store.freeze_all()
-    return model
+    return dfc.Defence(model, next(s.target_temperature for s in exp.defence_losses if s.kind == tag))
 
 
 def _attack_inputs(exp: Experiment, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -444,7 +445,7 @@ def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path
     artifacts = []
     for entry in _required(exp, "attacks"):
         if entry.target_mode == "white_box":
-            target = DefendedModel(classifier, _load_defence(out, entry.ae))
+            target = DefendedModel(classifier, _load_defence(exp, out, entry.ae).ae)
         else:
             target = classifier
         batch = atk.run_attack(target, x, y, config=entry, workers=workers)
@@ -455,31 +456,24 @@ def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path
     return artifacts
 
 
-def _score_temperature(exp: Experiment) -> float | None:
-    """Temperature the ``score_defence`` sharpened its training target with, so
-    that it is scored the way it was trained; None when untempered."""
-    return next((s.target_temperature for s in exp.defence_losses if s.kind == exp.score_defence), None)
-
-
 def _scoring(exp: Experiment, out: Path):
-    """The frozen classifier, the ``score_defence`` autoencoder and the
-    temperature it is scored with."""
-    return _load_classifier(out), _load_defence(out, exp.score_defence), _score_temperature(exp)
+    """The frozen classifier and the ``score_defence``."""
+    return _load_classifier(out), _load_defence(exp, out, exp.score_defence)
 
 
 def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
     inputs_crc32 = atk.inputs_crc32(_attack_inputs(exp, test)[0])
-    classifier, ae, temperature = _scoring(exp, out)
+    classifier, defence = _scoring(exp, out)
     score_dir = out / "scores"
     score_dir.mkdir(exist_ok=True)
     clean_path = score_dir / "clean_test.csv"
-    _write_scores_csv(dfc.adversarial_score(classifier, ae, test.images, temperature=temperature), clean_path)
+    _write_scores_csv(dfc.adversarial_score(classifier, defence, test.images), clean_path)
     artifacts = [clean_path]
     for entry in exp.attacks:
         batch = _load_attack(out, entry.name, inputs_crc32)
         path = score_dir / f"{entry.name}.csv"
-        _write_scores_csv(dfc.adversarial_score(classifier, ae, batch.adversarials, temperature=temperature), path)
+        _write_scores_csv(dfc.adversarial_score(classifier, defence, batch.adversarials), path)
         artifacts.append(path)
     return artifacts
 
@@ -489,9 +483,9 @@ def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> list[P
     size = min(1000, train.n) if exp.calibration_size is None else exp.calibration_size
     if size > train.n:
         raise ConfigError(f"calibration_size: must be in [1, {train.n}], the training-set size, got {size}")
-    classifier, ae, temperature = _scoring(exp, out)
+    classifier, defence = _scoring(exp, out)
     x_cal = train.images[-size:]
-    scores = dfc.adversarial_score(classifier, ae, x_cal, temperature=temperature)
+    scores = dfc.adversarial_score(classifier, defence, x_cal)
     t = dfc.calibrate_threshold(scores, exp.eps_fpr)
     path = out / "threshold.json"
     info = {"threshold": t, "eps_fpr": float(exp.eps_fpr), "n": size, "defence": exp.score_defence}
@@ -505,14 +499,15 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
     clean = _attack_inputs(exp, test)
     inputs_crc32 = atk.inputs_crc32(clean[0])
     classifier = _load_classifier(out)
-    defences = {tag: _load_defence(out, tag) for tag in exp.report_defences or [s.kind for s in exp.defence_losses]}
+    tags = exp.report_defences or [s.kind for s in exp.defence_losses]
+    defences = {tag: _load_defence(exp, out, tag) for tag in tags}
     attack_sets = {}
     for entry in _required(exp, "attacks"):
         batch = _load_attack(out, entry.name, inputs_crc32)
         if batch.labels is None:
             raise DataError(f"attack batch {entry.name} carries no true labels; cannot compute accuracy")
         attack_sets[entry.name] = (batch.adversarials, batch.labels)
-    gate, temperature = None, _score_temperature(exp)  # the gate's defence is score_defence
+    gate = None
     tpath = out / "threshold.json"
     if tpath.is_file():
         try:
@@ -528,7 +523,7 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
         if tag != exp.score_defence:
             raise ConfigError(f"{tpath}: gates defence {tag!r}, but score_defence is {exp.score_defence!r}; "
                               "rerun calibrate")
-    rows = ev.accuracy_report(classifier, defences, attack_sets, clean, gate=gate, temperature=temperature)
+    rows = ev.accuracy_report(classifier, defences, attack_sets, clean, gate=gate)
     report_path = out / "report_accuracy.csv"
     ev.accuracy_report_to_csv(rows, report_path)
     artifacts = [report_path]
@@ -538,7 +533,7 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
         tag, t = gate
         for name, (x_adv, _y) in attack_sets.items():
             vpath = verdict_dir / f"{name}__{tag}.csv"
-            dfc.verdicts_to_csv(dfc.detect_and_correct(classifier, defences[tag], x_adv, t, temperature), t, vpath)
+            dfc.verdicts_to_csv(dfc.detect_and_correct(classifier, defences[tag], x_adv, t), t, vpath)
             artifacts.append(vpath)
     for row in rows:
         log.info("evaluate %s: %s", row["attack"], {k: v for k, v in row.items() if k != "attack"})
@@ -547,10 +542,9 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
 
 def cmd_drift(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
-    classifier, ae, temperature = _scoring(exp, out)
     report = ev.drift_report(
-        classifier, ae, test.images, test.labels, kinds=exp.drift.kinds, severities=exp.drift.severities,
-        seed=derive_seed(seed, "drift") % (2**31), temperature=temperature,
+        *_scoring(exp, out), test.images, test.labels, kinds=exp.drift.kinds, severities=exp.drift.severities,
+        seed=derive_seed(seed, "drift") % (2**31),
     )
     jpath = out / "drift.json"
     cpath = out / "drift.csv"

@@ -2,10 +2,11 @@
 pipeline.
 
 The score of an instance is the KL divergence between the classifier's
-prediction distribution on the instance and on its autoencoder
-reconstruction. Scores above a threshold flag the instance; flagged
-instances take the reconstruction's label instead. A decision is three
-arrays, one row per instance: the scores, the flags and the labels.
+prediction distribution on the instance and on its reconstruction by a
+``Defence``: an autoencoder with the temperature its score uses. Scores
+above a threshold flag the instance; flagged ones take the reconstruction's
+label instead. A decision is three arrays, one row per instance: the
+scores, the flags and the labels.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ Decision = tuple[np.ndarray, np.ndarray, np.ndarray]  # (scores, flagged, labels
 
 
 @dataclass(frozen=True)
+class Defence:
+    """A frozen autoencoder and the temperature its score sharpens M(x) with (None: untempered)."""
+
+    ae: object
+    temperature: float | None = None
+
+
+@dataclass(frozen=True)
 class DefenceOutputs:
     """The two prediction distributions every defence decision derives from,
     ``p`` = M(x) and ``q`` = M(AE(x)), one row per instance, and the one
@@ -39,15 +48,16 @@ class DefenceOutputs:
 
     p: np.ndarray
     q: np.ndarray
+    temperature: float | None
 
-    def scores(self, temperature: float | None = None) -> np.ndarray:
+    def scores(self) -> np.ndarray:
         """Per-instance KL(p || q); higher means more suspicious."""
-        p = self.p if temperature is None else temperature_scale(self.p, temperature)
+        p = self.p if self.temperature is None else temperature_scale(self.p, self.temperature)
         return kl_rows(p, self.q)
 
-    def decide(self, threshold: float, temperature: float | None = None) -> Decision:
+    def decide(self, threshold: float) -> Decision:
         """The rule above at ``threshold``."""
-        scores = self.scores(temperature)
+        scores = self.scores()
         flagged = scores > threshold
         return scores, flagged, np.where(flagged, self.q.argmax(axis=1), self.p.argmax(axis=1))
 
@@ -59,14 +69,15 @@ def reconstructed_proba(classifier, ae, x: np.ndarray) -> np.ndarray:
     return classifier.predict_proba(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
 
 
-def defence_outputs(classifier, ae, x: np.ndarray) -> DefenceOutputs:
+def defence_outputs(classifier, defence: Defence, x: np.ndarray) -> DefenceOutputs:
     """One classifier pass on x plus ``reconstructed_proba``."""
-    return DefenceOutputs(classifier.predict_proba(x), reconstructed_proba(classifier, ae, x))
+    p = classifier.predict_proba(x)
+    return DefenceOutputs(p, reconstructed_proba(classifier, defence.ae, x), defence.temperature)
 
 
-def adversarial_score(classifier, ae, x: np.ndarray, temperature: float | None = None) -> np.ndarray:
+def adversarial_score(classifier, defence: Defence, x: np.ndarray) -> np.ndarray:
     """Per-instance KL(M(x) || M(AE(x))); see ``DefenceOutputs.scores``."""
-    return defence_outputs(classifier, ae, x).scores(temperature)
+    return defence_outputs(classifier, defence, x).scores()
 
 
 def calibrate_threshold(scores_normal, eps_fpr: float) -> float:
@@ -86,9 +97,9 @@ def calibrate_threshold(scores_normal, eps_fpr: float) -> float:
     return float(ordered[np.argmax(ok)])  # first (smallest) admissible value
 
 
-def detect_and_correct(classifier, ae, x: np.ndarray, threshold: float, temperature: float | None = None) -> Decision:
+def detect_and_correct(classifier, defence: Defence, x: np.ndarray, threshold: float) -> Decision:
     """The decision for a batch; see ``DefenceOutputs.decide``."""
-    return defence_outputs(classifier, ae, x).decide(threshold, temperature)
+    return defence_outputs(classifier, defence, x).decide(threshold)
 
 
 def verdicts_to_csv(decision: Decision, threshold: float, path) -> None:

@@ -61,10 +61,6 @@ class NonFiniteError(RuntimeFailure):
 class DivergenceError(RuntimeFailure):
     """Training loss became NaN."""
 
-    def __init__(self, message: str, epoch: int | None = None):
-        super().__init__(message)
-        self.epoch = epoch
-
 
 class ParseError(UserError):
     """A binary file does not conform to its format."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .artifacts import csv_text, write_artifact
-from .defence import DefenceOutputs, defence_outputs, reconstructed_proba
+from .defence import Defence, DefenceOutputs, defence_outputs, reconstructed_proba
 from .errors import DataError, ParameterError
 
 # per-kind corruption parameter tables, severity 1..5 (strictly monotone harm)
@@ -104,18 +104,16 @@ def ks_two_sample(a, b) -> tuple[float, float]:
 
 def accuracy_report(
     classifier,
-    defences: dict[str, object],
+    defences: dict[str, Defence],
     attack_sets: dict[str, tuple[np.ndarray, np.ndarray]],
     clean_set: tuple[np.ndarray, np.ndarray],
     gate: tuple[str, float] | None = None,
-    temperature: float | None = None,
 ) -> list[dict]:
     """One row per attack: clean accuracy, undefended accuracy, then one
     pure-correction column per defence (every instance takes the
     reconstruction's label). A ``gate`` (defence, threshold) adds a
     detection-gated column ``<defence>@detect`` for that defence, which
-    applies the ``DefenceOutputs`` rule with ``temperature``, the one the
-    threshold was calibrated with."""
+    applies the ``DefenceOutputs`` rule of that ``Defence``."""
     x_clean, y_clean = clean_set
     clean_acc = float((classifier.predict_class(x_clean) == y_clean).mean())
     rows = []
@@ -123,11 +121,12 @@ def accuracy_report(
         p = classifier.predict_proba(x_adv)  # shared by every defence column
         row: dict[str, object] = {"attack": attack_name, "no_attack": clean_acc}
         row["no_defence"] = float((p.argmax(axis=1) == y).mean())
-        for name, ae in defences.items():
-            q = reconstructed_proba(classifier, ae, x_adv)
+        for name, defence in defences.items():
+            q = reconstructed_proba(classifier, defence.ae, x_adv)
             row[name] = float((q.argmax(axis=1) == y).mean())
             if gate is not None and gate[0] == name:
-                row[f"{name}@detect"] = float((DefenceOutputs(p, q).decide(gate[1], temperature)[2] == y).mean())
+                gated = DefenceOutputs(p, q, defence.temperature).decide(gate[1])[2]
+                row[f"{name}@detect"] = float((gated == y).mean())
         rows.append(row)
     return rows
 
@@ -240,37 +239,34 @@ def _drift_row(severity: int, harm: np.ndarray, safe: np.ndarray, accuracy: floa
 
 def drift_report(
     classifier,
-    ae,
+    defence: Defence,
     x: np.ndarray,
     y: np.ndarray,
     kinds=tuple(CORRUPTION_PARAMS),
     severities=SEVERITIES,
     seed: int = 0,
-    temperature: float | None = None,
 ) -> DriftReport:
     """Score corrupted copies of the test set per severity, pooled over
     corruption kinds. Instances whose prediction changed relative to the
     clean prediction form the harmful group; unchanged ones the not-harmful
     group. Severity 0 is the clean set itself."""
     kinds = list(kinds)
-    clean = defence_outputs(classifier, ae, x)
+    clean = defence_outputs(classifier, defence, x)
     clean_pred = clean.p.argmax(axis=1)
-    clean_scores = clean.scores(temperature)
-    rows = [_drift_row(0, np.zeros(0), clean_scores, float((clean_pred == y).mean()))]
+    rows = [_drift_row(0, np.zeros(0), clean.scores(), float((clean_pred == y).mean()))]
     for sev in severities:
         harm_scores = []
         safe_scores = []
         correct = 0
-        total = 0
         for j, kind in enumerate(kinds):
             xc = corrupt_dataset(x, kind, sev, seed=seed * 1000 + sev * 10 + j)
-            outputs = defence_outputs(classifier, ae, xc)
+            outputs = defence_outputs(classifier, defence, xc)
             pred = outputs.p.argmax(axis=1)
-            scores = outputs.scores(temperature)
+            scores = outputs.scores()
             changed = pred != clean_pred
             harm_scores.append(scores[changed])
             safe_scores.append(scores[~changed])
             correct += int((pred == y).sum())
-            total += xc.shape[0]
-        rows.append(_drift_row(sev, np.concatenate(harm_scores), np.concatenate(safe_scores), correct / total))
+        accuracy = correct / (len(kinds) * x.shape[0])
+        rows.append(_drift_row(sev, np.concatenate(harm_scores), np.concatenate(safe_scores), accuracy))
     return DriftReport(kinds=kinds, rows=rows)

@@ -284,13 +284,12 @@ class ModelSpec:
 class ParameterStore:
     """Weights per layer index, with freezing.
 
-    Frozen layers keep requires_grad off and are byte-identical across any
-    training run that declares them frozen.
+    A frozen tensor is one whose requires_grad is off; it stays
+    byte-identical across any training run.
     """
 
     def __init__(self):
         self.params: dict[int, dict[str, Tensor]] = {}
-        self.frozen: set[int] = set()
 
     def add(self, layer_index: int, **tensors: Tensor) -> None:
         self.params[layer_index] = tensors
@@ -299,16 +298,14 @@ class ParameterStore:
         return self.params[layer_index]
 
     def freeze_all(self) -> None:
-        self.frozen = set(self.params)
-        for group in self.params.values():
-            for t in group.values():
-                t.requires_grad = False
+        for _, _, t in self.named_tensors():
+            t.requires_grad = False
 
     def is_fully_frozen(self) -> bool:
-        return set(self.params) == self.frozen
+        return not self.trainable()
 
     def trainable(self) -> list[Tensor]:
-        return [t for idx, _, t in self.named_tensors() if idx not in self.frozen]
+        return [t for _, _, t in self.named_tensors() if t.requires_grad]
 
     def named_tensors(self) -> list[tuple[int, str, Tensor]]:
         return [(idx, name, group[name]) for idx, group in sorted(self.params.items()) for name in sorted(group)]

@@ -171,7 +171,7 @@ def _fit(
             total += loss.item() * len(batch)
         mean_loss = total / n
         if not np.isfinite(mean_loss):
-            raise DivergenceError(f"{kind} loss became non-finite at epoch {epoch}", epoch=epoch)
+            raise DivergenceError(f"{kind} loss became non-finite at epoch {epoch}")
         epoch_losses.append(mean_loss)
         if after_epoch is not None:
             after_epoch(epoch)

@@ -417,7 +417,7 @@ def test_backward_through_a_frozen_classifier_computes_no_parameter_cotangent(tr
 def test_whitebox_fgsm_leaves_the_loaded_defence_frozen(tmp_path, trained_toy):
     model, x, y = trained_toy
     save_checkpoint(build_model(ModelSpec("ae", (6,), (Dense(4), Relu(), Dense(6))), 3), tmp_path / "ae_kl.ckpt")
-    ae = cli._load_defence(tmp_path, "kl")
+    ae = cli._load_defence(cli.Experiment(seed=0), tmp_path, "kl").ae
     fgsm(DefendedModel(model, ae), x[:8], y[:8], config=AttackConfig(kind="fgsm", epsilon=0.2))
     assert ae.store.is_fully_frozen()
     assert all(t.grad is None for _, _, t in ae.store.named_tensors())

@@ -419,10 +419,12 @@ def test_a_failed_stage_leaves_no_manifest(attacked_run, tmp_path):
      '{"threshold": NaN, "defence": "kl"}',
      pytest.param('{"threshold": 1%s, "defence": "kl"}' % ("0" * 400), id="threshold-an-int-beyond-float")],
 )
-def test_evaluate_malformed_threshold_file_exits_1(attacked_run, capsys, content):
-    cfg, out = attacked_run
+def test_evaluate_malformed_threshold_file_exits_1(attacked_run, tmp_path, capsys, content):
+    cfg, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
     (out / "threshold.json").write_text(content)
-    assert run_cli(["evaluate", "--config", str(cfg)]) == 1
+    assert run_cli(["evaluate", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "threshold.json" in err
 
@@ -553,6 +555,14 @@ MALFORMED_BATCHES = {
     "config-with-seed": _batch_edit(lambda meta: {**meta, "seed": 0, "config": {**meta["config"], "seed": 0}}),
     "infinite-crc32": _batch_edit(_set("crc32", float("inf"))),
     "prediction-beyond-int64": _batch_edit(_set("original_pred", 1e300)),
+    # JSON integers only, and only the keys save_batch writes
+    "digit-string-crc32": _batch_edit(lambda meta: {**meta, "crc32": str(meta["crc32"])}),
+    "fractional-originals-crc32": _batch_edit(lambda meta: {**meta, "originals_crc32": meta["originals_crc32"] + 0.5}),
+    "digit-string-shape": _batch_edit(lambda meta: {**meta, "shape": [str(meta["shape"][0]), *meta["shape"][1:]]}),
+    "negative-shape": _batch_edit(lambda meta: {**meta, "shape": [meta["shape"][0], -8, -8, 1]}),
+    "shape-wrapping-int64": _batch_edit(lambda meta: {**meta, "shape": [*meta["shape"][:3], 1 + 2**58]}),
+    "leftover-blocks": _batch_edit(lambda meta: {**meta, "blocks": {"adversarials": [0, 8 * math.prod(meta["shape"])]}}),
+    "bogus-key": _batch_edit(_set("bogus", 1)),
 }
 
 
@@ -816,22 +826,37 @@ def test_malformed_model_spec_exits_1_naming_the_layer_or_key(tmp_path, capsys, 
     assert err.startswith("error: ") and needle in err, err
 
 
+def test_a_stage_that_fails_at_run_time_exits_2_and_leaves_no_manifest_or_checkpoint(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, out, classifier_opt={**_toy_config(out)["classifier_opt"], "learning_rate": 1e300})
+    with np.errstate(over="ignore", invalid="ignore"):  # the diverging steps overflow before the check fires
+        assert run_cli(["train-classifier", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failure: ") and "non-finite" in err, err
+    assert not (out / "manifest_train-classifier.json").exists() and not (out / "classifier.ckpt").exists()
+
+
 def test_tempered_defence_is_scored_calibrated_and_reported_with_its_temperature(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(
         tmp_path, out, defence_losses=[{"kind": "kl_temperature", "temperature": 0.5}],
         score_defence="kl_temperature", report_defences=["kl_temperature"], eps_fpr=0.3,
+        drift={"kinds": ["blur"], "severities": [1]},
     )
-    for stage in ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate"]:
+    for stage in ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate", "drift"]:
         assert run_cli([stage, "--config", str(cfg)]) == 0, stage
     classifier = cli._load_classifier(out)
-    ae = cli._load_defence(out, "kl_temperature")
-    data = from_dict(cli.Experiment, json.loads(cfg.read_text())).dataset
-    train, test = data.load(5, "train"), data.load(5, "test")
-    tempered = dfc.adversarial_score(classifier, ae, test.images, temperature=0.5)
-    assert np.abs(tempered - dfc.adversarial_score(classifier, ae, test.images)).max() > 1e-6
+    exp = from_dict(cli.Experiment, json.loads(cfg.read_text()))
+    defence = cli._load_defence(exp, out, "kl_temperature")
+    assert defence.temperature == 0.5
+    ae = defence.ae
+    train, test = exp.dataset.load(5, "train"), exp.dataset.load(5, "test")
+    tempered = dfc.adversarial_score(classifier, dfc.Defence(ae, 0.5), test.images)
+    assert np.abs(tempered - dfc.adversarial_score(classifier, dfc.Defence(ae), test.images)).max() > 1e-6
     assert np.array_equal(cli._read_scores_csv(out / "scores" / "clean_test.csv"), tempered)
-    cal = dfc.adversarial_score(classifier, ae, train.images[-60:], temperature=0.5)
+    clean_row = json.loads((out / "drift.json").read_text())["rows"][0]
+    assert clean_row["severity"] == 0 and clean_row["not_harmful_mean"] == float(tempered.mean())
+    cal = dfc.adversarial_score(classifier, dfc.Defence(ae, 0.5), train.images[-60:])
     threshold = json.loads((out / "threshold.json").read_text())["threshold"]
     assert threshold == dfc.calibrate_threshold(cal, 0.3)
     # the report's gated column and the verdict CSV of one evaluate run agree
@@ -891,7 +916,8 @@ def test_white_box_attack_is_reported_against_the_attacked_and_an_untargeted_def
     assert batch.config.target_mode == "white_box"
     with open(out / "report_accuracy.csv", newline="") as fh:
         row = next(r for r in csv.DictReader(fh) if r["attack"] == "wb")
-    predicted = {tag: classifier.predict_class(cli._load_defence(out, tag).reconstruct(batch.adversarials))
+    exp = from_dict(cli.Experiment, json.loads(cfg.read_text()))
+    predicted = {tag: classifier.predict_class(cli._load_defence(exp, out, tag).ae.reconstruct(batch.adversarials))
                  for tag in ("kl", "mse")}
     for tag, labels in predicted.items():
         assert float(row[tag]) == float((labels == batch.labels).mean()), tag

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pmdef import defence
 from pmdef.autodiff import kl_rows
 from pmdef.defence import (
+    Defence,
     DefenceOutputs,
     adversarial_score,
     calibrate_threshold,
@@ -63,7 +64,7 @@ def test_score_zero_for_identity_ae():
     clf = build_model(ModelSpec("clf", (2, 2, 1), (Flatten(), Dense(3), Softmax())), 4)
     ae = identity_ae(2)
     x = np.random.default_rng(0).random((8, 2, 2, 1))
-    scores = adversarial_score(clf, ae, x)
+    scores = adversarial_score(clf, Defence(ae), x)
     assert np.array_equal(scores, np.zeros(8))
 
 
@@ -71,7 +72,7 @@ def test_score_hand_value_for_stub_models():
     clf = StubClassifier({0.1: [0.9, 0.1], 0.2: [0.1, 0.9]})
     ae = StubAE({0.1: 0.2})
     x = np.full((1, 4), 0.1)
-    score = adversarial_score(clf, ae, x)[0]
+    score = adversarial_score(clf, Defence(ae), x)[0]
     assert score == pytest.approx(0.8 * math.log(9.0), abs=1e-12)
     assert score == pytest.approx(1.757780, abs=1e-6)
 
@@ -79,7 +80,7 @@ def test_score_hand_value_for_stub_models():
 def test_score_equals_kl_of_predictions_exactly(toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(5), Relu(), Dense(6))), 3)
-    scores = adversarial_score(clf, ae, x)
+    scores = adversarial_score(clf, Defence(ae), x)
     expected = kl_rows(clf.predict_proba(x), clf.predict_proba(ae.reconstruct(x)))
     assert np.array_equal(scores, expected)
 
@@ -90,7 +91,7 @@ def test_outputs_reconstruct_in_row_blocks_with_the_bits_of_one_pass(monkeypatch
     ae = build_model(image_ae_spec(size=6), 2)
     x = np.random.default_rng(n).random((n, 6, 6, 1))
     monkeypatch.setattr(defence, "_AE_ROWS", 7)  # 20 rows: AE passes over 7, 7 and 6
-    out = defence_outputs(clf, ae, x)
+    out = defence_outputs(clf, Defence(ae), x)
     assert out.p.shape == out.q.shape == (n, 3)
     assert np.array_equal(out.p, clf.predict_proba(x))
     assert np.array_equal(out.q, clf.predict_proba(ae.reconstruct(x)))
@@ -116,7 +117,7 @@ def test_a_single_ae_block_reaches_the_classifier_uncopied(toy_defence):
 def test_score_nonnegative(toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 5)
-    assert (adversarial_score(clf, ae, x) >= 0).all()
+    assert (adversarial_score(clf, Defence(ae), x) >= 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +171,7 @@ def test_calibrate_fpr_tight_on_distinct_scores(seed, eps):
 def test_detect_pass_through_below_threshold(toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
-    _, flagged, labels = detect_and_correct(clf, ae, x, math.inf)
+    _, flagged, labels = detect_and_correct(clf, Defence(ae), x, math.inf)
     assert not flagged.any()
     assert labels.tolist() == clf.predict_class(x).tolist()
 
@@ -178,7 +179,7 @@ def test_detect_pass_through_below_threshold(toy_defence):
 def test_detect_correct_above_threshold(toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
-    _, flagged, labels = detect_and_correct(clf, ae, x, -math.inf)
+    _, flagged, labels = detect_and_correct(clf, Defence(ae), x, -math.inf)
     assert flagged.all()
     assert labels.tolist() == clf.predict_class(ae.reconstruct(x)).tolist()
 
@@ -186,9 +187,9 @@ def test_detect_correct_above_threshold(toy_defence):
 def test_detect_flag_iff_score_above_threshold(toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
-    scores = adversarial_score(clf, ae, x)
+    scores = adversarial_score(clf, Defence(ae), x)
     t = float(np.median(scores))
-    decided, flagged, labels = detect_and_correct(clf, ae, x, t)
+    decided, flagged, labels = detect_and_correct(clf, Defence(ae), x, t)
     assert np.array_equal(decided, scores)
     assert np.array_equal(flagged, scores > t) and 0 < flagged.sum() < len(x)
     expected = np.where(flagged, clf.predict_class(ae.reconstruct(x)), clf.predict_class(x))
@@ -199,14 +200,14 @@ def test_detect_flag_iff_score_above_threshold(toy_defence):
 def test_outputs_decide_as_detect_and_correct_does(toy_defence, temperature):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
-    out = defence_outputs(clf, ae, x)
+    out = defence_outputs(clf, Defence(ae, temperature), x)
     assert isinstance(out, DefenceOutputs)
-    scores = out.scores(temperature)
-    assert np.array_equal(scores, adversarial_score(clf, ae, x, temperature=temperature))
+    scores = out.scores()
+    assert np.array_equal(scores, adversarial_score(clf, Defence(ae, temperature), x))
     t = float(np.median(scores))
-    decision = out.decide(t, temperature)
+    decision = out.decide(t)
     assert np.array_equal(decision[0], scores)
-    for mine, theirs in zip(decision, detect_and_correct(clf, ae, x, t, temperature=temperature), strict=True):
+    for mine, theirs in zip(decision, detect_and_correct(clf, Defence(ae, temperature), x, t), strict=True):
         assert np.array_equal(mine, theirs)
 
 
@@ -214,7 +215,7 @@ def test_verdict_csv_format(tmp_path, toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
     path = tmp_path / "verdicts.csv"
-    verdicts_to_csv(detect_and_correct(clf, ae, x[:5], 0.01), 0.01, path)
+    verdicts_to_csv(detect_and_correct(clf, Defence(ae), x[:5], 0.01), 0.01, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "id,score,threshold,flagged,label,source"
     assert len(lines) == 6
@@ -239,6 +240,6 @@ def test_separation_on_trained_toy_defence(toy_defence):
     train_defence(ae, clf, x, DefenceLossSpec(kind="kl"), OptimizerConfig(learning_rate=3e-3, batch_size=16, epochs=25, seed=12))
     batch = fgsm(clf, x, y, config=AttackConfig(kind="fgsm", epsilon=0.25))
     if batch.success.any():
-        s_clean = adversarial_score(clf, ae, x).mean()
-        s_adv = adversarial_score(clf, ae, batch.adversarials[batch.success]).mean()
+        s_clean = adversarial_score(clf, Defence(ae), x).mean()
+        s_adv = adversarial_score(clf, Defence(ae), batch.adversarials[batch.success]).mean()
         assert s_adv > s_clean

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmdef import defence
-from pmdef.defence import adversarial_score, defence_outputs, detect_and_correct
+from pmdef.defence import Defence, adversarial_score, defence_outputs, detect_and_correct
 from pmdef.errors import DataError, ParameterError
 from pmdef.evaluation import (
     CORRUPTION_PARAMS,
@@ -258,7 +258,7 @@ def test_accuracy_report_identity_ae_equals_no_defence(small_image_classifier):
     clf, x, y = small_image_classifier
     ae = identity_ae(4)
     noisy = np.clip(x + 0.2 * np.sign(np.random.default_rng(1).normal(size=x.shape)), 0, 1)
-    rows = accuracy_report(clf, {"identity": ae}, {"noise": (noisy, y)}, (x, y))
+    rows = accuracy_report(clf, {"identity": Defence(ae)}, {"noise": (noisy, y)}, (x, y))
     assert rows[0]["identity"] == rows[0]["no_defence"]
     assert rows[0]["no_attack"] == pytest.approx((clf.predict_class(x) == y).mean())
 
@@ -286,7 +286,7 @@ def forwarded_rows(monkeypatch):
 def test_accuracy_report_one_pass_per_model_and_batch(small_image_classifier, forwarded_rows):
     clf, x, y = small_image_classifier
     n, m = 50, 30
-    defences = {"a": _perturbed_identity_ae(4, 0.2, 1), "b": identity_ae(4)}
+    defences = {"a": Defence(_perturbed_identity_ae(4, 0.2, 1)), "b": Defence(identity_ae(4))}
     accuracy_report(clf, defences, {"noise": (x[:n], y[:n])}, (x[-m:], y[-m:]), gate=("a", 0.01))
     assert forwarded_rows == {"classifier": 3 * n + m, "ae": 2 * n}
 
@@ -294,7 +294,7 @@ def test_accuracy_report_one_pass_per_model_and_batch(small_image_classifier, fo
 def test_drift_report_one_pass_per_model_and_set(small_image_classifier, forwarded_rows):
     clf, x, y = small_image_classifier
     kinds, severities = ("gaussian_noise", "contrast"), (1, 3)
-    drift_report(clf, identity_ae(4), x, y, kinds=kinds, severities=severities, seed=3)
+    drift_report(clf, Defence(identity_ae(4)), x, y, kinds=kinds, severities=severities, seed=3)
     scored_sets = 1 + len(kinds) * len(severities)
     assert forwarded_rows == {"classifier": 2 * x.shape[0] * scored_sets, "ae": x.shape[0] * scored_sets}
 
@@ -303,9 +303,9 @@ def test_accuracy_report_gated_column_matches_detect_and_correct(small_image_cla
     clf, x, y = small_image_classifier
     ae = _perturbed_identity_ae(4, 0.3, 2)
     noisy = np.clip(x + 0.25 * np.sign(np.random.default_rng(3).normal(size=x.shape)), 0, 1)
-    t = float(np.quantile(adversarial_score(clf, ae, noisy), 0.9))
-    row = accuracy_report(clf, {"ae": ae}, {"noise": (noisy, y)}, (x, y), gate=("ae", t))[0]
-    gated = detect_and_correct(clf, ae, noisy, t)[2]
+    t = float(np.quantile(adversarial_score(clf, Defence(ae), noisy), 0.9))
+    row = accuracy_report(clf, {"ae": Defence(ae)}, {"noise": (noisy, y)}, (x, y), gate=("ae", t))[0]
+    gated = detect_and_correct(clf, Defence(ae), noisy, t)[2]
     assert row["ae@detect"] == float((gated == y).mean())
     assert len({row["no_defence"], row["ae"], row["ae@detect"]}) == 3  # the gate matters on this data
 
@@ -323,9 +323,9 @@ def test_accuracy_report_reconstructs_in_the_row_blocks_of_defence_outputs(small
         return forward_t(model, xt, *args, **kwargs)
 
     monkeypatch.setattr(Model, "forward_t", recording)
-    outputs = defence_outputs(clf, ae, noisy)
+    outputs = defence_outputs(clf, Defence(ae), noisy)
     t = float(np.quantile(outputs.scores(), 0.9))
-    row = accuracy_report(clf, {"ae": ae}, {"noise": (noisy, y)}, (x, y), gate=("ae", t))[0]
+    row = accuracy_report(clf, {"ae": Defence(ae)}, {"noise": (noisy, y)}, (x, y), gate=("ae", t))[0]
     assert max(ae_passes) == 7 and sum(ae_passes) == 2 * x.shape[0]
     assert row["ae"] == float((outputs.decide(-math.inf)[2] == y).mean())
     assert row["ae@detect"] == float((outputs.decide(t)[2] == y).mean())
@@ -333,7 +333,7 @@ def test_accuracy_report_reconstructs_in_the_row_blocks_of_defence_outputs(small
 
 def test_accuracy_report_csv(tmp_path, small_image_classifier):
     clf, x, y = small_image_classifier
-    rows = accuracy_report(clf, {"identity": identity_ae(4)}, {"a": (x, y)}, (x, y))
+    rows = accuracy_report(clf, {"identity": Defence(identity_ae(4))}, {"a": (x, y)}, (x, y))
     path = tmp_path / "report.csv"
     accuracy_report_to_csv(rows, path)
     lines = path.read_text().strip().splitlines()
@@ -348,7 +348,7 @@ def test_accuracy_report_csv(tmp_path, small_image_classifier):
 def test_drift_severity_zero_matches_clean(small_image_classifier):
     clf, x, y = small_image_classifier
     ae = identity_ae(4)
-    report = drift_report(clf, ae, x, y, kinds=("gaussian_noise",), severities=(1,), seed=3)
+    report = drift_report(clf, Defence(ae), x, y, kinds=("gaussian_noise",), severities=(1,), seed=3)
     row0 = report.rows[0]
     assert row0.severity == 0
     assert row0.n_harmful == 0
@@ -360,7 +360,7 @@ def test_drift_rows_partition_the_corrupted_set(small_image_classifier):
     clf, x, y = small_image_classifier
     ae = identity_ae(4)
     kinds = ("gaussian_noise", "contrast")
-    report = drift_report(clf, ae, x, y, kinds=kinds, severities=(2, 5), seed=3)
+    report = drift_report(clf, Defence(ae), x, y, kinds=kinds, severities=(2, 5), seed=3)
     for row in report.rows[1:]:
         assert row.n_harmful + row.n_not_harmful == x.shape[0] * len(kinds)
 
@@ -369,7 +369,7 @@ def test_drift_empty_group_reported_absent_not_error(small_image_classifier):
     clf, x, y = small_image_classifier
     ae = identity_ae(4)
     # contrast severity 1 on this easy task flips nothing -> harmful group empty
-    report = drift_report(clf, ae, x, y, kinds=("contrast",), severities=(1,), seed=3)
+    report = drift_report(clf, Defence(ae), x, y, kinds=("contrast",), severities=(1,), seed=3)
     row = report.rows[1]
     if row.n_harmful == 0:
         assert row.harmful_mean is None and row.ks_p is None
@@ -378,7 +378,7 @@ def test_drift_empty_group_reported_absent_not_error(small_image_classifier):
 
 def test_drift_report_serialization(tmp_path, small_image_classifier):
     clf, x, y = small_image_classifier
-    report = drift_report(clf, identity_ae(4), x, y, kinds=("gaussian_noise",), severities=(1, 3), seed=0)
+    report = drift_report(clf, Defence(identity_ae(4)), x, y, kinds=("gaussian_noise",), severities=(1, 3), seed=0)
     jpath = tmp_path / "drift.json"
     cpath = tmp_path / "drift.csv"
     report.to_json(jpath)
