@@ -22,10 +22,16 @@ fraction of the parent's median):
 
 * gain: the change won at least 9 of 10 pairs and the medians differ by more
   than the parent's interquartile range;
-* worse: the change's median exceeds the parent's by more than the bound;
+* worse: the change's median exceeds the parent's by more than the bound,
+  or no change run counts (see below);
 * unresolved: the parent's interquartile range is wider than the bound, and
   not every run of the change reads better than every run of the parent;
 * neutral: none of these.
+
+A change run that crashed, printed ``"correct": false`` or failed more
+operations than the parent's run of its seed is a pair the change lost, on
+every metric; its figures enter no median. A parent run that crashed leaves
+its seed unpaired.
 
 A verdict also says whether it was read across fault modes: when either
 side's runs differ by more than 4x in minor faults, every verdict of the
@@ -80,36 +86,48 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def verdict(parent: list[float], change: list[float], bound: float) -> str:
-    """The reading of one lower-is-better metric over paired runs (see the module docstring)."""
+def verdict(parent: list[float], change: list[float | None], bound: float) -> str:
+    """The reading of one lower-is-better metric over paired runs (see the
+    module docstring); ``None`` in ``change`` is a pair the change lost."""
     if not parent:
         return "unresolved"
-    p, c = quartiles(parent), quartiles(change)
+    ran = [c for c in change if c is not None]
+    if not ran:
+        return "worse"
+    p, c = quartiles(parent), quartiles(ran)
     iqr = p["q3"] - p["q1"]
-    won = sum(1 for a, b in zip(parent, change) if b < a)
+    won = sum(1 for a, b in zip(parent, change) if b is not None and b < a)
     if 10 * won >= 9 * len(parent) and p["median"] - c["median"] > iqr:
         return "gain"
     if c["median"] > p["median"] * (1.0 + bound):
         return "worse"
-    if iqr > p["median"] * bound and not max(change) < min(parent):
+    if iqr > p["median"] * bound and not (len(ran) == len(change) and max(ran) < min(parent)):
         return "unresolved"
     return "neutral"
 
 
+def sound(change: dict, parent: dict) -> bool:
+    """Whether a change run counts as measured: it finished, was correct and
+    failed no more operations than the parent's run of its seed."""
+    return "wall_ref" in change and change["correct"] and change["failed"] <= parent["failed"]
+
+
 def summarize(runs: list[dict]) -> dict:
     parent = {r["seed"]: r for r in runs if r["side"] == "parent" and "wall_ref" in r}
-    change = {r["seed"]: r for r in runs if r["side"] == "change" and "wall_ref" in r}
+    change = {r["seed"]: r for r in runs if r["side"] == "change"}
     seeds = sorted(set(parent) & set(change))
-    out = {"pairs": len(seeds),
-           "artifacts_identical": all(parent[s]["artifacts_digest"] == change[s]["artifacts_digest"] for s in seeds),
+    lost = {s for s in seeds if not sound(change[s], parent[s])}  # a crashed, incorrect or more-failing change run
+    out = {"pairs": len(seeds), "change_runs_lost": len(lost),
+           "artifacts_identical": all(parent[s]["artifacts_digest"] == change[s].get("artifacts_digest") for s in seeds),
            "all_correct": all(r.get("correct") and r.get("failed") == 0 for r in runs)}
-    faults = ([parent[s]["minflt"] for s in seeds], [change[s]["minflt"] for s in seeds])
+    faults = ([parent[s]["minflt"] for s in seeds], [change[s]["minflt"] for s in seeds if s not in lost])
     mixed = any(f and max(f) > 4 * min(f) for f in faults)
     for m in (*METRICS, "minflt"):
         p = [parent[s][m] for s in seeds]
-        c = [change[s][m] for s in seeds]
-        out[m] = {"parent": quartiles(p), "change": quartiles(c),
-                  "change_won": sum(1 for a, b in zip(p, c) if b < a), "change_lost": sum(1 for a, b in zip(p, c) if b > a)}
+        c = [None if s in lost else change[s][m] for s in seeds]
+        out[m] = {"parent": quartiles(p), "change": quartiles([b for b in c if b is not None]),
+                  "change_won": sum(1 for a, b in zip(p, c) if b is not None and b < a),
+                  "change_lost": sum(1 for a, b in zip(p, c) if b is None or b > a)}
         if m in BOUNDS:
             out[m].update(verdict=verdict(p, c, BOUNDS[m]), fault_modes_mixed=mixed)
     return out

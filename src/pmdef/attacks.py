@@ -368,6 +368,15 @@ def save_batch(batch: AdversarialBatch, json_path) -> None:
     write_artifact(bin_path, adversarials)
 
 
+def _int_rows(meta: dict, key: str) -> np.ndarray:
+    """``meta[key]`` as int64: a list of JSON integers, class indices >= 0,
+    or 0/1 for ``success`` and the C&W flags; never a bool or a float."""
+    flag, values = key in ("success", *CW_FLAGS), meta[key]
+    if not isinstance(values, list) or any(type(v) is not int or v < 0 or (flag and v > 1) for v in values):
+        raise TypeError(f"{key!r} must be a list of JSON integers " + ("0 or 1" if flag else ">= 0"))
+    return np.asarray(values, dtype=np.int64)
+
+
 def load_batch(json_path) -> AdversarialBatch:
     json_path = Path(json_path)
     try:
@@ -378,13 +387,11 @@ def load_batch(json_path) -> AdversarialBatch:
             raise TypeError("'shape' entries, 'crc32' and 'originals_crc32' must be JSON integers >= 0")
         bin_path = json_path.parent / meta["bin_file"]
         shape = tuple(meta["shape"])
-        rows = {k: np.asarray(meta[k], dtype=np.int64) for k in ("original_pred", "adversarial_pred", "success")}
-        labels = None if meta["labels"] is None else np.asarray(meta["labels"], dtype=np.int64)
+        rows = {k: _int_rows(meta, k) for k in ("original_pred", "adversarial_pred", "success")}
+        labels = None if meta["labels"] is None else _int_rows(meta, "labels")
         norms = {k: np.asarray(v, dtype=np.float64) for k, v in meta["norms"].items()}
-        diagnostics = {
-            k: np.asarray(v, dtype=np.int64).astype(bool) if k in CW_FLAGS else v
-            for k, v in meta["diagnostics"].items()
-        }
+        diagnostics = {k: _int_rows(meta["diagnostics"], k).astype(bool) if k in CW_FLAGS else v
+                       for k, v in meta["diagnostics"].items()}
         config = from_dict(AttackConfig, meta["config"], "config")
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError, UserError) as exc:
         raise ParseError(f"{json_path}: malformed attack batch: {exc!r}") from None

@@ -506,6 +506,9 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
         batch = _load_attack(out, entry.name, inputs_crc32)
         if batch.labels is None:
             raise DataError(f"attack batch {entry.name} carries no true labels; cannot compute accuracy")
+        if (batch.labels >= classifier.num_classes).any():  # load_batch refuses labels < 0
+            raise DataError(f"attack batch {entry.name} has a label outside [0, {classifier.num_classes}), "
+                            "the classifier's classes")
         attack_sets[entry.name] = (batch.adversarials, batch.labels)
     gate = None
     tpath = out / "threshold.json"
@@ -523,7 +526,7 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
         if tag != exp.score_defence:
             raise ConfigError(f"{tpath}: gates defence {tag!r}, but score_defence is {exp.score_defence!r}; "
                               "rerun calibrate")
-    rows = ev.accuracy_report(classifier, defences, attack_sets, clean, gate=gate)
+    rows, decisions = ev.accuracy_report(classifier, defences, attack_sets, clean, gate=gate)
     report_path = out / "report_accuracy.csv"
     ev.accuracy_report_to_csv(rows, report_path)
     artifacts = [report_path]
@@ -531,9 +534,9 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
         verdict_dir = out / "verdicts"
         verdict_dir.mkdir(exist_ok=True)
         tag, t = gate
-        for name, (x_adv, _y) in attack_sets.items():
+        for name, decision in decisions.items():
             vpath = verdict_dir / f"{name}__{tag}.csv"
-            dfc.verdicts_to_csv(dfc.detect_and_correct(classifier, defences[tag], x_adv, t), t, vpath)
+            dfc.verdicts_to_csv(decision, t, vpath)
             artifacts.append(vpath)
     for row in rows:
         log.info("evaluate %s: %s", row["attack"], {k: v for k, v in row.items() if k != "attack"})

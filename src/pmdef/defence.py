@@ -97,9 +97,11 @@ def calibrate_threshold(scores_normal, eps_fpr: float) -> float:
     return float(ordered[np.argmax(ok)])  # first (smallest) admissible value
 
 
-def detect_and_correct(classifier, defence: Defence, x: np.ndarray, threshold: float) -> Decision:
-    """The decision for a batch; see ``DefenceOutputs.decide``."""
-    return defence_outputs(classifier, defence, x).decide(threshold)
+def detect_and_correct(classifier, defence: Defence, x: np.ndarray, threshold: float) -> tuple[DefenceOutputs, Decision]:
+    """A batch's ``defence_outputs`` and their decision at ``threshold``; see
+    ``DefenceOutputs.decide``."""
+    outputs = defence_outputs(classifier, defence, x)
+    return outputs, outputs.decide(threshold)
 
 
 def verdicts_to_csv(decision: Decision, threshold: float, path) -> None:

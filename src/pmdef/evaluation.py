@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .artifacts import csv_text, write_artifact
-from .defence import Defence, DefenceOutputs, defence_outputs, reconstructed_proba
+from .defence import Decision, Defence, defence_outputs, detect_and_correct, reconstructed_proba
 from .errors import DataError, ParameterError
 
 # per-kind corruption parameter tables, severity 1..5 (strictly monotone harm)
@@ -108,27 +108,35 @@ def accuracy_report(
     attack_sets: dict[str, tuple[np.ndarray, np.ndarray]],
     clean_set: tuple[np.ndarray, np.ndarray],
     gate: tuple[str, float] | None = None,
-) -> list[dict]:
+) -> tuple[list[dict], dict[str, Decision]]:
     """One row per attack: clean accuracy, undefended accuracy, then one
     pure-correction column per defence (every instance takes the
     reconstruction's label). A ``gate`` (defence, threshold) adds a
-    detection-gated column ``<defence>@detect`` for that defence, which
-    applies the ``DefenceOutputs`` rule of that ``Defence``."""
+    detection-gated column ``<defence>@detect`` for that defence. Its one
+    ``detect_and_correct`` per attack gives the ``no_defence`` column M(x_adv),
+    its own column M(AE(x_adv)) and the gated column its decision; those
+    decisions are returned per attack beside the rows ({} without a gate)."""
+    tag, threshold = gate if gate is not None else (None, None)
+    if tag is not None and tag not in defences:
+        raise ParameterError(f"the gate's defence {tag!r} is not one of the report's defences {sorted(defences)}")
     x_clean, y_clean = clean_set
     clean_acc = float((classifier.predict_class(x_clean) == y_clean).mean())
-    rows = []
+    rows, decisions = [], {}
     for attack_name, (x_adv, y) in attack_sets.items():
-        p = classifier.predict_proba(x_adv)  # shared by every defence column
+        if tag is None:
+            p = classifier.predict_proba(x_adv)  # shared by every defence column
+        else:
+            gated, decisions[attack_name] = detect_and_correct(classifier, defences[tag], x_adv, threshold)
+            p = gated.p
         row: dict[str, object] = {"attack": attack_name, "no_attack": clean_acc}
         row["no_defence"] = float((p.argmax(axis=1) == y).mean())
         for name, defence in defences.items():
-            q = reconstructed_proba(classifier, defence.ae, x_adv)
+            q = gated.q if name == tag else reconstructed_proba(classifier, defence.ae, x_adv)
             row[name] = float((q.argmax(axis=1) == y).mean())
-            if gate is not None and gate[0] == name:
-                gated = DefenceOutputs(p, q, defence.temperature).decide(gate[1])[2]
-                row[f"{name}@detect"] = float((gated == y).mean())
+            if name == tag:
+                row[f"{name}@detect"] = float((decisions[attack_name][2] == y).mean())
         rows.append(row)
-    return rows
+    return rows, decisions
 
 
 def accuracy_report_to_csv(rows: list[dict], path) -> None:

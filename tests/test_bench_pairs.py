@@ -66,6 +66,42 @@ def test_verdicts_read_across_fault_modes_are_marked(side, faults, mixed):
     assert summary["wall_ref"]["verdict"] == "gain"  # the mark qualifies the verdict, it does not change it
 
 
+def _crash(run):
+    """The record run_once keeps of a run that exited non-zero."""
+    return {k: run[k] for k in ("side", "seed", "minflt")} | {"exit": 1, "error": ["Traceback ..."]}
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [_crash, lambda r: {**r, "correct": False}, lambda r: {**r, "failed": 1}],
+    ids=["crashed", "incorrect", "more-failing"],
+)
+def test_a_spoilt_change_run_is_a_pair_the_change_lost(spoil):
+    runs = _runs(STEADY, [w - 2.0 for w in STEADY])
+    for seed in (0, 1):  # dropping these pairs would leave 8 of 8 won, a gain
+        i = next(i for i, r in enumerate(runs) if r["side"] == "change" and r["seed"] == seed)
+        runs[i] = spoil(runs[i])
+    summary = bench_pairs.summarize(runs)
+    assert summary["pairs"] == 10 and summary["change_runs_lost"] == 2
+    for m in bench_pairs.METRICS:
+        assert (summary[m]["change_won"], summary[m]["change_lost"]) == ((8, 2) if m == "wall_ref" else (0, 2))
+    assert summary["wall_ref"]["verdict"] == "neutral"  # 8 of 10 pairs is not a gain
+    assert not summary["all_correct"]
+
+
+def test_one_spoilt_change_run_of_ten_still_leaves_nine_pairs_won():
+    runs = _runs(STEADY, [w - 2.0 for w in STEADY])
+    runs[-1] = _crash(runs[-1])
+    summary = bench_pairs.summarize(runs)
+    assert (summary["pairs"], summary["wall_ref"]["change_won"], summary["wall_ref"]["change_lost"]) == (10, 9, 1)
+    assert summary["wall_ref"]["verdict"] == "gain" and not summary["artifacts_identical"]
+
+
+def test_a_change_that_never_ran_reads_worse():
+    runs = [r if r["side"] == "parent" else _crash(r) for r in _runs(STEADY, STEADY)]
+    assert {bench_pairs.summarize(runs)[m]["verdict"] for m in bench_pairs.METRICS} == {"worse"}
+
+
 def test_bounds_come_from_the_benchmark_definition():
     assert set(bench_pairs.BOUNDS) >= set(bench_pairs.METRICS)
     assert bench_pairs.summarize([])["wall_ref"]["verdict"] == "unresolved"

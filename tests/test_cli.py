@@ -26,7 +26,7 @@ from pmdef.attacks import load_batch
 from pmdef.cli import run_cli
 from pmdef.errors import UserError
 from pmdef.evaluation import roc_auc
-from pmdef.models import CHECKPOINT_MAGIC, AnyLayer, ModelSpec, build_model, load_checkpoint, save_checkpoint
+from pmdef.models import CHECKPOINT_MAGIC, AnyLayer, Model, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from pmdef.schema import from_dict
 
 
@@ -462,6 +462,30 @@ def test_the_verdicts_repeat_the_score_files_and_give_the_gated_report_column(at
         assert float(row["kl@detect"]) == float((corrected == load_batch(out / "attacks" / f"{name}.json").labels).mean())
 
 
+def test_evaluate_forwards_each_row_once_per_model(attacked_run, tmp_path, monkeypatch):
+    """The clean rows and each attack batch go once through the classifier,
+    each batch once through every report defence's AE and each
+    reconstruction once through the classifier; the gated defence's verdicts
+    reuse its report pass."""
+    _, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    shutil.copy(out / "ae_kl.ckpt", out / "ae_mse.ckpt")
+    cfg = _write_config(tmp_path, out, defence_losses=[{"kind": "kl"}, {"kind": "mse"}], report_defences=["kl", "mse"])
+    assert run_cli(["calibrate", "--config", str(cfg)]) == 0  # threshold.json: evaluate gates kl
+    rows, forward_t = {"classifier": 0, "ae": 0}, Model.forward_t
+
+    def counting(model, x, *args, **kwargs):
+        rows["classifier" if model.is_classifier else "ae"] += x.shape[0]
+        return forward_t(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_t", counting)
+    assert run_cli(["evaluate", "--config", str(cfg)]) == 0
+    m, n = 30, load_batch(out / "attacks" / "fgsm02.json").adversarials.shape[0]  # attack_subset, the one batch
+    assert rows == {"classifier": m + n + 2 * n, "ae": 2 * n}
+    assert [p.name for p in (out / "verdicts").iterdir()] == ["fgsm02__kl.csv"]
+
+
 @pytest.mark.parametrize("gated, scored", [("kl", "mse"), ("mse", "kl")])
 def test_evaluate_refuses_a_threshold_calibrated_for_another_score_defence(attacked_run, tmp_path, capsys, gated, scored):
     _, run = attacked_run
@@ -540,6 +564,11 @@ def _set(key, value, *path):
     return edit
 
 
+def _per_row(key, edit):
+    """Attack-batch rewrite that applies ``edit`` to every value of the per-instance list ``key``."""
+    return _batch_edit(lambda meta: {**meta, key: [edit(v) for v in meta[key]]})
+
+
 MALFORMED_BATCHES = {
     "not-json": lambda text: "{not json",
     "json-list": lambda text: "[1, 2]",
@@ -563,6 +592,17 @@ MALFORMED_BATCHES = {
     "shape-wrapping-int64": _batch_edit(lambda meta: {**meta, "shape": [*meta["shape"][:3], 1 + 2**58]}),
     "leftover-blocks": _batch_edit(lambda meta: {**meta, "blocks": {"adversarials": [0, 8 * math.prod(meta["shape"])]}}),
     "bogus-key": _batch_edit(_set("bogus", 1)),
+    # per-instance fields: class indices are JSON integers >= 0, success and the C&W flags 0 or 1
+    "fractional-labels": _per_row("labels", lambda v: v + 0.5),
+    "boolean-labels": _per_row("labels", lambda v: v > 0),
+    "negative-labels": _per_row("labels", lambda v: v - 100),
+    "fractional-original-pred": _per_row("original_pred", lambda v: v + 0.5),
+    "boolean-original-pred": _per_row("original_pred", lambda v: v > 0),
+    "boolean-adversarial-pred": _per_row("adversarial_pred", lambda v: True),
+    "success-of-2": _per_row("success", lambda v: v + 2),
+    "boolean-success": _per_row("success", lambda v: v == 1),
+    "failed-flag-of-2": _batch_edit(lambda meta: {**meta, "diagnostics": {"failed": [2] * meta["shape"][0]}}),
+    "boolean-unsuccessful-flags": _batch_edit(lambda meta: {**meta, "diagnostics": {"unsuccessful": [True] * meta["shape"][0]}}),
 }
 
 
@@ -579,6 +619,20 @@ def test_malformed_attack_batch_exits_1_naming_the_file(attacked_run, capsys, st
         batch.write_text(original)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "fgsm02.json" in err, err
+
+
+def test_evaluate_refuses_a_label_beyond_the_classifier_classes(attacked_run, capsys):
+    cfg, out = attacked_run
+    batch = out / "attacks" / "fgsm02.json"
+    original = batch.read_text()
+    batch.write_text(_per_row("labels", lambda v: v + 100)(original))
+    try:
+        assert run_cli(["score", "--config", str(cfg)]) == 0  # score reads no labels
+        assert run_cli(["evaluate", "--config", str(cfg)]) == 1
+    finally:
+        batch.write_text(original)
+    err = capsys.readouterr().err
+    assert err == "error: attack batch fgsm02 has a label outside [0, 3), the classifier's classes\n", err
 
 
 @st.composite

@@ -171,7 +171,7 @@ def test_calibrate_fpr_tight_on_distinct_scores(seed, eps):
 def test_detect_pass_through_below_threshold(toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
-    _, flagged, labels = detect_and_correct(clf, Defence(ae), x, math.inf)
+    _, (_, flagged, labels) = detect_and_correct(clf, Defence(ae), x, math.inf)
     assert not flagged.any()
     assert labels.tolist() == clf.predict_class(x).tolist()
 
@@ -179,7 +179,7 @@ def test_detect_pass_through_below_threshold(toy_defence):
 def test_detect_correct_above_threshold(toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
-    _, flagged, labels = detect_and_correct(clf, Defence(ae), x, -math.inf)
+    _, (_, flagged, labels) = detect_and_correct(clf, Defence(ae), x, -math.inf)
     assert flagged.all()
     assert labels.tolist() == clf.predict_class(ae.reconstruct(x)).tolist()
 
@@ -189,7 +189,7 @@ def test_detect_flag_iff_score_above_threshold(toy_defence):
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
     scores = adversarial_score(clf, Defence(ae), x)
     t = float(np.median(scores))
-    decided, flagged, labels = detect_and_correct(clf, Defence(ae), x, t)
+    _, (decided, flagged, labels) = detect_and_correct(clf, Defence(ae), x, t)
     assert np.array_equal(decided, scores)
     assert np.array_equal(flagged, scores > t) and 0 < flagged.sum() < len(x)
     expected = np.where(flagged, clf.predict_class(ae.reconstruct(x)), clf.predict_class(x))
@@ -207,15 +207,17 @@ def test_outputs_decide_as_detect_and_correct_does(toy_defence, temperature):
     t = float(np.median(scores))
     decision = out.decide(t)
     assert np.array_equal(decision[0], scores)
-    for mine, theirs in zip(decision, detect_and_correct(clf, Defence(ae, temperature), x, t), strict=True):
-        assert np.array_equal(mine, theirs)
+    outputs, theirs = detect_and_correct(clf, Defence(ae, temperature), x, t)
+    assert np.array_equal(outputs.p, out.p) and np.array_equal(outputs.q, out.q)
+    for mine, their in zip(decision, theirs, strict=True):
+        assert np.array_equal(mine, their)
 
 
 def test_verdict_csv_format(tmp_path, toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
     path = tmp_path / "verdicts.csv"
-    verdicts_to_csv(detect_and_correct(clf, Defence(ae), x[:5], 0.01), 0.01, path)
+    verdicts_to_csv(detect_and_correct(clf, Defence(ae), x[:5], 0.01)[1], 0.01, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "id,score,threshold,flagged,label,source"
     assert len(lines) == 6
