@@ -12,11 +12,14 @@ and the minor and major page faults of the child process
 (``RUSAGE_CHILDREN``): train wall time moves with how often glibc hands
 freed pages back, so a wall figure is only read next to its fault count.
 
-The output file keeps the runs of every workload run into it so far; each
-invocation replaces the runs of its own workload and recomputes the
-summary: per metric and side the median and quartiles, and how many pairs
-the change won (lower is better for all three metrics), with the minor
-page faults summarised the same way beside them. Each of the three metrics
+The output file keeps the runs of every workload run into it so far. Each
+invocation writes its own runs and their summary as its workload's entry:
+per metric and side the median and quartiles, and how many pairs the change
+won (lower is better for all three metrics), with the minor page faults
+summarised the same way beside them. The series that entry held before,
+with its runs and summary, moves to the end of the entry's
+``earlier_series`` list, so a second series into the same file adds to
+the first instead of replacing it. Each of the three metrics
 also gets a verdict against its ``end_to_end`` bound in BENCHMARK.json (a
 fraction of the parent's median):
 
@@ -133,6 +136,17 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def record(doc: dict, workload: str, seconds: float, runs: list[dict]) -> dict:
+    """``doc`` with ``runs`` as ``workload``'s latest series and the series it
+    held before appended to that workload's ``earlier_series``."""
+    doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0")
+    workloads = doc.setdefault("workloads", {})
+    earlier = workloads.get(workload, {})
+    series = [*earlier.pop("earlier_series", []), earlier] if earlier else []
+    workloads[workload] = {"seconds": seconds, "runs": runs, "summary": summarize(runs), "earlier_series": series}
+    return doc
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -151,8 +165,7 @@ def main() -> int:
             run = {"side": side, "order": len(runs), **run_once(checkout.resolve(), args.workload, seed, args.seconds)}
             runs.append(run)
             print(json.dumps(run), flush=True)
-    doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0")
-    doc.setdefault("workloads", {})[args.workload] = {"seconds": args.seconds, "runs": runs, "summary": summarize(runs)}
+    record(doc, args.workload, args.seconds, runs)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(json.dumps(doc["workloads"][args.workload]["summary"], indent=1))
     return 0

@@ -43,9 +43,11 @@ KIND_FIELDS = {  # the fields each attack kind reads, as its batch file records 
 }
 C_MAX = 1e10
 CW_FLAGS = ("unsuccessful", "failed")  # C&W's per-instance diagnostics, bool arrays
-# the diagnostics a batch file keeps: C&W's flags (as 0/1 lists) and SLIDE's as given;
-# FGSM's preclip_delta is as large as the payload and stays in memory only
-SAVED_DIAGNOSTICS = (*CW_FLAGS, "skipped_iterations", "per_iter_max_l1", "per_iter_max_active")
+# the diagnostics a batch file keeps per attack kind: C&W's flags (as 0/1 lists) and SLIDE's
+# as given; FGSM's preclip_delta is as large as the payload and stays in memory only
+SAVED_DIAGNOSTICS = {"fgsm": (), "slide": ("skipped_iterations", "per_iter_max_l1", "per_iter_max_active"),
+                     "cw_l2": CW_FLAGS}
+NORMS = ("l1", "l2", "linf")  # the per-instance perturbation norms a batch carries
 BATCH_KEYS = frozenset({"config", "shape", "bin_file", "crc32", "originals_crc32", "labels", "original_pred",
                         "adversarial_pred", "success", "norms", "diagnostics"})  # a batch JSON's keys, all required
 # Fixed C&W work unit: up to this many instances share one tape per iteration; workers
@@ -361,38 +363,65 @@ def save_batch(batch: AdversarialBatch, json_path) -> None:
         "diagnostics": {
             k: v.astype(int).tolist() if k in CW_FLAGS else v
             for k, v in batch.diagnostics.items()
-            if k in SAVED_DIAGNOSTICS
+            if k in SAVED_DIAGNOSTICS[batch.config.kind]
         },
     }
     write_artifact(json_path, json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n")
     write_artifact(bin_path, adversarials)
 
 
-def _int_rows(meta: dict, key: str) -> np.ndarray:
-    """``meta[key]`` as int64: a list of JSON integers, class indices >= 0,
-    or 0/1 for ``success`` and the C&W flags; never a bool or a float."""
-    flag, values = key in ("success", *CW_FLAGS), meta[key]
-    if not isinstance(values, list) or any(type(v) is not int or v < 0 or (flag and v > 1) for v in values):
-        raise TypeError(f"{key!r} must be a list of JSON integers " + ("0 or 1" if flag else ">= 0"))
-    return np.asarray(values, dtype=np.int64)
+def _numbers(values, key: str, *, floats: bool = False, flags: bool = False) -> list:
+    """``values`` if it is a list of JSON integers >= 0 (0 or 1 with
+    ``flags``), or with ``floats`` of finite JSON numbers >= 0; never a bool."""
+    types, most = ((int, float) if floats else (int,)), (1 if flags else math.inf)
+    if not isinstance(values, list) or any(type(v) not in types or not 0 <= v <= most or v == math.inf for v in values):
+        what = "finite JSON numbers >= 0" if floats else "JSON integers " + ("0 or 1" if flags else ">= 0")
+        raise TypeError(f"{key!r} must be a list of {what}")
+    return values
+
+
+def _check_keys(value, what: str, keys) -> None:
+    """Refuse ``value`` unless it is a JSON object with exactly ``keys``."""
+    if not isinstance(value, dict) or set(value) != set(keys):
+        got = sorted(value) if isinstance(value, dict) else type(value).__name__
+        raise ValueError(f"{what} must be an object with the keys {list(keys)}, got {got}")
+
+
+def _diagnostics(saved: dict, config: AttackConfig) -> dict:
+    """A batch file's diagnostics, exactly those its attack kind saves: C&W's
+    0/1 flags, as bool arrays, or SLIDE's skipped-step count and its maximum
+    l1 norm and active-coordinate count per step, one each of its k steps."""
+    keys = SAVED_DIAGNOSTICS[config.kind]
+    _check_keys(saved, f"the 'diagnostics' of a {config.kind} batch", keys)
+    if config.kind == "cw_l2":
+        return {k: np.asarray(_numbers(saved[k], k, flags=True), dtype=bool) for k in keys}
+    if config.kind == "slide":
+        skipped = saved["skipped_iterations"]
+        if type(skipped) is not int or skipped < 0:
+            raise TypeError(f"'skipped_iterations' must be a JSON integer >= 0, got {skipped!r}")
+        per_step = (_numbers(saved["per_iter_max_l1"], "per_iter_max_l1", floats=True),
+                    _numbers(saved["per_iter_max_active"], "per_iter_max_active"))
+        if any(len(values) != config.k for values in per_step):
+            raise ValueError(f"'per_iter_max_l1' and 'per_iter_max_active' must have one entry per step, k = {config.k}")
+    return dict(saved)
 
 
 def load_batch(json_path) -> AdversarialBatch:
     json_path = Path(json_path)
     try:
         meta = json.loads(json_path.read_text(encoding="utf-8"))
-        if set(meta) != BATCH_KEYS:  # also a JSON list, or a batch of an older format
-            raise ValueError(f"expected the keys {sorted(BATCH_KEYS)}, got {sorted(meta)}")
+        _check_keys(meta, "a batch JSON", sorted(BATCH_KEYS))  # also one of an older format
         if any(type(v) is not int or v < 0 for v in [*meta["shape"], meta["crc32"], meta["originals_crc32"]]):
             raise TypeError("'shape' entries, 'crc32' and 'originals_crc32' must be JSON integers >= 0")
         bin_path = json_path.parent / meta["bin_file"]
         shape = tuple(meta["shape"])
-        rows = {k: _int_rows(meta, k) for k in ("original_pred", "adversarial_pred", "success")}
-        labels = None if meta["labels"] is None else _int_rows(meta, "labels")
-        norms = {k: np.asarray(v, dtype=np.float64) for k, v in meta["norms"].items()}
-        diagnostics = {k: _int_rows(meta["diagnostics"], k).astype(bool) if k in CW_FLAGS else v
-                       for k, v in meta["diagnostics"].items()}
+        rows = {k: np.asarray(_numbers(meta[k], k, flags=k == "success"), dtype=np.int64)
+                for k in ("original_pred", "adversarial_pred", "success")}
+        labels = None if meta["labels"] is None else np.asarray(_numbers(meta["labels"], "labels"), dtype=np.int64)
+        _check_keys(meta["norms"], "'norms'", NORMS)
+        norms = {k: np.asarray(_numbers(meta["norms"][k], f"norms.{k}", floats=True), dtype=np.float64) for k in NORMS}
         config = from_dict(AttackConfig, meta["config"], "config")
+        diagnostics = _diagnostics(meta["diagnostics"], config)
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError, UserError) as exc:
         raise ParseError(f"{json_path}: malformed attack batch: {exc!r}") from None
     per_row = [*rows.values(), *norms.values(), *([] if labels is None else [labels])]

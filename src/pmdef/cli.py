@@ -4,9 +4,9 @@ inspectable between stages.
     train-classifier  fit the classifier, write classifier.ckpt
     train-defence     fit defence autoencoder(s) against the frozen classifier
     attack            generate adversarial batches (grey- or white-box)
-    score             adversarial scores for clean and attacked test sets
+    score             adversarial scores for the clean test set
     calibrate         pick the detection threshold at a target FPR
-    evaluate          accuracy tables and verdict CSVs
+    evaluate          accuracy tables, attack score files and verdict CSVs
     drift             corruption drift report
     roc               ROC/AUC per attack from score CSVs
 
@@ -462,20 +462,12 @@ def _scoring(exp: Experiment, out: Path):
 
 
 def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
+    """The clean test set's scores; evaluate writes each attack's from its own pass."""
     test = _required(exp, "dataset").load(seed, "test")
-    inputs_crc32 = atk.inputs_crc32(_attack_inputs(exp, test)[0])
-    classifier, defence = _scoring(exp, out)
-    score_dir = out / "scores"
-    score_dir.mkdir(exist_ok=True)
-    clean_path = score_dir / "clean_test.csv"
-    _write_scores_csv(dfc.adversarial_score(classifier, defence, test.images), clean_path)
-    artifacts = [clean_path]
-    for entry in exp.attacks:
-        batch = _load_attack(out, entry.name, inputs_crc32)
-        path = score_dir / f"{entry.name}.csv"
-        _write_scores_csv(dfc.adversarial_score(classifier, defence, batch.adversarials), path)
-        artifacts.append(path)
-    return artifacts
+    path = out / "scores" / "clean_test.csv"
+    path.parent.mkdir(exist_ok=True)
+    _write_scores_csv(dfc.adversarial_score(*_scoring(exp, out), test.images), path)
+    return [path]
 
 
 def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
@@ -510,7 +502,7 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
             raise DataError(f"attack batch {entry.name} has a label outside [0, {classifier.num_classes}), "
                             "the classifier's classes")
         attack_sets[entry.name] = (batch.adversarials, batch.labels)
-    gate = None
+    threshold = None
     tpath = out / "threshold.json"
     if tpath.is_file():
         try:
@@ -520,24 +512,26 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
                 raise TypeError(f"'threshold' must be a number, got {t!r}")
             if math.isnan(t):
                 raise ValueError("a NaN 'threshold' flags no score")
-            gate = (tag, float(t))
+            threshold = float(t)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{tpath}: needs a JSON object with 'threshold' and 'defence': {exc!r}") from None
         if tag != exp.score_defence:
             raise ConfigError(f"{tpath}: gates defence {tag!r}, but score_defence is {exp.score_defence!r}; "
                               "rerun calibrate")
-    rows, decisions = ev.accuracy_report(classifier, defences, attack_sets, clean, gate=gate)
+    rows, scores, decisions = ev.accuracy_report(classifier, defences, attack_sets, clean, exp.score_defence, threshold)
     report_path = out / "report_accuracy.csv"
     ev.accuracy_report_to_csv(rows, report_path)
     artifacts = [report_path]
-    if gate:
-        verdict_dir = out / "verdicts"
-        verdict_dir.mkdir(exist_ok=True)
-        tag, t = gate
-        for name, decision in decisions.items():
-            vpath = verdict_dir / f"{name}__{tag}.csv"
-            dfc.verdicts_to_csv(decision, t, vpath)
-            artifacts.append(vpath)
+    for name, attack_scores in scores.items():
+        spath = out / "scores" / f"{name}.csv"
+        spath.parent.mkdir(exist_ok=True)
+        _write_scores_csv(attack_scores, spath)
+        artifacts.append(spath)
+    for name, decision in decisions.items():
+        vpath = out / "verdicts" / f"{name}__{exp.score_defence}.csv"
+        vpath.parent.mkdir(exist_ok=True)
+        dfc.verdicts_to_csv(decision, threshold, vpath)
+        artifacts.append(vpath)
     for row in rows:
         log.info("evaluate %s: %s", row["attack"], {k: v for k, v in row.items() if k != "attack"})
     return artifacts
@@ -561,7 +555,7 @@ def cmd_roc(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     clean_path = _require_file(out / "scores" / "clean_test.csv", "score")
     normal = _read_scores_csv(clean_path)
     for entry in _required(exp, "attacks"):
-        spath = _require_file(out / "scores" / f"{entry.name}.csv", "score")
+        spath = _require_file(out / "scores" / f"{entry.name}.csv", "evaluate")
         adv = _read_scores_csv(spath)
         curve = ev.roc_auc(normal, adv)
         rpath = out / f"roc_{entry.name}.json"

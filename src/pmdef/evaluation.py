@@ -107,36 +107,39 @@ def accuracy_report(
     defences: dict[str, Defence],
     attack_sets: dict[str, tuple[np.ndarray, np.ndarray]],
     clean_set: tuple[np.ndarray, np.ndarray],
-    gate: tuple[str, float] | None = None,
-) -> tuple[list[dict], dict[str, Decision]]:
+    scored: str,
+    threshold: float | None = None,
+) -> tuple[list[dict], dict[str, np.ndarray], dict[str, Decision]]:
     """One row per attack: clean accuracy, undefended accuracy, then one
     pure-correction column per defence (every instance takes the
-    reconstruction's label). A ``gate`` (defence, threshold) adds a
-    detection-gated column ``<defence>@detect`` for that defence. Its one
-    ``detect_and_correct`` per attack gives the ``no_defence`` column M(x_adv),
-    its own column M(AE(x_adv)) and the gated column its decision; those
-    decisions are returned per attack beside the rows ({} without a gate)."""
-    tag, threshold = gate if gate is not None else (None, None)
-    if tag is not None and tag not in defences:
-        raise ParameterError(f"the gate's defence {tag!r} is not one of the report's defences {sorted(defences)}")
+    reconstruction's label). The ``scored`` defence makes one pass per
+    attack: ``detect_and_correct`` at ``threshold``, else ``defence_outputs``.
+    That pass gives the ``no_defence`` column M(x_adv), the defence's own
+    column M(AE(x_adv)), the attack's scores and, with a threshold, the
+    detection-gated column ``<scored>@detect`` from its decision. Returns the
+    rows, the scores per attack and the decisions per attack ({} without a
+    threshold)."""
+    if scored not in defences:
+        raise ParameterError(f"the scored defence {scored!r} is not one of the report's defences {sorted(defences)}")
     x_clean, y_clean = clean_set
     clean_acc = float((classifier.predict_class(x_clean) == y_clean).mean())
-    rows, decisions = [], {}
+    rows, scores, decisions = [], {}, {}
     for attack_name, (x_adv, y) in attack_sets.items():
-        if tag is None:
-            p = classifier.predict_proba(x_adv)  # shared by every defence column
+        if threshold is None:
+            outputs = defence_outputs(classifier, defences[scored], x_adv)
+            scores[attack_name] = outputs.scores()
         else:
-            gated, decisions[attack_name] = detect_and_correct(classifier, defences[tag], x_adv, threshold)
-            p = gated.p
+            outputs, decisions[attack_name] = detect_and_correct(classifier, defences[scored], x_adv, threshold)
+            scores[attack_name] = decisions[attack_name][0]
         row: dict[str, object] = {"attack": attack_name, "no_attack": clean_acc}
-        row["no_defence"] = float((p.argmax(axis=1) == y).mean())
+        row["no_defence"] = float((outputs.p.argmax(axis=1) == y).mean())
         for name, defence in defences.items():
-            q = gated.q if name == tag else reconstructed_proba(classifier, defence.ae, x_adv)
+            q = outputs.q if name == scored else reconstructed_proba(classifier, defence.ae, x_adv)
             row[name] = float((q.argmax(axis=1) == y).mean())
-            if name == tag:
+            if name == scored and threshold is not None:
                 row[f"{name}@detect"] = float((decisions[attack_name][2] == y).mean())
         rows.append(row)
-    return rows, decisions
+    return rows, scores, decisions
 
 
 def accuracy_report_to_csv(rows: list[dict], path) -> None:

@@ -52,7 +52,7 @@ def _batch(v):
     x = np.full((2, 3), 0.25 + v / 8)
     rows = np.array([0, 1])
     return AdversarialBatch(inputs_crc32(x), x + 0.1, rows, rows, rows[::-1], np.array([False, True]),
-                            {"l2": np.array([0.1, 0.2])}, AttackConfig("fgsm"))
+                            dict.fromkeys(("l1", "l2", "linf"), np.array([0.1, 0.2])), AttackConfig("fgsm"))
 
 
 def _calibrate(out, v):

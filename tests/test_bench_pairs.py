@@ -105,3 +105,18 @@ def test_a_change_that_never_ran_reads_worse():
 def test_bounds_come_from_the_benchmark_definition():
     assert set(bench_pairs.BOUNDS) >= set(bench_pairs.METRICS)
     assert bench_pairs.summarize([])["wall_ref"]["verdict"] == "unresolved"
+
+
+def test_a_second_series_into_the_same_file_keeps_the_first_under_earlier_series():
+    first, second, third = _runs(STEADY, STEADY), _runs(STEADY, [w - 2.0 for w in STEADY]), _runs(STEADY, STEADY[:3])
+    doc = bench_pairs.record({}, "report", 25.0, first)
+    bench_pairs.record(doc, "train", 25.0, third)
+    assert doc["workloads"]["report"]["earlier_series"] == []
+    bench_pairs.record(doc, "report", 10.0, second)
+    latest = doc["workloads"]["report"]
+    assert (latest["seconds"], latest["runs"]) == (10.0, second)  # the top level is the latest invocation's
+    assert latest["summary"] == bench_pairs.summarize(second) and latest["summary"]["wall_ref"]["verdict"] == "gain"
+    assert latest["earlier_series"] == [{"seconds": 25.0, "runs": first, "summary": bench_pairs.summarize(first)}]
+    bench_pairs.record(doc, "report", 25.0, third)
+    assert [s["runs"] for s in doc["workloads"]["report"]["earlier_series"]] == [first, second]  # oldest first
+    assert doc["workloads"]["train"]["runs"] == third  # another workload's series is left alone

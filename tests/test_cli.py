@@ -1,5 +1,7 @@
 import argparse
+import builtins
 import csv
+import io
 import json
 import math
 import os
@@ -194,13 +196,14 @@ def test_reruns_reproduce_identical_artifacts(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     cfg_a = _write_config(tmp_path, out_a)
-    for stage in ["train-classifier", "train-defence", "attack", "score", "calibrate"]:
+    stages = ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate"]
+    for stage in stages:
         assert run_cli([stage, "--config", str(cfg_a)]) == 0
     cfg_b = tmp_path / "config_b.json"
     data = json.loads(cfg_a.read_text())
     data["out"] = str(out_b)
     cfg_b.write_text(json.dumps(data))
-    for stage in ["train-classifier", "train-defence", "attack", "score", "calibrate"]:
+    for stage in stages:
         assert run_cli([stage, "--config", str(cfg_b)]) == 0
     for rel in [
         "classifier.ckpt",
@@ -209,9 +212,11 @@ def test_reruns_reproduce_identical_artifacts(tmp_path):
         "scores/clean_test.csv",
         "scores/fgsm02.csv",
         "threshold.json",
+        "report_accuracy.csv",
+        "verdicts/fgsm02__kl.csv",
     ]:
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
-    for stage in ["train-classifier", "train-defence", "attack", "score", "calibrate"]:
+    for stage in stages:
         a, b = (json.loads((out / f"manifest_{stage}.json").read_text()) for out in (out_a, out_b))
         assert a["artifacts"] == b["artifacts"], stage
 
@@ -403,12 +408,12 @@ def test_a_failed_stage_leaves_no_manifest(attacked_run, tmp_path):
     cfg, run = attacked_run
     out = tmp_path / "run"
     shutil.copytree(run, out)
-    assert run_cli(["score", "--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "manifest_score.json").is_file()
+    assert run_cli(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "manifest_evaluate.json").is_file()
     (out / "attacks" / "fgsm02.json").unlink()
-    # the rerun rewrites clean_test.csv before it fails, so the old manifest would no longer match the files
-    assert run_cli(["score", "--config", str(cfg), "--out", str(out), "--seed", "6"]) == 1
-    assert not (out / "manifest_score.json").exists()
+    # a failed rerun removes the old manifest, which would vouch for another seed's files
+    assert run_cli(["evaluate", "--config", str(cfg), "--out", str(out), "--seed", "6"]) == 1
+    assert not (out / "manifest_evaluate.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -484,6 +489,68 @@ def test_evaluate_forwards_each_row_once_per_model(attacked_run, tmp_path, monke
     m, n = 30, load_batch(out / "attacks" / "fgsm02.json").adversarials.shape[0]  # attack_subset, the one batch
     assert rows == {"classifier": m + n + 2 * n, "ae": 2 * n}
     assert [p.name for p in (out / "verdicts").iterdir()] == ["fgsm02__kl.csv"]
+
+
+@pytest.mark.parametrize("gated", [True, False], ids=["gated", "ungated"])
+def test_score_and_evaluate_put_each_row_through_the_score_defence_once(attacked_run, tmp_path, monkeypatch, gated):
+    """score passes the clean test rows through the autoencoder and evaluate
+    each attack batch, whose score file it writes from that one pass."""
+    cfg, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out, ignore=shutil.ignore_patterns("threshold.json", "scores", "verdicts", "manifest_*"))
+    if gated:
+        assert run_cli(["calibrate", "--config", str(cfg), "--out", str(out)]) == 0
+    ae_rows, forward_t = [], Model.forward_t
+
+    def counting(model, x, *args, **kwargs):
+        if not model.is_classifier:
+            ae_rows.append(x.shape[0])
+        return forward_t(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_t", counting)
+    assert run_cli(["score", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "scores").iterdir()) == ["clean_test.csv"]
+    assert run_cli(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert ae_rows == [60, 30]  # n_test, then the one batch of attack_subset rows
+    manifests = {stage: json.loads((out / f"manifest_{stage}.json").read_text())["artifacts"] for stage in ("score", "evaluate")}
+    assert list(manifests["score"]) == ["scores/clean_test.csv"]
+    assert "scores/fgsm02.csv" in manifests["evaluate"]
+    assert ("verdicts/fgsm02__kl.csv" in manifests["evaluate"]) == gated
+
+
+@pytest.mark.parametrize("scored", ["kl", "kl_temperature"])
+@pytest.mark.parametrize("gated", [True, False], ids=["gated", "ungated"])
+def test_the_attack_score_file_is_adversarial_score_of_the_batch_bit_for_bit(attacked_run, tmp_path, gated, scored):
+    _, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out, ignore=shutil.ignore_patterns("threshold.json", "scores"))
+    shutil.copy(out / "ae_kl.ckpt", out / "ae_kl_temperature.ckpt")
+    losses = [{"kind": "kl"}, {"kind": "kl_temperature", "temperature": 0.5}]
+    cfg = _write_config(tmp_path, out, defence_losses=losses, score_defence=scored, report_defences=["kl", "kl_temperature"])
+    for stage in ["calibrate", "evaluate"] if gated else ["evaluate"]:
+        assert run_cli([stage, "--config", str(cfg)]) == 0, stage
+    exp = from_dict(cli.Experiment, json.loads(cfg.read_text()))
+    batch = load_batch(out / "attacks" / "fgsm02.json")
+    expected = dfc.adversarial_score(cli._load_classifier(out), cli._load_defence(exp, out, scored), batch.adversarials)
+    assert np.array_equal(cli._read_scores_csv(out / "scores" / "fgsm02.csv"), expected)
+    cli._write_scores_csv(expected, tmp_path / "expected.csv")
+    assert (out / "scores" / "fgsm02.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert (out / "verdicts").is_dir() == gated
+
+
+def test_roc_reads_the_attack_score_files_of_an_ungated_evaluate(attacked_run, tmp_path, capsys):
+    cfg, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out, ignore=shutil.ignore_patterns("threshold.json", "scores"))
+    assert run_cli(["score", "--config", str(cfg), "--out", str(out)]) == 0
+    assert run_cli(["roc", "--config", str(cfg), "--out", str(out)]) == 1  # score writes the clean scores only
+    missing = out / "scores" / "fgsm02.csv"
+    assert capsys.readouterr().err == f"error: missing required artifact {missing}; run `evaluate` first\n"
+    assert run_cli(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert not (out / "verdicts").exists()
+    assert run_cli(["roc", "--config", str(cfg), "--out", str(out)]) == 0
+    curve = roc_auc(cli._read_scores_csv(out / "scores" / "clean_test.csv"), cli._read_scores_csv(missing))
+    assert (out / "roc_fgsm02.json").read_text() == json.dumps(asdict(curve), sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("gated, scored", [("kl", "mse"), ("mse", "kl")])
@@ -569,6 +636,34 @@ def _per_row(key, edit):
     return _batch_edit(lambda meta: {**meta, key: [edit(v) for v in meta[key]]})
 
 
+def _norms(edit):
+    """Attack-batch rewrite that replaces the ``norms`` table by ``edit`` of it."""
+    return _batch_edit(lambda meta: {**meta, "norms": edit(meta["norms"])})
+
+
+# the fields and the saved diagnostics, for n rows, of a well-formed C&W or SLIDE batch
+_KINDS = {
+    "cw_l2": ({"c_init": 100.0, "binary_steps": 7, "max_iter": 200, "lr": 0.1, "kappa": 0.0},
+              lambda n: {"unsuccessful": [0] * n, "failed": [0, 1] * (n // 2) + [0] * (n % 2)}),
+    "slide": ({"q": 80.0, "gamma": 0.05, "k": 3, "eps_l1": 0.1},
+              lambda n: {"skipped_iterations": 2, "per_iter_max_l1": [0.05, 0.1, 0.1], "per_iter_max_active": [7, 6, 0]}),
+}
+
+
+def _as_kind(kind, edit=lambda diagnostics, n: None):
+    """Attack-batch rewrite into a well-formed batch of ``kind`` whose
+    diagnostics ``edit`` then changes in place (n: the batch's rows)."""
+    fields, saved = _KINDS[kind]
+
+    def rewrite(meta):
+        n, diagnostics = meta["shape"][0], saved(meta["shape"][0])
+        edit(diagnostics, n)
+        config = {"kind": kind, "target_mode": "grey_box", "label_source": "model", **fields}
+        return {**meta, "config": config, "diagnostics": diagnostics}
+
+    return _batch_edit(rewrite)
+
+
 MALFORMED_BATCHES = {
     "not-json": lambda text: "{not json",
     "json-list": lambda text: "[1, 2]",
@@ -580,7 +675,7 @@ MALFORMED_BATCHES = {
     "string-labels": _batch_edit(_set("labels", "abc")),
     "digit-string-labels": _batch_edit(_set("labels", "1")),
     "unknown-config-key": _batch_edit(_set("bogus", 1, "config")),
-    "wrong-length-diagnostics": _batch_edit(lambda meta: {**meta, "diagnostics": {"failed": [0] * (meta["shape"][0] + 1)}}),
+    "wrong-length-diagnostics": _as_kind("cw_l2", lambda d, n: d.update(failed=[0] * (n + 1))),
     "config-with-seed": _batch_edit(lambda meta: {**meta, "seed": 0, "config": {**meta["config"], "seed": 0}}),
     "infinite-crc32": _batch_edit(_set("crc32", float("inf"))),
     "prediction-beyond-int64": _batch_edit(_set("original_pred", 1e300)),
@@ -601,24 +696,88 @@ MALFORMED_BATCHES = {
     "boolean-adversarial-pred": _per_row("adversarial_pred", lambda v: True),
     "success-of-2": _per_row("success", lambda v: v + 2),
     "boolean-success": _per_row("success", lambda v: v == 1),
-    "failed-flag-of-2": _batch_edit(lambda meta: {**meta, "diagnostics": {"failed": [2] * meta["shape"][0]}}),
-    "boolean-unsuccessful-flags": _batch_edit(lambda meta: {**meta, "diagnostics": {"unsuccessful": [True] * meta["shape"][0]}}),
+    "failed-flag-of-2": _as_kind("cw_l2", lambda d, n: d.update(failed=[2] * n)),
+    "boolean-unsuccessful-flags": _as_kind("cw_l2", lambda d, n: d.update(unsuccessful=[True] * n)),
+    # norms: exactly l1, l2 and linf, each a list of finite JSON numbers >= 0
+    "boolean-l2-norms": _norms(lambda norms: {**norms, "l2": [True] * len(norms["l2"])}),
+    "nan-l2-norm": _norms(lambda norms: {**norms, "l2": [math.nan, *norms["l2"][1:]]}),
+    "infinite-linf-norm": _norms(lambda norms: {**norms, "linf": [*norms["linf"][:-1], math.inf]}),
+    "negative-l1-norm": _norms(lambda norms: {**norms, "l1": [-1.0, *norms["l1"][1:]]}),
+    "digit-string-l2-norms": _norms(lambda norms: {**norms, "l2": [str(v) for v in norms["l2"]]}),
+    "norms-without-l2": _norms(lambda norms: {k: v for k, v in norms.items() if k != "l2"}),
+    "bogus-norm-key": _norms(lambda norms: {**norms, "bogus": norms["l2"]}),
+    "norms-as-a-list": _norms(lambda norms: list(norms.values())),
+    # diagnostics: only the keys the batch's kind saves, C&W's 0/1 flags and SLIDE's k-step lists
+    "fgsm-with-diagnostics": _batch_edit(_set("diagnostics", {"skipped_iterations": 0})),
+    "empty-string-diagnostics": _batch_edit(_set("diagnostics", "")),
+    "empty-list-diagnostics": _batch_edit(_set("diagnostics", [])),
+    "cw-without-failed": _as_kind("cw_l2", lambda d, n: d.pop("failed")),
+    "cw-with-slide-key": _as_kind("cw_l2", lambda d, n: d.update(skipped_iterations=0)),
+    "slide-with-cw-flags": _as_kind("slide", lambda d, n: d.update(failed=[0] * n)),
+    "slide-without-skipped-iterations": _as_kind("slide", lambda d, n: d.pop("skipped_iterations")),
+    "slide-boolean-skipped-iterations": _as_kind("slide", lambda d, n: d.update(skipped_iterations=True)),
+    "slide-negative-skipped-iterations": _as_kind("slide", lambda d, n: d.update(skipped_iterations=-1)),
+    "slide-fractional-skipped-iterations": _as_kind("slide", lambda d, n: d.update(skipped_iterations=2.5)),
+    "slide-nan-max-l1": _as_kind("slide", lambda d, n: d["per_iter_max_l1"].__setitem__(0, math.nan)),
+    "slide-negative-max-l1": _as_kind("slide", lambda d, n: d["per_iter_max_l1"].__setitem__(0, -0.1)),
+    "slide-boolean-max-l1": _as_kind("slide", lambda d, n: d["per_iter_max_l1"].__setitem__(0, True)),
+    "slide-fractional-max-active": _as_kind("slide", lambda d, n: d["per_iter_max_active"].__setitem__(0, 6.5)),
+    "slide-negative-max-active": _as_kind("slide", lambda d, n: d["per_iter_max_active"].__setitem__(0, -1)),
+    "slide-max-l1-beyond-k-steps": _as_kind("slide", lambda d, n: d["per_iter_max_l1"].append(0.1)),
+    "slide-max-active-short-of-k-steps": _as_kind("slide", lambda d, n: d["per_iter_max_active"].pop()),
 }
+
+
+def _run_recording_opens(monkeypatch, argv) -> tuple[int, set[Path]]:
+    """``run_cli(argv)``'s exit code and the files it opened, through open or Path.open."""
+    opened, real_open = set(), io.open
+
+    def recording(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.add(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", recording)
+        m.setattr(io, "open", recording)
+        return run_cli(argv), opened
+
+
+def _opened_a_batch(out: Path, opened: set[Path]) -> bool:
+    return any(p.is_relative_to(out / "attacks") for p in opened)
+
+
+@pytest.mark.parametrize("kind", list(_KINDS))
+def test_a_well_formed_cw_or_slide_batch_file_evaluates(attacked_run, tmp_path, kind):
+    """The base that the C&W and SLIDE cases of MALFORMED_BATCHES break."""
+    cfg, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out, ignore=shutil.ignore_patterns("threshold.json"))
+    batch = out / "attacks" / "fgsm02.json"
+    batch.write_text(_as_kind(kind)(batch.read_text()))
+    assert run_cli(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+    loaded = load_batch(batch)
+    assert loaded.config.kind == kind and set(loaded.diagnostics) == set(_KINDS[kind][1](30))
 
 
 @pytest.mark.parametrize("stage", ["score", "evaluate"])
 @pytest.mark.parametrize("case", list(MALFORMED_BATCHES))
-def test_malformed_attack_batch_exits_1_naming_the_file(attacked_run, capsys, stage, case):
+def test_malformed_attack_batch_exits_1_naming_the_file(attacked_run, capsys, monkeypatch, stage, case):
+    """evaluate refuses the batch, naming it; score reads no attack batch, so it never opens it."""
     cfg, out = attacked_run
     batch = out / "attacks" / "fgsm02.json"
     original = batch.read_text()
     batch.write_text(MALFORMED_BATCHES[case](original))
     try:
-        assert run_cli([stage, "--config", str(cfg)]) == 1
+        code, opened = _run_recording_opens(monkeypatch, [stage, "--config", str(cfg)])
     finally:
         batch.write_text(original)
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "fgsm02.json" in err, err
+    if stage == "score":
+        assert code == 0 and not _opened_a_batch(out, opened), err
+    else:
+        assert code == 1 and batch in opened
+        assert err.startswith("error: ") and "fgsm02.json" in err, err
 
 
 def test_evaluate_refuses_a_label_beyond_the_classifier_classes(attacked_run, capsys):
@@ -627,7 +786,7 @@ def test_evaluate_refuses_a_label_beyond_the_classifier_classes(attacked_run, ca
     original = batch.read_text()
     batch.write_text(_per_row("labels", lambda v: v + 100)(original))
     try:
-        assert run_cli(["score", "--config", str(cfg)]) == 0  # score reads no labels
+        assert run_cli(["score", "--config", str(cfg)]) == 0  # score reads no attack batch
         assert run_cli(["evaluate", "--config", str(cfg)]) == 1
     finally:
         batch.write_text(original)
@@ -666,21 +825,21 @@ def _batch_mutations(draw, meta: dict):
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_a_mutated_attack_batch_exits_1_with_an_error_line_in_score_and_evaluate(attacked_run, capsys, data):
+def test_a_mutated_attack_batch_exits_1_with_an_error_line_in_score_and_evaluate(attacked_run, capsys, monkeypatch, data):
+    """evaluate exits 1 with an error line naming the batch; score, which
+    reads no attack batch, exits 0 without opening it."""
     cfg, out = attacked_run
     json_path, bin_path = out / "attacks" / "fgsm02.json", out / "attacks" / "fgsm02.bin"
     text, raw = json_path.read_text(), bin_path.read_bytes()
     label, edit_json, edit_bin = data.draw(_batch_mutations(json.loads(text)))
     json_path.write_text(json.dumps(edit_json(json.loads(text))))
     bin_path.write_bytes(edit_bin(raw))
-    # an unlabelled batch is one the attack stage may write; only evaluate needs the labels
-    unlabelled = label == ("swap", "labels", None)
     try:
-        for stage in ("score", "evaluate"):
-            code = run_cli([stage, "--config", str(cfg)])
-            err = capsys.readouterr().err
-            assert code == (0 if unlabelled and stage == "score" else 1), (stage, label, err)
-            assert code == 0 or (err.startswith("error: ") and "fgsm02" in err), (stage, label, err)
+        code, opened = _run_recording_opens(monkeypatch, ["score", "--config", str(cfg)])
+        assert code == 0 and not _opened_a_batch(out, opened), (label, capsys.readouterr().err)
+        code = run_cli(["evaluate", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and "fgsm02" in err, (label, err)
     finally:
         json_path.write_text(text)
         bin_path.write_bytes(raw)
@@ -688,18 +847,23 @@ def test_a_mutated_attack_batch_exits_1_with_an_error_line_in_score_and_evaluate
 
 @pytest.mark.parametrize("stage", ["score", "evaluate"])
 @pytest.mark.parametrize("subset, noise", [(20, 0.1), (None, 0.1), (30, 0.2)], ids=["subset-20", "subset-all", "noise"])
-def test_a_batch_made_from_other_test_rows_exits_1_naming_it(attacked_run, tmp_path, capsys, stage, subset, noise):
+def test_a_batch_made_from_other_test_rows_exits_1_naming_it(attacked_run, tmp_path, capsys, monkeypatch, stage, subset, noise):
+    """In evaluate; score reads no attack batch, so it exits 0 without opening one."""
     _, run = attacked_run
     out = tmp_path / "run"
     shutil.copytree(run, out, ignore=shutil.ignore_patterns("threshold.json"))
     changed = _write_config(tmp_path, out, attack_subset=subset, dataset={**_toy_config(out)["dataset"], "noise": noise})
-    assert run_cli([stage, "--config", str(changed)]) == 1
+    code, opened = _run_recording_opens(monkeypatch, [stage, "--config", str(changed)])
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / 'attacks' / 'fgsm02.json'}: ") and err.rstrip().endswith("; rerun attack"), err
+    if stage == "score":
+        assert code == 0 and not _opened_a_batch(out, opened), err
+    else:
+        assert code == 1, err
+        assert err.startswith(f"error: {out / 'attacks' / 'fgsm02.json'}: ") and err.rstrip().endswith("; rerun attack"), err
     assert run_cli([stage, "--config", str(_write_config(tmp_path, out))]) == 0  # the config the batch was made under
 
 
-def test_a_batch_in_the_older_two_block_format_exits_1_naming_it(attacked_run, tmp_path, capsys):
+def test_a_batch_in_the_older_two_block_format_exits_1_naming_it(attacked_run, tmp_path, capsys, monkeypatch):
     cfg, run = attacked_run
     out = tmp_path / "run"
     shutil.copytree(run, out)
@@ -712,10 +876,11 @@ def test_a_batch_in_the_older_two_block_format_exits_1_naming_it(attacked_run, t
                 crc32=zlib.crc32(adversarials, zlib.crc32(originals)))
     json_path.write_text(json.dumps(meta))
     bin_path.write_bytes(originals + adversarials)
-    for stage in ("score", "evaluate"):
-        assert run_cli([stage, "--config", str(cfg), "--out", str(out)]) == 1, stage
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {json_path}: "), err
+    code, opened = _run_recording_opens(monkeypatch, ["score", "--config", str(cfg), "--out", str(out)])
+    assert code == 0 and not _opened_a_batch(out, opened)  # score reads no attack batch
+    assert run_cli(["evaluate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {json_path}: "), err
 
 
 def test_checkpoint_loadable_and_consistent_with_cli(tmp_path):

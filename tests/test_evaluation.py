@@ -258,8 +258,9 @@ def test_accuracy_report_identity_ae_equals_no_defence(small_image_classifier):
     clf, x, y = small_image_classifier
     ae = identity_ae(4)
     noisy = np.clip(x + 0.2 * np.sign(np.random.default_rng(1).normal(size=x.shape)), 0, 1)
-    rows, decisions = accuracy_report(clf, {"identity": Defence(ae)}, {"noise": (noisy, y)}, (x, y))
-    assert decisions == {}  # no gate, no decisions
+    rows, scores, decisions = accuracy_report(clf, {"identity": Defence(ae)}, {"noise": (noisy, y)}, (x, y), "identity")
+    assert decisions == {}  # no threshold, no decisions
+    assert np.array_equal(scores["noise"], adversarial_score(clf, Defence(ae), noisy))
     assert rows[0]["identity"] == rows[0]["no_defence"]
     assert rows[0]["no_attack"] == pytest.approx((clf.predict_class(x) == y).mean())
 
@@ -288,8 +289,10 @@ def test_accuracy_report_one_pass_per_model_and_batch(small_image_classifier, fo
     clf, x, y = small_image_classifier
     n, m = 50, 30
     defences = {"a": Defence(_perturbed_identity_ae(4, 0.2, 1)), "b": Defence(identity_ae(4))}
-    accuracy_report(clf, defences, {"noise": (x[:n], y[:n])}, (x[-m:], y[-m:]), gate=("a", 0.01))
-    assert forwarded_rows == {"classifier": 3 * n + m, "ae": 2 * n}
+    for threshold in (0.01, None):  # detect_and_correct's pass, or defence_outputs' without a threshold
+        forwarded_rows.update(classifier=0, ae=0)
+        accuracy_report(clf, defences, {"noise": (x[:n], y[:n])}, (x[-m:], y[-m:]), "a", threshold)
+        assert forwarded_rows == {"classifier": 3 * n + m, "ae": 2 * n}, threshold
 
 
 def test_drift_report_one_pass_per_model_and_set(small_image_classifier, forwarded_rows):
@@ -305,19 +308,21 @@ def test_accuracy_report_gated_column_matches_detect_and_correct(small_image_cla
     ae = _perturbed_identity_ae(4, 0.3, 2)
     noisy = np.clip(x + 0.25 * np.sign(np.random.default_rng(3).normal(size=x.shape)), 0, 1)
     t = float(np.quantile(adversarial_score(clf, Defence(ae), noisy), 0.9))
-    rows, decisions = accuracy_report(clf, {"ae": Defence(ae)}, {"noise": (noisy, y)}, (x, y), gate=("ae", t))
+    rows, scores, decisions = accuracy_report(clf, {"ae": Defence(ae)}, {"noise": (noisy, y)}, (x, y), "ae", t)
     row, (_, decision) = rows[0], detect_and_correct(clf, Defence(ae), noisy, t)
     assert row["ae@detect"] == float((decision[2] == y).mean())
     assert list(decisions) == ["noise"]  # the decision behind the column, for the verdict files
     for mine, theirs in zip(decisions["noise"], decision, strict=True):
         assert np.array_equal(mine, theirs)
+    assert scores["noise"] is decisions["noise"][0]  # the score file's scores are the decision's
     assert len({row["no_defence"], row["ae"], row["ae@detect"]}) == 3  # the gate matters on this data
 
 
 def test_accuracy_report_refuses_a_gate_on_a_defence_it_does_not_report(small_image_classifier):
     clf, x, y = small_image_classifier
-    with pytest.raises(ParameterError, match="'mse'"):
-        accuracy_report(clf, {"kl": Defence(identity_ae(4))}, {"noise": (x, y)}, (x, y), gate=("mse", 0.01))
+    for threshold in (0.01, None):
+        with pytest.raises(ParameterError, match="'mse'"):
+            accuracy_report(clf, {"kl": Defence(identity_ae(4))}, {"noise": (x, y)}, (x, y), "mse", threshold)
 
 
 def test_accuracy_report_reconstructs_in_the_row_blocks_of_defence_outputs(small_image_classifier, monkeypatch):
@@ -335,7 +340,7 @@ def test_accuracy_report_reconstructs_in_the_row_blocks_of_defence_outputs(small
     monkeypatch.setattr(Model, "forward_t", recording)
     outputs = defence_outputs(clf, Defence(ae), noisy)
     t = float(np.quantile(outputs.scores(), 0.9))
-    row = accuracy_report(clf, {"ae": Defence(ae)}, {"noise": (noisy, y)}, (x, y), gate=("ae", t))[0][0]
+    row = accuracy_report(clf, {"ae": Defence(ae)}, {"noise": (noisy, y)}, (x, y), "ae", t)[0][0]
     assert max(ae_passes) == 7 and sum(ae_passes) == 2 * x.shape[0]
     assert row["ae"] == float((outputs.decide(-math.inf)[2] == y).mean())
     assert row["ae@detect"] == float((outputs.decide(t)[2] == y).mean())
@@ -343,7 +348,7 @@ def test_accuracy_report_reconstructs_in_the_row_blocks_of_defence_outputs(small
 
 def test_accuracy_report_csv(tmp_path, small_image_classifier):
     clf, x, y = small_image_classifier
-    rows, _ = accuracy_report(clf, {"identity": Defence(identity_ae(4))}, {"a": (x, y)}, (x, y))
+    rows, _, _ = accuracy_report(clf, {"identity": Defence(identity_ae(4))}, {"a": (x, y)}, (x, y), "identity")
     path = tmp_path / "report.csv"
     accuracy_report_to_csv(rows, path)
     lines = path.read_text().strip().splitlines()
