@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .artifacts import write_artifact
 from .autodiff import Tape, Tensor, backward
-from .errors import DataError, MismatchError, ParameterError, ParseError, UserError
+from .errors import DataError, ParameterError, ParseError, UserError
 from .schema import In, check_fields, from_dict
 from .training import Adam
 
@@ -426,7 +426,7 @@ def load_batch(json_path) -> AdversarialBatch:
         raise ParseError(f"{json_path}: malformed attack batch: {exc!r}") from None
     per_row = [*rows.values(), *norms.values(), *([] if labels is None else [labels])]
     if any(a.shape != shape[:1] for a in per_row):
-        raise MismatchError(f"{json_path}: per-instance fields disagree with shape {shape}")
+        raise ParseError(f"{json_path}: per-instance fields disagree with shape {shape}")
     if any(diagnostics[k].shape != shape[:1] for k in CW_FLAGS if k in diagnostics):
         raise ParseError(f"{json_path}: per-instance diagnostics disagree with shape {shape}")
     if not bin_path.is_file():
@@ -434,9 +434,9 @@ def load_batch(json_path) -> AdversarialBatch:
     raw = bin_path.read_bytes()
     size = 8 * math.prod(shape)  # exact: an int64 product could wrap onto the payload size
     if len(raw) != size:
-        raise MismatchError(f"{bin_path}: {len(raw)} payload bytes, where shape {shape} in {json_path} takes {size}")
+        raise ParseError(f"{bin_path}: {len(raw)} payload bytes, where shape {shape} in {json_path} takes {size}")
     if zlib.crc32(raw) != meta["crc32"]:
-        raise MismatchError(f"{bin_path}: payload does not match the CRC-32 recorded in {json_path}")
+        raise ParseError(f"{bin_path}: payload does not match the CRC-32 recorded in {json_path}")
     return AdversarialBatch(
         originals_crc32=meta["originals_crc32"],
         adversarials=np.frombuffer(raw, dtype="<f8").reshape(shape).copy(),

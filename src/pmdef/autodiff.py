@@ -51,14 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    ContractError,
-    DimensionError,
-    EvaluationError,
-    NonFiniteError,
-    ParameterError,
-    ValidationError,
-)
+from .errors import ContractError, DataError, DimensionError, NonFiniteError, ParameterError
 
 Array = np.ndarray
 
@@ -377,7 +370,7 @@ def take_per_row(t: Tensor, idx) -> Tensor:
     if idx.shape != (t.shape[0],):
         raise DimensionError(f"index vector of length {t.shape[0]} required, got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= t.shape[1]):
-        raise ValidationError(f"row indices out of range [0, {t.shape[1]})")
+        raise DataError(f"row indices out of range [0, {t.shape[1]})")
     rows = np.arange(t.shape[0])
     shape = t.shape
 
@@ -669,13 +662,13 @@ def kl_rows(p: Array, q: Array) -> Array:
     if p.shape != q.shape:
         raise DimensionError(f"distribution shapes differ: {p.shape} vs {q.shape}")
     if p.size == 0:
-        raise ValidationError("empty distributions")
+        raise DataError("empty distributions")
     if p.min() < 0.0 or q.min() < 0.0:
-        raise ValidationError("distribution entries must be non-negative")
+        raise DataError("distribution entries must be non-negative")
     rs_p = p.sum(axis=1)
     rs_q = q.sum(axis=1)
     if np.abs(rs_p - 1.0).max() > 1e-6 or np.abs(rs_q - 1.0).max() > 1e-6:
-        raise ValidationError("distribution rows must sum to 1 within 1e-6")
+        raise DataError("distribution rows must sum to 1 within 1e-6")
     lp = np.log(np.maximum(p, KL_CLAMP))
     lq = np.log(np.maximum(q, KL_CLAMP))
     return (p * (lp - lq)).sum(axis=1)
@@ -753,7 +746,7 @@ def _scalar_value(out: Tensor, where: str) -> float:
         raise ContractError(f"grad_check function must return a scalar, got shape {out.shape}")
     v = out.item()
     if not math.isfinite(v):
-        raise EvaluationError(f"function value is not finite {where}")
+        raise NonFiniteError(f"function value is not finite {where}")
     return v
 
 

@@ -41,7 +41,7 @@ from . import defence as dfc
 from . import evaluation as ev
 from .artifacts import write_artifact
 from .datasets import SYNTH_KINDS, Dataset, parse_cifar_binary, parse_idx, synth_dataset
-from .errors import ConfigError, DataError, MismatchError, ParseError, PmdefError, UserError
+from .errors import ConfigError, DataError, ParseError, PmdefError, UserError
 from .models import DefendedModel, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from .schema import In, check_fields, from_dict
 from .seeding import derive_seed
@@ -50,14 +50,10 @@ from .training import DefenceLossSpec, OptimizerConfig, epoch_checkpoints, train
 log = logging.getLogger("pmdef")
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        raise UserError(message)
 
 
 def _setup_logging() -> None:
@@ -388,7 +384,7 @@ def _load_attack(out: Path, name: str, inputs_crc32: int) -> atk.AdversarialBatc
     path = _require_file(out / "attacks" / f"{name}.json", "attack")
     batch = atk.load_batch(path)
     if batch.originals_crc32 != inputs_crc32:
-        raise MismatchError(f"{path}: made from other rows than the dataset and attack_subset give now; rerun attack")
+        raise ParseError(f"{path}: made from other rows than the dataset and attack_subset give now; rerun attack")
     return batch
 
 
@@ -550,18 +546,32 @@ def cmd_drift(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]
     return [jpath, cpath]
 
 
+def _check_scored_as_configured(exp: Experiment, out: Path, stage: str) -> None:
+    """Refuse score files that ``stage`` wrote under another seed or score_defence than ``exp`` gives."""
+    path = _require_file(out / f"manifest_{stage}.json", stage)
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        seed, tag = manifest["seed"], manifest["config"].get("score_defence", Experiment.score_defence)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{path}: needs a JSON object with 'seed' and 'config': {exc!r}") from None
+    if (seed, tag) != (exp.seed, exp.score_defence):
+        raise ConfigError(f"{path}: scores made under seed {seed!r} and score_defence {tag!r}, but the config gives "
+                          f"seed {exp.seed} and score_defence {exp.score_defence!r}; rerun {stage}")
+
+
 def cmd_roc(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
     artifacts = []
-    clean_path = _require_file(out / "scores" / "clean_test.csv", "score")
-    normal = _read_scores_csv(clean_path)
-    for entry in _required(exp, "attacks"):
-        spath = _require_file(out / "scores" / f"{entry.name}.csv", "evaluate")
-        adv = _read_scores_csv(spath)
-        curve = ev.roc_auc(normal, adv)
-        rpath = out / f"roc_{entry.name}.json"
+    normal = _read_scores_csv(_require_file(out / "scores" / "clean_test.csv", "score"))
+    adv = {e.name: _read_scores_csv(_require_file(out / "scores" / f"{e.name}.csv", "evaluate"))
+           for e in _required(exp, "attacks")}
+    for stage in ("score", "evaluate"):
+        _check_scored_as_configured(exp, out, stage)
+    for name, scores in adv.items():
+        curve = ev.roc_auc(normal, scores)
+        rpath = out / f"roc_{name}.json"
         write_artifact(rpath, json.dumps(vars(curve), sort_keys=True) + "\n")
         artifacts.append(rpath)
-        log.info("roc %s: auc %.4f", entry.name, curve.auc)
+        log.info("roc %s: auc %.4f", name, curve.auc)
     return artifacts
 
 
@@ -594,17 +604,11 @@ def run_cli(argv) -> int:
     _setup_logging()
     malloc = _fix_malloc_thresholds()
     parser = build_parser()
+    t0 = time.perf_counter()
     try:
         args = parser.parse_args(argv)
         if args.workers < 1:
             parser.error(f"--workers must be >= 1, got {args.workers}")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    t0 = time.perf_counter()
-    try:
         exp, out = _resolve(load_config(args.config), args)
         (out / f"manifest_{args.command}.json").unlink(missing_ok=True)  # a failed stage leaves no manifest
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -613,6 +617,8 @@ def run_cli(argv) -> int:
         run = _run_facts(time.perf_counter() - t0, faults, malloc)
         write_manifest(out, args.command, exp.raw, exp.seed, artifacts, run)
         return 0
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_artifact
-from .errors import DataError, MagicError, MismatchError, ParameterError, TruncationError, ValidationError
+from .errors import DataError, ParameterError, ParseError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -45,7 +45,7 @@ class Dataset:
 def _read_exact(fh, count: int, path, what: str) -> bytes:
     raw = fh.read(count)
     if len(raw) != count:
-        raise TruncationError(f"{path}: truncated while reading {what} ({len(raw)}/{count} bytes)")
+        raise ParseError(f"{path}: truncated while reading {what} ({len(raw)}/{count} bytes)")
     return raw
 
 
@@ -54,21 +54,21 @@ def parse_idx(images_path, labels_path, name: str = "idx") -> Dataset:
     with open(images_path, "rb") as fh:
         (magic,) = struct.unpack(">I", _read_exact(fh, 4, images_path, "magic"))
         if magic != IDX_IMAGES_MAGIC:
-            raise MagicError(f"{images_path}: image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
+            raise ParseError(f"{images_path}: image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
         n, h, w = struct.unpack(">III", _read_exact(fh, 12, images_path, "dimensions"))
         payload = _read_exact(fh, n * h * w, images_path, "pixels")
         if fh.read(1):
-            raise MismatchError(f"{images_path}: trailing bytes after {n}x{h}x{w} pixels")
+            raise ParseError(f"{images_path}: trailing bytes after {n}x{h}x{w} pixels")
     with open(labels_path, "rb") as fh:
         (magic,) = struct.unpack(">I", _read_exact(fh, 4, labels_path, "magic"))
         if magic != IDX_LABELS_MAGIC:
-            raise MagicError(f"{labels_path}: label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
+            raise ParseError(f"{labels_path}: label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
         (n_labels,) = struct.unpack(">I", _read_exact(fh, 4, labels_path, "count"))
         label_bytes = _read_exact(fh, n_labels, labels_path, "labels")
         if fh.read(1):
-            raise MismatchError(f"{labels_path}: trailing bytes after {n_labels} labels")
+            raise ParseError(f"{labels_path}: trailing bytes after {n_labels} labels")
     if n_labels != n:
-        raise MismatchError(f"{labels_path}: {n_labels} labels for {n} images in {images_path}")
+        raise ParseError(f"{labels_path}: {n_labels} labels for {n} images in {images_path}")
     images = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w, 1).astype(np.float64) / 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     return Dataset(images, labels, name=name)
@@ -98,12 +98,12 @@ def parse_cifar_binary(paths, name: str = "cifar") -> Dataset:
         raw = path.read_bytes()
         if len(raw) % CIFAR_RECORD != 0:
             offset = (len(raw) // CIFAR_RECORD) * CIFAR_RECORD
-            raise TruncationError(f"{path}: {len(raw)} bytes is not a multiple of {CIFAR_RECORD}; broken at byte {offset}")
+            raise ParseError(f"{path}: {len(raw)} bytes is not a multiple of {CIFAR_RECORD}; broken at byte {offset}")
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
         labels = records[:, 0].astype(np.int64)
         if labels.size and labels.max() > 9:
             bad = int(np.argmax(labels > 9))
-            raise ValidationError(f"{path}: record {bad} has label byte {labels[bad]}, outside [0, 9]")
+            raise DataError(f"{path}: record {bad} has label byte {labels[bad]}, outside [0, 9]")
         pixels = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
         all_images.append(pixels.astype(np.float64) / 255.0)
         all_labels.append(labels)

@@ -26,53 +26,23 @@ class ParameterError(UserError):
     """A hyperparameter or argument is out of its valid range."""
 
 
-class ValidationError(UserError):
-    """Data values violate a contract (non-distribution rows, bad labels)."""
-
-
 class DataError(UserError):
-    """A dataset or sample is empty or structurally unusable."""
-
-
-class SpecError(UserError):
-    """A model spec does not shape-chain."""
+    """Data is empty, structurally unusable or violates a contract
+    (non-distribution rows, bad labels)."""
 
 
 class ConfigError(UserError):
-    """An experiment or probe configuration is invalid."""
+    """An experiment config, probe or model spec is invalid."""
 
 
-class CompositionError(UserError):
-    """Autoencoder output shape does not match the classifier input."""
+class ParseError(UserError):
+    """A file does not conform to its format: wrong magic, truncated, or
+    counts and sizes that disagree with its contents."""
 
 
 class ContractError(RuntimeFailure):
     """An internal API precondition was violated."""
 
 
-class EvaluationError(RuntimeFailure):
-    """A function value required by a numeric check is not finite."""
-
-
 class NonFiniteError(RuntimeFailure):
-    """A forward pass produced NaN or Inf from finite inputs."""
-
-
-class DivergenceError(RuntimeFailure):
-    """Training loss became NaN."""
-
-
-class ParseError(UserError):
-    """A binary file does not conform to its format."""
-
-
-class MagicError(ParseError):
-    """Wrong magic bytes at the start of a file."""
-
-
-class TruncationError(ParseError):
-    """File ended before the declared payload."""
-
-
-class MismatchError(ParseError):
-    """Counts or sizes declared by a file disagree with its contents."""
+    """A forward pass, a loss or a checked function value became NaN or Inf."""

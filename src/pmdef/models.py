@@ -38,17 +38,7 @@ import numpy as np
 from . import autodiff as ad
 from .artifacts import write_artifact
 from .autodiff import Tensor
-from .errors import (
-    CompositionError,
-    ConfigError,
-    ContractError,
-    DimensionError,
-    MagicError,
-    MismatchError,
-    SpecError,
-    TruncationError,
-    UserError,
-)
+from .errors import ConfigError, ContractError, DimensionError, ParseError, UserError
 from .schema import In, check_fields, from_dict
 
 CHECKPOINT_MAGIC = b"PMDEF001"
@@ -61,7 +51,7 @@ DATA_DOMAIN = (0.0, 1.0)
 
 def _check_rank(shape: tuple[int, ...], rank: int, where: str, expects: str) -> None:
     if len(shape) != rank:
-        raise SpecError(f"{where}: expects {expects}, got {shape}")
+        raise ConfigError(f"{where}: expects {expects}, got {shape}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +70,7 @@ class Layer:
 
     def out_shape(self, shape: tuple[int, ...], where: str) -> tuple[int, ...]:
         """Output shape (batch axis excluded) for input ``shape``; raises
-        SpecError naming ``where`` on a chain break or on a field whose rule
+        ConfigError naming ``where`` on a chain break or on a field whose rule
         its annotation cannot state."""
         return shape
 
@@ -127,7 +117,7 @@ class Conv(Layer):
         try:
             oh, ow, *_ = ad._conv_geometry(shape[0], shape[1], self.kernel, self.kernel, self.stride, self.padding)
         except DimensionError as exc:  # kernel larger than a valid-padded input
-            raise SpecError(f"{where}: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
         return (oh, ow, self.filters)
 
     def param_shapes(self, in_shape):
@@ -146,7 +136,7 @@ class MaxPool(Layer):
     def out_shape(self, shape, where):
         _check_rank(shape, 3, where, "an HWC input")
         if self.window > min(shape[:2]):
-            raise SpecError(f"{where}: window {self.window} exceeds input {shape[:2]}")
+            raise ConfigError(f"{where}: window {self.window} exceeds input {shape[:2]}")
         return ((shape[0] - self.window) // self.stride + 1, (shape[1] - self.window) // self.stride + 1, shape[2])
 
     def apply(self, h, params, train, rng):
@@ -180,7 +170,7 @@ class Dropout(Layer):
 
     def out_shape(self, shape, where):
         if not 0.0 <= self.rate < 1.0:
-            raise SpecError(f"{where}: rate must be a number in [0, 1), got {self.rate!r}")
+            raise ConfigError(f"{where}: rate must be a number in [0, 1), got {self.rate!r}")
         return shape
 
     def apply(self, h, params, train, rng):
@@ -222,9 +212,9 @@ class Reshape(Layer):
 
     def out_shape(self, shape, where):
         if not (self.shape and all(s > 0 for s in self.shape)):
-            raise SpecError(f"{where}: shape must be a non-empty list of positive ints, got {self.shape!r}")
+            raise ConfigError(f"{where}: shape must be a non-empty list of positive ints, got {self.shape!r}")
         if math.prod(self.shape) != math.prod(shape):
-            raise SpecError(f"{where}: cannot reshape {shape} to {self.shape}")
+            raise ConfigError(f"{where}: cannot reshape {shape} to {self.shape}")
         return self.shape
 
     def apply(self, h, params, train, rng):
@@ -254,7 +244,7 @@ def layer_to_dict(layer: Layer) -> dict:
 @dataclass(frozen=True)
 class ModelSpec:
     """Ordered layer descriptors plus the input shape they chain from; building
-    one infers each layer's output shape and raises SpecError on a chain break."""
+    one infers each layer's output shape and raises ConfigError on a chain break."""
 
     name: str
     input_shape: tuple[int, ...]
@@ -265,7 +255,7 @@ class ModelSpec:
     def __post_init__(self):
         shape = tuple(self.input_shape)
         if not (shape and all(s > 0 for s in shape)):
-            raise SpecError(f"input_shape: must be a non-empty list of positive ints, got {shape}")
+            raise ConfigError(f"input_shape: must be a non-empty list of positive ints, got {shape}")
         shapes = []
         for i, layer in enumerate(self.layers):
             shape = layer.out_shape(shape, f"layer {i} ({layer.kind})")
@@ -473,7 +463,7 @@ class DefendedModel(Predictor):
 
     def __init__(self, classifier: Model, ae: Model):
         if ae.output_shape != classifier.input_shape or ae.input_shape != classifier.input_shape:
-            raise CompositionError(
+            raise DimensionError(
                 f"autoencoder maps {ae.input_shape} to {ae.output_shape}, classifier expects {classifier.input_shape}"
             )
         self.classifier = classifier
@@ -517,43 +507,49 @@ def save_checkpoint(model: Model, path) -> None:
     write_artifact(path, b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(payload)), payload, *blocks]))
 
 
+def _checked(v, kind: type):
+    """``v`` of a checkpoint header if it is a JSON ``kind``: a string, or an integer >= 0 (a bool is none)."""
+    if type(v) is not kind or kind is int and v < 0:
+        raise ValueError(f"expected {'a string' if kind is str else 'an integer >= 0'}, got {v!r:.60}")
+    return v
+
+
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) or blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise MagicError(f"{path}: bad checkpoint magic")
+        raise ParseError(f"{path}: bad checkpoint magic")
     pos = len(CHECKPOINT_MAGIC)
     if len(blob) < pos + 4:
-        raise TruncationError(f"{path}: truncated before header length")
+        raise ParseError(f"{path}: truncated before header length")
     (hlen,) = struct.unpack("<I", blob[pos : pos + 4])
     pos += 4
     if len(blob) < pos + hlen:
-        raise TruncationError(f"{path}: truncated header (need {hlen} bytes)")
+        raise ParseError(f"{path}: truncated header (need {hlen} bytes)")
     try:
         header = json.loads(blob[pos : pos + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MismatchError(f"{path}: unreadable header: {exc}") from None
+        raise ParseError(f"{path}: unreadable header: {exc}") from None
     pos += hlen
     try:
         spec = from_dict(ModelSpec, header["spec"], "spec")
-        entries = [
-            (int(e["layer"]), str(e["name"]), int(e["offset"]), int(e["nbytes"]), [int(s) for s in e["shape"]])
-            for e in header["tensors"]
-        ]
+        entries = [(_checked(e["layer"], int), _checked(e["name"], str), _checked(e["offset"], int),
+                    _checked(e["nbytes"], int), [_checked(s, int) for s in e["shape"]]) for e in header["tensors"]]
+        seed = None if header.get("seed") is None else _checked(header["seed"], int)
     except (KeyError, TypeError, ValueError, UserError) as exc:
-        raise MismatchError(f"{path}: malformed checkpoint header: {exc!r}") from None
+        raise ParseError(f"{path}: malformed checkpoint header: {exc!r}") from None
     store = ParameterStore()
     groups: dict[int, dict[str, Tensor]] = {}
     total = sum(nbytes for _, _, _, nbytes, _ in entries)
     if len(blob) - pos != total:
-        raise MismatchError(f"{path}: weight payload is {len(blob) - pos} bytes, header declares {total}")
+        raise ParseError(f"{path}: weight payload is {len(blob) - pos} bytes, header declares {total}")
     for layer, name, offset, nbytes, shape in entries:
-        if offset < 0 or min(shape, default=0) < 0 or nbytes != 8 * math.prod(shape):
-            raise MismatchError(f"{path}: block {layer}:{name} size disagrees with its shape")
+        if nbytes != 8 * math.prod(shape):
+            raise ParseError(f"{path}: block {layer}:{name} size disagrees with its shape")
         start = pos + offset
         end = start + nbytes
         if end > len(blob):
-            raise TruncationError(f"{path}: truncated weight block {layer}:{name}")
+            raise ParseError(f"{path}: truncated weight block {layer}:{name}")
         arr = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape)
         groups.setdefault(layer, {})[name] = Tensor(arr.copy(), requires_grad=True)
     for idx, tensors in groups.items():
@@ -561,5 +557,5 @@ def load_checkpoint(path) -> Model:
     want = {(i, n): shape for i, group in _param_shapes(spec).items() for n, shape in group.items()}
     got = {(i, n): t.shape for i, n, t in store.named_tensors()}
     if want != got:
-        raise MismatchError(f"{path}: weight shapes disagree with the spec")
-    return Model(spec, store, seed=header.get("seed"))
+        raise ParseError(f"{path}: weight shapes disagree with the spec")
+    return Model(spec, store, seed=seed)

@@ -20,14 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .artifacts import write_artifact
 from .autodiff import Tape, Tensor, backward
-from .errors import (
-    CompositionError,
-    ConfigError,
-    ContractError,
-    DataError,
-    DivergenceError,
-    ParameterError,
-)
+from .errors import ConfigError, ContractError, DataError, DimensionError, NonFiniteError, ParameterError
 from .models import Model, build_probe, save_checkpoint
 from .schema import In, check_fields
 
@@ -171,7 +164,7 @@ def _fit(
             total += loss.item() * len(batch)
         mean_loss = total / n
         if not np.isfinite(mean_loss):
-            raise DivergenceError(f"{kind} loss became non-finite at epoch {epoch}")
+            raise NonFiniteError(f"{kind} loss became non-finite at epoch {epoch}")
         epoch_losses.append(mean_loss)
         if after_epoch is not None:
             after_epoch(epoch)
@@ -274,7 +267,7 @@ def train_defence(
     if not classifier.store.is_fully_frozen():
         raise ContractError("classifier must be frozen before defence training")
     if ae.output_shape != classifier.input_shape:
-        raise CompositionError(
+        raise DimensionError(
             f"autoencoder output {ae.output_shape} does not match classifier input {classifier.input_shape}"
         )
     probe = None

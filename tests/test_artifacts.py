@@ -13,7 +13,7 @@ from pmdef import artifacts, cli
 from pmdef.attacks import AdversarialBatch, AttackConfig, inputs_crc32, load_batch, save_batch
 from pmdef.datasets import Dataset, write_cifar_binary, write_idx
 from pmdef.defence import verdicts_to_csv
-from pmdef.errors import MismatchError
+from pmdef.errors import ParseError
 from pmdef.evaluation import DriftReport, DriftRow, accuracy_report_to_csv
 from pmdef.models import build_model, save_checkpoint
 from pmdef.training import TrainReport
@@ -71,7 +71,10 @@ def _roc(out, v):
     (out / "scores").mkdir(exist_ok=True)
     (out / "scores" / "clean_test.csv").write_text("id,score\n0,0.1\n1,0.2\n")
     (out / "scores" / "a.csv").write_text(f"id,score\n0,{0.05 + v / 10}\n1,0.3\n")
-    (out.parent / "cfg.json").write_text(json.dumps({"seed": 0, "attacks": [{"name": "a", "kind": "fgsm"}]}))
+    cfg = {"seed": 0, "attacks": [{"name": "a", "kind": "fgsm"}]}
+    (out.parent / "cfg.json").write_text(json.dumps(cfg))
+    for stage in ("score", "evaluate"):  # roc reads which seed and score_defence the score files were made under
+        cli.write_manifest(out, stage, cfg, 0, [], {})
     assert cli.run_cli(["roc", "--config", str(out.parent / "cfg.json"), "--out", str(out)]) == 0
 
 
@@ -129,7 +132,7 @@ def test_an_interrupted_rewrite_keeps_the_old_bytes_and_no_temporary_file(tmp_pa
     assert target.read_bytes() == before
     assert not list(tmp_path.rglob("*.tmp"))
     if case == "save_batch-bin":  # the new JSON beside the old payload: its CRC-32 gives the pair away
-        with pytest.raises(MismatchError) as err:
+        with pytest.raises(ParseError, match="payload does not match the CRC-32") as err:
             load_batch(out / "b.json")
         assert "b.json" in str(err.value) and "b.bin" in str(err.value)
     write(out, 1)  # and the same write, uninterrupted, does change the target

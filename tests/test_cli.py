@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pmdef import artifacts, cli
+from pmdef import artifacts, cli, errors
 from pmdef import defence as dfc
 from pmdef.attacks import load_batch
 from pmdef.cli import run_cli
@@ -113,12 +113,45 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     path = _write_config(tmp_path, tmp_path / "run")
     assert run_cli(["attack", "--config", str(path), "--workers", workers]) == 1
     err = capsys.readouterr().err
-    assert "usage" in err.lower() and "--workers" in err
+    assert err.startswith("usage: pmdef") and err.endswith(f"error: --workers must be >= 1, got {workers}\n")
 
 
 def test_unknown_subcommand_exits_1(capsys):
     assert run_cli(["transmogrify"]) == 1
     assert "usage" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["score", "--help"]], ids=["pmdef", "stage"])
+def test_help_exits_0(capsys, argv):
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: pmdef")
+
+
+# every class of pmdef.errors below its three bases
+_CONCRETE_ERRORS = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.PmdefError)
+                    and c not in (errors.PmdefError, UserError, errors.RuntimeFailure)]
+
+
+def test_the_error_classes_are_the_ten_the_cli_tells_apart_each_raised_in_the_package():
+    assert sorted(c.__name__ for c in _CONCRETE_ERRORS) == [
+        "ConfigError", "ContractError", "DataError", "DimensionError", "NonFiniteError", "ParameterError", "ParseError",
+    ]
+    source = "".join(p.read_text(encoding="utf-8") for p in Path(cli.__file__).parent.glob("*.py"))
+    for cls in _CONCRETE_ERRORS:
+        assert issubclass(cls, UserError) != issubclass(cls, errors.RuntimeFailure), cls
+        assert f"raise {cls.__name__}(" in source, f"{cls.__name__} is raised nowhere in pmdef"
+
+
+@pytest.mark.parametrize("cls", _CONCRETE_ERRORS, ids=lambda c: c.__name__)
+def test_a_stage_error_exits_1_for_a_user_error_and_2_for_a_runtime_failure(tmp_path, monkeypatch, capsys, cls):
+    def stage(exp, seed, out, workers):
+        raise cls("the message")
+
+    monkeypatch.setitem(cli._COMMANDS, "score", stage)
+    code = run_cli(["score", "--config", str(_write_config(tmp_path, tmp_path / "run"))])
+    assert (code, capsys.readouterr().err) == ((1, "error: the message\n") if issubclass(cls, UserError)
+                                                else (2, "failure: the message\n"))
+    assert not (tmp_path / "run" / "manifest_score.json").exists()
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):
@@ -553,6 +586,62 @@ def test_roc_reads_the_attack_score_files_of_an_ungated_evaluate(attacked_run, t
     assert (out / "roc_fgsm02.json").read_text() == json.dumps(asdict(curve), sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize(
+    "score_under, evaluate_under, roc_under, rerun",
+    [
+        ({}, {"score_defence": "mse"}, {"score_defence": "mse"}, "score"),
+        ({}, {"score_defence": "mse"}, {}, "evaluate"),
+        ({"seed": 6}, {}, {}, "score"),
+        ({}, {}, {"seed": 6}, "score"),
+    ],
+    ids=["kl-scores-mse-roc", "mse-evaluate-kl-roc", "seed-6-scores", "seed-6-roc"],
+)
+def test_roc_refuses_score_files_made_under_another_defence_or_seed(attacked_run, tmp_path, capsys, score_under,
+                                                                     evaluate_under, roc_under, rerun):
+    _, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out, ignore=shutil.ignore_patterns("threshold.json", "scores"))
+    shutil.copy(out / "ae_kl.ckpt", out / "ae_mse.ckpt")
+    both = {"defence_losses": [{"kind": "kl"}, {"kind": "mse"}], "report_defences": ["kl", "mse"]}
+
+    def config(name, under):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**_toy_config(out), **both, **under}))
+        return str(path)
+
+    assert run_cli(["score", "--config", config("score", score_under)]) == 0
+    assert run_cli(["evaluate", "--config", config("evaluate", evaluate_under)]) == 0
+    capsys.readouterr()
+    assert run_cli(["roc", "--config", config("roc", roc_under)]) == 1
+    made = {"seed": 5, "score_defence": "kl", **(score_under if rerun == "score" else evaluate_under)}
+    given = {"seed": 5, "score_defence": "kl", **roc_under}
+    assert capsys.readouterr().err == (
+        f"error: {out / f'manifest_{rerun}.json'}: scores made under seed {made['seed']} and score_defence "
+        f"{made['score_defence']!r}, but the config gives seed {given['seed']} and score_defence "
+        f"{given['score_defence']!r}; rerun {rerun}\n"
+    )
+    assert not (out / "roc_fgsm02.json").exists()
+
+
+@pytest.mark.parametrize("manifest, needle", [(None, "missing required artifact"), ("[]", "needs a JSON object")],
+                         ids=["missing", "a-list"])
+def test_roc_exits_1_naming_a_missing_or_malformed_stage_manifest(attacked_run, tmp_path, capsys, manifest, needle):
+    cfg, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out, ignore=shutil.ignore_patterns("threshold.json", "scores"))
+    for stage in ("score", "evaluate"):
+        assert run_cli([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "manifest_evaluate.json"
+    if manifest is None:
+        path.unlink()
+    else:
+        path.write_text(manifest)
+    capsys.readouterr()
+    assert run_cli(["roc", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and needle in err
+
+
 @pytest.mark.parametrize("gated, scored", [("kl", "mse"), ("mse", "kl")])
 def test_evaluate_refuses_a_threshold_calibrated_for_another_score_defence(attacked_run, tmp_path, capsys, gated, scored):
     _, run = attacked_run
@@ -901,14 +990,20 @@ def _rewrite_checkpoint_header(path, edit):
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload + blob[pos + 4 + hlen :])
 
 
-def _without(*keys):
-    """Header edit that deletes header[keys[0]]...[keys[-1]]."""
+_GONE = object()
+
+
+def _at(*keys, value=_GONE):
+    """Header edit that sets header[keys[0]]...[keys[-1]] to ``value``, or deletes it."""
 
     def edit(header):
         node = header
         for key in keys[:-1]:
             node = node[key]
-        del node[keys[-1]]
+        if value is _GONE:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
         return header
 
     return edit
@@ -918,13 +1013,26 @@ def _without(*keys):
     "edit",
     [
         lambda header: [header["spec"], header["tensors"]],
-        _without("spec"),
-        _without("tensors"),
-        _without("tensors", 0, "nbytes"),
-        _without("tensors", 0, "offset"),
-        _without("tensors", 0, "shape"),
+        _at("spec"),
+        _at("tensors"),
+        _at("tensors", 0, "nbytes"),
+        _at("tensors", 0, "offset"),
+        _at("tensors", 0, "shape"),
+        _at("tensors", 0, "layer", value="0"),
+        _at("tensors", 0, "layer", value=False),
+        _at("tensors", 0, "offset", value=0.5),
+        _at("tensors", 0, "offset", value=-1),
+        _at("tensors", 0, "nbytes", value="1536"),
+        _at("tensors", 0, "shape", 0, value=-64),
+        _at("tensors", 0, "shape", 0, value=24.0),
+        _at("tensors", 0, "name", value=0),
+        _at("seed", value="zero"),
+        _at("seed", value=-1),
+        _at("seed", value=True),
     ],
-    ids=["list", "no-spec", "no-tensors", "no-nbytes", "no-offset", "no-shape"],
+    ids=["list", "no-spec", "no-tensors", "no-nbytes", "no-offset", "no-shape", "layer-str", "layer-bool",
+         "offset-fraction", "offset-negative", "nbytes-str", "shape-negative", "shape-float", "name-int",
+         "seed-str", "seed-negative", "seed-bool"],
 )
 def test_malformed_checkpoint_header_exits_1_naming_the_file(tmp_path, capsys, edit):
     out = tmp_path / "run"
@@ -934,7 +1042,7 @@ def test_malformed_checkpoint_header_exits_1_naming_the_file(tmp_path, capsys, e
     save_checkpoint(build_model(from_dict(ModelSpec, json.loads(cfg.read_text())["classifier_spec"]), 0), ckpt)
     _rewrite_checkpoint_header(ckpt, edit)
     assert run_cli(["train-defence", "--config", str(cfg)]) == 1
-    assert "classifier.ckpt" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: malformed checkpoint header: ")
 
 
 def _clf_spec(*layers, **fields):

@@ -14,14 +14,7 @@ from pmdef.datasets import (
     write_cifar_binary,
     write_idx,
 )
-from pmdef.errors import (
-    DataError,
-    MagicError,
-    MismatchError,
-    ParameterError,
-    TruncationError,
-    ValidationError,
-)
+from pmdef.errors import DataError, ParameterError, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +51,7 @@ def test_parse_idx_wrong_magic_order(tmp_path):
     blob = bytearray(images_path.read_bytes())
     blob[:4] = struct.pack(">I", IDX_LABELS_MAGIC)
     images_path.write_bytes(bytes(blob))
-    with pytest.raises(MagicError):
+    with pytest.raises(ParseError, match="image magic 0x00000801, expected 0x00000803"):
         parse_idx(images_path, labels_path)
 
 
@@ -69,7 +62,7 @@ def test_parse_idx_count_mismatch(tmp_path):
     with open(bad_labels, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, 3))
         fh.write(bytes([0, 1, 2]))
-    with pytest.raises(MismatchError):
+    with pytest.raises(ParseError, match="3 labels for 2 images"):
         parse_idx(images_path, bad_labels)
 
 
@@ -78,7 +71,7 @@ def test_parse_idx_truncated_payload(tmp_path):
     images_path, labels_path = _idx_fixture(tmp_path, pixels, [0, 1])
     blob = images_path.read_bytes()
     images_path.write_bytes(blob[:-5])
-    with pytest.raises(TruncationError):
+    with pytest.raises(ParseError, match=r"truncated while reading pixels \(13/18 bytes\)"):
         parse_idx(images_path, labels_path)
 
 
@@ -128,7 +121,7 @@ def test_parse_cifar_truncated_names_offset(tmp_path):
     path, _, _ = _cifar_fixture(tmp_path, n=2)
     blob = path.read_bytes()
     path.write_bytes(blob[:-10])
-    with pytest.raises(TruncationError) as err:
+    with pytest.raises(ParseError, match="is not a multiple of") as err:
         parse_cifar_binary([path])
     assert str(CIFAR_RECORD) in str(err.value)
 
@@ -138,7 +131,7 @@ def test_parse_cifar_label_out_of_range(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[0] = 10
     path.write_bytes(bytes(blob))
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="record 0 has label byte 10, outside"):
         parse_cifar_binary([path])
 
 
