@@ -597,6 +597,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--workers", type=int, default=1, help="worker threads for C&W attacks (default 1)")
+        p.set_defaults(stage_parser=p)  # a stage flag's usage error prints the stage's usage
     return parser
 
 
@@ -608,7 +609,7 @@ def run_cli(argv) -> int:
     try:
         args = parser.parse_args(argv)
         if args.workers < 1:
-            parser.error(f"--workers must be >= 1, got {args.workers}")
+            args.stage_parser.error(f"--workers must be >= 1, got {args.workers}")
         exp, out = _resolve(load_config(args.config), args)
         (out / f"manifest_{args.command}.json").unlink(missing_ok=True)  # a failed stage leaves no manifest
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

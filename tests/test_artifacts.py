@@ -2,6 +2,7 @@
 holds its old bytes or its new bytes, never a prefix, and an interrupted
 write leaves no temporary file behind."""
 
+import errno
 import json
 import os
 import stat
@@ -38,6 +39,69 @@ def test_write_artifact_keeps_the_mode_of_a_plain_open(tmp_path):
     finally:
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "a").stat().st_mode) == 0o644
+
+
+def _fallocate_recorder(monkeypatch, target, raises=None):
+    """Replaces ``os.posix_fallocate`` with a recorder of ``(fd is open on
+    target's temporary file, offset, length)``; it raises ``raises`` after recording."""
+    calls = []
+
+    def record(fd, offset, length):
+        tmp = target.with_name(target.name + ".tmp")
+        calls.append((os.path.samestat(os.fstat(fd), os.stat(tmp)), offset, length))
+        if raises is not None:
+            raise raises
+
+    monkeypatch.setattr(artifacts.os, "posix_fallocate", record, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("data", ["é\r\n" * 100, b"\x00\xff" * 3000], ids=["str", "bytes"])
+def test_write_artifact_preallocates_the_temporary_file_to_its_byte_length(tmp_path, monkeypatch, data):
+    calls = _fallocate_recorder(monkeypatch, tmp_path / "a")
+    expected = data.encode("utf-8") if isinstance(data, str) else data
+    for _ in range(2):  # a fresh target, then a rewrite of it
+        artifacts.write_artifact(tmp_path / "a", data)
+    assert calls == [(True, 0, len(expected))] * 2
+    assert (tmp_path / "a").read_bytes() == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
+
+
+@pytest.mark.parametrize("data", [b"", ""], ids=["bytes", "str"])
+def test_write_artifact_of_empty_data_truncates_without_preallocating(tmp_path, monkeypatch, data):
+    (tmp_path / "a").write_bytes(b"old")
+    calls = _fallocate_recorder(monkeypatch, tmp_path / "a")
+    artifacts.write_artifact(tmp_path / "a", data)
+    assert calls == []  # posix_fallocate refuses a length of 0 with EINVAL
+    assert (tmp_path / "a").read_bytes() == b""
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
+
+
+def test_write_artifact_lands_the_bytes_where_preallocation_is_refused(tmp_path, monkeypatch):
+    (tmp_path / "a").write_bytes(b"old")
+    calls = _fallocate_recorder(monkeypatch, tmp_path / "a", OSError(errno.EOPNOTSUPP, "not supported"))
+    artifacts.write_artifact(tmp_path / "a", b"new bytes")
+    assert calls == [(True, 0, 9)]
+    assert (tmp_path / "a").read_bytes() == b"new bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
+
+
+def test_write_artifact_lands_the_bytes_where_os_lacks_posix_fallocate(tmp_path, monkeypatch):
+    (tmp_path / "a").write_bytes(b"old")
+    monkeypatch.delattr(os, "posix_fallocate", raising=False)  # as on macOS and Windows
+    artifacts.write_artifact(tmp_path / "a", "new text")
+    assert (tmp_path / "a").read_bytes() == b"new text"
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
+
+
+def test_write_artifact_interrupted_in_preallocation_keeps_the_old_bytes(tmp_path, monkeypatch):
+    (tmp_path / "a").write_bytes(b"old")
+    calls = _fallocate_recorder(monkeypatch, tmp_path / "a", KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        artifacts.write_artifact(tmp_path / "a", b"new bytes")
+    assert calls == [(True, 0, 9)]
+    assert (tmp_path / "a").read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["a"]
 
 
 def test_csv_text_ends_lines_with_crlf():

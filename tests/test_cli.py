@@ -113,7 +113,7 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     path = _write_config(tmp_path, tmp_path / "run")
     assert run_cli(["attack", "--config", str(path), "--workers", workers]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: pmdef") and err.endswith(f"error: --workers must be >= 1, got {workers}\n")
+    assert err.startswith("usage: pmdef attack") and err.endswith(f"error: --workers must be >= 1, got {workers}\n")
 
 
 def test_unknown_subcommand_exits_1(capsys):
