@@ -94,11 +94,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     stages = ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate", "roc"]
-    code = run_stages(default_config(args.out, args.seed), stages, "--workers", str(args.workers))
+    code = run_stages(default_config(args.out, args.seed), stages)
     if code != 0:
         return code
     print(f"artifacts in {args.out}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ from typing import Annotated, Literal
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from .artifacts import write_artifact
 from .autodiff import Tape, Tensor, backward
 from .errors import DataError, ParameterError, ParseError, UserError
@@ -50,9 +52,10 @@ SAVED_DIAGNOSTICS = {"fgsm": (), "slide": ("skipped_iterations", "per_iter_max_l
 NORMS = ("l1", "l2", "linf")  # the per-instance perturbation norms a batch carries
 BATCH_KEYS = frozenset({"config", "shape", "bin_file", "crc32", "originals_crc32", "labels", "original_pred",
                         "adversarial_pred", "success", "norms", "diagnostics"})  # a batch JSON's keys, all required
-# Fixed C&W work unit: up to this many instances share one tape per iteration; workers
-# only parallelise across units, so results do not depend on the worker count
-_CHUNK = 512
+# The most rows one C&W unit optimises on one tape per iteration. An attack takes as
+# few equal units as cover its rows; each row's arithmetic is independent of the
+# others', so the units and the cores that run them never change a result.
+_UNIT_ROWS = 256
 
 
 @dataclass
@@ -303,42 +306,59 @@ def _cw_chunk(model, x: np.ndarray, attack_class: np.ndarray, orig_pred: np.ndar
     return best_adv, ever_success, failed
 
 
-def cw_l2(model, x: np.ndarray, labels=None, *, config: AttackConfig, workers: int = 1) -> AdversarialBatch:
+def _units(n: int) -> list[tuple[int, int]]:
+    """(start, end) of the fewest units of at most ``_UNIT_ROWS`` rows that
+    cover rows 0..n in order, their sizes differing by at most one."""
+    k = -(-n // _UNIT_ROWS)
+    bounds = [-(-i * n // k) for i in range(k + 1)] if k else []
+    return list(zip(bounds, bounds[1:]))
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def cw_l2(model, x: np.ndarray, labels=None, *, config: AttackConfig) -> AdversarialBatch:
     """l2 Carlini-Wagner: minimize |delta|_2^2 + c * margin(x + delta) in tanh
     space (so x + delta always stays in [0, 1]^n), with binary search over c.
 
+    The rows split into ``_units``, which run one per usable core. The whole
+    attack, from the original predictions to the success check, runs with
+    OpenBLAS pinned to one thread, its old count restored after; where the
+    thread count cannot be set, the units run in order on this thread.
     Instances the attack never fools come back unchanged; per-instance
     numeric failures are flagged in diagnostics instead of aborting.
     """
     if config.kind != "cw_l2":
         raise ParameterError(f"cw_l2 called with a {config.kind!r} config")
-    orig_pred = model.predict_class(x)
-    attack_class = _attack_labels(config, orig_pred, labels)
-    n = x.shape[0]
-    chunks = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
+    units = _units(x.shape[0])
+    with blas.one_thread() as pinned:
+        orig_pred = model.predict_class(x)
+        attack_class = _attack_labels(config, orig_pred, labels)
 
-    def run(span):
-        s, e = span
-        return _cw_chunk(model, x[s:e], attack_class[s:e], orig_pred[s:e], config)
+        def run(span):
+            s, e = span
+            return _cw_chunk(model, x[s:e], attack_class[s:e], orig_pred[s:e], config)
 
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(span) for span in chunks]
-    adv = np.concatenate([r[0] for r in results]) if results else x.copy()
-    ever = np.concatenate([r[1] for r in results]) if results else np.zeros(0, dtype=bool)
-    failed = np.concatenate([r[2] for r in results]) if results else np.zeros(0, dtype=bool)
-    diagnostics = {"unsuccessful": ~ever, "failed": failed}
-    return _finalize(model, x, adv, labels, orig_pred, config, diagnostics)
+        workers = min(len(units), _usable_cores()) if pinned else 1
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run, units))
+        else:
+            results = [run(span) for span in units]
+        adv = np.concatenate([r[0] for r in results]) if results else x.copy()
+        ever = np.concatenate([r[1] for r in results]) if results else np.zeros(0, dtype=bool)
+        failed = np.concatenate([r[2] for r in results]) if results else np.zeros(0, dtype=bool)
+        diagnostics = {"unsuccessful": ~ever, "failed": failed}
+        return _finalize(model, x, adv, labels, orig_pred, config, diagnostics)
 
 
-def run_attack(model, x: np.ndarray, labels=None, *, config: AttackConfig, workers: int = 1) -> AdversarialBatch:
+def run_attack(model, x: np.ndarray, labels=None, *, config: AttackConfig) -> AdversarialBatch:
     if config.kind == "fgsm":
         return fgsm(model, x, labels, config=config)
     if config.kind == "slide":
         return slide(model, x, labels, config=config)
-    return cw_l2(model, x, labels, config=config, workers=workers)
+    return cw_l2(model, x, labels, config=config)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,57 @@
+"""The thread count of the OpenBLAS that numpy loaded: manifests record it,
+and C&W pins it to one thread while its units run on the cores.
+
+Both calls are only reachable through numpy's own extension module, which
+links that library; each is looked up once per process and is None where
+there is none (numpy 1.x, other BLAS builds).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+
+import numpy as np
+
+
+def _openblas(name: str, argtypes: tuple, restype):
+    try:
+        fn = getattr(ctypes.cdll.LoadLibrary(np._core._multiarray_umath.__file__), name)
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = argtypes, restype
+    return fn
+
+
+@functools.cache
+def threads_getter():
+    return _openblas("scipy_openblas_get_num_threads64_", (), ctypes.c_int)
+
+
+@functools.cache
+def threads_setter():
+    return _openblas("scipy_openblas_set_num_threads64_", (ctypes.c_int,), None)
+
+
+def threads() -> int | None:
+    """The BLAS thread count, a result input: OpenBLAS rounds some GEMMs (the
+    grey-box classifier's 400->128 layer) differently at 1 and 2 threads."""
+    get = threads_getter()
+    return None if get is None else get()
+
+
+@contextlib.contextmanager
+def one_thread():
+    """Pin BLAS to one thread inside the block and restore the old count
+    after it, also after an exception. Yields whether it could pin."""
+    get, set_ = threads_getter(), threads_setter()
+    if get is None or set_ is None:
+        yield False
+        return
+    old = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(old)

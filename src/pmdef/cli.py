@@ -37,6 +37,7 @@ from typing import Annotated, ClassVar, Literal
 import numpy as np
 
 from . import attacks as atk
+from . import blas
 from . import defence as dfc
 from . import evaluation as ev
 from .artifacts import write_artifact
@@ -65,15 +66,17 @@ def _setup_logging() -> None:
 # their values. The mmap threshold sits above the largest per-op array (a
 # 512-row AE block's conv output, 13.1 MB) and the trim threshold above what
 # one training step or one 512-row block frees at once, so per-op temporaries
-# are reused from the heap.
-_MALLOC_THRESHOLDS = (("mmap_threshold", -3, 32 << 20), ("trim_threshold", -1, 64 << 20))
+# are reused from the heap. One arena: C&W's unit threads then reuse the main
+# heap instead of each keeping a high-water mark of its own.
+_MALLOC_THRESHOLDS = (("mmap_threshold", -3, 32 << 20), ("trim_threshold", -1, 64 << 20), ("arena_max", -8, 1))
 
 
 def _fix_malloc_thresholds() -> dict | None:
     """Fix glibc's mmap and trim thresholds, which it otherwise moves at run
     time: a process that ran other work first can then hand freed pages back
-    and fault them in again on every op. Returns the thresholds set, or None
-    where there is no glibc ``mallopt`` or it refused a value."""
+    and fault them in again on every op; and its arena count. Returns the
+    values set, or None where there is no glibc ``mallopt`` or it refused a
+    value."""
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
     except (OSError, AttributeError):
@@ -82,27 +85,6 @@ def _fix_malloc_thresholds() -> dict | None:
     if all(mallopt(param, value) for _, param, value in _MALLOC_THRESHOLDS):
         return {name: value for name, _, value in _MALLOC_THRESHOLDS}
     return None
-
-
-@functools.cache
-def _blas_threads_getter():
-    """OpenBLAS's thread-count getter in the library numpy loaded, looked up
-    once per process; None where there is none (numpy 1.x, other BLAS
-    builds). The symbol is only reachable through numpy's own extension
-    module, which links that library."""
-    try:
-        get = ctypes.cdll.LoadLibrary(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
-    except (OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = (), ctypes.c_int
-    return get
-
-
-def _blas_threads() -> int | None:
-    """The BLAS thread count, a result input: OpenBLAS rounds some GEMMs (the
-    grey-box classifier's 400->128 layer) differently at 1 and 2 threads."""
-    get = _blas_threads_getter()
-    return None if get is None else get()
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +288,13 @@ def _run_facts(wall_time_s: float, minflt: int, malloc: dict | None) -> dict:
         "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),  # Linux: KiB
         "minflt": minflt,
         "malloc": malloc,
-        "blas_threads": _blas_threads(),
+        "blas_threads": blas.threads(),
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        facts["blas"] = f"{blas['name']} {blas['version']}"
+        lib = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        facts["blas"] = f"{lib['name']} {lib['version']}"
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
         pass
     return facts
@@ -388,7 +370,7 @@ def _load_attack(out: Path, name: str, inputs_crc32: int) -> atk.AdversarialBatc
     return batch
 
 
-def cmd_train_classifier(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
+def cmd_train_classifier(exp: Experiment, seed: int, out: Path) -> list[Path]:
     model = build_model(_required(exp, "classifier_spec"), derive_seed(seed, "train-classifier", "init"))
     train = _required(exp, "dataset").load(seed, "train")
     opt = _seeded(exp.classifier_opt, derive_seed(seed, "train-classifier", "shuffle"))
@@ -403,7 +385,7 @@ def cmd_train_classifier(exp: Experiment, seed: int, out: Path, workers: int) ->
     return [ckpt, jsonl]
 
 
-def cmd_train_defence(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
+def cmd_train_defence(exp: Experiment, seed: int, out: Path) -> list[Path]:
     ae_spec = _required(exp, "autoencoder_spec")
     train = _required(exp, "dataset").load(seed, "train")
     classifier = _load_classifier(out)
@@ -432,7 +414,7 @@ def cmd_train_defence(exp: Experiment, seed: int, out: Path, workers: int) -> li
     return artifacts
 
 
-def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
+def cmd_attack(exp: Experiment, seed: int, out: Path) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
     x, y = _attack_inputs(exp, test)
     classifier = _load_classifier(out)
@@ -444,7 +426,7 @@ def cmd_attack(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path
             target = DefendedModel(classifier, _load_defence(exp, out, entry.ae).ae)
         else:
             target = classifier
-        batch = atk.run_attack(target, x, y, config=entry, workers=workers)
+        batch = atk.run_attack(target, x, y, config=entry)
         json_path = attack_dir / f"{entry.name}.json"
         atk.save_batch(batch, json_path)
         artifacts += [json_path, attack_dir / f"{entry.name}.bin"]
@@ -457,7 +439,7 @@ def _scoring(exp: Experiment, out: Path):
     return _load_classifier(out), _load_defence(exp, out, exp.score_defence)
 
 
-def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
+def cmd_score(exp: Experiment, seed: int, out: Path) -> list[Path]:
     """The clean test set's scores; evaluate writes each attack's from its own pass."""
     test = _required(exp, "dataset").load(seed, "test")
     path = out / "scores" / "clean_test.csv"
@@ -466,7 +448,7 @@ def cmd_score(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]
     return [path]
 
 
-def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
+def cmd_calibrate(exp: Experiment, seed: int, out: Path) -> list[Path]:
     train = _required(exp, "dataset").load(seed, "train")
     size = min(1000, train.n) if exp.calibration_size is None else exp.calibration_size
     if size > train.n:
@@ -482,7 +464,7 @@ def cmd_calibrate(exp: Experiment, seed: int, out: Path, workers: int) -> list[P
     return [path]
 
 
-def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
+def cmd_evaluate(exp: Experiment, seed: int, out: Path) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
     clean = _attack_inputs(exp, test)
     inputs_crc32 = atk.inputs_crc32(clean[0])
@@ -533,7 +515,7 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path, workers: int) -> list[Pa
     return artifacts
 
 
-def cmd_drift(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
+def cmd_drift(exp: Experiment, seed: int, out: Path) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
     report = ev.drift_report(
         *_scoring(exp, out), test.images, test.labels, kinds=exp.drift.kinds, severities=exp.drift.severities,
@@ -559,7 +541,7 @@ def _check_scored_as_configured(exp: Experiment, out: Path, stage: str) -> None:
                           f"seed {exp.seed} and score_defence {exp.score_defence!r}; rerun {stage}")
 
 
-def cmd_roc(exp: Experiment, seed: int, out: Path, workers: int) -> list[Path]:
+def cmd_roc(exp: Experiment, seed: int, out: Path) -> list[Path]:
     artifacts = []
     normal = _read_scores_csv(_require_file(out / "scores" / "clean_test.csv", "score"))
     adv = {e.name: _read_scores_csv(_require_file(out / "scores" / f"{e.name}.csv", "evaluate"))
@@ -596,7 +578,8 @@ def build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--workers", type=int, default=1, help="worker threads for C&W attacks (default 1)")
+        p.add_argument("--workers", type=int, default=1, help="accepted (at least 1) but has no effect: "
+                       "C&W runs its units on every usable core")
         p.set_defaults(stage_parser=p)  # a stage flag's usage error prints the stage's usage
     return parser
 
@@ -613,7 +596,7 @@ def run_cli(argv) -> int:
         exp, out = _resolve(load_config(args.config), args)
         (out / f"manifest_{args.command}.json").unlink(missing_ok=True)  # a failed stage leaves no manifest
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        artifacts = _COMMANDS[args.command](exp, exp.seed, out, args.workers)
+        artifacts = _COMMANDS[args.command](exp, exp.seed, out)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         run = _run_facts(time.perf_counter() - t0, faults, malloc)
         write_manifest(out, args.command, exp.raw, exp.seed, artifacts, run)

@@ -1,4 +1,5 @@
 import math
+import threading
 import zlib
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from pmdef import attacks
 from pmdef import autodiff as ad
+from pmdef import blas
 from pmdef import cli
 from pmdef.attacks import (
     AttackConfig,
@@ -21,7 +23,7 @@ from pmdef.attacks import (
     slide_direction,
 )
 from pmdef.autodiff import Tape, Tensor, backward, grad_check
-from pmdef.errors import ParameterError
+from pmdef.errors import NonFiniteError, ParameterError
 from pmdef.models import DefendedModel, Dense, Flatten, ModelSpec, Relu, Reshape, Softmax, build_model, save_checkpoint
 from pmdef.training import Adam, OptimizerConfig, train_classifier
 from toys import greybox_ae_spec, separable_data
@@ -244,19 +246,127 @@ def test_cw_smallest_l2_kept_across_rounds(trained_toy):
     assert (batch.norms["l2"][both] <= light.norms["l2"][both] + 1e-9).all()
 
 
-def test_cw_results_do_not_depend_on_the_unit_size_or_the_worker_count(trained_toy, monkeypatch):
+class _RecordingPool(attacks.ThreadPoolExecutor):
+    """The thread pool ``cw_l2`` uses, noting each pool's worker count in ``started``."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def _assert_same_cw_batch(batch, reference):
+    assert batch.adversarials.tobytes() == reference.adversarials.tobytes()
+    assert np.array_equal(batch.success, reference.success)
+    assert batch.diagnostics.keys() == reference.diagnostics.keys()
+    for key, flags in reference.diagnostics.items():
+        assert batch.diagnostics[key].dtype == flags.dtype and np.array_equal(batch.diagnostics[key], flags)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_cw_results_do_not_depend_on_the_unit_size_or_the_core_count(trained_toy, monkeypatch, cores):
     model, x, y = trained_toy
     cfg = AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=2, max_iter=20, lr=0.1)
     whole = cw_l2(model, x[:8], config=cfg)  # one unit
-    monkeypatch.setattr(attacks, "_CHUNK", 3)  # units of 3, 3 and 2 instances
-    for workers in (1, 2):
-        split = cw_l2(model, x[:8], config=cfg, workers=workers)
-        assert split.adversarials.tobytes() == whole.adversarials.tobytes()
-        assert np.array_equal(split.success, whole.success)
-        assert split.diagnostics.keys() == whole.diagnostics.keys()
-        for key, flags in whole.diagnostics.items():
-            assert split.diagnostics[key].dtype == flags.dtype and np.array_equal(split.diagnostics[key], flags)
+    monkeypatch.setattr(attacks, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(attacks, "_UNIT_ROWS", 3)
+    monkeypatch.setattr(attacks, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    assert attacks._units(8) == [(0, 3), (3, 6), (6, 8)]
+    _assert_same_cw_batch(cw_l2(model, x[:8], config=cfg), whole)
     assert whole.success.any()
+    # one pool thread per core, at most one per unit, where OpenBLAS's thread count can be pinned
+    assert _RecordingPool.started == ([min(cores, 3)] if cores > 1 and blas.threads_setter() else [])
+
+
+class _FakeBlas:
+    """An OpenBLAS thread-count getter and setter over one counter."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+
+
+def test_cw_runs_at_one_blas_thread_from_its_first_prediction_to_its_success_check_and_restores_the_old_count(
+        trained_toy, monkeypatch):
+    model, x, _ = trained_toy
+    cfg = AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=1, max_iter=5, lr=0.1)
+    fake, seen = _FakeBlas(4), []
+    monkeypatch.setattr(blas, "threads_getter", lambda: fake.get)
+    monkeypatch.setattr(blas, "threads_setter", lambda: fake.set)
+    monkeypatch.setattr(attacks, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(attacks, "_UNIT_ROWS", 3)
+    real_predict, real_chunk = model.predict_class, attacks._cw_chunk
+
+    def predict(x):  # the original predictions, and the success check in _finalize
+        seen.append(("predict", fake.count))
+        return real_predict(x)
+
+    def chunk(*args):
+        seen.append(("unit", fake.count))
+        return real_chunk(*args)
+
+    monkeypatch.setattr(model, "predict_class", predict)
+    monkeypatch.setattr(attacks, "_cw_chunk", chunk)
+    cw_l2(model, x[:8], config=cfg)
+    assert seen == [("predict", 1)] + [("unit", 1)] * 3 + [("predict", 1)] and fake.count == 4
+
+    def failing_chunk(*args):
+        seen.append(("unit", fake.count))
+        raise NonFiniteError("a unit went non-finite")
+
+    seen.clear()
+    monkeypatch.setattr(attacks, "_cw_chunk", failing_chunk)
+    with pytest.raises(NonFiniteError, match="a unit went non-finite"):
+        cw_l2(model, x[:8], config=cfg)
+    assert ("unit", 1) in seen and {count for _, count in seen} == {1} and fake.count == 4
+
+
+@given(st.integers(0, 5000))
+def test_cw_units_are_the_fewest_that_cover_the_rows_in_order_within_one_row_of_each_other(n):
+    units = attacks._units(n)
+    ends = [0, *(e for _, e in units)]
+    assert [s for s, _ in units] == ends[:-1] and ends[-1] == n
+    sizes = [e - s for s, e in units]
+    assert len(units) == math.ceil(n / attacks._UNIT_ROWS)
+    assert all(0 < size <= attacks._UNIT_ROWS for size in sizes)
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+
+
+def test_cw_unit_examples():
+    assert attacks._units(0) == []
+    assert attacks._units(300) == [(0, 150), (150, 300)]
+    assert attacks._units(attacks._UNIT_ROWS) == [(0, attacks._UNIT_ROWS)]
+
+
+def test_cw_without_a_blas_setter_runs_its_units_in_order_on_the_calling_thread(trained_toy, monkeypatch):
+    model, x, _ = trained_toy
+    cfg = AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=2, max_iter=20, lr=0.1)
+    whole = cw_l2(model, x[:8], config=cfg)
+    threads, spans = [], []
+    real_chunk = attacks._cw_chunk
+
+    def chunk(model, x, *args):
+        threads.append(threading.get_ident())
+        spans.append(x.shape[0])
+        return real_chunk(model, x, *args)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool started")
+
+    monkeypatch.setattr(blas, "threads_setter", lambda: None)
+    monkeypatch.setattr(attacks, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(attacks, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(attacks, "_UNIT_ROWS", 3)
+    monkeypatch.setattr(attacks, "_cw_chunk", chunk)
+    _assert_same_cw_batch(cw_l2(model, x[:8], config=cfg), whole)
+    assert threads == [threading.get_ident()] * 3 and spans == [3, 3, 2]
 
 
 def _three_record_cw_chunk(model, x, attack_class, orig_pred, config):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pmdef import artifacts, cli, errors
+from pmdef import artifacts, blas, cli, errors
 from pmdef import defence as dfc
 from pmdef.attacks import load_batch
 from pmdef.cli import run_cli
@@ -96,16 +96,13 @@ def test_unknown_flag_exits_1_with_usage(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-def test_workers_default_to_one_whatever_the_core_count(tmp_path, monkeypatch):
-    from pmdef import cli
-
+def test_workers_is_accepted_and_reaches_no_stage(tmp_path, monkeypatch):
     seen = []
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    monkeypatch.setitem(cli._COMMANDS, "attack", lambda cfg, seed, out, workers: seen.append(workers) or [])
+    monkeypatch.setitem(cli._COMMANDS, "attack", lambda *args: seen.append(args[1:]) or [])
     path = _write_config(tmp_path, tmp_path / "run")
     assert run_cli(["attack", "--config", str(path)]) == 0
     assert run_cli(["attack", "--config", str(path), "--workers", "3"]) == 0
-    assert seen == [1, 3]
+    assert seen == [(5, tmp_path / "run")] * 2
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -144,7 +141,7 @@ def test_the_error_classes_are_the_ten_the_cli_tells_apart_each_raised_in_the_pa
 
 @pytest.mark.parametrize("cls", _CONCRETE_ERRORS, ids=lambda c: c.__name__)
 def test_a_stage_error_exits_1_for_a_user_error_and_2_for_a_runtime_failure(tmp_path, monkeypatch, capsys, cls):
-    def stage(exp, seed, out, workers):
+    def stage(exp, seed, out):
         raise cls("the message")
 
     monkeypatch.setitem(cli._COMMANDS, "score", stage)
@@ -278,9 +275,9 @@ def test_run_cli_fixes_the_malloc_thresholds_and_records_them(tmp_path, monkeypa
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or libc)
     run = _run_block(tmp_path)
     assert opened == ["libc.so.6"]
-    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
-    assert sorted(libc.calls) == [(-3, 32 << 20), (-1, 64 << 20)]
-    assert run["malloc"] == {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
+    # M_ARENA_MAX is -8, M_MMAP_THRESHOLD -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+    assert sorted(libc.calls) == [(-8, 1), (-3, 32 << 20), (-1, 64 << 20)]
+    assert run["malloc"] == {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20, "arena_max": 1}
     assert isinstance(run["minflt"], int) and run["minflt"] >= 0
 
 
@@ -332,20 +329,20 @@ def test_the_allocator_policy_leaves_every_artifact_byte_identical(tmp_path):
 
 
 def test_the_run_block_records_the_blas_thread_count_or_null(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_blas_threads_getter", lambda: lambda: 3)
+    monkeypatch.setattr(blas, "threads_getter", lambda: lambda: 3)
     assert _run_block(tmp_path)["blas_threads"] == 3
-    monkeypatch.setattr(cli, "_blas_threads_getter", lambda: None)
+    monkeypatch.setattr(blas, "threads_getter", lambda: None)
     assert _run_block(tmp_path)["blas_threads"] is None
     monkeypatch.undo()
-    for load in (_no_libc, lambda name: SimpleNamespace()):  # no library, or a BLAS without the symbol
-        monkeypatch.setattr(cli.ctypes, "cdll", SimpleNamespace(LoadLibrary=load))
-        assert cli._blas_threads_getter.__wrapped__() is None
+    for load in (_no_libc, lambda name: SimpleNamespace()):  # no library, or a BLAS without the symbols
+        monkeypatch.setattr(blas.ctypes, "cdll", SimpleNamespace(LoadLibrary=load))
+        assert blas.threads_getter.__wrapped__() is None and blas.threads_setter.__wrapped__() is None
 
 
 def test_the_blas_thread_count_is_read_from_the_openblas_numpy_loaded():
     """The real ctypes lookup, in a fresh interpreter whose OpenBLAS is capped
     at one thread by its environment variable."""
-    code = "from pmdef import cli\nprint(cli._blas_threads())"
+    code = "from pmdef import blas\nprint(blas.threads())"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -355,7 +352,10 @@ def test_the_blas_thread_count_is_read_from_the_openblas_numpy_loaded():
     except (TypeError, KeyError):  # numpy < 1.26, or no BLAS lib directory reported
         bundled = False
     assert proc.stdout.strip() == "1" if bundled else proc.stdout.strip() in ("None", "1")
-    assert cli._blas_threads_getter() is cli._blas_threads_getter()  # looked up once per process
+    assert blas.threads_getter() is blas.threads_getter()  # looked up once per process
+    assert blas.threads_setter() is blas.threads_setter()
+    if bundled:  # and the setter beside it, which C&W pins the count with
+        assert blas.threads_setter() is not None
 
 
 def test_train_defence_manifest_lists_only_the_epoch_checkpoints_of_its_own_run(tmp_path):
