@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Annotated, Literal
@@ -314,15 +312,11 @@ def _units(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _usable_cores() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 def cw_l2(model, x: np.ndarray, labels=None, *, config: AttackConfig) -> AdversarialBatch:
     """l2 Carlini-Wagner: minimize |delta|_2^2 + c * margin(x + delta) in tanh
     space (so x + delta always stays in [0, 1]^n), with binary search over c.
 
-    The rows split into ``_units``, which run one per usable core. The whole
+    The rows split into ``_units``, which ``blas.on_cores`` runs. The whole
     attack, from the original predictions to the success check, runs with
     OpenBLAS pinned to one thread, its old count restored after; where the
     thread count cannot be set, the units run in order on this thread.
@@ -332,7 +326,7 @@ def cw_l2(model, x: np.ndarray, labels=None, *, config: AttackConfig) -> Adversa
     if config.kind != "cw_l2":
         raise ParameterError(f"cw_l2 called with a {config.kind!r} config")
     units = _units(x.shape[0])
-    with blas.one_thread() as pinned:
+    with blas.one_thread():
         orig_pred = model.predict_class(x)
         attack_class = _attack_labels(config, orig_pred, labels)
 
@@ -340,12 +334,7 @@ def cw_l2(model, x: np.ndarray, labels=None, *, config: AttackConfig) -> Adversa
             s, e = span
             return _cw_chunk(model, x[s:e], attack_class[s:e], orig_pred[s:e], config)
 
-        workers = min(len(units), _usable_cores()) if pinned else 1
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, units))
-        else:
-            results = [run(span) for span in units]
+        results = blas.on_cores(run, units)
         adv = np.concatenate([r[0] for r in results]) if results else x.copy()
         ever = np.concatenate([r[1] for r in results]) if results else np.zeros(0, dtype=bool)
         failed = np.concatenate([r[2] for r in results]) if results else np.zeros(0, dtype=bool)

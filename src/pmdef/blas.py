@@ -1,5 +1,6 @@
 """The thread count of the OpenBLAS that numpy loaded: manifests record it,
-and C&W pins it to one thread while its units run on the cores.
+and C&W and the scoring stages pin it to one thread while their units run
+on the cores.
 
 Both calls are only reachable through numpy's own extension module, which
 links that library; each is looked up once per process and is None where
@@ -11,6 +12,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -55,3 +58,21 @@ def one_thread():
         yield True
     finally:
         set_(old)
+
+
+def usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def on_cores(fn, items) -> list:
+    """``[fn(i) for i in items]``, in item order, computed on
+    min(len(items), usable cores) threads inside ``one_thread``: concurrent
+    GEMMs at two BLAS threads each only contend. Where BLAS cannot be pinned,
+    the items run in order on the calling thread."""
+    items = list(items)
+    with one_thread() as pinned:
+        workers = min(len(items), usable_cores()) if pinned else 1
+        if workers <= 1:
+            return [fn(i) for i in items]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))

@@ -164,8 +164,8 @@ class DriftConfig:
     def __post_init__(self):
         for key, values, legal in (("kinds", self.kinds, list(ev.CORRUPTION_PARAMS)),
                                    ("severities", self.severities, list(ev.SEVERITIES))):
-            if not values or not set(values) <= set(legal):
-                raise ConfigError(f"{key}: expected a non-empty list drawn from {legal}, got {values}")
+            if not values or not set(values) <= set(legal) or len(set(values)) != len(values):
+                raise ConfigError(f"{key}: expected a non-empty list of distinct entries from {legal}, got {values}")
 
 
 @dataclass
@@ -439,6 +439,9 @@ def _scoring(exp: Experiment, out: Path):
     return _load_classifier(out), _load_defence(exp, out, exp.score_defence)
 
 
+# The four scoring stages run at one BLAS thread from start to end, so their scores do not
+# depend on the machine's thread count, and blas.on_cores gives their sets the other cores.
+@blas.one_thread()
 def cmd_score(exp: Experiment, seed: int, out: Path) -> list[Path]:
     """The clean test set's scores; evaluate writes each attack's from its own pass."""
     test = _required(exp, "dataset").load(seed, "test")
@@ -448,6 +451,7 @@ def cmd_score(exp: Experiment, seed: int, out: Path) -> list[Path]:
     return [path]
 
 
+@blas.one_thread()
 def cmd_calibrate(exp: Experiment, seed: int, out: Path) -> list[Path]:
     train = _required(exp, "dataset").load(seed, "train")
     size = min(1000, train.n) if exp.calibration_size is None else exp.calibration_size
@@ -464,6 +468,7 @@ def cmd_calibrate(exp: Experiment, seed: int, out: Path) -> list[Path]:
     return [path]
 
 
+@blas.one_thread()
 def cmd_evaluate(exp: Experiment, seed: int, out: Path) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
     clean = _attack_inputs(exp, test)
@@ -515,6 +520,7 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path) -> list[Path]:
     return artifacts
 
 
+@blas.one_thread()
 def cmd_drift(exp: Experiment, seed: int, out: Path) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
     report = ev.drift_report(
@@ -579,7 +585,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--workers", type=int, default=1, help="accepted (at least 1) but has no effect: "
-                       "C&W runs its units on every usable core")
+                       "C&W and the scoring stages run their units on every usable core")
         p.set_defaults(stage_parser=p)  # a stage flag's usage error prints the stage's usage
     return parser
 

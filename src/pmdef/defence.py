@@ -22,10 +22,12 @@ from .errors import DataError, ParameterError
 from .training import temperature_scale
 
 # Rows per AE pass in reconstructed_proba: bounds the AE's activations (a 20x20 conv AE with
-# 8 filters holds 25.6 KB per row in its first layer). The classifier still takes all
-# rows in one pass: with OpenBLAS a narrow GEMM, such as a 10-class output layer, can
-# round differently at another row count.
-_AE_ROWS = 512
+# 8 filters holds 25.6 KB per row in its first layer). The scoring stages run two sets at a
+# time (blas.on_cores), so two 150-row blocks in flight hold about what one 300-row block would.
+# The AE's outputs do not depend on the block size; the classifier still takes all rows
+# in one pass: with OpenBLAS a narrow GEMM, such as a 10-class output layer, can round
+# differently at another row count.
+_AE_ROWS = 150
 Decision = tuple[np.ndarray, np.ndarray, np.ndarray]  # (scores, flagged, labels), one row per instance
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import blas
 from .artifacts import csv_text, write_artifact
 from .defence import Decision, Defence, defence_outputs, detect_and_correct, reconstructed_proba
 from .errors import DataError, ParameterError
@@ -123,22 +124,26 @@ def accuracy_report(
         raise ParameterError(f"the scored defence {scored!r} is not one of the report's defences {sorted(defences)}")
     x_clean, y_clean = clean_set
     clean_acc = float((classifier.predict_class(x_clean) == y_clean).mean())
-    rows, scores, decisions = [], {}, {}
-    for attack_name, (x_adv, y) in attack_sets.items():
+
+    def unit(attack_name):
+        x_adv, y = attack_sets[attack_name]
         if threshold is None:
-            outputs = defence_outputs(classifier, defences[scored], x_adv)
-            scores[attack_name] = outputs.scores()
+            outputs, decision = defence_outputs(classifier, defences[scored], x_adv), None
         else:
-            outputs, decisions[attack_name] = detect_and_correct(classifier, defences[scored], x_adv, threshold)
-            scores[attack_name] = decisions[attack_name][0]
+            outputs, decision = detect_and_correct(classifier, defences[scored], x_adv, threshold)
         row: dict[str, object] = {"attack": attack_name, "no_attack": clean_acc}
         row["no_defence"] = float((outputs.p.argmax(axis=1) == y).mean())
         for name, defence in defences.items():
             q = outputs.q if name == scored else reconstructed_proba(classifier, defence.ae, x_adv)
             row[name] = float((q.argmax(axis=1) == y).mean())
-            if name == scored and threshold is not None:
-                row[f"{name}@detect"] = float((decisions[attack_name][2] == y).mean())
-        rows.append(row)
+            if name == scored and decision is not None:
+                row[f"{name}@detect"] = float((decision[2] == y).mean())
+        return row, outputs.scores() if decision is None else decision[0], decision
+
+    results = dict(zip(attack_sets, blas.on_cores(unit, attack_sets)))
+    rows = [row for row, _, _ in results.values()]
+    scores = {name: attack_scores for name, (_, attack_scores, _) in results.items()}
+    decisions = {name: decision for name, (_, _, decision) in results.items() if decision is not None}
     return rows, scores, decisions
 
 
@@ -260,24 +265,25 @@ def drift_report(
     """Score corrupted copies of the test set per severity, pooled over
     corruption kinds. Instances whose prediction changed relative to the
     clean prediction form the harmful group; unchanged ones the not-harmful
-    group. Severity 0 is the clean set itself."""
+    group. Severity 0 is the clean set itself. The clean set and each
+    (severity, kind) set are the units of ``blas.on_cores``; a unit keeps
+    only its predictions and scores."""
     kinds = list(kinds)
-    clean = defence_outputs(classifier, defence, x)
-    clean_pred = clean.p.argmax(axis=1)
-    rows = [_drift_row(0, np.zeros(0), clean.scores(), float((clean_pred == y).mean()))]
-    for sev in severities:
-        harm_scores = []
-        safe_scores = []
-        correct = 0
-        for j, kind in enumerate(kinds):
-            xc = corrupt_dataset(x, kind, sev, seed=seed * 1000 + sev * 10 + j)
-            outputs = defence_outputs(classifier, defence, xc)
-            pred = outputs.p.argmax(axis=1)
-            scores = outputs.scores()
-            changed = pred != clean_pred
-            harm_scores.append(scores[changed])
-            safe_scores.append(scores[~changed])
-            correct += int((pred == y).sum())
-        accuracy = correct / (len(kinds) * x.shape[0])
-        rows.append(_drift_row(sev, np.concatenate(harm_scores), np.concatenate(safe_scores), accuracy))
+    sets = [(0, 0, None)] + [(sev, j, kind) for sev in severities for j, kind in enumerate(kinds)]
+
+    def unit(spec):
+        sev, j, kind = spec
+        xs = x if kind is None else corrupt_dataset(x, kind, sev, seed=seed * 1000 + sev * 10 + j)
+        outputs = defence_outputs(classifier, defence, xs)
+        return outputs.p.argmax(axis=1), outputs.scores()
+
+    (clean_pred, clean_scores), *results = blas.on_cores(unit, sets)
+    rows = [_drift_row(0, np.zeros(0), clean_scores, float((clean_pred == y).mean()))]
+    for i, sev in enumerate(severities):
+        per_kind = results[i * len(kinds) : (i + 1) * len(kinds)]
+        changed = [pred != clean_pred for pred, _ in per_kind]
+        harm = np.concatenate([scores[c] for (_, scores), c in zip(per_kind, changed)])
+        safe = np.concatenate([scores[~c] for (_, scores), c in zip(per_kind, changed)])
+        accuracy = sum(int((pred == y).sum()) for pred, _ in per_kind) / (len(kinds) * x.shape[0])
+        rows.append(_drift_row(sev, harm, safe, accuracy))
     return DriftReport(kinds=kinds, rows=rows)

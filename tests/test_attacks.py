@@ -1,5 +1,4 @@
 import math
-import threading
 import zlib
 
 import numpy as np
@@ -26,7 +25,7 @@ from pmdef.autodiff import Tape, Tensor, backward, grad_check
 from pmdef.errors import NonFiniteError, ParameterError
 from pmdef.models import DefendedModel, Dense, Flatten, ModelSpec, Relu, Reshape, Softmax, build_model, save_checkpoint
 from pmdef.training import Adam, OptimizerConfig, train_classifier
-from toys import greybox_ae_spec, separable_data
+from toys import fake_blas, greybox_ae_spec, recording_pool, separable_data
 
 
 def linear_2d_model(seed=0):
@@ -246,16 +245,6 @@ def test_cw_smallest_l2_kept_across_rounds(trained_toy):
     assert (batch.norms["l2"][both] <= light.norms["l2"][both] + 1e-9).all()
 
 
-class _RecordingPool(attacks.ThreadPoolExecutor):
-    """The thread pool ``cw_l2`` uses, noting each pool's worker count in ``started``."""
-
-    started: list = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-        super().__init__(max_workers=max_workers)
-
-
 def _assert_same_cw_batch(batch, reference):
     assert batch.adversarials.tobytes() == reference.adversarials.tobytes()
     assert np.array_equal(batch.success, reference.success)
@@ -269,38 +258,22 @@ def test_cw_results_do_not_depend_on_the_unit_size_or_the_core_count(trained_toy
     model, x, y = trained_toy
     cfg = AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=2, max_iter=20, lr=0.1)
     whole = cw_l2(model, x[:8], config=cfg)  # one unit
-    monkeypatch.setattr(attacks, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(blas, "usable_cores", lambda: cores)
     monkeypatch.setattr(attacks, "_UNIT_ROWS", 3)
-    monkeypatch.setattr(attacks, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "started", [])
+    started = recording_pool(monkeypatch)
     assert attacks._units(8) == [(0, 3), (3, 6), (6, 8)]
     _assert_same_cw_batch(cw_l2(model, x[:8], config=cfg), whole)
     assert whole.success.any()
-    # one pool thread per core, at most one per unit, where OpenBLAS's thread count can be pinned
-    assert _RecordingPool.started == ([min(cores, 3)] if cores > 1 and blas.threads_setter() else [])
-
-
-class _FakeBlas:
-    """An OpenBLAS thread-count getter and setter over one counter."""
-
-    def __init__(self, count):
-        self.count = count
-
-    def get(self):
-        return self.count
-
-    def set(self, count):
-        self.count = count
+    # the units go to blas.on_cores, which gives each core one of them where OpenBLAS can be pinned
+    assert started == ([min(cores, 3)] if cores > 1 and blas.threads_setter() else [])
 
 
 def test_cw_runs_at_one_blas_thread_from_its_first_prediction_to_its_success_check_and_restores_the_old_count(
         trained_toy, monkeypatch):
     model, x, _ = trained_toy
     cfg = AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=1, max_iter=5, lr=0.1)
-    fake, seen = _FakeBlas(4), []
-    monkeypatch.setattr(blas, "threads_getter", lambda: fake.get)
-    monkeypatch.setattr(blas, "threads_setter", lambda: fake.set)
-    monkeypatch.setattr(attacks, "_usable_cores", lambda: 2)
+    fake, seen = fake_blas(monkeypatch, 4), []
+    monkeypatch.setattr(blas, "usable_cores", lambda: 2)
     monkeypatch.setattr(attacks, "_UNIT_ROWS", 3)
     real_predict, real_chunk = model.predict_class, attacks._cw_chunk
 
@@ -343,30 +316,6 @@ def test_cw_unit_examples():
     assert attacks._units(0) == []
     assert attacks._units(300) == [(0, 150), (150, 300)]
     assert attacks._units(attacks._UNIT_ROWS) == [(0, attacks._UNIT_ROWS)]
-
-
-def test_cw_without_a_blas_setter_runs_its_units_in_order_on_the_calling_thread(trained_toy, monkeypatch):
-    model, x, _ = trained_toy
-    cfg = AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=2, max_iter=20, lr=0.1)
-    whole = cw_l2(model, x[:8], config=cfg)
-    threads, spans = [], []
-    real_chunk = attacks._cw_chunk
-
-    def chunk(model, x, *args):
-        threads.append(threading.get_ident())
-        spans.append(x.shape[0])
-        return real_chunk(model, x, *args)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool started")
-
-    monkeypatch.setattr(blas, "threads_setter", lambda: None)
-    monkeypatch.setattr(attacks, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(attacks, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(attacks, "_UNIT_ROWS", 3)
-    monkeypatch.setattr(attacks, "_cw_chunk", chunk)
-    _assert_same_cw_batch(cw_l2(model, x[:8], config=cfg), whole)
-    assert threads == [threading.get_ident()] * 3 and spans == [3, 3, 2]
 
 
 def _three_record_cw_chunk(model, x, attack_class, orig_pred, config):

@@ -11,6 +11,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 import typing
 import zlib
 from dataclasses import asdict, fields
@@ -30,6 +31,7 @@ from pmdef.errors import UserError
 from pmdef.evaluation import roc_auc
 from pmdef.models import CHECKPOINT_MAGIC, AnyLayer, Model, ModelSpec, build_model, load_checkpoint, save_checkpoint
 from pmdef.schema import from_dict
+from toys import fake_blas
 
 
 def _toy_config(out_dir) -> dict:
@@ -447,6 +449,46 @@ def test_a_failed_stage_leaves_no_manifest(attacked_run, tmp_path):
     # a failed rerun removes the old manifest, which would vouch for another seed's files
     assert run_cli(["evaluate", "--config", str(cfg), "--out", str(out), "--seed", "6"]) == 1
     assert not (out / "manifest_evaluate.json").exists()
+
+
+def test_the_scoring_stages_run_every_model_pass_at_one_blas_thread_and_restore_the_old_count(
+        attacked_run, tmp_path, monkeypatch):
+    _, run = attacked_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    # a second attack reading the same batch, so that evaluate has two units
+    fgsm = _toy_config(out)["attacks"][0]
+    (out / "attacks" / "twin.json").write_text((out / "attacks" / "fgsm02.json").read_text())
+    cfg = _write_config(tmp_path, out, attacks=[fgsm, {**fgsm, "name": "twin"}])
+    fake, seen = fake_blas(monkeypatch, 4), []
+    monkeypatch.setattr(blas, "usable_cores", lambda: 2)
+    forward_t = Model.forward_t
+
+    def recording(model, *args, **kwargs):
+        seen.append((fake.count, threading.current_thread() is threading.main_thread()))
+        return forward_t(model, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_t", recording)
+    for stage in ("score", "calibrate", "evaluate", "drift"):
+        seen.clear()
+        assert run_cli([stage, "--config", str(cfg)]) == 0, stage
+        assert seen and {count for count, _ in seen} == {1}, stage
+        assert fake.count == 4
+        assert json.loads((out / f"manifest_{stage}.json").read_text())["run"]["blas_threads"] == 4
+        # evaluate's attacks and drift's sets run on pool threads
+        assert any(not on_main for _, on_main in seen) == (stage in ("evaluate", "drift")), stage
+
+    def failing(model, *args, **kwargs):
+        seen.append((fake.count, threading.current_thread() is threading.main_thread()))
+        if threading.current_thread() is not threading.main_thread():
+            raise errors.NonFiniteError("a unit went non-finite")
+        return forward_t(model, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward_t", failing)
+    for stage in ("evaluate", "drift"):
+        seen.clear()
+        assert run_cli([stage, "--config", str(cfg)]) == 2, stage
+        assert (1, False) in seen and {count for count, _ in seen} == {1} and fake.count == 4, stage
 
 
 @pytest.mark.parametrize(
@@ -1299,6 +1341,12 @@ MALFORMED_CONFIGS = {
     "drift-no-kinds": (lambda c: c.update(drift={"kinds": []}), "drift", "drift.kinds"),
     "drift-unknown-kind": (lambda c: c.update(drift={"kinds": ["blur", "fog"]}), "score", "drift.kinds"),
     "drift-severity-out-of-range": (lambda c: c.update(drift={"severities": [1, 6]}), "train-classifier", "drift.severities"),
+    # a repeated kind would pool its scores twice, a repeated severity write two rows
+    "drift-repeated-kind": (lambda c: c.update(drift={"kinds": ["blur", "blur"]}), "drift", "drift.kinds"),
+    "drift-repeated-severity": (lambda c: c.update(drift={"severities": [3, 3, 1]}), "drift", "drift.severities"),
+    "drift-repeated-kind-and-severity": (
+        lambda c: c.update(drift={"kinds": ["blur", "blur"], "severities": [3, 3, 1]}), "score", "drift.kinds",
+    ),
     # json reads NaN and Infinity; a float field refuses them at parse time
     "kappa-nan": (lambda c: c["attacks"][0].update(kind="cw_l2", kappa=float("nan")), "attack", "attacks[0].kappa"),
     "learning-rate-infinity": (

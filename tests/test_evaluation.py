@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmdef import defence
+from pmdef import blas, defence
 from pmdef.defence import Defence, adversarial_score, defence_outputs, detect_and_correct
 from pmdef.errors import DataError, ParameterError
 from pmdef.evaluation import (
     CORRUPTION_PARAMS,
     DriftReport,
+    _drift_row,
     RocCurve,
     accuracy_report,
     accuracy_report_to_csv,
@@ -23,7 +25,7 @@ from pmdef.evaluation import (
 )
 from pmdef.models import Dense, Flatten, Model, ModelSpec, Relu, Reshape, Softmax, build_model
 from pmdef.training import OptimizerConfig, train_classifier
-from toys import identity_ae
+from toys import identity_ae, recording_pool
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +275,14 @@ def _perturbed_identity_ae(size, scale, seed):
 
 @pytest.fixture
 def forwarded_rows(monkeypatch):
-    """Rows pushed through Model.forward_t, keyed by classifier / ae."""
-    rows = {"classifier": 0, "ae": 0}
+    """Rows pushed through Model.forward_t, keyed by classifier / ae; the
+    report units count from several threads."""
+    rows, lock = {"classifier": 0, "ae": 0}, threading.Lock()
     forward_t = Model.forward_t
 
     def counting(model, x, *args, **kwargs):
-        rows["classifier" if model.is_classifier else "ae"] += x.shape[0]
+        with lock:
+            rows["classifier" if model.is_classifier else "ae"] += x.shape[0]
         return forward_t(model, x, *args, **kwargs)
 
     monkeypatch.setattr(Model, "forward_t", counting)
@@ -346,6 +350,29 @@ def test_accuracy_report_reconstructs_in_the_row_blocks_of_defence_outputs(small
     assert row["ae@detect"] == float((outputs.decide(t)[2] == y).mean())
 
 
+def _noisy(x, scale, seed):
+    return np.clip(x + scale * np.sign(np.random.default_rng(seed).normal(size=x.shape)), 0, 1)
+
+
+@pytest.mark.parametrize("threshold", [0.01, None])
+def test_accuracy_report_units_give_the_rows_scores_and_decisions_of_one_attack_at_a_time(
+        small_image_classifier, monkeypatch, threshold):
+    clf, x, y = small_image_classifier
+    defences = {"a": Defence(_perturbed_identity_ae(4, 0.3, 2)), "b": Defence(identity_ae(4))}
+    attack_sets = {f"noise{s}": (_noisy(x, 0.1 * s, s), y) for s in (1, 2, 3)}
+    alone = [accuracy_report(clf, defences, {name: batch}, (x, y), "a", threshold)
+             for name, batch in attack_sets.items()]
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(blas, "usable_cores", lambda: cores)
+        rows, scores, decisions = accuracy_report(clf, defences, attack_sets, (x, y), "a", threshold)
+        assert rows == [row for (row,), _, _ in alone]
+        assert list(scores) == list(attack_sets) and list(decisions) == (list(attack_sets) if threshold else [])
+        for name, (_, s, d) in zip(attack_sets, alone):
+            assert scores[name].tobytes() == s[name].tobytes()
+            for mine, theirs in zip(decisions.get(name, ()), d.get(name, ()), strict=True):
+                assert mine.tobytes() == theirs.tobytes()
+
+
 def test_accuracy_report_csv(tmp_path, small_image_classifier):
     clf, x, y = small_image_classifier
     rows, _, _ = accuracy_report(clf, {"identity": Defence(identity_ae(4))}, {"a": (x, y)}, (x, y), "identity")
@@ -358,6 +385,44 @@ def test_accuracy_report_csv(tmp_path, small_image_classifier):
 
 # ---------------------------------------------------------------------------
 # drift_report
+
+
+def _drift_rows_one_set_at_a_time(classifier, defence, x, y, kinds, severities, seed):
+    """drift_report's rows as its loop over sets computed them before the sets
+    became units, at the one BLAS thread the units run at. Kept as the
+    reference."""
+    with blas.one_thread():
+        clean = defence_outputs(classifier, defence, x)
+        clean_pred = clean.p.argmax(axis=1)
+        rows = [_drift_row(0, np.zeros(0), clean.scores(), float((clean_pred == y).mean()))]
+        for sev in severities:
+            harm_scores, safe_scores, correct = [], [], 0
+            for j, kind in enumerate(kinds):
+                xc = corrupt_dataset(x, kind, sev, seed=seed * 1000 + sev * 10 + j)
+                outputs = defence_outputs(classifier, defence, xc)
+                pred, scores = outputs.p.argmax(axis=1), outputs.scores()
+                changed = pred != clean_pred
+                harm_scores.append(scores[changed])
+                safe_scores.append(scores[~changed])
+                correct += int((pred == y).sum())
+            accuracy = correct / (len(kinds) * x.shape[0])
+            rows.append(_drift_row(sev, np.concatenate(harm_scores), np.concatenate(safe_scores), accuracy))
+    return rows
+
+
+def test_drift_report_units_give_the_rows_of_one_set_at_a_time_on_any_core_count(small_image_classifier, monkeypatch):
+    clf, x, y = small_image_classifier
+    d = Defence(_perturbed_identity_ae(4, 0.3, 2), temperature=0.5)
+    kinds, severities = ("gaussian_noise", "blur", "contrast"), (4, 1)
+    reference = _drift_rows_one_set_at_a_time(clf, d, x, y, kinds, severities, 3)
+    assert [r.severity for r in reference] == [0, 4, 1] and any(r.n_harmful for r in reference)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(blas, "usable_cores", lambda: cores)
+        started = recording_pool(monkeypatch)
+        report = drift_report(clf, d, x, y, kinds=kinds, severities=severities, seed=3)
+        assert report.rows == reference and report.kinds == list(kinds)
+        # the clean set and the six corrupted ones, one unit each
+        assert started == ([cores] if cores > 1 and blas.threads_setter() else [])
 
 
 def test_drift_severity_zero_matches_clean(small_image_classifier):

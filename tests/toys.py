@@ -1,10 +1,13 @@
-"""Shared builders for tiny models and the kink-aware grad-check harness."""
+"""Shared tiny models and data, the kink-aware grad-check harness and
+stand-ins for OpenBLAS's thread count and ``blas.on_cores``'s thread pool."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from pmdef import autodiff as ad
+from pmdef import blas
 from pmdef.autodiff import Tape, Tensor
 from pmdef.models import (
     Conv,
@@ -94,3 +97,41 @@ def separable_data(rng, n=60, dim=6, classes=3, margin=0.55):
         rows = y == c
         x[np.ix_(rows, range(c * block, (c + 1) * block))] += margin
     return np.clip(x, 0.0, 1.0), y
+
+
+class FakeBlas:
+    """An OpenBLAS thread-count getter and setter over one counter."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+
+
+def fake_blas(monkeypatch, count: int) -> FakeBlas:
+    """Stand a ``FakeBlas`` at ``count`` threads in for OpenBLAS's getter and setter."""
+    fake = FakeBlas(count)
+    monkeypatch.setattr(blas, "threads_getter", lambda: fake.get)
+    monkeypatch.setattr(blas, "threads_setter", lambda: fake.set)
+    return fake
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """The thread pool ``blas.on_cores`` uses, noting each pool's worker count in ``started``."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def recording_pool(monkeypatch) -> list:
+    """Make ``blas.on_cores`` start ``RecordingPool``s; returns their worker counts, in order."""
+    monkeypatch.setattr(blas, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    return RecordingPool.started
