@@ -316,30 +316,27 @@ def cw_l2(model, x: np.ndarray, labels=None, *, config: AttackConfig) -> Adversa
     """l2 Carlini-Wagner: minimize |delta|_2^2 + c * margin(x + delta) in tanh
     space (so x + delta always stays in [0, 1]^n), with binary search over c.
 
-    The rows split into ``_units``, which ``blas.on_cores`` runs. The whole
-    attack, from the original predictions to the success check, runs with
-    OpenBLAS pinned to one thread, its old count restored after; where the
-    thread count cannot be set, the units run in order on this thread.
-    Instances the attack never fools come back unchanged; per-instance
+    The rows split into ``_units``, which ``blas.on_cores`` runs: on the
+    cores at one BLAS thread, as in every CLI stage, else in order on this
+    thread. Instances the attack never fools come back unchanged; per-instance
     numeric failures are flagged in diagnostics instead of aborting.
     """
     if config.kind != "cw_l2":
         raise ParameterError(f"cw_l2 called with a {config.kind!r} config")
     units = _units(x.shape[0])
-    with blas.one_thread():
-        orig_pred = model.predict_class(x)
-        attack_class = _attack_labels(config, orig_pred, labels)
+    orig_pred = model.predict_class(x)
+    attack_class = _attack_labels(config, orig_pred, labels)
 
-        def run(span):
-            s, e = span
-            return _cw_chunk(model, x[s:e], attack_class[s:e], orig_pred[s:e], config)
+    def run(span):
+        s, e = span
+        return _cw_chunk(model, x[s:e], attack_class[s:e], orig_pred[s:e], config)
 
-        results = blas.on_cores(run, units)
-        adv = np.concatenate([r[0] for r in results]) if results else x.copy()
-        ever = np.concatenate([r[1] for r in results]) if results else np.zeros(0, dtype=bool)
-        failed = np.concatenate([r[2] for r in results]) if results else np.zeros(0, dtype=bool)
-        diagnostics = {"unsuccessful": ~ever, "failed": failed}
-        return _finalize(model, x, adv, labels, orig_pred, config, diagnostics)
+    results = blas.on_cores(run, units)
+    adv = np.concatenate([r[0] for r in results]) if results else x.copy()
+    ever = np.concatenate([r[1] for r in results]) if results else np.zeros(0, dtype=bool)
+    failed = np.concatenate([r[2] for r in results]) if results else np.zeros(0, dtype=bool)
+    diagnostics = {"unsuccessful": ~ever, "failed": failed}
+    return _finalize(model, x, adv, labels, orig_pred, config, diagnostics)
 
 
 def run_attack(model, x: np.ndarray, labels=None, *, config: AttackConfig) -> AdversarialBatch:

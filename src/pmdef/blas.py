@@ -1,6 +1,6 @@
 """The thread count of the OpenBLAS that numpy loaded: manifests record it,
-and C&W and the scoring stages pin it to one thread while their units run
-on the cores.
+``cli.run_cli`` pins it to one thread for every stage, and ``on_cores``
+runs independent units on the cores while it is pinned.
 
 Both calls are only reachable through numpy's own extension module, which
 links that library; each is looked up once per process and is None where
@@ -38,8 +38,9 @@ def threads_setter():
 
 
 def threads() -> int | None:
-    """The BLAS thread count, a result input: OpenBLAS rounds some GEMMs (the
-    grey-box classifier's 400->128 layer) differently at 1 and 2 threads."""
+    """The BLAS thread count. OpenBLAS rounds some GEMMs (the grey-box
+    classifier's 400->128 layer) differently at 1 and 2 threads, so a caller
+    that wants results independent of it runs under ``one_thread``."""
     get = threads_getter()
     return None if get is None else get()
 
@@ -65,14 +66,13 @@ def usable_cores() -> int:
 
 
 def on_cores(fn, items) -> list:
-    """``[fn(i) for i in items]``, in item order, computed on
-    min(len(items), usable cores) threads inside ``one_thread``: concurrent
-    GEMMs at two BLAS threads each only contend. Where BLAS cannot be pinned,
-    the items run in order on the calling thread."""
+    """``[fn(i) for i in items]``, in item order. At one BLAS thread (every
+    CLI stage) they are computed on min(len(items), usable cores) threads;
+    otherwise, also where the count cannot be read, in order on the calling
+    thread: concurrent GEMMs at several BLAS threads each only contend."""
     items = list(items)
-    with one_thread() as pinned:
-        workers = min(len(items), usable_cores()) if pinned else 1
-        if workers <= 1:
-            return [fn(i) for i in items]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+    workers = min(len(items), usable_cores()) if threads() == 1 else 1
+    if workers <= 1:
+        return [fn(i) for i in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))

@@ -63,11 +63,12 @@ def _setup_logging() -> None:
 
 
 # The glibc mallopt parameters that pmdef fixes (numbers from malloc.h) and
-# their values. The mmap threshold sits above the largest per-op array (a
-# 512-row AE block's conv output, 13.1 MB) and the trim threshold above what
-# one training step or one 512-row block frees at once, so per-op temporaries
-# are reused from the heap. One arena: C&W's unit threads then reuse the main
-# heap instead of each keeping a high-water mark of its own.
+# their values. The mmap threshold sits above the largest per-op array (in the
+# grey-box pipeline a 150-row AE block's conv output, 3.8 MB; the classifier's
+# 1000-row input is 3.2 MB) and the trim threshold above what one training step
+# or one AE block frees at once, so per-op temporaries are reused from the heap.
+# One arena: the units' threads then reuse the main heap instead of each
+# keeping a high-water mark of its own.
 _MALLOC_THRESHOLDS = (("mmap_threshold", -3, 32 << 20), ("trim_threshold", -1, 64 << 20), ("arena_max", -8, 1))
 
 
@@ -199,6 +200,8 @@ class Experiment:
         kinds = [s.kind for s in self.defence_losses]
         if len(set(kinds)) != len(kinds):
             raise ConfigError(f"defence_losses: every entry needs a unique 'kind', got {kinds}")
+        if self.classifier_spec and [layer.kind for layer in self.classifier_spec.layers[-1:]] != ["softmax"]:
+            raise ConfigError("classifier_spec: must end in a softmax layer, whose probabilities every stage reads")
         depth = len(self.classifier_spec.layers) if self.classifier_spec else math.inf
         for i, s in enumerate(self.defence_losses):  # a probe reads one of the classifier's layers
             if s.probe and s.probe.source_layer >= depth:
@@ -439,9 +442,6 @@ def _scoring(exp: Experiment, out: Path):
     return _load_classifier(out), _load_defence(exp, out, exp.score_defence)
 
 
-# The four scoring stages run at one BLAS thread from start to end, so their scores do not
-# depend on the machine's thread count, and blas.on_cores gives their sets the other cores.
-@blas.one_thread()
 def cmd_score(exp: Experiment, seed: int, out: Path) -> list[Path]:
     """The clean test set's scores; evaluate writes each attack's from its own pass."""
     test = _required(exp, "dataset").load(seed, "test")
@@ -451,7 +451,6 @@ def cmd_score(exp: Experiment, seed: int, out: Path) -> list[Path]:
     return [path]
 
 
-@blas.one_thread()
 def cmd_calibrate(exp: Experiment, seed: int, out: Path) -> list[Path]:
     train = _required(exp, "dataset").load(seed, "train")
     size = min(1000, train.n) if exp.calibration_size is None else exp.calibration_size
@@ -468,7 +467,6 @@ def cmd_calibrate(exp: Experiment, seed: int, out: Path) -> list[Path]:
     return [path]
 
 
-@blas.one_thread()
 def cmd_evaluate(exp: Experiment, seed: int, out: Path) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
     clean = _attack_inputs(exp, test)
@@ -520,7 +518,6 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path) -> list[Path]:
     return artifacts
 
 
-@blas.one_thread()
 def cmd_drift(exp: Experiment, seed: int, out: Path) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
     report = ev.drift_report(
@@ -602,7 +599,10 @@ def run_cli(argv) -> int:
         exp, out = _resolve(load_config(args.config), args)
         (out / f"manifest_{args.command}.json").unlink(missing_ok=True)  # a failed stage leaves no manifest
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        artifacts = _COMMANDS[args.command](exp, exp.seed, out)
+        # every stage runs at one BLAS thread, so no artifact depends on the machine's thread count
+        # and blas.on_cores gives independent units the cores; run.blas_threads reads the restored count
+        with blas.one_thread():
+            artifacts = _COMMANDS[args.command](exp, exp.seed, out)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         run = _run_facts(time.perf_counter() - t0, faults, malloc)
         write_manifest(out, args.command, exp.raw, exp.seed, artifacts, run)

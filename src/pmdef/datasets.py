@@ -20,7 +20,7 @@ from .errors import DataError, ParameterError, ParseError
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD = 3073  # 1 label byte + 32*32*3 pixel bytes
-SYNTH_KINDS = ("blobs", "rings")
+SYNTH_KINDS = ("blobs",)
 
 
 @dataclass
@@ -146,9 +146,8 @@ def synth_dataset(
     """Class-conditional image patterns with seeded pixel noise.
 
     blobs: one Gaussian bump per class at a class-specific position (jittered
-    per instance). rings: a centered annulus whose thickness grows with the
-    class index. Labels are balanced within one instance per class. Both are
-    separable enough for a small classifier to exceed 95% accuracy.
+    per instance). Labels are balanced within one instance per class; the
+    classes are separable enough for a small classifier to exceed 95% accuracy.
     """
     if kind not in SYNTH_KINDS:
         raise ParameterError(f"synthetic kind must be one of {SYNTH_KINDS}, got {kind!r}")
@@ -166,28 +165,18 @@ def synth_dataset(
     labels = rng.permutation(np.arange(n) % num_classes).astype(np.int64)
     images = np.empty((n, image_size, image_size, 1))
     pixels = images[..., 0]  # filled in place: no other array of the images' size until the noise
-    if kind == "blobs":
-        centers = _blob_centers(num_classes, image_size)
-        sigma = image_size / 12.0
-        # amplitude above the clip ceiling: blobs saturate into bright plateaus
-        # that stay clearly brighter than any bounded pixel perturbation
-        offsets = rng.normal(0.0, jitter, size=(n, 2))
-        cy, cx = (centers[labels] + offsets).T[:, :, None]
-        grid = np.arange(image_size)
-        np.add(((grid - cy) ** 2)[:, :, None], ((grid - cx) ** 2)[:, None, :], out=pixels)
-        np.negative(pixels, out=pixels)
-        pixels /= 2.0 * sigma**2
-        np.exp(pixels, out=pixels)
-        pixels *= 1.5
-    else:
-        center = (image_size - 1) / 2.0
-        yy, xx = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
-        dist = np.sqrt((yy - center) ** 2 + (xx - center) ** 2)
-        r0 = image_size / 6.0
-        max_extra = image_size / 2.0 - 2.0 - r0
-        offsets = rng.normal(0.0, jitter * 0.3, size=n)
-        thickness = np.maximum((labels + 1) * max_extra / num_classes + offsets, 0.6)
-        np.multiply((dist >= r0) & (dist < r0 + thickness[:, None, None]), 0.85, out=pixels)
+    centers = _blob_centers(num_classes, image_size)
+    sigma = image_size / 12.0
+    # amplitude above the clip ceiling: blobs saturate into bright plateaus
+    # that stay clearly brighter than any bounded pixel perturbation
+    offsets = rng.normal(0.0, jitter, size=(n, 2))
+    cy, cx = (centers[labels] + offsets).T[:, :, None]
+    grid = np.arange(image_size)
+    np.add(((grid - cy) ** 2)[:, :, None], ((grid - cx) ** 2)[:, None, :], out=pixels)
+    np.negative(pixels, out=pixels)
+    pixels /= 2.0 * sigma**2
+    np.exp(pixels, out=pixels)
+    pixels *= 1.5
     images += rng.normal(0.0, noise, size=images.shape)
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images, labels, name=name or f"synth_{kind}")

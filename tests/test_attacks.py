@@ -257,24 +257,26 @@ def _assert_same_cw_batch(batch, reference):
 def test_cw_results_do_not_depend_on_the_unit_size_or_the_core_count(trained_toy, monkeypatch, cores):
     model, x, y = trained_toy
     cfg = AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=2, max_iter=20, lr=0.1)
-    whole = cw_l2(model, x[:8], config=cfg)  # one unit
-    monkeypatch.setattr(blas, "usable_cores", lambda: cores)
-    monkeypatch.setattr(attacks, "_UNIT_ROWS", 3)
-    started = recording_pool(monkeypatch)
-    assert attacks._units(8) == [(0, 3), (3, 6), (6, 8)]
-    _assert_same_cw_batch(cw_l2(model, x[:8], config=cfg), whole)
+    with blas.one_thread():  # as every CLI stage runs
+        whole = cw_l2(model, x[:8], config=cfg)  # one unit
+        monkeypatch.setattr(blas, "usable_cores", lambda: cores)
+        monkeypatch.setattr(attacks, "_UNIT_ROWS", 3)
+        started = recording_pool(monkeypatch)
+        assert attacks._units(8) == [(0, 3), (3, 6), (6, 8)]
+        _assert_same_cw_batch(cw_l2(model, x[:8], config=cfg), whole)
     assert whole.success.any()
-    # the units go to blas.on_cores, which gives each core one of them where OpenBLAS can be pinned
+    # the units go to blas.on_cores, which gives each core one of them where OpenBLAS is pinned
     assert started == ([min(cores, 3)] if cores > 1 and blas.threads_setter() else [])
 
 
-def test_cw_runs_at_one_blas_thread_from_its_first_prediction_to_its_success_check_and_restores_the_old_count(
+def test_cw_runs_at_the_callers_blas_thread_count_and_gives_its_units_the_cores_only_at_one_thread(
         trained_toy, monkeypatch):
     model, x, _ = trained_toy
     cfg = AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=1, max_iter=5, lr=0.1)
     fake, seen = fake_blas(monkeypatch, 4), []
     monkeypatch.setattr(blas, "usable_cores", lambda: 2)
     monkeypatch.setattr(attacks, "_UNIT_ROWS", 3)
+    started = recording_pool(monkeypatch)
     real_predict, real_chunk = model.predict_class, attacks._cw_chunk
 
     def predict(x):  # the original predictions, and the success check in _finalize
@@ -287,18 +289,12 @@ def test_cw_runs_at_one_blas_thread_from_its_first_prediction_to_its_success_che
 
     monkeypatch.setattr(model, "predict_class", predict)
     monkeypatch.setattr(attacks, "_cw_chunk", chunk)
-    cw_l2(model, x[:8], config=cfg)
-    assert seen == [("predict", 1)] + [("unit", 1)] * 3 + [("predict", 1)] and fake.count == 4
-
-    def failing_chunk(*args):
-        seen.append(("unit", fake.count))
-        raise NonFiniteError("a unit went non-finite")
-
+    cw_l2(model, x[:8], config=cfg)  # cw_l2 sets no count: its units run in order on this thread
+    assert seen == [("predict", 4)] + [("unit", 4)] * 3 + [("predict", 4)] and started == [] and fake.count == 4
     seen.clear()
-    monkeypatch.setattr(attacks, "_cw_chunk", failing_chunk)
-    with pytest.raises(NonFiniteError, match="a unit went non-finite"):
+    with blas.one_thread():
         cw_l2(model, x[:8], config=cfg)
-    assert ("unit", 1) in seen and {count for _, count in seen} == {1} and fake.count == 4
+    assert seen == [("predict", 1)] + [("unit", 1)] * 3 + [("predict", 1)] and started == [2] and fake.count == 4
 
 
 @given(st.integers(0, 5000))

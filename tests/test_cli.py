@@ -302,19 +302,21 @@ def test_without_a_glibc_mallopt_the_stage_runs_unchanged(tmp_path, monkeypatch,
 _STAGES = ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate", "drift", "roc"]
 
 
-def _toy_pipeline_in_a_fresh_process(tmp_path, stub: bool) -> dict:
-    """The manifests of every stage of the toy pipeline, run in a new
-    interpreter (so no earlier test has set the allocator policy), with
+def _toy_pipeline_in_a_fresh_process(tmp_path, stub: bool, config=_toy_config, env: dict | None = None) -> dict:
+    """The manifests of every stage of the pipeline that ``config(out)``
+    gives, run in a new interpreter (so no earlier test has set the
+    allocator policy, and ``env`` reaches OpenBLAS before it loads), with
     ``_fix_malloc_thresholds`` stubbed out or not."""
     out = tmp_path / ("stubbed" if stub else "applied")
-    cfg = _write_config(tmp_path, out)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config(out)))
     script = (
         "import sys\nfrom pmdef import cli\n"
         + ("cli._fix_malloc_thresholds = lambda: None\n" if stub else "")
-        + f"sys.exit(max(cli.run_cli([s, '--config', {str(cfg)!r}]) for s in {_STAGES!r}))\n"
+        + f"sys.exit(max(cli.run_cli([s, '--config', {str(path)!r}]) for s in {_STAGES!r}))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return {s: json.loads((out / f"manifest_{s}.json").read_text()) for s in _STAGES}
@@ -328,6 +330,38 @@ def test_the_allocator_policy_leaves_every_artifact_byte_identical(tmp_path):
     assert all(m["run"]["malloc"] is None for m in stubbed.values())
     if platform.libc_ver()[0] == "glibc":  # the real ctypes path, not a fake libc
         assert all(m["run"]["malloc"] is not None for m in applied.values())
+
+
+def _greybox_shaped_config(out_dir) -> dict:
+    """The toy config on 20x20x1 inputs with a dense 128 layer, plus a C&W
+    attack: OpenBLAS rounds that 400->128 GEMM differently at 1 and 2
+    threads, and smaller toys do not show it."""
+    size = 20
+    cfg = _toy_config(out_dir)
+    cfg["dataset"]["image_size"] = size
+    for spec in (cfg["classifier_spec"], cfg["autoencoder_spec"]):
+        spec["input_shape"] = [size, size, 1]
+    cfg["classifier_spec"]["layers"][1]["units"] = 128
+    cfg["autoencoder_spec"]["layers"][3]["units"] = size * size
+    cfg["autoencoder_spec"]["layers"][4]["shape"] = [size, size, 1]
+    cfg["attacks"].append({"name": "cw", "kind": "cw_l2", "c_init": 10.0, "binary_steps": 1, "max_iter": 10, "lr": 0.1})
+    return cfg
+
+
+@pytest.mark.skipif(blas.threads_setter() is None or blas.usable_cores() < 2,
+                    reason="needs a settable OpenBLAS and two cores for it to use")
+def test_every_artifact_of_the_pipeline_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    runs = []
+    for n in (1, 2):
+        (tmp_path / str(n)).mkdir()
+        runs.append(_toy_pipeline_in_a_fresh_process(tmp_path / str(n), stub=False, config=_greybox_shaped_config,
+                                                     env={"OPENBLAS_NUM_THREADS": str(n)}))
+    # the manifests record the machine's count, not the one thread the stages run at
+    assert [{m["run"]["blas_threads"] for m in run.values()} for run in runs] == [{1}, {2}]
+    one, two = ({s: m["artifacts"] for s, m in run.items()} for run in runs)
+    assert sum(len(artifacts) for artifacts in one.values()) >= 20
+    for stage in _STAGES:
+        assert one[stage] == two[stage], stage
 
 
 def test_the_run_block_records_the_blas_thread_count_or_null(tmp_path, monkeypatch):
@@ -356,7 +390,7 @@ def test_the_blas_thread_count_is_read_from_the_openblas_numpy_loaded():
     assert proc.stdout.strip() == "1" if bundled else proc.stdout.strip() in ("None", "1")
     assert blas.threads_getter() is blas.threads_getter()  # looked up once per process
     assert blas.threads_setter() is blas.threads_setter()
-    if bundled:  # and the setter beside it, which C&W pins the count with
+    if bundled:  # and the setter beside it, which run_cli pins the count with
         assert blas.threads_setter() is not None
 
 
@@ -451,7 +485,7 @@ def test_a_failed_stage_leaves_no_manifest(attacked_run, tmp_path):
     assert not (out / "manifest_evaluate.json").exists()
 
 
-def test_the_scoring_stages_run_every_model_pass_at_one_blas_thread_and_restore_the_old_count(
+def test_every_stage_runs_every_model_pass_at_one_blas_thread_and_restores_the_old_count(
         attacked_run, tmp_path, monkeypatch):
     _, run = attacked_run
     out = tmp_path / "run"
@@ -468,8 +502,15 @@ def test_the_scoring_stages_run_every_model_pass_at_one_blas_thread_and_restore_
         seen.append((fake.count, threading.current_thread() is threading.main_thread()))
         return forward_t(model, *args, **kwargs)
 
+    roc_auc = cli.ev.roc_auc
+
+    def recording_roc(*args):  # roc passes no model; its curves are what it computes
+        seen.append((fake.count, threading.current_thread() is threading.main_thread()))
+        return roc_auc(*args)
+
     monkeypatch.setattr(Model, "forward_t", recording)
-    for stage in ("score", "calibrate", "evaluate", "drift"):
+    monkeypatch.setattr(cli.ev, "roc_auc", recording_roc)
+    for stage in cli._COMMANDS:
         seen.clear()
         assert run_cli([stage, "--config", str(cfg)]) == 0, stage
         assert seen and {count for count, _ in seen} == {1}, stage
@@ -1397,11 +1438,14 @@ MALFORMED_CONFIGS = {
         lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "kl_hidden", "probe": {"source_layer": 5}}]),
         "train-defence", "defence_losses[1].probe.source_layer",
     ),
+    # every stage reads the classifier's probabilities
+    "classifier-without-softmax": (lambda c: c["classifier_spec"]["layers"].pop(), "train-classifier", "classifier_spec"),
 }
 _OUT_OF_RANGE = [
     "batch-size-zero", "epsilon-negative", "temperature-negative", "noise-negative", "jitter-negative",
     "optimizer-seed-negative", "eps-fpr-above-1", "calibration-size-zero", "probe-dim-zero", "synth-kind-unknown",
     "probe-source-layer-beyond-the-classifier", "attack-subset-negative", "checkpoint-every-negative",
+    "classifier-without-softmax",
 ]
 
 

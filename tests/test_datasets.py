@@ -158,55 +158,43 @@ def test_synth_deterministic():
 
 
 def test_synth_labels_balanced_within_one():
-    for kind in ("blobs", "rings"):
-        ds = synth_dataset(kind, 103, 12, 4, seed=0)
-        counts = np.bincount(ds.labels, minlength=4)
-        assert counts.max() - counts.min() <= 1
+    ds = synth_dataset("blobs", 103, 12, 4, seed=0)
+    counts = np.bincount(ds.labels, minlength=4)
+    assert counts.max() - counts.min() <= 1
 
 
 def test_synth_domain_and_shapes():
-    ds = synth_dataset("rings", 20, 16, 5, seed=1)
+    ds = synth_dataset("blobs", 20, 16, 5, seed=1)
     assert ds.images.shape == (20, 16, 16, 1)
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
 
 
-def _synth_loop_reference(kind, n, image_size, num_classes, seed, noise=0.15, jitter=1.0):
+def _synth_loop_reference(n, image_size, num_classes, seed, noise=0.15, jitter=1.0):
     """The per-instance loop synth_dataset replaced: same rng draws (labels, offsets, noise), same arithmetic."""
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.arange(n) % num_classes).astype(np.int64)
     yy, xx = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
     images = np.empty((n, image_size, image_size, 1))
-    if kind == "blobs":
-        angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
-        r = image_size / 2.0 - image_size / 6.0
-        centers = np.stack(
-            [(image_size - 1) / 2.0 + r * np.sin(angles), (image_size - 1) / 2.0 + r * np.cos(angles)], axis=1
-        )
-        sigma = image_size / 12.0
-        offsets = rng.normal(0.0, jitter, size=(n, 2))
-        for i in range(n):
-            cy, cx = centers[labels[i]] + offsets[i]
-            images[i, :, :, 0] = 1.5 * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma**2))
-    else:
-        center = (image_size - 1) / 2.0
-        dist = np.sqrt((yy - center) ** 2 + (xx - center) ** 2)
-        r0 = image_size / 6.0
-        max_extra = image_size / 2.0 - 2.0 - r0
-        offsets = rng.normal(0.0, jitter * 0.3, size=n)
-        for i in range(n):
-            thickness = max((labels[i] + 1) * max_extra / num_classes + offsets[i], 0.6)
-            images[i, :, :, 0] = ((dist >= r0) & (dist < r0 + thickness)).astype(np.float64) * 0.85
+    angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
+    r = image_size / 2.0 - image_size / 6.0
+    centers = np.stack(
+        [(image_size - 1) / 2.0 + r * np.sin(angles), (image_size - 1) / 2.0 + r * np.cos(angles)], axis=1
+    )
+    sigma = image_size / 12.0
+    offsets = rng.normal(0.0, jitter, size=(n, 2))
+    for i in range(n):
+        cy, cx = centers[labels[i]] + offsets[i]
+        images[i, :, :, 0] = 1.5 * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma**2))
     images += rng.normal(0.0, noise, size=images.shape)
     np.clip(images, 0.0, 1.0, out=images)
     return images, labels
 
 
-@pytest.mark.parametrize("kind", ["blobs", "rings"])
 @pytest.mark.parametrize("seed", [0, 5, 17, 2024])
-def test_synth_matches_the_loop_reference_bit_for_bit(kind, seed):
+def test_synth_matches_the_loop_reference_bit_for_bit(seed):
     n, size, classes = (300, 20, 10) if seed % 2 else (57, 13, 4)
-    ds = synth_dataset(kind, n, size, classes, seed=seed, noise=0.12, jitter=0.5)
-    images, labels = _synth_loop_reference(kind, n, size, classes, seed, noise=0.12, jitter=0.5)
+    ds = synth_dataset("blobs", n, size, classes, seed=seed, noise=0.12, jitter=0.5)
+    images, labels = _synth_loop_reference(n, size, classes, seed, noise=0.12, jitter=0.5)
     assert ds.images.tobytes() == images.tobytes()
     assert ds.labels.tobytes() == labels.tobytes()
 
@@ -220,20 +208,18 @@ def test_synth_validation():
         synth_dataset("blobs", 10, 4, 3, seed=0)
 
 
-@pytest.mark.parametrize("kind", ["blobs", "rings"])
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("arg", ["noise", "jitter"])
-def test_synth_refuses_a_negative_or_non_finite_noise_or_jitter_naming_it(arg, bad, kind):
+def test_synth_refuses_a_negative_or_non_finite_noise_or_jitter_naming_it(arg, bad):
     with pytest.raises(ParameterError, match=f"^{arg} must be finite and >= 0"):
-        synth_dataset(kind, 10, 12, 3, seed=0, **{arg: bad})
+        synth_dataset("blobs", 10, 12, 3, seed=0, **{arg: bad})
 
 
-@pytest.mark.parametrize("kind", ["blobs", "rings"])
 @pytest.mark.parametrize("arg", ["noise", "jitter"])
-def test_synth_reads_a_negative_zero_noise_or_jitter_as_zero(arg, kind):
-    ds = synth_dataset(kind, 10, 12, 3, seed=0, **{arg: -0.0})
-    assert ds.images.tobytes() == synth_dataset(kind, 10, 12, 3, seed=0, **{arg: 0.0}).images.tobytes()
-    assert ds.images.tobytes() == synth_dataset(kind, 10, 12, 3, seed=0, **{arg: 0}).images.tobytes()
+def test_synth_reads_a_negative_zero_noise_or_jitter_as_zero(arg):
+    ds = synth_dataset("blobs", 10, 12, 3, seed=0, **{arg: -0.0})
+    assert ds.images.tobytes() == synth_dataset("blobs", 10, 12, 3, seed=0, **{arg: 0.0}).images.tobytes()
+    assert ds.images.tobytes() == synth_dataset("blobs", 10, 12, 3, seed=0, **{arg: 0}).images.tobytes()
 
 
 def test_synth_learnable_to_95_percent():

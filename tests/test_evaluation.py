@@ -360,11 +360,13 @@ def test_accuracy_report_units_give_the_rows_scores_and_decisions_of_one_attack_
     clf, x, y = small_image_classifier
     defences = {"a": Defence(_perturbed_identity_ae(4, 0.3, 2)), "b": Defence(identity_ae(4))}
     attack_sets = {f"noise{s}": (_noisy(x, 0.1 * s, s), y) for s in (1, 2, 3)}
-    alone = [accuracy_report(clf, defences, {name: batch}, (x, y), "a", threshold)
-             for name, batch in attack_sets.items()]
+    with blas.one_thread():  # the count at which the units run on the cores
+        alone = [accuracy_report(clf, defences, {name: batch}, (x, y), "a", threshold)
+                 for name, batch in attack_sets.items()]
     for cores in (1, 2, 3):
         monkeypatch.setattr(blas, "usable_cores", lambda: cores)
-        rows, scores, decisions = accuracy_report(clf, defences, attack_sets, (x, y), "a", threshold)
+        with blas.one_thread():
+            rows, scores, decisions = accuracy_report(clf, defences, attack_sets, (x, y), "a", threshold)
         assert rows == [row for (row,), _, _ in alone]
         assert list(scores) == list(attack_sets) and list(decisions) == (list(attack_sets) if threshold else [])
         for name, (_, s, d) in zip(attack_sets, alone):
@@ -419,7 +421,8 @@ def test_drift_report_units_give_the_rows_of_one_set_at_a_time_on_any_core_count
     for cores in (1, 2, 3):
         monkeypatch.setattr(blas, "usable_cores", lambda: cores)
         started = recording_pool(monkeypatch)
-        report = drift_report(clf, d, x, y, kinds=kinds, severities=severities, seed=3)
+        with blas.one_thread():
+            report = drift_report(clf, d, x, y, kinds=kinds, severities=severities, seed=3)
         assert report.rows == reference and report.kinds == list(kinds)
         # the clean set and the six corrupted ones, one unit each
         assert started == ([cores] if cores > 1 and blas.threads_setter() else [])
