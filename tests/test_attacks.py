@@ -297,6 +297,24 @@ def test_cw_runs_at_the_callers_blas_thread_count_and_gives_its_units_the_cores_
     assert seen == [("predict", 1)] + [("unit", 1)] * 3 + [("predict", 1)] and started == [2] and fake.count == 4
 
 
+def test_a_failing_cw_unit_raises_from_the_cores_and_the_pin_restores_the_old_count(trained_toy, monkeypatch):
+    model, x, _ = trained_toy
+    cfg = AttackConfig(kind="cw_l2", c_init=10.0, binary_steps=1, max_iter=5, lr=0.1)
+    fake, seen = fake_blas(monkeypatch, 4), []
+    monkeypatch.setattr(blas, "usable_cores", lambda: 2)
+    monkeypatch.setattr(attacks, "_UNIT_ROWS", 3)
+    started = recording_pool(monkeypatch)
+
+    def failing_chunk(*args):
+        seen.append(fake.count)
+        raise NonFiniteError("a unit went non-finite")
+
+    monkeypatch.setattr(attacks, "_cw_chunk", failing_chunk)
+    with pytest.raises(NonFiniteError, match="a unit went non-finite"), blas.one_thread():
+        cw_l2(model, x[:8], config=cfg)
+    assert seen and set(seen) == {1} and started == [2] and fake.count == 4
+
+
 @given(st.integers(0, 5000))
 def test_cw_units_are_the_fewest_that_cover_the_rows_in_order_within_one_row_of_each_other(n):
     units = attacks._units(n)

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from pmdef.cli import SynthData
 from pmdef.datasets import (
     CIFAR_RECORD,
     Dataset,
@@ -190,9 +191,10 @@ def _synth_loop_reference(n, image_size, num_classes, seed, noise=0.15, jitter=1
     return images, labels
 
 
+@pytest.mark.parametrize("shape", [(57, 13, 4), (300, 20, 10)], ids=["57x13-4", "300x20-10"])
 @pytest.mark.parametrize("seed", [0, 5, 17, 2024])
-def test_synth_matches_the_loop_reference_bit_for_bit(seed):
-    n, size, classes = (300, 20, 10) if seed % 2 else (57, 13, 4)
+def test_synth_matches_the_loop_reference_bit_for_bit(seed, shape):
+    n, size, classes = shape
     ds = synth_dataset("blobs", n, size, classes, seed=seed, noise=0.12, jitter=0.5)
     images, labels = _synth_loop_reference(n, size, classes, seed, noise=0.12, jitter=0.5)
     assert ds.images.tobytes() == images.tobytes()
@@ -220,6 +222,20 @@ def test_synth_reads_a_negative_zero_noise_or_jitter_as_zero(arg):
     ds = synth_dataset("blobs", 10, 12, 3, seed=0, **{arg: -0.0})
     assert ds.images.tobytes() == synth_dataset("blobs", 10, 12, 3, seed=0, **{arg: 0.0}).images.tobytes()
     assert ds.images.tobytes() == synth_dataset("blobs", 10, 12, 3, seed=0, **{arg: 0}).images.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, -np.inf])
+@pytest.mark.parametrize("arg", ["noise", "jitter"])
+def test_the_synth_config_refuses_a_negative_or_nan_noise_or_jitter_naming_it(arg, bad):
+    with pytest.raises(ParameterError, match=f"^{arg}: must be in \\[0, inf\\]"):
+        SynthData(**{arg: bad})
+
+
+@pytest.mark.parametrize("arg", ["noise", "jitter"])
+def test_the_synth_config_reads_a_negative_zero_noise_or_jitter_as_zero(arg):
+    small = {"n_train": 10, "image_size": 12, "num_classes": 3}
+    ds = SynthData(**small, **{arg: -0.0}).load(0, "train")
+    assert ds.images.tobytes() == SynthData(**small, **{arg: 0.0}).load(0, "train").images.tobytes()
 
 
 def test_synth_learnable_to_95_percent():
