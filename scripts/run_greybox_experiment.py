@@ -15,6 +15,9 @@ from pathlib import Path
 
 from pmdef.cli import run_cli
 
+# the stages an attack experiment runs, in order; drift is the drift script's
+STAGES = ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate", "roc"]
+
 
 def default_config(out: str, seed: int) -> dict:
     size = 20
@@ -96,8 +99,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    stages = ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate", "roc"]
-    code = run_stages(default_config(args.out, args.seed), stages)
+    code = run_stages(default_config(args.out, args.seed), STAGES)
     if code != 0:
         return code
     print(f"artifacts in {args.out}")

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from run_greybox_experiment import default_config, run_stages
+from run_greybox_experiment import STAGES, default_config, run_stages
 
 WHITE_BOX = {"name": "wb_fgsm_02", "kind": "fgsm", "epsilon": 0.2, "target_mode": "white_box", "ae": "kl"}
 
@@ -34,8 +34,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    stages = ["train-classifier", "train-defence", "attack", "score", "calibrate", "evaluate", "roc"]
-    code = run_stages(whitebox_config(args.out, args.seed), stages)
+    code = run_stages(whitebox_config(args.out, args.seed), STAGES)
     if code != 0:
         return code
     out = Path(args.out)

@@ -218,10 +218,7 @@ def slide(model, x: np.ndarray, labels=None, *, config: AttackConfig) -> Adversa
         norm = np.sqrt((e * e).sum(axis=1))
         live = norm > 0
         skipped += int(n - live.sum())
-        if live.any():
-            step = np.zeros_like(delta)
-            step[live] = config.gamma * e[live] / norm[live, None]
-            delta = delta + step
+        delta = delta + config.gamma * e / np.where(live, norm, 1.0)[:, None]  # a dead row's e is 0
         delta = project_l1_ball(delta, config.eps_l1)
         adv_flat = np.clip(xflat + delta, 0.0, 1.0)
         delta = adv_flat - xflat
@@ -241,7 +238,11 @@ def slide(model, x: np.ndarray, labels=None, *, config: AttackConfig) -> Adversa
 
 
 def _cw_chunk(model, x: np.ndarray, attack_class: np.ndarray, orig_pred: np.ndarray, config: AttackConfig):
-    """Optimize one chunk of instances; returns (best_adv, ever_success, failed)."""
+    """Optimize one chunk of instances; returns (best_adv, ever_success, failed).
+
+    Each binary step makes ``max_iter + 1`` recorded passes. Every pass checks
+    the candidate it made; every pass but the last then takes an Adam step, so
+    the last one checks the last update's candidate."""
     n = x.shape[0]
     num_classes = model.num_classes
     x_clipped = np.clip(x, 1e-6, 1.0 - 1e-6)
@@ -257,26 +258,13 @@ def _cw_chunk(model, x: np.ndarray, attack_class: np.ndarray, orig_pred: np.ndar
     x_const = Tensor(x)
     mask_const = Tensor(mask)
 
-    def evaluate(adv_np: np.ndarray, sq_rows: np.ndarray, logits_np: np.ndarray):
-        """Record the successes of candidates adv_np, whose squared l2 distances to x are sq_rows."""
-        nonlocal best_l2, best_adv, ever_success
-        pred = logits_np.argmax(axis=1)
-        l2 = np.sqrt(sq_rows)
-        succ = (pred != orig_pred) & ~failed
-        better = succ & (l2 < best_l2)
-        best_l2 = np.where(better, l2, best_l2)
-        best_adv[better] = adv_np[better]
-        ever_success |= succ
-        return succ
-
     for _ in range(config.binary_steps):
         w = Tensor(w_init.copy(), requires_grad=True)
         opt = Adam([w], config.lr)
         c_t = Tensor(c)
         round_success = np.zeros(n, dtype=bool)
-        for _ in range(config.max_iter):
+        for step in range(config.max_iter + 1):
             with Tape() as tape:
-                tape.watch(w)
                 adv_t = ad.mul_scalar(ad.add_scalar(ad.tanh(w), 1.0), 0.5)
                 logits = model.logits_t(adv_t)
                 z_att = ad.take_per_row(logits, attack_class)
@@ -284,22 +272,21 @@ def _cw_chunk(model, x: np.ndarray, attack_class: np.ndarray, orig_pred: np.ndar
                 margin = ad.maximum_scalar(ad.sub(z_att, z_other), -config.kappa)
                 dist, sq_rows = ad.squared_distance(adv_t, x_const)
                 loss = ad.add(dist, ad.sum_all(ad.mul(margin, c_t)))
-            round_success |= evaluate(adv_t.data, sq_rows, logits.data)
-            grads = backward(tape, loss)
-            g = grads[w]
-            bad = ~np.isfinite(g.reshape(n, -1)).all(axis=1)
-            if bad.any():
-                failed |= bad
-                g[bad] = 0.0
-            if failed.any():
-                g[failed] = 0.0
+            l2 = np.sqrt(sq_rows)
+            succ = (logits.data.argmax(axis=1) != orig_pred) & ~failed
+            better = succ & (l2 < best_l2)
+            best_l2[better] = l2[better]
+            best_adv[better] = adv_t.data[better]
+            round_success |= succ
+            if step == config.max_iter:
+                break
+            g = backward(tape, loss)[w]
+            failed |= ~np.isfinite(g.reshape(n, -1)).all(axis=1)
+            g[failed] = 0.0
             w.grad = g
             opt.step()
             np.clip(w.data, -20.0, 20.0, out=w.data)
-        # final candidate after the last update of the round
-        adv_np = 0.5 * (np.tanh(w.data) + 1.0)
-        d_np = adv_np - x
-        round_success |= evaluate(adv_np, (d_np * d_np).reshape(n, -1).sum(axis=1), model.predict_logits(adv_np))
+        ever_success |= round_success
         c = np.where(round_success, c / 2.0, np.minimum(c * 10.0, C_MAX))
     return best_adv, ever_success, failed
 

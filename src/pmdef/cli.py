@@ -266,6 +266,11 @@ def _seeded(config, seed: int):
     return config if config.seed is not None else replace(config, seed=seed)
 
 
+def _final_loss(report) -> str:
+    """A training report's final loss as a log line shows it."""
+    return "none (no epoch ran)" if report.final_loss is None else f"{report.final_loss:.5f}"
+
+
 def _require_file(path: Path, hint: str) -> Path:
     if not path.is_file():
         raise UserError(f"missing required artifact {path}; run `{hint}` first")
@@ -384,7 +389,7 @@ def cmd_train_classifier(exp: Experiment, seed: int, out: Path) -> list[Path]:
     report.to_jsonl(jsonl)
     test = _required(exp, "dataset").load(seed, "test")
     test_acc = float((model.predict_class(test.images) == test.labels).mean())
-    log.info("classifier trained: final loss %.4f, test accuracy %.4f", report.final_loss, test_acc)
+    log.info("classifier trained: final loss %s, test accuracy %.4f", _final_loss(report), test_acc)
     return [ckpt, jsonl]
 
 
@@ -413,7 +418,7 @@ def cmd_train_defence(exp: Experiment, seed: int, out: Path) -> list[Path]:
         report.to_jsonl(jsonl)
         artifacts += [ckpt, jsonl]
         artifacts += epoch_checkpoints(out, f"ae_{tag}", exp.checkpoint_every, opt.epochs).values()
-        log.info("defence %s trained: final loss %.5f", tag, report.final_loss)
+        log.info("defence %s trained: final loss %s", tag, _final_loss(report))
     return artifacts
 
 

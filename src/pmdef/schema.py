@@ -17,17 +17,18 @@ from .errors import ConfigError, ParameterError, UserError
 @dataclasses.dataclass(frozen=True)
 class In:
     """The range an ``Annotated`` numeric field declares: [lo, hi], or (lo, hi)
-    when ``open``. NaN lies in none."""
+    when ``open``. NaN and ±inf lie in none."""
 
     lo: float
     hi: float = math.inf
     open: bool = False
 
     def __contains__(self, v) -> bool:
-        return self.lo < v < self.hi if self.open else self.lo <= v <= self.hi
+        return (self.lo < v < self.hi if self.open else self.lo <= v <= self.hi) and abs(v) < math.inf
 
     def __str__(self) -> str:
-        return f"({self.lo}, {self.hi})" if self.open else f"[{self.lo}, {self.hi}]"
+        hi = ")" if self.open or self.hi == math.inf else "]"
+        return f"{'(' if self.open else '['}{self.lo}, {self.hi}{hi}"
 
 
 # JSON types each annotation accepts; a bool is never a number, and an int

@@ -74,7 +74,7 @@ class TrainReport:
     loss_spec: dict | str
     epoch_losses: list[float]
     epoch_wall_times: list[float]  # seconds per epoch, its after-epoch hook included
-    final_loss: float
+    final_loss: float | None  # None when no epoch ran
     wall_time_s: float
 
     def to_jsonl(self, path) -> None:
@@ -175,7 +175,7 @@ def _fit(
         loss_spec=loss_spec,
         epoch_losses=epoch_losses,
         epoch_wall_times=epoch_wall_times,
-        final_loss=epoch_losses[-1] if epoch_losses else float("nan"),
+        final_loss=epoch_losses[-1] if epoch_losses else None,
         wall_time_s=time.perf_counter() - t0,
     )
 

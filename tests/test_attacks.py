@@ -60,7 +60,7 @@ def test_attack_config_validation():
         AttackConfig(kind="slide", gamma=-0.1)
     with pytest.raises(ParameterError):
         AttackConfig(kind="cw_l2", binary_steps=0)
-    for kappa in (-0.5, math.nan):
+    for kappa in (-0.5, math.nan, math.inf):
         with pytest.raises(ParameterError, match="kappa"):
             AttackConfig(kind="cw_l2", kappa=kappa)
     with pytest.raises(ParameterError):
@@ -157,6 +157,22 @@ def test_slide_sparsity_and_l1_budget(trained_toy):
     assert max(batch.diagnostics["per_iter_max_l1"]) <= eps_l1 + 1e-9
     assert np.abs(batch.adversarials - x).sum(axis=1).max() <= eps_l1 + 1e-9
     assert batch.adversarials.min() >= 0.0 and batch.adversarials.max() <= 1.0
+
+
+def test_slide_leaves_a_row_with_an_all_zero_gradient_at_x_and_counts_its_steps_skipped():
+    # relu(x - 0.5) is dead on both units for the second row, so no gradient reaches it
+    spec = ModelSpec("dead", (2,), (Dense(2), Relu(), Dense(2), Softmax()))
+    model = build_model(spec, 0)
+    model.store.get(0)["w"].data[:] = np.eye(2)
+    model.store.get(0)["b"].data[:] = -0.5
+    model.store.get(2)["w"].data[:] = np.array([[1.0, -1.0], [0.0, 0.0]])
+    model.store.get(2)["b"].data[:] = np.array([0.1, 0.0])
+    model.store.freeze_all()
+    x = np.array([[0.9, 0.1], [0.1, 0.2]])
+    batch = slide(model, x, config=AttackConfig(kind="slide", q=80, gamma=0.05, k=3, eps_l1=1.0))
+    assert batch.adversarials[1].tobytes() == x[1].tobytes()
+    assert batch.diagnostics["skipped_iterations"] == 3
+    assert batch.adversarials[0, 0] == pytest.approx(0.75, abs=1e-12) and batch.adversarials[0, 1] == x[0, 1]
 
 
 @given(st.integers(0, 10_000))

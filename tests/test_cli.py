@@ -410,6 +410,25 @@ def test_train_defence_manifest_lists_only_the_epoch_checkpoints_of_its_own_run(
     assert sorted(k for k in listed if "_epoch_" in k) == ["ae_kl_epoch_002.ckpt"]
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_a_stage_trained_for_zero_epochs_writes_a_null_final_loss(tmp_path, caplog):
+    out = tmp_path / "run"
+    cfg = _toy_config(out)
+    cfg["classifier_opt"]["epochs"] = cfg["defence_opt"]["epochs"] = 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with caplog.at_level("INFO", logger="pmdef"):
+        assert run_cli(["train-classifier", "--config", str(path)]) == 0
+        assert run_cli(["train-defence", "--config", str(path)]) == 0
+    for name in ("classifier_train.jsonl", "ae_kl_train.jsonl"):
+        rows = [json.loads(line, parse_constant=_refuse) for line in (out / name).read_text().splitlines()]
+        assert len(rows) == 1 and rows[0]["summary"] and rows[0]["final_loss"] is None  # no epoch row
+    assert caplog.text.count("final loss none (no epoch ran)") == 2
+
+
 def test_train_defence_writes_no_epoch_checkpoints_by_default(tmp_path):
     out = tmp_path / "run"
     cfg = _toy_config(out)
@@ -1162,19 +1181,19 @@ MALFORMED_SPECS = {
     "reshape-negative-dims": ("classifier_spec", _clf_spec(*_FLAT_DENSE, {"type": "reshape", "shape": [-2, -2]}), "layer 2"),
     "maxpool-stride-0": (
         "classifier_spec", _clf_spec({"type": "maxpool", "window": 2, "stride": 0}),
-        "classifier_spec.layers[0].stride: must be in [1, inf], got 0",
+        "classifier_spec.layers[0].stride: must be in [1, inf), got 0",
     ),
     "maxpool-window-0": (
         "classifier_spec", _clf_spec({"type": "maxpool", "window": 0, "stride": 1}),
-        "classifier_spec.layers[0].window: must be in [1, inf], got 0",
+        "classifier_spec.layers[0].window: must be in [1, inf), got 0",
     ),
     "conv-kernel-0": (
         "classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 0}),
-        "classifier_spec.layers[0].kernel: must be in [1, inf], got 0",
+        "classifier_spec.layers[0].kernel: must be in [1, inf), got 0",
     ),
     "conv-filters-0": (
         "classifier_spec", _clf_spec({"type": "conv", "filters": 0, "kernel": 2}),
-        "classifier_spec.layers[0].filters: must be in [1, inf], got 0",
+        "classifier_spec.layers[0].filters: must be in [1, inf), got 0",
     ),
     "conv-bad-padding": (
         "classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 2, "padding": "full"}),
@@ -1208,7 +1227,7 @@ MALFORMED_SPECS = {
     "no-classifier-spec": ("classifier_spec", None, "classifier_spec"),
     "no-autoencoder-spec": ("autoencoder_spec", None, "autoencoder_spec"),
     "ae-dropout-rate-above-1": ("autoencoder_spec", _AE_WITH_BAD_DROPOUT, "layer 0"),
-    "ae-dense-units-0": ("autoencoder_spec", _AE_WITH_DENSE_0, "autoencoder_spec.layers[1].units: must be in [1, inf], got 0"),
+    "ae-dense-units-0": ("autoencoder_spec", _AE_WITH_DENSE_0, "autoencoder_spec.layers[1].units: must be in [1, inf), got 0"),
     "ae-6x6": ("autoencoder_spec", _AE_6X6, "autoencoder_spec: maps (6, 6, 1) to (6, 6, 1), but classifier_spec reads (8, 8, 1)"),
     "ae-to-6x6": (
         "autoencoder_spec", _AE_TO_6X6, "autoencoder_spec: maps (8, 8, 1) to (6, 6, 1), but classifier_spec reads (8, 8, 1)",

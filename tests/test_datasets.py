@@ -224,10 +224,10 @@ def test_synth_reads_a_negative_zero_noise_or_jitter_as_zero(arg):
     assert ds.images.tobytes() == synth_dataset("blobs", 10, 12, 3, seed=0, **{arg: 0}).images.tobytes()
 
 
-@pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, -np.inf])
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("arg", ["noise", "jitter"])
-def test_the_synth_config_refuses_a_negative_or_nan_noise_or_jitter_naming_it(arg, bad):
-    with pytest.raises(ParameterError, match=f"^{arg}: must be in \\[0, inf\\]"):
+def test_the_synth_config_refuses_a_negative_or_non_finite_noise_or_jitter_naming_it(arg, bad):
+    with pytest.raises(ParameterError, match=f"^{arg}: must be in \\[0, inf\\)"):
         SynthData(**{arg: bad})
 
 

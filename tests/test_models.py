@@ -340,7 +340,7 @@ def test_checkpoint_shapes_checked_against_the_spec_without_building_a_model(tmp
         (lambda h: h["spec"].update(standardize="false"), "spec.standardize: expected bool"),
         (lambda h: h["spec"]["layers"][0].update(units="8"), "spec.layers[0].units: expected int"),
         (lambda h: h["spec"]["layers"][1].update(kind="relu"), "spec.layers[1].kind: unknown key"),
-        (lambda h: h["spec"]["layers"][0].update(units=0), "spec.layers[0].units: must be in [1, inf], got 0"),
+        (lambda h: h["spec"]["layers"][0].update(units=0), "spec.layers[0].units: must be in [1, inf), got 0"),
         (lambda h: h["spec"].update(input_shape=[2, 3]), "spec: layer 0 (dense): expects a flat input"),
     ],
     ids=["standardize-str", "units-str", "layer-kind-key", "units-0", "chain-break"],

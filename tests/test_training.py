@@ -66,7 +66,7 @@ def test_defence_loss_spec_validation():
         DefenceLossSpec(kind="huber")
     with pytest.raises(ParameterError):
         DefenceLossSpec(kind="kl_temperature", temperature=0.0)
-    for weight in (-1.0, math.nan):
+    for weight in (-1.0, math.nan, math.inf):
         with pytest.raises(ParameterError, match="hidden_weight"):
             DefenceLossSpec(kind="kl_hidden", hidden_weight=weight, probe=ProbeConfig(0, 4))
 
