@@ -8,9 +8,7 @@ attacks. One primitive serves one attack: ``squared_distance`` is C&W's
 distance term, the bits of sub, mul and sum_all in one record, and also
 returns the per-row sums that C&W's success check reads. Every forward
 output is checked for NaN/Inf; overflow raises instead of propagating
-silently. Nonsmooth ops (relu, clip, maximum_scalar,
-rowmax, maxpool2d) leave on the tape a way to compute their kink margin,
-which is evaluated only when ``Tape.min_kink_margin()`` asks for it.
+silently.
 
 Vjps compute a cotangent only for the inputs that require gradients and
 return None for the others (add and sub pass ``g`` itself to their first
@@ -35,18 +33,14 @@ same bits at 8 to 32 output channels, but not below 8.
 conv2d takes an optional bias, added in place into each GEMM output block,
 so a conv layer is one tape record with the bits of conv2d followed by add.
 ``models.Model.forward_t`` runs a relu that directly precedes a maxpool
-after the pool (max commutes exactly with relu). For such a block the tape
-holds maxpool2d over the pre-relu values and relu over the pooled ones, so
-``Tape.min_kink_margin`` reads the pool's margin on pre-relu values: a
-window that is entirely <= 0, whose relu outputs would all tie at 0, no
-longer reports a margin of 0.
+after the pool (max commutes exactly with relu), so the tape holds
+maxpool2d over the pre-relu values and relu over the pooled ones.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,7 +51,6 @@ Array = np.ndarray
 
 KL_CLAMP = 1e-12          # lower clamp applied inside the KL log
 STD_FLOOR = 1e-6          # per-image standardization std floor
-_REL_FLOOR = 1e-8         # denominator floor for relative errors
 _COLS_BLOCK_BYTES = 1 << 18  # conv2d builds its im2col matrix in batch blocks of at most this size
 
 
@@ -118,18 +111,11 @@ class Tape:
 
     Single-owner: build the graph under ``with Tape() as tape`` and run
     ``backward(tape, loss)`` once. Tapes nest; ops record onto the innermost
-    one. ``kinks`` holds, per recorded nonsmooth op, a zero-argument callable
-    giving the distance of its inputs to the nearest nondifferentiable
-    point. The callables read the arrays the records already hold and run
-    only in ``min_kink_margin()``, so recording and ``backward`` compute no
-    margin; finite-difference harnesses call it to reject samples too close
-    to a kink. Every op output is finite-checked whether or not a tape is
-    active.
+    one. Every op output is finite-checked whether or not a tape is active.
     """
 
     def __init__(self):
         self.records: list[_TapeRecord] = []
-        self.kinks: list[Callable[[], float]] = []
         self._watched: dict[int, Tensor] = {}
 
     def __enter__(self) -> "Tape":
@@ -147,10 +133,6 @@ class Tape:
         tensor.requires_grad = True
         self._watched[id(tensor)] = tensor
 
-    def min_kink_margin(self) -> float:
-        """Smallest kink margin over the recorded ops, computed now; inf when none."""
-        return min((kink() for kink in self.kinks), default=math.inf)
-
 
 def _check_finite(op: str, data: Array) -> None:
     if not np.isfinite(data).all():
@@ -163,14 +145,12 @@ def _recording_tape(inputs: tuple[Tensor, ...]) -> "Tape | None":
     return _active_tape() if any(t.requires_grad for t in inputs) else None
 
 
-def _emit(op: str, inputs: tuple[Tensor, ...], out_data: Array, vjp, kink: Callable[[], float] | None = None) -> Tensor:
+def _emit(op: str, inputs: tuple[Tensor, ...], out_data: Array, vjp) -> Tensor:
     out = Tensor(out_data)
     _check_finite(op, out.data)
     out.requires_grad = any(t.requires_grad for t in inputs)
     tape = _recording_tape(inputs)
     if tape is not None:
-        if kink is not None:
-            tape.kinks.append(kink)
         tape.records.append(_TapeRecord(op, inputs, out, vjp))
     return out
 
@@ -268,10 +248,7 @@ def relu(t: Tensor) -> Tensor:
     def vjp(g):
         return (g * (d > 0.0),)
 
-    def kink():
-        return float(np.abs(d).min()) if d.size else math.inf
-
-    return _emit("relu", (t,), np.maximum(d, 0.0), vjp, kink=kink)
+    return _emit("relu", (t,), np.maximum(d, 0.0), vjp)
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -302,10 +279,7 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
     def vjp(g):
         return (g * ((d >= lo) & (d <= hi)),)
 
-    def kink():
-        return float(min(np.abs(d - lo).min(), np.abs(d - hi).min())) if d.size else math.inf
-
-    return _emit("clip", (t,), np.clip(d, lo, hi), vjp, kink=kink)
+    return _emit("clip", (t,), np.clip(d, lo, hi), vjp)
 
 
 def maximum_scalar(t: Tensor, c: float) -> Tensor:
@@ -314,10 +288,7 @@ def maximum_scalar(t: Tensor, c: float) -> Tensor:
     def vjp(g):
         return (g * (d >= c),)
 
-    def kink():
-        return float(np.abs(d - c).min()) if d.size else math.inf
-
-    return _emit("maximum_scalar", (t,), np.maximum(d, c), vjp, kink=kink)
+    return _emit("maximum_scalar", (t,), np.maximum(d, c), vjp)
 
 
 def sum_all(t: Tensor) -> Tensor:
@@ -396,13 +367,7 @@ def rowmax(t: Tensor) -> Tensor:
         out[rows, arg] = g
         return (out,)
 
-    def kink():
-        if d.shape[1] < 2:
-            return math.inf
-        part = np.partition(d, d.shape[1] - 2, axis=1)
-        return float((part[:, -1] - part[:, -2]).min())
-
-    return _emit("rowmax", (t,), d[rows, arg], vjp, kink=kink)
+    return _emit("rowmax", (t,), d[rows, arg], vjp)
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
@@ -568,8 +533,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     copies the windows offset-major, [k = window*window, n, oh, ow, c],
     takes the maximum, and weights each offset that reaches it by its rank
     k..1, so the largest weight marks the first row-major maximum, which
-    wins a tie. Its kink margin recopies the windows rather than keeping
-    them on the tape. An unrecorded forward folds the windows' rows,
+    wins a tie. An unrecorded forward folds the windows' rows,
     then their columns, with in-place ``np.maximum``: no window copy, no
     argmax, and the same maxima. Its window-1 row folds write an
     [n, oh, w, c] temporary with numpy's inner loop over a whole input row,
@@ -599,11 +563,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
             np.maximum(out, row_max[:, :, j:][:, :, cols], out=out)
         return _emit("maxpool2d", (x,), out, None)
 
-    def windows():
-        """[window*window, n, oh, ow, c] copy of every window, offsets row-major."""
-        return _window_copy(d, window, window, stride, oh, ow, (4, 5, 0, 1, 2, 3)).reshape(k, n, oh, ow, c)
-
-    wt = windows()
+    wt = _window_copy(d, window, window, stride, oh, ow, (4, 5, 0, 1, 2, 3)).reshape(k, n, oh, ow, c)
     out = wt.max(axis=0)
     rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k)).reshape(k, 1, 1, 1, 1)
     arg = k - (np.equal(wt, out) * rank).max(axis=0)
@@ -615,13 +575,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         src = ((np.arange(n)[:, None, None, None] * h + rows) * w + cols) * c + np.arange(c)
         return (np.bincount(src.ravel(), weights=g.ravel(), minlength=d.size).reshape(d.shape),)
 
-    def kink():
-        if k < 2:
-            return math.inf
-        part = np.partition(windows(), k - 2, axis=0)
-        return float((part[-1] - part[-2]).min())
-
-    return _emit("maxpool2d", (x,), out, vjp, kink=kink)
+    return _emit("maxpool2d", (x,), out, vjp)
 
 
 def standardize_per_image(x: Tensor) -> Tensor:
@@ -700,7 +654,7 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reverse pass and the finite-difference oracle
+# reverse pass
 
 
 def backward(tape: Tape, output: Tensor) -> dict[Tensor, Array]:
@@ -739,43 +693,3 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, Array]:
         t.grad = g
         result[t] = g
     return result
-
-
-def _scalar_value(out: Tensor, where: str) -> float:
-    if out.size != 1:
-        raise ContractError(f"grad_check function must return a scalar, got shape {out.shape}")
-    v = out.item()
-    if not math.isfinite(v):
-        raise NonFiniteError(f"function value is not finite {where}")
-    return v
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error between backward() and central finite differences.
-
-    The relative error denominator is max(|analytic|, |numeric|, 1e-8) per
-    coordinate. The function must be finite (and should be differentiable)
-    in an h-neighborhood of x.
-    """
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0):
-        raise ParameterError(f"finite-difference step must be positive, got {h}")
-    base = np.array(x.data, dtype=np.float64, copy=True)
-    leaf = Tensor(base, requires_grad=True)
-    with Tape() as tape:
-        tape.watch(leaf)
-        out = f(leaf)
-        _scalar_value(out, "at the expansion point")
-    analytic = backward(tape, out)[leaf].ravel()
-    worst = 0.0
-    flat = base.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = _scalar_value(f(Tensor(base)), "during finite differencing")
-        flat[i] = orig - h
-        fm = _scalar_value(f(Tensor(base)), "during finite differencing")
-        flat[i] = orig
-        num = (fp - fm) / (2.0 * h)
-        err = abs(num - analytic[i]) / max(abs(num), abs(analytic[i]), _REL_FLOOR)
-        worst = max(worst, err)
-    return worst

@@ -30,6 +30,8 @@ class Dataset:
     name: str
 
     def __post_init__(self):
+        if self.images.shape[0] == 0:
+            raise DataError(f"{self.name}: the dataset has no rows")
         if self.images.shape[0] != self.labels.shape[0]:
             raise DataError(f"{self.name}: {self.images.shape[0]} images but {self.labels.shape[0]} labels")
 

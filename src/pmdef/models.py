@@ -300,24 +300,12 @@ class ParameterStore:
     def named_tensors(self) -> list[tuple[int, str, Tensor]]:
         return [(idx, name, group[name]) for idx, group in sorted(self.params.items()) for name in sorted(group)]
 
-    def byte_digest(self) -> bytes:
-        import hashlib
-
-        h = hashlib.sha256()
-        for idx, name, t in self.named_tensors():
-            h.update(f"{idx}:{name}:{t.shape}".encode())
-            h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-        return h.digest()
-
 
 class Predictor:
-    """Numpy conveniences over a subclass's ``proba_t`` and ``logits_t``."""
+    """Numpy conveniences over a subclass's ``proba_t``."""
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return self.proba_t(Tensor(x)).data
-
-    def predict_logits(self, x: np.ndarray) -> np.ndarray:
-        return self.logits_t(Tensor(x)).data
 
     def predict_class(self, x: np.ndarray) -> np.ndarray:
         return self.predict_proba(x).argmax(axis=1)
@@ -350,9 +338,6 @@ class Model(Predictor):
         if not self.is_classifier:
             raise ContractError(f"model {self.spec.name!r} does not end in softmax")
         return self.output_shape[0]
-
-    def param_count(self) -> int:
-        return sum(t.size for _, _, t in self.store.named_tensors())
 
     # -- execution -----------------------------------------------------------
 

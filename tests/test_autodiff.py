@@ -1,4 +1,7 @@
+import ast
 import math
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +10,9 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pmdef import autodiff as ad
-from pmdef.autodiff import Tape, Tensor, backward, grad_check
+from pmdef.autodiff import Tape, Tensor, backward
 from pmdef.errors import ContractError, DataError, DimensionError, NonFiniteError, ParameterError
-from toys import checked_grad
+from toys import KINK_DISTANCES, checked_grad, grad_check, kink_margin
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +253,7 @@ def test_unrecorded_maxpool2d_equals_the_recorded_one_and_the_reference_bit_for_
     without_tape = ad.maxpool2d(Tensor(x, requires_grad=True), window, stride)
     with Tape() as tape:
         frozen_input = ad.maxpool2d(Tensor(x), window, stride)
-    assert tape.records == [] and tape.kinks == []
+    assert tape.records == []
     for out in (without_tape.data, frozen_input.data):
         assert out.shape == ref_out.shape
         assert out.tobytes() == ref_out.tobytes() == recorded.tobytes()
@@ -676,41 +679,36 @@ def test_relu_forward_equals_the_masked_select_on_exact_zeros():
 
 
 def _margin(f, x):
-    with Tape() as tape:
-        f(Tensor(x, requires_grad=True))
-    return tape.min_kink_margin()
+    return kink_margin(f, Tensor(x))
 
 
 def test_kink_margins_match_the_eager_formulas():
+    # the harness swaps the primitives on the module, so f must look them up there when it runs
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 4))
-    assert _margin(ad.relu, x) == float(np.abs(x).min())
+    assert _margin(lambda t: ad.relu(t), x) == float(np.abs(x).min())
     assert _margin(lambda t: ad.clip(t, -0.5, 0.5), x) == float(min(np.abs(x + 0.5).min(), np.abs(x - 0.5).min()))
     assert _margin(lambda t: ad.maximum_scalar(t, 0.25), x) == float(np.abs(x - 0.25).min())
     part = np.partition(x, 2, axis=1)
-    assert _margin(ad.rowmax, x) == float((part[:, -1] - part[:, -2]).min())
+    assert _margin(lambda t: ad.rowmax(t), x) == float((part[:, -1] - part[:, -2]).min())
     img = rng.normal(size=(2, 5, 5, 3))
     stack = np.stack([img[:, i : i + 3 : 2, j : j + 3 : 2, :] for i in range(2) for j in range(2)], axis=3)
     part = np.partition(stack, 2, axis=3)
     assert _margin(lambda t: ad.maxpool2d(t, 2, 2), img) == float((part[:, :, :, -1, :] - part[:, :, :, -2, :]).min())
-    assert _margin(lambda t: ad.rowmax(ad.relu(t)), x) == min(_margin(ad.relu, x), _margin(ad.rowmax, np.maximum(x, 0.0)))
-    assert _margin(ad.tanh, x) == math.inf
+    assert _margin(lambda t: ad.rowmax(ad.relu(t)), x) == min(
+        _margin(lambda t: ad.relu(t), x), _margin(lambda t: ad.rowmax(t), np.maximum(x, 0.0))
+    )
+    assert _margin(lambda t: ad.tanh(t), x) == math.inf
+    assert _margin(lambda t: ad.relu(ad.add(t, Tensor(x))), x) == float(np.abs(x + x).min())
+    assert _margin(lambda t: ad.relu(Tensor(x)), x) == math.inf  # an op on constants is not recorded
 
 
-def test_taped_forward_and_backward_compute_no_kink_margin(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("kink margin computed without being asked for")
-
-    monkeypatch.setattr(np, "partition", refuse)
-    monkeypatch.setattr(np, "abs", refuse)
-    x = Tensor(np.random.default_rng(3).normal(size=(2, 6, 6, 1)), requires_grad=True)
-    with Tape() as tape:
-        h = ad.maximum_scalar(ad.clip(ad.relu(ad.maxpool2d(x, 2, 2)), -1.0, 1.0), 0.1)
-        loss = ad.sum_all(ad.rowmax(ad.reshape(h, (2, 9))))
-    backward(tape, loss)
-    assert len(tape.kinks) == 5
-    with pytest.raises(AssertionError, match="without being asked"):
-        tape.min_kink_margin()
+def test_the_package_looks_up_every_nonsmooth_primitive_on_the_module():
+    # kink_margin swaps them on pmdef.autodiff: a module that imported one by name would call past it
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+                assert not {a.name for a in node.names} & set(KINK_DISTANCES), path.name
 
 
 # ---------------------------------------------------------------------------
@@ -1031,7 +1029,7 @@ def test_primitive_gradients_match_finite_differences(name):
     builder = PRIMITIVE_CASES[name]
     worst = 0.0
     for seed in range(100):
-        worst = max(worst, checked_grad(builder, seed * 7919 + hash(name) % 1000))
+        worst = max(worst, checked_grad(builder, seed * 7919 + zlib.crc32(name.encode()) % 1000))
     assert worst < 1e-4, f"{name}: max relative error {worst}"
 
 

@@ -27,6 +27,7 @@ from pmdef import artifacts, blas, cli, errors
 from pmdef import defence as dfc
 from pmdef.attacks import load_batch
 from pmdef.cli import run_cli
+from pmdef.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from pmdef.errors import UserError
 from pmdef.evaluation import roc_auc
 from pmdef.models import CHECKPOINT_MAGIC, AnyLayer, Model, ModelSpec, build_model, load_checkpoint, save_checkpoint
@@ -151,6 +152,19 @@ def test_a_stage_error_exits_1_for_a_user_error_and_2_for_a_runtime_failure(tmp_
     assert (code, capsys.readouterr().err) == ((1, "error: the message\n") if issubclass(cls, UserError)
                                                 else (2, "failure: the message\n"))
     assert not (tmp_path / "run" / "manifest_score.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["idx", "cifar"])
+def test_an_empty_dataset_file_exits_1_naming_the_dataset(tmp_path, capsys, kind):
+    empty, labels = tmp_path / "empty", tmp_path / "labels"  # 0 CIFAR records, or a well-formed pair of 0 IDX images of 8x8
+    empty.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, 0, 8, 8) if kind == "idx" else b"")
+    labels.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, 0))
+    dataset = ({"train_images": str(empty), "train_labels": str(labels), "test_images": str(empty), "test_labels": str(labels)}
+               if kind == "idx" else {"train_files": [str(empty)], "test_files": [str(empty)]})
+    path = _write_config(tmp_path, tmp_path / "run", dataset={"kind": kind, **dataset})
+    assert run_cli(["train-classifier", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {kind}_train: the dataset has no rows\n", err
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

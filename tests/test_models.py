@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmdef import autodiff as ad
-from pmdef.autodiff import Tape, Tensor, backward, grad_check
+from pmdef.autodiff import Tape, Tensor, backward
 from pmdef.errors import ConfigError, ContractError, DimensionError, ParameterError, ParseError, UserError
 from pmdef.models import (
     CHECKPOINT_MAGIC,
@@ -32,7 +32,17 @@ from pmdef.models import (
 )
 from pmdef.schema import from_dict
 from pmdef.training import Adam, temperature_scale
-from toys import cnn_classifier_spec, greybox_ae_spec, identity_ae, image_ae_spec, mlp_classifier_spec
+from toys import (
+    KINK_MARGIN,
+    cnn_classifier_spec,
+    grad_check,
+    greybox_ae_spec,
+    identity_ae,
+    image_ae_spec,
+    kink_margin,
+    mlp_classifier_spec,
+    param_digest,
+)
 
 
 def mnist_style_spec():
@@ -59,16 +69,16 @@ def test_parameter_count_matches_hand_tally():
     # pool 12 -> 6; flatten 6*6*32 = 1152
     dense1 = 1152 * 256 + 256
     dense2 = 256 * 10 + 10
-    assert model.param_count() == conv1 + conv2 + dense1 + dense2
+    assert sum(t.size for _, _, t in model.store.named_tensors()) == conv1 + conv2 + dense1 + dense2
 
 
 def test_build_model_deterministic_in_seed():
     spec = mlp_classifier_spec()
     a = build_model(spec, 42)
     b = build_model(spec, 42)
-    assert a.store.byte_digest() == b.store.byte_digest()
+    assert param_digest(a.store) == param_digest(b.store)
     c = build_model(spec, 43)
-    assert a.store.byte_digest() != c.store.byte_digest()
+    assert param_digest(a.store) != param_digest(c.store)
 
 
 def test_dense_after_conv_without_flatten_is_spec_error():
@@ -193,7 +203,7 @@ def test_probe_round_trips_through_a_checkpoint(tmp_path):
     probe = build_probe(model, source_layer=1, dim=4, seed=3)
     save_checkpoint(probe, tmp_path / "probe.ckpt")
     loaded = load_checkpoint(tmp_path / "probe.ckpt")
-    assert loaded.store.byte_digest() == probe.store.byte_digest()
+    assert param_digest(loaded.store) == param_digest(probe.store)
     _, feats = model.forward_t(Tensor(np.random.default_rng(1).random((3, 6, 6, 1))), capture=1)
     assert np.array_equal(loaded.forward_t(feats).data, probe.forward_t(feats).data)
 
@@ -240,8 +250,9 @@ def test_composed_gradient_passes_grad_check():
         logits = composed.logits_t(x)
         return ad.mean_all(ad.sub(ad.logsumexp(logits), ad.take_per_row(logits, y)))
 
-    err = grad_check(f, Tensor(np.random.default_rng(4).random((1, 4)) * 0.6 + 0.2), 1e-5)
-    assert err < 1e-4
+    x = Tensor(np.random.default_rng(4).random((1, 4)) * 0.6 + 0.2)
+    assert kink_margin(f, x) > KINK_MARGIN
+    assert grad_check(f, x, 1e-5) < 1e-4
 
 
 def test_composed_argmax_defines_whitebox_target():
@@ -281,7 +292,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    assert loaded.store.byte_digest() == model.store.byte_digest()
+    assert param_digest(loaded.store) == param_digest(model.store)
     assert np.array_equal(loaded.predict_proba(x), before)
     assert loaded.spec == model.spec
 
@@ -324,7 +335,7 @@ def test_checkpoint_shapes_checked_against_the_spec_without_building_a_model(tmp
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     monkeypatch.setattr(models, "build_model", lambda *a, **k: pytest.fail("load_checkpoint built a model"))
-    assert load_checkpoint(path).store.byte_digest() == model.store.byte_digest()
+    assert param_digest(load_checkpoint(path).store) == param_digest(model.store)
 
     def transpose(header):  # same byte count, transposed shape
         entry = next(e for e in header["tensors"] if e["layer"] == 0 and e["name"] == "w")
@@ -426,7 +437,7 @@ def test_spec_header_json_and_init_bytes_are_pinned():
         '{"shape": [20, 20, 1], "type": "reshape"}], "name": "blob_ae", "standardize": false}'
     )
     assert from_dict(ModelSpec, json.loads(json.dumps(spec.to_dict()))) == spec
-    assert build_model(spec, 3).store.byte_digest().hex() == "038de6882ec97a4c810f5ae80ffe1871fbb60071f4a6ade857171f35709d5704"
+    assert param_digest(build_model(spec, 3).store).hex() == "038de6882ec97a4c810f5ae80ffe1871fbb60071f4a6ade857171f35709d5704"
 
 
 def test_spec_fields_are_validated_when_the_spec_is_built():
@@ -581,3 +592,17 @@ def test_a_relu_before_a_maxpool_runs_after_it_and_a_capture_returns_the_spec_or
         assert np.array_equal(out.data, out_ref.data)
         if want is not None:
             assert captured.shape == want.shape and np.array_equal(captured.data, want.data)
+
+
+def test_the_kink_margin_of_a_relu_before_a_maxpool_is_the_pools_gap_on_pre_relu_values():
+    # forward_t pools first, so a window that is all < 0 counts its top two values' gap, not relu's tie at 0
+    model = build_model(greybox_ae_spec(10), 3)
+    conv = model.store.get(0)
+    conv["b"].data[0] = -10.0  # every pool window of channel 0 is all < 0
+    x = np.random.default_rng(6).random((2, 10, 10, 1))
+    pre = ad.conv2d(Tensor(x), conv["w"], 1, "same", bias=conv["b"]).data
+    top = np.sort(pre.reshape(2, 2, 5, 2, 5, 8).transpose(0, 1, 3, 5, 2, 4).reshape(-1, 25), axis=1)[:, -2:]
+    hidden = model.forward_t(Tensor(x), stop_before=6).data  # what the second relu reads
+    expected = min((top[:, 1] - top[:, 0]).min(), np.abs(top[:, 1]).min(), np.abs(hidden).min())
+    assert (pre[..., 0] < 0.0).all() and expected > 0.0
+    assert kink_margin(model.forward_t, Tensor(x)) == expected

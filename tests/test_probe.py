@@ -10,7 +10,7 @@ import pytest
 
 from pmdef.models import build_model, build_probe
 from pmdef.training import DefenceLossSpec, OptimizerConfig, ProbeConfig, train_defence
-from toys import cnn_classifier_spec, image_ae_spec
+from toys import cnn_classifier_spec, image_ae_spec, param_digest
 
 
 def _probe_params(probe):
@@ -72,6 +72,6 @@ def test_kl_hidden_training_keeps_its_pinned_bits(source_layer):
     for t in _probe_params(probe):
         digest.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     ae_hex, probe_hex, losses = _PINNED[source_layer]
-    assert ae.store.byte_digest().hex() == ae_hex
+    assert param_digest(ae.store).hex() == ae_hex
     assert digest.hexdigest() == probe_hex
     assert [loss.hex() for loss in report.epoch_losses] == losses

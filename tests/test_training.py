@@ -17,7 +17,7 @@ from pmdef.training import (
     train_classifier,
     train_defence,
 )
-from toys import mlp_ae_spec, mlp_classifier_spec, separable_data
+from toys import mlp_ae_spec, mlp_classifier_spec, param_digest, separable_data
 
 
 @pytest.fixture()
@@ -38,9 +38,9 @@ def test_overfit_tiny_dataset_to_full_accuracy():
 
 def test_zero_epochs_is_a_no_op(toy):
     x, y, clf = toy
-    before = clf.store.byte_digest()
+    before = param_digest(clf.store)
     report = train_classifier(clf, x, y, OptimizerConfig(epochs=0, seed=0))
-    assert clf.store.byte_digest() == before
+    assert param_digest(clf.store) == before
     assert report.epoch_losses == []
 
 
@@ -104,10 +104,10 @@ def test_one_epoch_reduces_mean_loss():
 
 def test_classifier_bytes_identical_after_defence_training():
     x, _, clf = _trained_toy_classifier()
-    before = clf.store.byte_digest()
+    before = param_digest(clf.store)
     ae = build_model(mlp_ae_spec(dim=6), 3)
     train_defence(ae, clf, x, DefenceLossSpec(kind="kl"), OptimizerConfig(learning_rate=3e-3, epochs=3, batch_size=16, seed=5))
-    assert clf.store.byte_digest() == before
+    assert param_digest(clf.store) == before
 
 
 def test_mse_defence_learns_identity_on_1d_data():
@@ -153,18 +153,18 @@ def test_defence_training_ignores_labels_entirely():
     cfg = OptimizerConfig(learning_rate=2e-3, batch_size=8, epochs=2, seed=9)
     train_defence(ae1, clf, x, DefenceLossSpec(kind="kl"), cfg)
     train_defence(ae2, clf, x, DefenceLossSpec(kind="kl"), cfg)
-    assert ae1.store.byte_digest() == ae2.store.byte_digest()
+    assert param_digest(ae1.store) == param_digest(ae2.store)
 
 
 def test_hidden_loss_trains_probe_and_autoencoder():
     x, _, clf = _trained_toy_classifier()
     ae = build_model(mlp_ae_spec(dim=6), 33)
     spec = DefenceLossSpec(kind="kl_hidden", hidden_weight=0.5, probe=ProbeConfig(source_layer=1, dim=4))
-    before = ae.store.byte_digest()
+    before = param_digest(ae.store)
     report, probe = train_defence(ae, clf, x, spec, OptimizerConfig(learning_rate=3e-3, batch_size=16, epochs=2, seed=10))
-    assert ae.store.byte_digest() != before
+    assert param_digest(ae.store) != before
     assert probe is not None and probe.output_shape == (4,)
-    assert probe.store.byte_digest() != build_probe(clf, 1, 4, seed=11).store.byte_digest()  # built at the shuffle seed + 1
+    assert param_digest(probe.store) != param_digest(build_probe(clf, 1, 4, seed=11).store)  # built at the shuffle seed + 1
     assert all(np.isfinite(l) for l in report.epoch_losses)
 
 
