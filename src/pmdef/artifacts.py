@@ -9,10 +9,15 @@ import os
 from pathlib import Path
 
 
-def csv_text(rows) -> str:
-    """``rows`` as CSV text in the csv module's default dialect (CRLF line ends)."""
+def csv_text(rows: list[dict]) -> str:
+    """``rows``, dicts with one key order, as CSV text in the csv module's default
+    dialect (CRLF line ends): a header of the keys, then per row a float as
+    ``.17g``, None as an empty field and any other value as the csv module writes it."""
     buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
+    writer = csv.writer(buf)
+    if rows:
+        writer.writerow(rows[0])
+    writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row.values()] for row in rows)
     return buf.getvalue()
 
 

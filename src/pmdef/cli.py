@@ -40,7 +40,7 @@ from . import attacks as atk
 from . import blas
 from . import defence as dfc
 from . import evaluation as ev
-from .artifacts import write_artifact
+from .artifacts import csv_text, write_artifact
 from .datasets import SYNTH_KINDS, Dataset, parse_cifar_binary, parse_idx, synth_dataset
 from .errors import ConfigError, DataError, ParseError, PmdefError, UserError
 from .models import DefendedModel, ModelSpec, build_model, load_checkpoint, save_checkpoint
@@ -525,14 +525,13 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path) -> list[Path]:
 
 def cmd_drift(exp: Experiment, seed: int, out: Path) -> list[Path]:
     test = _required(exp, "dataset").load(seed, "test")
-    report = ev.drift_report(
+    rows = ev.drift_report(
         *_scoring(exp, out), test.images, test.labels, kinds=exp.drift.kinds, severities=exp.drift.severities,
         seed=derive_seed(seed, "drift") % (2**31),
     )
-    jpath = out / "drift.json"
-    cpath = out / "drift.csv"
-    report.to_json(jpath)
-    report.to_csv(cpath)
+    jpath, cpath = out / "drift.json", out / "drift.csv"
+    write_artifact(jpath, json.dumps({"kinds": exp.drift.kinds, "rows": rows}, sort_keys=True, indent=1) + "\n")
+    write_artifact(cpath, csv_text(rows))
     return [jpath, cpath]
 
 

@@ -42,26 +42,19 @@ class Defence:
 @dataclass(frozen=True)
 class DefenceOutputs:
     """The two prediction distributions every defence decision derives from,
-    ``p`` = M(x) and ``q`` = M(AE(x)), one row per instance, and the one
-    decision rule: the score is KL(p || q), an instance is flagged when its
-    score exceeds the threshold, and a flagged instance takes q's label, the
-    others p's. With a temperature, p is sharpened the same way the training
-    target was before it is scored."""
+    ``p`` = M(x) and ``q`` = M(AE(x)), their per-instance ``scores``
+    KL(p || q) (higher means more suspicious), one row per instance, and the
+    one decision rule: an instance is flagged when its score exceeds the
+    threshold, and a flagged instance takes q's label, the others p's."""
 
     p: np.ndarray
     q: np.ndarray
-    temperature: float | None
-
-    def scores(self) -> np.ndarray:
-        """Per-instance KL(p || q); higher means more suspicious."""
-        p = self.p if self.temperature is None else temperature_scale(self.p, self.temperature)
-        return kl_rows(p, self.q)
+    scores: np.ndarray
 
     def decide(self, threshold: float) -> Decision:
         """The rule above at ``threshold``."""
-        scores = self.scores()
-        flagged = scores > threshold
-        return scores, flagged, np.where(flagged, self.q.argmax(axis=1), self.p.argmax(axis=1))
+        flagged = self.scores > threshold
+        return self.scores, flagged, np.where(flagged, self.q.argmax(axis=1), self.p.argmax(axis=1))
 
 
 def reconstructed_proba(classifier, ae, x: np.ndarray) -> np.ndarray:
@@ -72,14 +65,18 @@ def reconstructed_proba(classifier, ae, x: np.ndarray) -> np.ndarray:
 
 
 def defence_outputs(classifier, defence: Defence, x: np.ndarray) -> DefenceOutputs:
-    """One classifier pass on x plus ``reconstructed_proba``."""
+    """One classifier pass on x plus ``reconstructed_proba``, and their scores
+    (an empty array for no rows). With a temperature, p is sharpened the same way the
+    training target was before it is scored."""
     p = classifier.predict_proba(x)
-    return DefenceOutputs(p, reconstructed_proba(classifier, defence.ae, x), defence.temperature)
+    q = reconstructed_proba(classifier, defence.ae, x)
+    target = p if defence.temperature is None else temperature_scale(p, defence.temperature)
+    return DefenceOutputs(p, q, kl_rows(target, q) if len(p) else np.zeros(0))
 
 
 def adversarial_score(classifier, defence: Defence, x: np.ndarray) -> np.ndarray:
-    """Per-instance KL(M(x) || M(AE(x))); see ``DefenceOutputs.scores``."""
-    return defence_outputs(classifier, defence, x).scores()
+    """Per-instance KL(M(x) || M(AE(x))); see ``DefenceOutputs``."""
+    return defence_outputs(classifier, defence, x).scores
 
 
 def calibrate_threshold(scores_normal, eps_fpr: float) -> float:
@@ -109,7 +106,7 @@ def detect_and_correct(classifier, defence: Defence, x: np.ndarray, threshold: f
 def verdicts_to_csv(decision: Decision, threshold: float, path) -> None:
     """One row per instance of a ``decide`` result taken at ``threshold``."""
     scores, flagged, labels = (a.tolist() for a in decision)
-    header = ["id", "score", "threshold", "flagged", "label", "source"]
-    rows = [[i, f"{s:.17g}", f"{threshold:.17g}", int(f), lab, "reconstructed" if f else "original"]
+    rows = [{"id": i, "score": s, "threshold": threshold, "flagged": int(f), "label": lab,
+             "source": "reconstructed" if f else "original"}
             for i, (s, f, lab) in enumerate(zip(scores, flagged, labels))]
-    write_artifact(path, csv_text([header, *rows]))
+    write_artifact(path, csv_text(rows))

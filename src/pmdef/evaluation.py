@@ -6,9 +6,8 @@ harmful and not-harmful groups.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +34,7 @@ SEVERITIES = (1, 2, 3, 4, 5)
 class RocCurve:
     points: list[tuple[float, float]]  # (fpr, tpr), monotone from (0,0) to (1,1)
     auc: float
-    thresholds: list[float] = field(default_factory=list)
+    thresholds: list[float] = field(default_factory=list)  # per point: flag when score > t; all finite
 
 
 def roc_auc(scores_normal, scores_adversarial) -> RocCurve:
@@ -55,13 +54,11 @@ def roc_auc(scores_normal, scores_adversarial) -> RocCurve:
     normal_sorted = np.sort(normal)
     adv_sorted = np.sort(adv)
     distinct = np.unique(np.concatenate([normal, adv]))[::-1]  # descending
-    # flagged counts above each threshold, from (0, 0) at +inf
-    cn = np.concatenate([[0], nn - np.searchsorted(normal_sorted, distinct, side="right")])
-    ca = np.concatenate([[0], na - np.searchsorted(adv_sorted, distinct, side="right")])
-    thresholds = [math.inf, *distinct.tolist()]
-    if (cn[-1], ca[-1]) != (nn, na):
-        cn, ca = np.append(cn, nn), np.append(ca, na)
-        thresholds.append(-math.inf)
+    # flagged counts above each threshold, from (0, 0) at the largest score; the rows at the
+    # smallest score are flagged only by the closing threshold just below it, at (1, 1)
+    cn = np.append(nn - np.searchsorted(normal_sorted, distinct, side="right"), nn)
+    ca = np.append(na - np.searchsorted(adv_sorted, distinct, side="right"), na)
+    thresholds = [*distinct.tolist(), float(np.nextafter(distinct[-1], -math.inf))]
     auc_num = int(np.dot(np.diff(cn), ca[:-1] + ca[1:]))  # exact: int64 products and sum
     points = [(c / nn, a / na) for c, a in zip(cn.tolist(), ca.tolist())]
     return RocCurve(points=points, auc=auc_num / (2 * nn * na), thresholds=thresholds)
@@ -138,7 +135,7 @@ def accuracy_report(
             row[name] = float((q.argmax(axis=1) == y).mean())
             if name == scored and decision is not None:
                 row[f"{name}@detect"] = float((decision[2] == y).mean())
-        return row, outputs.scores() if decision is None else decision[0], decision
+        return row, outputs.scores, decision
 
     results = dict(zip(attack_sets, blas.on_cores(unit, attack_sets)))
     rows = [row for row, _, _ in results.values()]
@@ -150,9 +147,7 @@ def accuracy_report(
 def accuracy_report_to_csv(rows: list[dict], path) -> None:
     if not rows:
         raise DataError("empty accuracy report")
-    columns = list(rows[0].keys())
-    body = [[row[c] if isinstance(row[c], str) else f"{row[c]:.17g}" for c in columns] for row in rows]
-    write_artifact(path, csv_text([columns, *body]))
+    write_artifact(path, csv_text(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -197,60 +192,16 @@ def corrupt_dataset(x: np.ndarray, kind: str, severity: int, seed: int) -> np.nd
 # drift report
 
 
-@dataclass
-class DriftRow:
-    severity: int
-    n_harmful: int
-    n_not_harmful: int
-    harmful_mean: float | None
-    harmful_std: float | None
-    not_harmful_mean: float | None
-    not_harmful_std: float | None
-    accuracy: float
-    ks_d: float | None
-    ks_p: float | None
-
-
-@dataclass
-class DriftReport:
-    kinds: list[str]
-    rows: list[DriftRow]
-
-    def to_json(self, path) -> None:
-        report = {"kinds": self.kinds, "rows": [vars(r) for r in self.rows]}
-        write_artifact(path, json.dumps(report, sort_keys=True, indent=1) + "\n")
-
-    def to_csv(self, path) -> None:
-        cols = [f.name for f in fields(DriftRow)]
-        rows = [cols]
-        for r in self.rows:
-            d = vars(r)
-            rows.append(["" if d[c] is None else (d[c] if isinstance(d[c], int) else f"{d[c]:.17g}") for c in cols])
-        write_artifact(path, csv_text(rows))
-
-
-def _group_stats(scores: np.ndarray):
-    if scores.size == 0:
-        return None, None
-    return float(scores.mean()), float(scores.std())
-
-
-def _drift_row(severity: int, harm: np.ndarray, safe: np.ndarray, accuracy: float) -> DriftRow:
-    hm, hs = _group_stats(harm)
-    sm, ss = _group_stats(safe)
+def _drift_row(severity: int, harm: np.ndarray, safe: np.ndarray, accuracy: float) -> dict:
+    """The group sizes, each group's score mean and std (None for an empty
+    group), the accuracy, and the KS test between the groups (None unless both
+    have scores)."""
+    row = {"severity": int(severity), "n_harmful": int(harm.size), "n_not_harmful": int(safe.size)}
+    for group, scores in (("harmful", harm), ("not_harmful", safe)):
+        stats = (float(scores.mean()), float(scores.std())) if scores.size else (None, None)
+        row[f"{group}_mean"], row[f"{group}_std"] = stats
     ks_d, ks_p = ks_two_sample(harm, safe) if harm.size and safe.size else (None, None)
-    return DriftRow(
-        severity=int(severity),
-        n_harmful=int(harm.size),
-        n_not_harmful=int(safe.size),
-        harmful_mean=hm,
-        harmful_std=hs,
-        not_harmful_mean=sm,
-        not_harmful_std=ss,
-        accuracy=accuracy,
-        ks_d=ks_d,
-        ks_p=ks_p,
-    )
+    return {**row, "accuracy": accuracy, "ks_d": ks_d, "ks_p": ks_p}
 
 
 def drift_report(
@@ -261,21 +212,20 @@ def drift_report(
     kinds=tuple(CORRUPTION_PARAMS),
     severities=SEVERITIES,
     seed: int = 0,
-) -> DriftReport:
+) -> list[dict]:
     """Score corrupted copies of the test set per severity, pooled over
-    corruption kinds. Instances whose prediction changed relative to the
-    clean prediction form the harmful group; unchanged ones the not-harmful
-    group. Severity 0 is the clean set itself. The clean set and each
-    (severity, kind) set are the units of ``blas.on_cores``; a unit keeps
-    only its predictions and scores."""
-    kinds = list(kinds)
+    corruption kinds, one ``_drift_row`` per severity. Instances whose
+    prediction changed relative to the clean prediction form the harmful
+    group; unchanged ones the not-harmful group. Severity 0 is the clean set
+    itself. The clean set and each (severity, kind) set are the units of
+    ``blas.on_cores``; a unit keeps only its predictions and scores."""
     sets = [(0, 0, None)] + [(sev, j, kind) for sev in severities for j, kind in enumerate(kinds)]
 
     def unit(spec):
         sev, j, kind = spec
         xs = x if kind is None else corrupt_dataset(x, kind, sev, seed=seed * 1000 + sev * 10 + j)
         outputs = defence_outputs(classifier, defence, xs)
-        return outputs.p.argmax(axis=1), outputs.scores()
+        return outputs.p.argmax(axis=1), outputs.scores
 
     (clean_pred, clean_scores), *results = blas.on_cores(unit, sets)
     rows = [_drift_row(0, np.zeros(0), clean_scores, float((clean_pred == y).mean()))]
@@ -286,4 +236,4 @@ def drift_report(
         safe = np.concatenate([scores[~c] for (_, scores), c in zip(per_kind, changed)])
         accuracy = sum(int((pred == y).sum()) for pred, _ in per_kind) / (len(kinds) * x.shape[0])
         rows.append(_drift_row(sev, harm, safe, accuracy))
-    return DriftReport(kinds=kinds, rows=rows)
+    return rows

@@ -4,18 +4,19 @@ write leaves no temporary file behind."""
 
 import errno
 import json
+import math
 import os
 import stat
 
 import numpy as np
 import pytest
 
-from pmdef import artifacts, cli
+from pmdef import artifacts, blas, cli
 from pmdef.attacks import AdversarialBatch, AttackConfig, inputs_crc32, load_batch, save_batch
 from pmdef.datasets import Dataset, write_cifar_binary, write_idx
 from pmdef.defence import verdicts_to_csv
 from pmdef.errors import ParseError
-from pmdef.evaluation import DriftReport, DriftRow, accuracy_report_to_csv
+from pmdef.evaluation import accuracy_report_to_csv
 from pmdef.models import build_model, save_checkpoint
 from pmdef.training import TrainReport
 from toys import cnn_classifier_spec, image_ae_spec
@@ -105,7 +106,83 @@ def test_write_artifact_interrupted_in_preallocation_keeps_the_old_bytes(tmp_pat
 
 
 def test_csv_text_ends_lines_with_crlf():
-    assert artifacts.csv_text([["a", "b"], [1, "x,y"]]) == 'a,b\r\n1,"x,y"\r\n'
+    assert artifacts.csv_text([{"a": 1, "b": "x,y"}]) == 'a,b\r\n1,"x,y"\r\n'
+
+
+def test_csv_text_writes_a_float_as_17g_and_none_as_an_empty_field():
+    rows = [{"s": 0.1, "n": 3, "t": None, "f": np.float64(-math.inf)}, {"s": 1.0, "n": np.int64(-2), "t": "", "f": 2 / 3}]
+    assert artifacts.csv_text(rows) == "s,n,t,f\r\n0.10000000000000001,3,,-inf\r\n1,-2,,0.66666666666666663\r\n"
+    assert artifacts.csv_text([]) == ""
+
+
+# ---------------------------------------------------------------------------
+# the bytes of the report tables
+
+
+def test_accuracy_report_csv_bytes(tmp_path):
+    rows = [{"attack": "fgsm,0.1", "n": 3, "no_attack": 0.1, "kl": 2 / 3, "kl@detect": -math.inf},
+            {"attack": "cw", "n": 0, "no_attack": 1.0, "kl": -0.0, "kl@detect": 0.5}]
+    accuracy_report_to_csv(rows, tmp_path / "r.csv")
+    assert (tmp_path / "r.csv").read_bytes() == (
+        b"attack,n,no_attack,kl,kl@detect\r\n"
+        b'"fgsm,0.1",3,0.10000000000000001,0.66666666666666663,-inf\r\n'
+        b"cw,0,1,-0,0.5\r\n"
+    )
+
+
+def test_drift_stage_csv_and_json_bytes(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    labels = np.array([0, 1, 2, 0])
+    write_idx(Dataset(np.zeros((4, 8, 8, 1)), labels, name="d"), tmp_path / "i.idx", tmp_path / "l.idx")
+    save_checkpoint(build_model(cnn_classifier_spec(size=8), 0), out / "classifier.ckpt")
+    save_checkpoint(build_model(image_ae_spec(size=8), 0), out / "ae_kl.ckpt")
+    files = {f"{split}_{part}": str(tmp_path / f"{part[0]}.idx")
+             for split in ("train", "test") for part in ("images", "labels")}
+    cfg = {"seed": 0, "dataset": {"kind": "idx", **files}, "drift": {"kinds": ["blur"], "severities": [1]}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    # each scoring unit's predictions and scores, hand-made: the clean set predicts every label, blur flips row 0
+    units = {(0, 0, None): (labels, np.array([0.5, 0.25, 0.75, 0.5])),
+             (1, 0, "blur"): (np.array([1, 1, 2, 0]), np.full(4, 0.25))}
+    monkeypatch.setattr(blas, "on_cores", lambda fn, items: [units[i] for i in items])
+    assert cli.run_cli(["drift", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    assert (out / "drift.csv").read_bytes() == (
+        b"severity,n_harmful,n_not_harmful,harmful_mean,harmful_std,not_harmful_mean,not_harmful_std,accuracy,ks_d,ks_p\r\n"
+        b"0,0,4,,,0.5,0.17677669529663689,1,,\r\n"
+        b"1,1,3,0.25,0,0.25,0,0.75,0,1\r\n"
+    )
+    assert (out / "drift.json").read_bytes() == b"""{
+ "kinds": [
+  "blur"
+ ],
+ "rows": [
+  {
+   "accuracy": 1.0,
+   "harmful_mean": null,
+   "harmful_std": null,
+   "ks_d": null,
+   "ks_p": null,
+   "n_harmful": 0,
+   "n_not_harmful": 4,
+   "not_harmful_mean": 0.5,
+   "not_harmful_std": 0.1767766952966369,
+   "severity": 0
+  },
+  {
+   "accuracy": 0.75,
+   "harmful_mean": 0.25,
+   "harmful_std": 0.0,
+   "ks_d": 0.0,
+   "ks_p": 1.0,
+   "n_harmful": 1,
+   "n_not_harmful": 3,
+   "not_harmful_mean": 0.25,
+   "not_harmful_std": 0.0,
+   "severity": 1
+  }
+ ]
+}
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +196,15 @@ def _batch(v):
                             dict.fromkeys(("l1", "l2", "linf"), np.array([0.1, 0.2])), AttackConfig("fgsm"))
 
 
-def _calibrate(out, v):
-    """A calibrate run over untrained checkpoints; the seed ``v`` changes the
-    calibration data, so the two runs write different thresholds."""
+def _scoring_stage(stage, out, v, **cfg):
+    """A run of ``stage`` over untrained checkpoints; the seed ``v`` changes the
+    data, so the two runs write different artifacts."""
     if not (out / "classifier.ckpt").exists():
         save_checkpoint(build_model(cnn_classifier_spec(size=8), 0), out / "classifier.ckpt")
         save_checkpoint(build_model(image_ae_spec(size=8), 0), out / "ae_kl.ckpt")
-    cfg = {"seed": 0, "dataset": {"kind": "synth", "image_size": 8, "num_classes": 3, "n_train": 20, "n_test": 4},
-           "calibration_size": 20}
+    cfg = {"seed": 0, "dataset": {"kind": "synth", "image_size": 8, "num_classes": 3, "n_train": 20, "n_test": 4}, **cfg}
     (out.parent / "cfg.json").write_text(json.dumps(cfg))
-    assert cli.run_cli(["calibrate", "--config", str(out.parent / "cfg.json"), "--out", str(out), "--seed", str(v)]) == 0
+    assert cli.run_cli([stage, "--config", str(out.parent / "cfg.json"), "--out", str(out), "--seed", str(v)]) == 0
 
 
 def _roc(out, v):
@@ -140,10 +216,6 @@ def _roc(out, v):
     for stage in ("score", "evaluate"):  # roc reads which seed and score_defence the score files were made under
         cli.write_manifest(out, stage, cfg, 0, [], {})
     assert cli.run_cli(["roc", "--config", str(out.parent / "cfg.json"), "--out", str(out)]) == 0
-
-
-def _drift(v):
-    return DriftReport(["blur"], [DriftRow(1, v, 2, 0.5, None, 0.25, 0.125, 0.75, None, None)])
 
 
 def _report(v):
@@ -162,11 +234,11 @@ WRITERS = {
     "to_jsonl": ("t.jsonl", lambda out, v: _report(v).to_jsonl(out / "t.jsonl")),
     "verdicts_to_csv": ("v.csv", lambda out, v: verdicts_to_csv((np.array([v]), np.array([True]), np.array([1])), 0.5, out / "v.csv")),
     "accuracy_report_to_csv": ("r.csv", lambda out, v: accuracy_report_to_csv([{"attack": "a", "kl": v / 2}], out / "r.csv")),
-    "drift-to_json": ("d.json", lambda out, v: _drift(v).to_json(out / "d.json")),
-    "drift-to_csv": ("d.csv", lambda out, v: _drift(v).to_csv(out / "d.csv")),
+    "drift-json": ("drift.json", lambda out, v: _scoring_stage("drift", out, v, drift={"severities": [1]})),
+    "drift-csv": ("drift.csv", lambda out, v: _scoring_stage("drift", out, v, drift={"severities": [1]})),
     "write_manifest": ("manifest_s.json", lambda out, v: cli.write_manifest(out, "s", {"v": v}, v, [], 0.5)),
     "scores-csv": ("s.csv", lambda out, v: cli._write_scores_csv(np.array([v, 0.5]), out / "s.csv")),
-    "threshold-json": ("threshold.json", _calibrate),
+    "threshold-json": ("threshold.json", lambda out, v: _scoring_stage("calibrate", out, v, calibration_size=20)),
     "roc-json": ("roc_a.json", _roc),
     "write_idx-images": ("i.idx", lambda out, v: write_idx(_images(v, (2, 3, 3, 1)), out / "i.idx", out / "l.idx")),
     "write_idx-labels": ("l.idx", lambda out, v: write_idx(_images(v, (v + 1, 3, 3, 1)), out / "i.idx", out / "l.idx")),

@@ -23,7 +23,7 @@ from pmdef.attacks import (
 )
 from pmdef.autodiff import Tape, Tensor, backward
 from pmdef.errors import NonFiniteError, ParameterError
-from pmdef.models import DefendedModel, Dense, Flatten, ModelSpec, Relu, Reshape, Softmax, build_model, save_checkpoint
+from pmdef.models import DefendedModel, Dense, Flatten, ModelSpec, Relu, Softmax, build_model, save_checkpoint
 from pmdef.training import Adam, OptimizerConfig, train_classifier
 from toys import KINK_MARGIN, fake_blas, grad_check, greybox_ae_spec, kink_margin, recording_pool, separable_data
 

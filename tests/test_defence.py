@@ -18,7 +18,7 @@ from pmdef.defence import (
     verdicts_to_csv,
 )
 from pmdef.errors import DataError, ParameterError
-from pmdef.models import Dense, Flatten, ModelSpec, Relu, Reshape, Softmax, build_model
+from pmdef.models import Dense, Flatten, ModelSpec, Relu, Softmax, build_model
 from pmdef.training import OptimizerConfig, train_classifier
 from toys import cnn_classifier_spec, identity_ae, image_ae_spec, separable_data
 
@@ -202,7 +202,7 @@ def test_outputs_decide_as_detect_and_correct_does(toy_defence, temperature):
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
     out = defence_outputs(clf, Defence(ae, temperature), x)
     assert isinstance(out, DefenceOutputs)
-    scores = out.scores()
+    scores = out.scores
     assert np.array_equal(scores, adversarial_score(clf, Defence(ae, temperature), x))
     t = float(np.median(scores))
     decision = out.decide(t)

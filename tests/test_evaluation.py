@@ -1,7 +1,6 @@
 import json
 import math
 import threading
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmdef import blas, defence
+from pmdef.artifacts import csv_text
 from pmdef.defence import Defence, adversarial_score, defence_outputs, detect_and_correct
 from pmdef.errors import DataError, ParameterError
 from pmdef.evaluation import (
     CORRUPTION_PARAMS,
-    DriftReport,
     _drift_row,
     RocCurve,
     accuracy_report,
@@ -23,7 +22,7 @@ from pmdef.evaluation import (
     ks_two_sample,
     roc_auc,
 )
-from pmdef.models import Dense, Flatten, Model, ModelSpec, Relu, Reshape, Softmax, build_model
+from pmdef.models import Dense, Flatten, Model, ModelSpec, Relu, Softmax, build_model
 from pmdef.training import OptimizerConfig, train_classifier
 from toys import identity_ae, recording_pool
 
@@ -74,18 +73,17 @@ def test_auc_refuses_a_non_finite_score(bad):
 
 
 def _roc_threshold_loop(normal, adv):
-    """The ROC sweep with two searchsorted calls per distinct score, as
-    roc_auc computed it before it searched all thresholds at once."""
+    """The ROC sweep with two searchsorted calls per threshold, as roc_auc
+    computed it before it searched all thresholds at once: every distinct
+    score, largest first, then the largest float below the smallest score."""
     nn, na = len(normal), len(adv)
     normal_sorted, adv_sorted = np.sort(normal), np.sort(adv)
-    counts, thresholds = [(0, 0)], [math.inf]
-    for v in np.unique(np.concatenate([normal, adv]))[::-1]:
+    distinct = np.unique(np.concatenate([normal, adv]))[::-1]
+    counts, thresholds = [], []
+    for v in [*distinct, np.nextafter(distinct[-1], -math.inf)]:
         counts.append((nn - int(np.searchsorted(normal_sorted, v, side="right")),
                        na - int(np.searchsorted(adv_sorted, v, side="right"))))
         thresholds.append(float(v))
-    if counts[-1] != (nn, na):
-        counts.append((nn, na))
-        thresholds.append(-math.inf)
     auc_num = sum((cn1 - cn0) * (ca0 + ca1) for (cn0, ca0), (cn1, ca1) in zip(counts, counts[1:]))
     return RocCurve(points=[(cn / nn, ca / na) for cn, ca in counts], auc=auc_num / (2 * nn * na), thresholds=thresholds)
 
@@ -343,7 +341,7 @@ def test_accuracy_report_reconstructs_in_the_row_blocks_of_defence_outputs(small
 
     monkeypatch.setattr(Model, "forward_t", recording)
     outputs = defence_outputs(clf, Defence(ae), noisy)
-    t = float(np.quantile(outputs.scores(), 0.9))
+    t = float(np.quantile(outputs.scores, 0.9))
     row = accuracy_report(clf, {"ae": Defence(ae)}, {"noise": (noisy, y)}, (x, y), "ae", t)[0][0]
     assert max(ae_passes) == 7 and sum(ae_passes) == 2 * x.shape[0]
     assert row["ae"] == float((outputs.decide(-math.inf)[2] == y).mean())
@@ -396,13 +394,13 @@ def _drift_rows_one_set_at_a_time(classifier, defence, x, y, kinds, severities, 
     with blas.one_thread():
         clean = defence_outputs(classifier, defence, x)
         clean_pred = clean.p.argmax(axis=1)
-        rows = [_drift_row(0, np.zeros(0), clean.scores(), float((clean_pred == y).mean()))]
+        rows = [_drift_row(0, np.zeros(0), clean.scores, float((clean_pred == y).mean()))]
         for sev in severities:
             harm_scores, safe_scores, correct = [], [], 0
             for j, kind in enumerate(kinds):
                 xc = corrupt_dataset(x, kind, sev, seed=seed * 1000 + sev * 10 + j)
                 outputs = defence_outputs(classifier, defence, xc)
-                pred, scores = outputs.p.argmax(axis=1), outputs.scores()
+                pred, scores = outputs.p.argmax(axis=1), outputs.scores
                 changed = pred != clean_pred
                 harm_scores.append(scores[changed])
                 safe_scores.append(scores[~changed])
@@ -417,13 +415,13 @@ def test_drift_report_units_give_the_rows_of_one_set_at_a_time_on_any_core_count
     d = Defence(_perturbed_identity_ae(4, 0.3, 2), temperature=0.5)
     kinds, severities = ("gaussian_noise", "blur", "contrast"), (4, 1)
     reference = _drift_rows_one_set_at_a_time(clf, d, x, y, kinds, severities, 3)
-    assert [r.severity for r in reference] == [0, 4, 1] and any(r.n_harmful for r in reference)
+    assert [r["severity"] for r in reference] == [0, 4, 1] and any(r["n_harmful"] for r in reference)
     for cores in (1, 2, 3):
         monkeypatch.setattr(blas, "usable_cores", lambda: cores)
         started = recording_pool(monkeypatch)
         with blas.one_thread():
-            report = drift_report(clf, d, x, y, kinds=kinds, severities=severities, seed=3)
-        assert report.rows == reference and report.kinds == list(kinds)
+            rows = drift_report(clf, d, x, y, kinds=kinds, severities=severities, seed=3)
+        assert rows == reference
         # the clean set and the six corrupted ones, one unit each
         assert started == ([cores] if cores > 1 and blas.threads_setter() else [])
 
@@ -431,46 +429,41 @@ def test_drift_report_units_give_the_rows_of_one_set_at_a_time_on_any_core_count
 def test_drift_severity_zero_matches_clean(small_image_classifier):
     clf, x, y = small_image_classifier
     ae = identity_ae(4)
-    report = drift_report(clf, Defence(ae), x, y, kinds=("gaussian_noise",), severities=(1,), seed=3)
-    row0 = report.rows[0]
-    assert row0.severity == 0
-    assert row0.n_harmful == 0
-    assert row0.accuracy == pytest.approx((clf.predict_class(x) == y).mean())
-    assert row0.ks_p is None
+    row0 = drift_report(clf, Defence(ae), x, y, kinds=("gaussian_noise",), severities=(1,), seed=3)[0]
+    assert row0["severity"] == 0
+    assert row0["n_harmful"] == 0
+    assert row0["accuracy"] == pytest.approx((clf.predict_class(x) == y).mean())
+    assert row0["ks_p"] is None
 
 
 def test_drift_rows_partition_the_corrupted_set(small_image_classifier):
     clf, x, y = small_image_classifier
     ae = identity_ae(4)
     kinds = ("gaussian_noise", "contrast")
-    report = drift_report(clf, Defence(ae), x, y, kinds=kinds, severities=(2, 5), seed=3)
-    for row in report.rows[1:]:
-        assert row.n_harmful + row.n_not_harmful == x.shape[0] * len(kinds)
+    rows = drift_report(clf, Defence(ae), x, y, kinds=kinds, severities=(2, 5), seed=3)
+    for row in rows[1:]:
+        assert row["n_harmful"] + row["n_not_harmful"] == x.shape[0] * len(kinds)
 
 
 def test_drift_empty_group_reported_absent_not_error(small_image_classifier):
     clf, x, y = small_image_classifier
     ae = identity_ae(4)
     # contrast severity 1 on this easy task flips nothing -> harmful group empty
-    report = drift_report(clf, Defence(ae), x, y, kinds=("contrast",), severities=(1,), seed=3)
-    row = report.rows[1]
-    if row.n_harmful == 0:
-        assert row.harmful_mean is None and row.ks_p is None
-    assert row.n_not_harmful > 0
+    row = drift_report(clf, Defence(ae), x, y, kinds=("contrast",), severities=(1,), seed=3)[1]
+    if row["n_harmful"] == 0:
+        assert row["harmful_mean"] is None and row["ks_p"] is None
+    assert row["n_not_harmful"] > 0
 
 
-def test_drift_report_serialization(tmp_path, small_image_classifier):
+def test_drift_report_serialization(small_image_classifier):
+    """The rows are plain data in one key order: strict JSON round-trips them,
+    and ``csv_text`` writes a header and one line per row."""
     clf, x, y = small_image_classifier
-    report = drift_report(clf, Defence(identity_ae(4)), x, y, kinds=("gaussian_noise",), severities=(1, 3), seed=0)
-    jpath = tmp_path / "drift.json"
-    cpath = tmp_path / "drift.csv"
-    report.to_json(jpath)
-    report.to_csv(cpath)
-    data = json.loads(jpath.read_text())
-    assert [r["severity"] for r in data["rows"]] == [0, 1, 3]
-    as_dicts = {"kinds": report.kinds, "rows": [asdict(r) for r in report.rows]}
-    assert jpath.read_text() == json.dumps(as_dicts, sort_keys=True, indent=1) + "\n"
-    assert len(cpath.read_text().strip().splitlines()) == 4
+    rows = drift_report(clf, Defence(identity_ae(4)), x, y, kinds=("gaussian_noise",), severities=(1, 3), seed=0)
+    assert [r["severity"] for r in rows] == [0, 1, 3]
+    assert len({tuple(r) for r in rows}) == 1
+    assert json.loads(json.dumps(rows, allow_nan=False)) == rows
+    assert len(csv_text(rows).splitlines()) == 4
 
 
 def test_monotone_harm_over_seeds(small_image_classifier):

@@ -1,5 +1,4 @@
 import json
-import math
 import re
 import struct
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from pmdef import autodiff as ad
 from pmdef.autodiff import Tape, Tensor, backward
-from pmdef.errors import ConfigError, ContractError, DimensionError, ParameterError, ParseError, UserError
+from pmdef.errors import ConfigError, DimensionError, ParameterError, ParseError, UserError
 from pmdef.models import (
     CHECKPOINT_MAGIC,
     _param_shapes,
@@ -20,7 +19,6 @@ from pmdef.models import (
     Dropout,
     Flatten,
     MaxPool,
-    Model,
     ModelSpec,
     Relu,
     Reshape,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmdef.errors import ContractError, DataError, ParameterError
-from pmdef.models import Dense, Model, ModelSpec, Relu, Softmax, build_model, build_probe
+from pmdef.models import Dense, Model, ModelSpec, build_model, build_probe
 from pmdef.training import (
     Adam,
     DefenceLossSpec,
