@@ -11,6 +11,10 @@ end-to-end metrics, ``correct``/``failed``, a digest of its artifact hashes
 and the minor and major page faults of the child process
 (``RUSAGE_CHILDREN``): train wall time moves with how often glibc hands
 freed pages back, so a wall figure is only read next to its fault count.
+Every run gets a fresh, empty ``PYTHONPYCACHEPREFIX``, so both sides compile
+every module they import from source and no ``__pycache__`` left in either
+checkout is read: a side that loads cached bytecode starts with fewer page
+faults and less memory than one that compiles.
 
 The output file keeps the runs of every workload run into it so far. Each
 invocation writes its own runs and their summary as its workload's entry:
@@ -47,10 +51,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -62,11 +68,13 @@ BOUNDS = {m["name"]: m["bound"]
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    wall_s = time.perf_counter() - t0
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        t0 = time.perf_counter()
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
+        wall_s = time.perf_counter() - t0
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
     run = {"seed": seed, "exit": proc.returncode, "wall_s": round(wall_s, 3),
            "minflt": after.ru_minflt - before.ru_minflt, "majflt": after.ru_majflt - before.ru_majflt}
     lines = proc.stdout.strip().splitlines()

@@ -137,7 +137,6 @@ def _ce_input_grad(model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """d/dx of the summed cross-entropy of the target's predictions at x."""
     xt = Tensor(x, requires_grad=True)
     with Tape() as tape:
-        tape.watch(xt)
         logits = model.logits_t(xt)
         loss = ad.sum_all(ad.sub(ad.logsumexp(logits), ad.take_per_row(logits, y)))
     return backward(tape, loss)[xt]
@@ -406,7 +405,6 @@ def load_batch(json_path) -> AdversarialBatch:
         _check_keys(meta, "a batch JSON", sorted(BATCH_KEYS))  # also one of an older format
         if any(type(v) is not int or v < 0 for v in [*meta["shape"], meta["crc32"], meta["originals_crc32"]]):
             raise TypeError("'shape' entries, 'crc32' and 'originals_crc32' must be JSON integers >= 0")
-        bin_path = json_path.parent / meta["bin_file"]
         shape = tuple(meta["shape"])
         rows = {k: np.asarray(_numbers(meta[k], k, flags=k == "success"), dtype=np.int64)
                 for k in ("original_pred", "adversarial_pred", "success")}
@@ -417,6 +415,9 @@ def load_batch(json_path) -> AdversarialBatch:
         diagnostics = _diagnostics(meta["diagnostics"], config)
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError, UserError) as exc:
         raise ParseError(f"{json_path}: malformed attack batch: {exc!r}") from None
+    bin_path = json_path.with_suffix(".bin")
+    if meta["bin_file"] != bin_path.name:
+        raise ParseError(f"{json_path}: its payload is {bin_path}, but 'bin_file' names {meta['bin_file']!r:.60}")
     per_row = [*rows.values(), *norms.values(), *([] if labels is None else [labels])]
     if any(a.shape != shape[:1] for a in per_row):
         raise ParseError(f"{json_path}: per-instance fields disagree with shape {shape}")

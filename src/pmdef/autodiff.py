@@ -116,7 +116,6 @@ class Tape:
 
     def __init__(self):
         self.records: list[_TapeRecord] = []
-        self._watched: dict[int, Tensor] = {}
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -127,11 +126,6 @@ class Tape:
         if popped is not self:  # pragma: no cover - misuse guard
             raise ContractError("tape stack corrupted: exited a tape that is not innermost")
         return False
-
-    def watch(self, tensor: Tensor) -> None:
-        """Register a leaf so backward() reports its gradient even if unused."""
-        tensor.requires_grad = True
-        self._watched[id(tensor)] = tensor
 
 
 def _check_finite(op: str, data: Array) -> None:
@@ -219,8 +213,7 @@ def mul_scalar(t: Tensor, c: float) -> Tensor:
     return _emit("mul_scalar", (t,), t.data * c, lambda g: (g * c,))
 
 
-def reshape(t: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in np.atleast_1d(shape)) if not isinstance(shape, tuple) else shape
+def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(shape)) != t.size:
         raise DimensionError(f"cannot reshape {t.shape} (size {t.size}) to {shape}")
     old = t.shape
@@ -400,8 +393,6 @@ def logsumexp(t: Tensor) -> Tensor:
 def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return t
     keep = rng.random(t.shape) >= rate
     scale = 1.0 / (1.0 - rate)
 
@@ -660,8 +651,8 @@ def kl_divergence(p: Tensor, q: Tensor) -> Tensor:
 def backward(tape: Tape, output: Tensor) -> dict[Tensor, Array]:
     """Reverse-mode accumulation from a scalar output over the tape.
 
-    Returns a mapping for every gradient-requiring leaf (plus watched
-    tensors); leaves the output never depended on get zero gradients. Also
+    Returns a mapping for every gradient-requiring leaf that a recorded op
+    read; leaves the output never depended on get zero gradients. Also
     stores each gradient in the tensor's ``grad`` slot. Vjps compute no
     cotangent for inputs that do not require gradients and this loop skips
     those inputs, so frozen parameters and constants cost nothing and their
@@ -680,7 +671,7 @@ def backward(tape: Tape, output: Tensor) -> dict[Tensor, Array]:
                 continue
             cur = grads.get(id(t))
             grads[id(t)] = gi if cur is None else cur + gi
-    leaves: dict[int, Tensor] = dict(tape._watched)
+    leaves: dict[int, Tensor] = {}
     for rec in tape.records:
         for t in rec.inputs:
             if t.requires_grad and id(t) not in produced:

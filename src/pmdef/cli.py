@@ -506,7 +506,7 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path) -> list[Path]:
                               "rerun calibrate")
     rows, scores, decisions = ev.accuracy_report(classifier, defences, attack_sets, clean, exp.score_defence, threshold)
     report_path = out / "report_accuracy.csv"
-    ev.accuracy_report_to_csv(rows, report_path)
+    write_artifact(report_path, csv_text(rows))
     artifacts = [report_path]
     for name, attack_scores in scores.items():
         spath = out / "scores" / f"{name}.csv"
@@ -516,7 +516,7 @@ def cmd_evaluate(exp: Experiment, seed: int, out: Path) -> list[Path]:
     for name, decision in decisions.items():
         vpath = out / "verdicts" / f"{name}__{exp.score_defence}.csv"
         vpath.parent.mkdir(exist_ok=True)
-        dfc.verdicts_to_csv(decision, threshold, vpath)
+        write_artifact(vpath, csv_text(dfc.verdict_rows(decision, threshold)))
         artifacts.append(vpath)
     for row in rows:
         log.info("evaluate %s: %s", row["attack"], {k: v for k, v in row.items() if k != "attack"})

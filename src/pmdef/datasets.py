@@ -90,9 +90,7 @@ def write_idx(dataset: Dataset, images_path, labels_path) -> None:
 # CIFAR-10 binary (per record: label byte + 3072 channel-major pixel bytes)
 
 
-def parse_cifar_binary(paths, name: str = "cifar") -> Dataset:
-    if isinstance(paths, (str, Path)):
-        paths = [paths]
+def parse_cifar_binary(paths: list, name: str = "cifar") -> Dataset:
     all_images = []
     all_labels = []
     for path in paths:

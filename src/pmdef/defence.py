@@ -11,12 +11,11 @@ scores, the flags and the labels.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import csv_text, write_artifact
 from .autodiff import kl_rows
 from .errors import DataError, ParameterError
 from .training import temperature_scale
@@ -81,14 +80,15 @@ def adversarial_score(classifier, defence: Defence, x: np.ndarray) -> np.ndarray
 
 def calibrate_threshold(scores_normal, eps_fpr: float) -> float:
     """Smallest observed score t such that the fraction of normal scores
-    strictly above t is at most eps_fpr; eps_fpr=1 gives -inf (flag all)."""
+    strictly above t is at most eps_fpr. eps_fpr=1 gives the most negative
+    float, below every finite score (flag all), which strict JSON can hold."""
     scores = np.asarray(scores_normal, dtype=np.float64)
     if scores.size == 0:
         raise DataError("cannot calibrate a threshold from no scores")
     if not 0.0 <= eps_fpr <= 1.0:
         raise ParameterError(f"false positive budget must be in [0, 1], got {eps_fpr}")
     if eps_fpr == 1.0:
-        return -math.inf
+        return -sys.float_info.max
     n = scores.size
     ordered = np.sort(scores)
     above = n - np.searchsorted(ordered, ordered, side="right")  # strictly greater counts
@@ -103,10 +103,9 @@ def detect_and_correct(classifier, defence: Defence, x: np.ndarray, threshold: f
     return outputs, outputs.decide(threshold)
 
 
-def verdicts_to_csv(decision: Decision, threshold: float, path) -> None:
+def verdict_rows(decision: Decision, threshold: float) -> list[dict]:
     """One row per instance of a ``decide`` result taken at ``threshold``."""
     scores, flagged, labels = (a.tolist() for a in decision)
-    rows = [{"id": i, "score": s, "threshold": threshold, "flagged": int(f), "label": lab,
+    return [{"id": i, "score": s, "threshold": threshold, "flagged": int(f), "label": lab,
              "source": "reconstructed" if f else "original"}
             for i, (s, f, lab) in enumerate(zip(scores, flagged, labels))]
-    write_artifact(path, csv_text(rows))

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blas
-from .artifacts import csv_text, write_artifact
 from .defence import Decision, Defence, defence_outputs, detect_and_correct, reconstructed_proba
 from .errors import DataError, ParameterError
 
@@ -142,12 +141,6 @@ def accuracy_report(
     scores = {name: attack_scores for name, (_, attack_scores, _) in results.items()}
     decisions = {name: decision for name, (_, _, decision) in results.items() if decision is not None}
     return rows, scores, decisions
-
-
-def accuracy_report_to_csv(rows: list[dict], path) -> None:
-    if not rows:
-        raise DataError("empty accuracy report")
-    write_artifact(path, csv_text(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -281,12 +281,6 @@ class ParameterStore:
     def __init__(self):
         self.params: dict[int, dict[str, Tensor]] = {}
 
-    def add(self, layer_index: int, **tensors: Tensor) -> None:
-        self.params[layer_index] = tensors
-
-    def get(self, layer_index: int) -> dict[str, Tensor]:
-        return self.params[layer_index]
-
     def freeze_all(self) -> None:
         for _, _, t in self.named_tensors():
             t.requires_grad = False
@@ -422,7 +416,7 @@ def build_model(spec: ModelSpec, seed: int) -> Model:
         feeds = next((l.activation for l in spec.layers[i + 1 :] if l.activation), "other")
         limit = np.sqrt(6.0 / fan_in) if feeds == "relu" else np.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=w_shape)
-        store.add(i, w=Tensor(w, requires_grad=True), b=Tensor(np.zeros(b_shape), requires_grad=True))
+        store.params[i] = {"w": Tensor(w, requires_grad=True), "b": Tensor(np.zeros(b_shape), requires_grad=True)}
     return Model(spec, store, seed=seed)
 
 
@@ -524,7 +518,6 @@ def load_checkpoint(path) -> Model:
     except (KeyError, TypeError, ValueError, UserError) as exc:
         raise ParseError(f"{path}: malformed checkpoint header: {exc!r}") from None
     store = ParameterStore()
-    groups: dict[int, dict[str, Tensor]] = {}
     total = sum(nbytes for _, _, _, nbytes, _ in entries)
     if len(blob) - pos != total:
         raise ParseError(f"{path}: weight payload is {len(blob) - pos} bytes, header declares {total}")
@@ -536,9 +529,7 @@ def load_checkpoint(path) -> Model:
         if end > len(blob):
             raise ParseError(f"{path}: truncated weight block {layer}:{name}")
         arr = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape)
-        groups.setdefault(layer, {})[name] = Tensor(arr.copy(), requires_grad=True)
-    for idx, tensors in groups.items():
-        store.add(idx, **tensors)
+        store.params.setdefault(layer, {})[name] = Tensor(arr.copy(), requires_grad=True)
     want = {(i, n): shape for i, group in _param_shapes(spec).items() for n, shape in group.items()}
     got = {(i, n): t.shape for i, n, t in store.named_tensors()}
     if want != got:

@@ -115,10 +115,7 @@ def _value(tp, v, where: str):
     if origin in (list, tuple):
         if not isinstance(v, list):
             raise ConfigError(f"{where}: expected a list, got {v!r:.60}")
-        items = args if origin is tuple and args[-1] is not Ellipsis else args[:1] * len(v)
-        if len(items) != len(v):
-            raise ConfigError(f"{where}: expected {len(items)} items, got {len(v)}")
-        return origin(_value(t, x, f"{where}[{i}]") for i, (t, x) in enumerate(zip(items, v)))
+        return origin(_value(args[0], x, f"{where}[{i}]") for i, x in enumerate(v))
     if not isinstance(v, _ACCEPTS[tp]) or (isinstance(v, bool) and tp is not bool):
         raise ConfigError(f"{where}: expected {tp.__name__}, got {v!r:.60}")
     if isinstance(v, float) and not math.isfinite(v):  # json reads NaN, Infinity and 1e400

@@ -14,9 +14,7 @@ import pytest
 from pmdef import artifacts, blas, cli
 from pmdef.attacks import AdversarialBatch, AttackConfig, inputs_crc32, load_batch, save_batch
 from pmdef.datasets import Dataset, write_cifar_binary, write_idx
-from pmdef.defence import verdicts_to_csv
 from pmdef.errors import ParseError
-from pmdef.evaluation import accuracy_report_to_csv
 from pmdef.models import build_model, save_checkpoint
 from pmdef.training import TrainReport
 from toys import cnn_classifier_spec, image_ae_spec
@@ -119,14 +117,13 @@ def test_csv_text_writes_a_float_as_17g_and_none_as_an_empty_field():
 # the bytes of the report tables
 
 
-def test_accuracy_report_csv_bytes(tmp_path):
+def test_accuracy_report_csv_bytes():
     rows = [{"attack": "fgsm,0.1", "n": 3, "no_attack": 0.1, "kl": 2 / 3, "kl@detect": -math.inf},
             {"attack": "cw", "n": 0, "no_attack": 1.0, "kl": -0.0, "kl@detect": 0.5}]
-    accuracy_report_to_csv(rows, tmp_path / "r.csv")
-    assert (tmp_path / "r.csv").read_bytes() == (
-        b"attack,n,no_attack,kl,kl@detect\r\n"
-        b'"fgsm,0.1",3,0.10000000000000001,0.66666666666666663,-inf\r\n'
-        b"cw,0,1,-0,0.5\r\n"
+    assert artifacts.csv_text(rows) == (
+        "attack,n,no_attack,kl,kl@detect\r\n"
+        '"fgsm,0.1",3,0.10000000000000001,0.66666666666666663,-inf\r\n'
+        "cw,0,1,-0,0.5\r\n"
     )
 
 
@@ -218,6 +215,12 @@ def _roc(out, v):
     assert cli.run_cli(["roc", "--config", str(out.parent / "cfg.json"), "--out", str(out)]) == 0
 
 
+def _evaluate(out, v):
+    """The evaluate stage over an FGSM batch and a threshold made at seed ``v``."""
+    for stage in ("attack", "calibrate", "evaluate"):
+        _scoring_stage(stage, out, v, attacks=[{"name": "a", "kind": "fgsm"}], calibration_size=20)
+
+
 def _report(v):
     return TrainReport("classifier", v, "cross_entropy", [0.5], [0.25], 0.5, 0.25)
 
@@ -232,8 +235,8 @@ WRITERS = {
     "save_batch-json": ("b.json", lambda out, v: save_batch(_batch(v), out / "b.json")),
     "save_batch-bin": ("b.bin", lambda out, v: save_batch(_batch(v), out / "b.json")),
     "to_jsonl": ("t.jsonl", lambda out, v: _report(v).to_jsonl(out / "t.jsonl")),
-    "verdicts_to_csv": ("v.csv", lambda out, v: verdicts_to_csv((np.array([v]), np.array([True]), np.array([1])), 0.5, out / "v.csv")),
-    "accuracy_report_to_csv": ("r.csv", lambda out, v: accuracy_report_to_csv([{"attack": "a", "kl": v / 2}], out / "r.csv")),
+    "evaluate-verdicts": ("verdicts/a__kl.csv", _evaluate),
+    "evaluate-report": ("report_accuracy.csv", _evaluate),
     "drift-json": ("drift.json", lambda out, v: _scoring_stage("drift", out, v, drift={"severities": [1]})),
     "drift-csv": ("drift.csv", lambda out, v: _scoring_stage("drift", out, v, drift={"severities": [1]})),
     "write_manifest": ("manifest_s.json", lambda out, v: cli.write_manifest(out, "s", {"v": v}, v, [], 0.5)),

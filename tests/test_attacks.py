@@ -1,4 +1,6 @@
+import json
 import math
+import shutil
 import zlib
 
 import numpy as np
@@ -22,7 +24,7 @@ from pmdef.attacks import (
     slide_direction,
 )
 from pmdef.autodiff import Tape, Tensor, backward
-from pmdef.errors import NonFiniteError, ParameterError
+from pmdef.errors import NonFiniteError, ParameterError, ParseError
 from pmdef.models import DefendedModel, Dense, Flatten, ModelSpec, Relu, Softmax, build_model, save_checkpoint
 from pmdef.training import Adam, OptimizerConfig, train_classifier
 from toys import KINK_MARGIN, fake_blas, grad_check, greybox_ae_spec, kink_margin, recording_pool, separable_data
@@ -31,8 +33,8 @@ from toys import KINK_MARGIN, fake_blas, grad_check, greybox_ae_spec, kink_margi
 def linear_2d_model(seed=0):
     spec = ModelSpec("lin", (2,), (Dense(2), Softmax()))
     model = build_model(spec, seed)
-    model.store.get(0)["w"].data[:] = np.array([[3.0, -1.0], [1.0, 2.0]])
-    model.store.get(0)["b"].data[:] = np.array([0.2, -0.4])
+    model.store.params[0]["w"].data[:] = np.array([[3.0, -1.0], [1.0, 2.0]])
+    model.store.params[0]["b"].data[:] = np.array([0.2, -0.4])
     model.store.freeze_all()
     return model
 
@@ -76,8 +78,8 @@ def test_fgsm_1d_logistic_hand_gradient():
     # at x=0.5 with label 0 the loss gradient is positive, so x moves up by eps
     spec = ModelSpec("logit", (1,), (Dense(2), Softmax()))
     model = build_model(spec, 0)
-    model.store.get(0)["w"].data[:] = np.array([[0.0, 2.0]])
-    model.store.get(0)["b"].data[:] = 0.0
+    model.store.params[0]["w"].data[:] = np.array([[0.0, 2.0]])
+    model.store.params[0]["b"].data[:] = 0.0
     model.store.freeze_all()
     cfg = AttackConfig(kind="fgsm", epsilon=0.1, label_source="true")
     batch = fgsm(model, np.array([[0.5]]), labels=[0], config=cfg)
@@ -163,10 +165,10 @@ def test_slide_leaves_a_row_with_an_all_zero_gradient_at_x_and_counts_its_steps_
     # relu(x - 0.5) is dead on both units for the second row, so no gradient reaches it
     spec = ModelSpec("dead", (2,), (Dense(2), Relu(), Dense(2), Softmax()))
     model = build_model(spec, 0)
-    model.store.get(0)["w"].data[:] = np.eye(2)
-    model.store.get(0)["b"].data[:] = -0.5
-    model.store.get(2)["w"].data[:] = np.array([[1.0, -1.0], [0.0, 0.0]])
-    model.store.get(2)["b"].data[:] = np.array([0.1, 0.0])
+    model.store.params[0]["w"].data[:] = np.eye(2)
+    model.store.params[0]["b"].data[:] = -0.5
+    model.store.params[2]["w"].data[:] = np.array([[1.0, -1.0], [0.0, 0.0]])
+    model.store.params[2]["b"].data[:] = np.array([0.1, 0.0])
     model.store.freeze_all()
     x = np.array([[0.9, 0.1], [0.1, 0.2]])
     batch = slide(model, x, config=AttackConfig(kind="slide", q=80, gamma=0.05, k=3, eps_l1=1.0))
@@ -242,7 +244,7 @@ def test_cw_already_misclassified_returns_near_zero_delta():
 def test_cw_constant_model_never_succeeds():
     spec = ModelSpec("const", (2,), (Dense(2), Softmax()))
     model = build_model(spec, 0)
-    model.store.get(0)["w"].data[:] = 0.0
+    model.store.params[0]["w"].data[:] = 0.0
     model.store.freeze_all()
     x = np.array([[0.3, 0.4], [0.6, 0.1]])
     batch = cw_l2(model, x, config=AttackConfig(kind="cw_l2", binary_steps=2, max_iter=30, lr=0.1, c_init=1.0))
@@ -385,7 +387,6 @@ def _three_record_cw_chunk(model, x, attack_class, orig_pred, config):
         round_success = np.zeros(n, dtype=bool)
         for _ in range(config.max_iter):
             with Tape() as tape:
-                tape.watch(w)
                 adv_t = ad.mul_scalar(ad.add_scalar(ad.tanh(w), 1.0), 0.5)
                 logits = model.logits_t(adv_t)
                 z_att = ad.take_per_row(logits, attack_class)
@@ -525,6 +526,28 @@ def test_batch_round_trip_persistence(tmp_path, trained_toy):
     assert np.array_equal(loaded.success, batch.success)
     assert loaded.config.to_dict() == batch.config.to_dict()
     assert np.allclose(loaded.norms["l2"], batch.norms["l2"])
+
+
+def test_a_copied_batch_json_refuses_the_payload_of_its_original(tmp_path, trained_toy):
+    model, x, y = trained_toy
+    save_batch(fgsm(model, x[:4], y[:4], config=AttackConfig(kind="fgsm", epsilon=0.2)), tmp_path / "fgsm_01.json")
+    shutil.copy(tmp_path / "fgsm_01.json", tmp_path / "fgsm_03.json")
+    with pytest.raises(ParseError) as err:
+        load_batch(tmp_path / "fgsm_03.json")
+    assert str(err.value) == (f"{tmp_path / 'fgsm_03.json'}: its payload is {tmp_path / 'fgsm_03.bin'}, "
+                              "but 'bin_file' names 'fgsm_01.bin'")
+
+
+def test_a_batch_json_refuses_a_payload_path_outside_its_directory(tmp_path, trained_toy):
+    model, x, y = trained_toy
+    (tmp_path / "attacks").mkdir()
+    path = tmp_path / "attacks" / "fgsm.json"
+    save_batch(fgsm(model, x[:4], y[:4], config=AttackConfig(kind="fgsm", epsilon=0.2)), path)
+    shutil.copy(path.with_suffix(".bin"), tmp_path / "fgsm.bin")  # the same bytes, one directory up
+    path.write_text(json.dumps({**json.loads(path.read_text()), "bin_file": "../fgsm.bin"}))
+    with pytest.raises(ParseError, match="'bin_file' names '../fgsm.bin'") as err:
+        load_batch(path)
+    assert str(path) in str(err.value) and str(path.with_suffix(".bin")) in str(err.value)
 
 
 def test_batch_round_trip_keeps_the_cw_diagnostics(tmp_path, trained_toy):

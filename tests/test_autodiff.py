@@ -802,20 +802,9 @@ def test_backward_sum_of_squares():
 def test_backward_constant_function_zero_grad():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with Tape() as tape:
-        tape.watch(x)
         loss = ad.sum_all(ad.mul_scalar(x, 0.0))
     grads = backward(tape, loss)
     assert np.array_equal(grads[x], np.zeros(2))
-
-
-def test_backward_unused_leaf_gets_zero():
-    x = Tensor(np.array([1.0]), requires_grad=True)
-    y = Tensor(np.array([2.0]), requires_grad=True)
-    with Tape() as tape:
-        tape.watch(y)
-        loss = ad.sum_all(ad.mul(x, x))
-    grads = backward(tape, loss)
-    assert np.array_equal(grads[y], np.zeros(1))
 
 
 def test_backward_requires_scalar():

@@ -1,6 +1,9 @@
 """The per-metric verdicts of scripts/bench_pairs.py, on synthetic paired runs."""
 
 import importlib.util
+import json
+import py_compile
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +123,47 @@ def test_a_second_series_into_the_same_file_keeps_the_first_under_earlier_series
     bench_pairs.record(doc, "report", 25.0, third)
     assert [s["runs"] for s in doc["workloads"]["report"]["earlier_series"]] == [first, second]  # oldest first
     assert doc["workloads"]["train"]["runs"] == third  # another workload's series is left alone
+
+
+_FAKE_RUN = """\
+import json, sys
+from pathlib import Path
+import helper
+with open("seen.txt", "a") as fh:
+    fh.write(json.dumps([helper.VALUE, sys.pycache_prefix]) + "\\n")
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+results = Path("perfbench/_results")
+results.mkdir(exist_ok=True)
+(results / f"{args['--workload']}-seed{args['--seed']}-trace0.json").write_text(json.dumps({"artifact_sha256": {}}))
+metrics = {m: {"value": 1.0} for m in ("wall_ref", "setup_s", "peak_rss_mb")}
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
+"""
+
+
+def _fake_checkout(root: Path, stale_bytecode: bool) -> Path:
+    """A checkout whose perfbench/run.py imports ``helper`` and notes what it read;
+    with ``stale_bytecode``, its __pycache__ holds a helper.pyc that Python
+    would load without looking at the source."""
+    bench = root / "perfbench"
+    bench.mkdir(parents=True)
+    (bench / "run.py").write_text(_FAKE_RUN)
+    helper = bench / "helper.py"
+    if stale_bytecode:
+        helper.write_text('VALUE = "stale bytecode"\n')
+        cached = bench / "__pycache__" / f"helper.{sys.implementation.cache_tag}.pyc"
+        py_compile.compile(str(helper), cfile=str(cached), invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+    helper.write_text('VALUE = "source"\n')
+    return root
+
+
+def test_every_run_compiles_from_source_under_its_own_bytecode_prefix(tmp_path):
+    checkouts = [_fake_checkout(tmp_path / "parent", True), _fake_checkout(tmp_path / "change", False)]
+    for seed in (1, 2):
+        for checkout in checkouts:
+            run = bench_pairs.run_once(checkout, "train", seed, 1.0)
+            assert run["exit"] == 0 and run["correct"] and run["wall_ref"] == 1.0, run
+    seen = [json.loads(line) for c in checkouts for line in (c / "seen.txt").read_text().splitlines()]
+    assert [value for value, _ in seen] == ["source"] * 4  # the parent's stale helper.pyc was never read
+    prefixes = [prefix for _, prefix in seen]
+    assert None not in prefixes and len(set(prefixes)) == 4
+    assert not any(Path(p).exists() for p in prefixes)  # each removed after its run

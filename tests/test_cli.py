@@ -27,7 +27,7 @@ from pmdef import artifacts, blas, cli, errors
 from pmdef import defence as dfc
 from pmdef.attacks import load_batch
 from pmdef.cli import run_cli
-from pmdef.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
+from pmdef.datasets import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset, write_idx
 from pmdef.errors import UserError
 from pmdef.evaluation import roc_auc
 from pmdef.models import CHECKPOINT_MAGIC, AnyLayer, Model, ModelSpec, build_model, load_checkpoint, save_checkpoint
@@ -170,6 +170,44 @@ def test_an_empty_dataset_file_exits_1_naming_the_dataset(tmp_path, capsys, kind
 def test_missing_config_file_exits_1(tmp_path, capsys):
     assert run_cli(["train-classifier", "--config", str(tmp_path / "none.json")]) == 1
     assert "none.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, needle", [("{not json", "invalid JSON: "), ("[1, 2]", "config must be a JSON object")],
+                         ids=["not-json", "not-an-object"])
+def test_a_config_file_that_is_not_a_json_object_exits_1_naming_it(tmp_path, capsys, content, needle):
+    path = tmp_path / "config.json"
+    path.write_text(content)
+    assert run_cli(["train-classifier", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {needle}"), err
+
+
+# id: (the file of an IDX pair of 3 images of 8x8, a rewrite of its bytes or None to delete
+# it, the error line the stage prints with {path} that file)
+MALFORMED_IDX = {
+    "missing-images": ("i.idx", None, "dataset: referenced dataset file missing: {path}"),
+    "missing-labels": ("l.idx", None, "dataset: referenced dataset file missing: {path}"),
+    "label-magic": ("l.idx", lambda raw: struct.pack(">I", IDX_IMAGES_MAGIC) + raw[4:],
+                    "{path}: label magic 0x00000803, expected 0x00000801"),
+    "trailing-pixel-bytes": ("i.idx", lambda raw: raw + b"\0", "{path}: trailing bytes after 3x8x8 pixels"),
+    "trailing-label-bytes": ("l.idx", lambda raw: raw + b"\0", "{path}: trailing bytes after 3 labels"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_IDX))
+def test_a_missing_or_malformed_idx_file_exits_1_naming_it(tmp_path, capsys, case):
+    name, edit, error = MALFORMED_IDX[case]
+    write_idx(Dataset(np.zeros((3, 8, 8, 1)), np.array([0, 1, 2]), name="d"), tmp_path / "i.idx", tmp_path / "l.idx")
+    broken = tmp_path / name
+    if edit is None:
+        broken.unlink()
+    else:
+        broken.write_bytes(edit(broken.read_bytes()))
+    files = {f"{split}_{part}": str(tmp_path / f"{part[0]}.idx") for split in ("train", "test") for part in ("images", "labels")}
+    path = _write_config(tmp_path, tmp_path / "run", dataset={"kind": "idx", **files})
+    assert run_cli(["train-classifier", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {error.format(path=broken)}\n", err
 
 
 def test_seed_is_mandatory(tmp_path, capsys):
@@ -583,14 +621,15 @@ def test_evaluate_malformed_threshold_file_exits_1(attacked_run, tmp_path, capsy
     assert "threshold.json" in err
 
 
-def test_evaluate_gates_with_the_minus_infinity_threshold_of_eps_fpr_1(attacked_run, tmp_path):
+def test_evaluate_gates_with_the_most_negative_float_threshold_of_eps_fpr_1(attacked_run, tmp_path):
     _, run = attacked_run
     out = tmp_path / "run"
     shutil.copytree(run, out)
     cfg = _write_config(tmp_path, out, eps_fpr=1)
     for stage in ["score", "calibrate", "evaluate"]:
         assert run_cli([stage, "--config", str(cfg)]) == 0, stage
-    assert '"threshold": -Infinity' in (out / "threshold.json").read_text()
+    info = json.loads((out / "threshold.json").read_text(), parse_constant=_refuse)
+    assert info["threshold"] == -sys.float_info.max
     verdicts = sorted((out / "verdicts").glob("*.csv"))
     assert verdicts
     for path in verdicts:
@@ -874,6 +913,7 @@ MALFORMED_BATCHES = {
     "json-list": lambda text: "[1, 2]",
     "no-bin-file": _batch_edit(_set("bin_file", None)),
     "missing-bin-file": _batch_edit(_set("bin_file", "elsewhere.bin")),
+    "bin-file-outside-its-directory": _batch_edit(_set("bin_file", "../attacks/fgsm02.bin")),
     "no-originals-crc32": _batch_edit(_set("originals_crc32", None)),
     "no-crc32": _batch_edit(_set("crc32", None)),
     "wrong-crc32": _batch_edit(lambda meta: {**meta, "crc32": meta["crc32"] ^ 1}),
@@ -1161,6 +1201,44 @@ def test_malformed_checkpoint_header_exits_1_naming_the_file(tmp_path, capsys, e
     assert capsys.readouterr().err.startswith(f"error: {ckpt}: malformed checkpoint header: ")
 
 
+def _truncate_header(path):
+    path.write_bytes(path.read_bytes()[: len(CHECKPOINT_MAGIC) + 4 + 10])
+
+
+def _garble_header(path):
+    """The header's bytes, its length kept, replaced by bytes that are not UTF-8."""
+    blob = path.read_bytes()
+    pos = len(CHECKPOINT_MAGIC) + 4
+    (hlen,) = struct.unpack("<I", blob[pos - 4 : pos])
+    path.write_bytes(blob[:pos] + b"\xff" * hlen + blob[pos + hlen :])
+
+
+# id: (rewrite of the toy classifier's checkpoint, the error after its path); its
+# first block is layer 1's bias, 24 floats
+BROKEN_CHECKPOINTS = {
+    "truncated-header": (_truncate_header, "truncated header (need "),
+    "non-utf8-header": (_garble_header, "unreadable header: "),
+    "block-size-off-its-shape": (lambda path: _rewrite_checkpoint_header(path, _at("tensors", 0, "shape", 0, value=23)),
+                                 "block 1:b size disagrees with its shape"),
+    "block-past-the-end": (lambda path: _rewrite_checkpoint_header(path, _at("tensors", 0, "offset", value=2**20)),
+                           "truncated weight block 1:b"),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_CHECKPOINTS))
+def test_a_broken_checkpoint_exits_1_naming_the_file(tmp_path, capsys, case):
+    rewrite, needle = BROKEN_CHECKPOINTS[case]
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, out)
+    out.mkdir()
+    ckpt = out / "classifier.ckpt"
+    save_checkpoint(build_model(from_dict(ModelSpec, json.loads(cfg.read_text())["classifier_spec"]), 0), ckpt)
+    rewrite(ckpt)
+    assert run_cli(["train-defence", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: {needle}"), err
+
+
 def _clf_spec(*layers, **fields):
     """The toy config's classifier spec (8x8x1 in, 3 classes) with ``layers`` before its head."""
     head = [{"type": "flatten"}, {"type": "dense", "units": 3}, {"type": "softmax"}]
@@ -1212,6 +1290,14 @@ MALFORMED_SPECS = {
     "conv-bad-padding": (
         "classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 2, "padding": "full"}),
         "classifier_spec.layers[0].padding: expected one of ['valid', 'same'], got 'full'",
+    ),
+    "maxpool-window-beyond-the-input": (
+        "classifier_spec", _clf_spec({"type": "maxpool", "window": 9, "stride": 1}),
+        "classifier_spec: layer 0 (maxpool): window 9 exceeds input (8, 8)",
+    ),
+    "conv-valid-kernel-beyond-the-input": (
+        "classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 9, "padding": "valid"}),
+        "classifier_spec: layer 0 (conv): kernel 9x9 larger than input 8x8 (valid padding)",
     ),
     "dense-after-conv": (
         "classifier_spec", _clf_spec({"type": "conv", "filters": 2, "kernel": 2}, {"type": "dense", "units": 4}),
@@ -1402,6 +1488,10 @@ MALFORMED_CONFIGS = {
     "defence-losses-repeated-kind": (
         lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "kl"}]),
         "train-defence", "defence_losses",
+    ),
+    "attack-names-repeated": (lambda c: c["attacks"].append({**c["attacks"][0], "epsilon": 0.1}), "attack", "attacks"),
+    "kl-hidden-without-probe": (
+        lambda c: c.update(defence_losses=[{"kind": "kl"}, {"kind": "kl_hidden"}]), "train-defence", "defence_losses[1]",
     ),
     "score-defence-untrained": (lambda c: c.update(score_defence="mse"), "score", "score_defence"),
     "report-defences-untrained": (lambda c: c.update(report_defences=["kl", "mse"]), "evaluate", "report_defences[1]"),

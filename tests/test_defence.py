@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmdef import defence
+from pmdef.artifacts import csv_text
 from pmdef.autodiff import kl_rows
 from pmdef.defence import (
     Defence,
@@ -15,7 +17,7 @@ from pmdef.defence import (
     calibrate_threshold,
     defence_outputs,
     detect_and_correct,
-    verdicts_to_csv,
+    verdict_rows,
 )
 from pmdef.errors import DataError, ParameterError
 from pmdef.models import Dense, Flatten, ModelSpec, Relu, Softmax, build_model
@@ -133,8 +135,8 @@ def test_calibrate_zero_budget_is_max():
     assert calibrate_threshold(scores, 0.0) == 7.0
 
 
-def test_calibrate_full_budget_is_neg_inf():
-    assert calibrate_threshold(np.array([1.0, 2.0]), 1.0) == -math.inf
+def test_calibrate_full_budget_is_the_most_negative_float():
+    assert calibrate_threshold(np.array([1.0, 2.0]), 1.0) == -sys.float_info.max
 
 
 def test_calibrate_empty_scores():
@@ -213,23 +215,21 @@ def test_outputs_decide_as_detect_and_correct_does(toy_defence, temperature):
         assert np.array_equal(mine, their)
 
 
-def test_verdict_csv_format(tmp_path, toy_defence):
+def test_verdict_csv_format(toy_defence):
     clf, x, _ = toy_defence
     ae = build_model(ModelSpec("ae", (6,), (Dense(6),)), 7)
-    path = tmp_path / "verdicts.csv"
-    verdicts_to_csv(detect_and_correct(clf, Defence(ae), x[:5], 0.01)[1], 0.01, path)
-    lines = path.read_text().strip().splitlines()
+    lines = csv_text(verdict_rows(detect_and_correct(clf, Defence(ae), x[:5], 0.01)[1], 0.01)).strip().splitlines()
     assert lines[0] == "id,score,threshold,flagged,label,source"
     assert len(lines) == 6
 
 
-def test_verdict_csv_rows_print_the_decision_as_python_scalars_would(tmp_path):
+def test_verdict_csv_rows_print_the_decision_as_python_scalars_would():
     scores, flagged, labels = np.array([0.1, 2 / 3, -0.0]), np.array([False, True, False]), np.array([2, 0, 1])
-    verdicts_to_csv((scores, flagged, labels), -math.inf, tmp_path / "v.csv")
+    rows = verdict_rows((scores, flagged, labels), -math.inf)
     expected = [f"{i},{float(s):.17g},-inf,{int(f)},{int(lab)},{'reconstructed' if f else 'original'}"
                 for i, (s, f, lab) in enumerate(zip(scores, flagged, labels))]
     assert expected[1] == "1,0.66666666666666663,-inf,1,0,reconstructed" and expected[2].startswith("2,-0,")
-    assert (tmp_path / "v.csv").read_bytes() == "\r\n".join(["id,score,threshold,flagged,label,source", *expected, ""]).encode()
+    assert csv_text(rows) == "\r\n".join(["id,score,threshold,flagged,label,source", *expected, ""])
 
 
 def test_separation_on_trained_toy_defence(toy_defence):

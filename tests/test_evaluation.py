@@ -16,7 +16,6 @@ from pmdef.evaluation import (
     _drift_row,
     RocCurve,
     accuracy_report,
-    accuracy_report_to_csv,
     corrupt_dataset,
     drift_report,
     ks_two_sample,
@@ -267,7 +266,7 @@ def test_accuracy_report_identity_ae_equals_no_defence(small_image_classifier):
 
 def _perturbed_identity_ae(size, scale, seed):
     ae = identity_ae(size)
-    ae.store.get(1)["w"].data[:] += np.random.default_rng(seed).normal(0.0, scale, ae.store.get(1)["w"].shape)
+    ae.store.params[1]["w"].data[:] += np.random.default_rng(seed).normal(0.0, scale, ae.store.params[1]["w"].shape)
     return ae
 
 
@@ -373,12 +372,10 @@ def test_accuracy_report_units_give_the_rows_scores_and_decisions_of_one_attack_
                 assert mine.tobytes() == theirs.tobytes()
 
 
-def test_accuracy_report_csv(tmp_path, small_image_classifier):
+def test_accuracy_report_csv(small_image_classifier):
     clf, x, y = small_image_classifier
     rows, _, _ = accuracy_report(clf, {"identity": Defence(identity_ae(4))}, {"a": (x, y)}, (x, y), "identity")
-    path = tmp_path / "report.csv"
-    accuracy_report_to_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
+    lines = csv_text(rows).strip().splitlines()
     assert lines[0].split(",")[:3] == ["attack", "no_attack", "no_defence"]
     assert len(lines) == 2
 

@@ -107,8 +107,8 @@ def test_predict_proba_shape_mismatch():
 def test_predict_proba_known_weights_hand_computed():
     spec = ModelSpec("hand", (2,), (Dense(2), Softmax()))
     model = build_model(spec, 0)
-    model.store.get(0)["w"].data[:] = np.array([[1.0, -1.0], [0.5, 2.0]])
-    model.store.get(0)["b"].data[:] = np.array([0.1, -0.2])
+    model.store.params[0]["w"].data[:] = np.array([[1.0, -1.0], [0.5, 2.0]])
+    model.store.params[0]["b"].data[:] = np.array([0.1, -0.2])
     x = np.array([[0.4, 0.6]])
     logits = np.array([0.4 * 1.0 + 0.6 * 0.5 + 0.1, 0.4 * -1.0 + 0.6 * 2.0 - 0.2])
     expected = np.exp(logits - logits.max())
@@ -137,7 +137,7 @@ def test_reconstruct_shape_and_domain():
 def test_reconstruct_identity_initialized_linear_path_finite():
     spec = ModelSpec("lin_ae", (4,), (Dense(4),))
     ae = build_model(spec, 0)
-    ae.store.get(0)["w"].data[:] = np.eye(4)
+    ae.store.params[0]["w"].data[:] = np.eye(4)
     x = np.random.default_rng(0).random((3, 4))
     out = ae.reconstruct(x)
     assert np.all(np.isfinite(out))
@@ -182,11 +182,11 @@ def test_probe_dim_20():
 def test_probe_hand_computed_softmax():
     spec = ModelSpec("tiny", (2,), (Dense(2), Softmax()))
     model = build_model(spec, 0)
-    model.store.get(0)["w"].data[:] = np.array([[1.0, 0.0], [0.0, 1.0]])
-    model.store.get(0)["b"].data[:] = 0.0
+    model.store.params[0]["w"].data[:] = np.array([[1.0, 0.0], [0.0, 1.0]])
+    model.store.params[0]["b"].data[:] = 0.0
     probe = build_probe(model, source_layer=0, dim=2, seed=0)
-    probe.store.get(1)["w"].data[:] = np.array([[2.0, 0.0], [0.0, 1.0]])
-    probe.store.get(1)["b"].data[:] = np.array([0.0, 0.5])
+    probe.store.params[1]["w"].data[:] = np.array([[2.0, 0.0], [0.0, 1.0]])
+    probe.store.params[1]["b"].data[:] = np.array([0.0, 0.5])
     x = np.array([[0.3, 0.8]])
     _, feats = model.forward_t(Tensor(x), capture=0)
     assert np.array_equal(feats.data, x)  # dense(identity) output
@@ -523,7 +523,7 @@ def _spec_order_forward(model, x, capture=None):
 def _edge_case_biases(model):
     """Conv biases giving pool windows that are all < 0, all > 0, exact
     zeros on a zero input, and mixed, one channel each."""
-    b = model.store.get(0)["b"].data
+    b = model.store.params[0]["b"].data
     b[:] = np.resize([-10.0, 10.0, 0.0, 0.25], b.shape)
 
 
@@ -595,7 +595,7 @@ def test_a_relu_before_a_maxpool_runs_after_it_and_a_capture_returns_the_spec_or
 def test_the_kink_margin_of_a_relu_before_a_maxpool_is_the_pools_gap_on_pre_relu_values():
     # forward_t pools first, so a window that is all < 0 counts its top two values' gap, not relu's tie at 0
     model = build_model(greybox_ae_spec(10), 3)
-    conv = model.store.get(0)
+    conv = model.store.params[0]
     conv["b"].data[0] = -10.0  # every pool window of channel 0 is all < 0
     x = np.random.default_rng(6).random((2, 10, 10, 1))
     pre = ad.conv2d(Tensor(x), conv["w"], 1, "same", bias=conv["b"]).data

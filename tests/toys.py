@@ -50,7 +50,6 @@ def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
     base = np.array(x.data, dtype=np.float64, copy=True)
     leaf = Tensor(base, requires_grad=True)
     with Tape() as tape:
-        tape.watch(leaf)
         out = f(leaf)
         _scalar_value(out, "at the expansion point")
     analytic = backward(tape, out)[leaf].ravel()
@@ -183,8 +182,8 @@ def identity_ae(size):
     d = size * size
     spec = ModelSpec("identity_ae", (size, size, 1), (Flatten(), Dense(d), Reshape((size, size, 1))))
     ae = build_model(spec, 0)
-    ae.store.get(1)["w"].data[:] = np.eye(d)
-    ae.store.get(1)["b"].data[:] = 0.0
+    ae.store.params[1]["w"].data[:] = np.eye(d)
+    ae.store.params[1]["b"].data[:] = 0.0
     return ae
 
 
